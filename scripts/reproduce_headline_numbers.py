@@ -4,11 +4,16 @@
 Covers the closed-form entangled family, the thermodynamic work-cost gap,
 the max-relative-entropy reduction, the dilution protocol, broadcast
 rigidity, and channel synthesis (one feasible and one certified-infeasible
-instance).  Exits nonzero if any scenario check fails.
+instance).  Exits nonzero if any scenario check fails.  Runs from a
+checkout without installing: ``src/`` goes on ``sys.path``.
 """
 import sys
+from pathlib import Path
 
-from catcost.cli import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from catcost.cli import (  # noqa: E402
+
     scenario_dmax_ppt,
     scenario_protocol,
     scenario_rigidity,

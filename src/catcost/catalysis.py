@@ -17,7 +17,7 @@ from .measures import (
     CostValue,
     binegativity,
     exact_locc_cost_pure,
-    log_negativity,
+    gated_ppt_cost,
     work_cost_semiclassical,
 )
 from .operators import (
@@ -108,15 +108,6 @@ class NonconvexityWitness:
     chain_ok: bool | None
 
 
-def _gated_ppt_cost(state: DensityOperator, gate_tol: float = 1e-10) -> tuple[BinegativityReport, CostValue]:
-    gate = binegativity(state, tol=gate_tol)
-    if gate.positive:
-        cost = CostValue(log_negativity(state), Applicability.EXACT_FORMULA)
-    else:
-        cost = CostValue(math.nan, Applicability.UNDEFINED)
-    return gate, cost
-
-
 def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
                        marginal_tol: float = 1e-10,
                        broadcast_tol: float = 1e-9) -> ProtocolTrace:
@@ -173,8 +164,8 @@ def catalytic_cost_upper_bound(rho: DensityOperator, mu: DensityOperator,
     report = verify_broadcast(mu, rho, 2, tol=broadcast_tol)
     if not report.is_broadcast:
         raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
-    gate_rho, cost_rho = _gated_ppt_cost(rho)
-    gate_mu, cost_mu = _gated_ppt_cost(mu)
+    gate_rho, cost_rho = gated_ppt_cost(rho)
+    gate_mu, cost_mu = gated_ppt_cost(mu)
     upper = cost_mu.bits / 2.0
     return AdvantageCertificate(
         cost_standard=cost_rho,
@@ -199,12 +190,12 @@ def nonconvexity_witness(s0: DensityOperator, s1: DensityOperator,
     midpoint = density_from_matrix((s0.entries + s1.entries) / 2.0, s0.shape)
 
     if gamma is None:
-        gate0, cost0 = _gated_ppt_cost(s0)
-        gate1, cost1 = _gated_ppt_cost(s1)
+        gate0, cost0 = gated_ppt_cost(s0)
+        gate1, cost1 = gated_ppt_cost(s1)
         if not (gate0.positive and gate1.positive):
             raise ValueError("witness states must have positive binegativity")
-        _, cost_mid = _gated_ppt_cost(midpoint)
-        cost_of = lambda state, ref: _gated_ppt_cost(state)[1]
+        _, cost_mid = gated_ppt_cost(midpoint)
+        cost_of = lambda state, ref: gated_ppt_cost(state)[1]
         reference2 = None
     else:
         def cost_of(state, ref):
@@ -240,8 +231,8 @@ def superadditivity_violation(rho: DensityOperator, mu: DensityOperator,
     report = verify_broadcast(mu, rho, 2, tol=broadcast_tol)
     if not report.is_broadcast:
         raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
-    gate_rho, cost_rho = _gated_ppt_cost(rho)
-    gate_mu, cost_mu = _gated_ppt_cost(mu)
+    gate_rho, cost_rho = gated_ppt_cost(rho)
+    gate_mu, cost_mu = gated_ppt_cost(mu)
     if not (gate_rho.positive and gate_mu.positive):
         raise ValueError("states must have positive binegativity")
     return 2.0 * cost_rho.bits - cost_mu.bits

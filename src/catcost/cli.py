@@ -6,6 +6,7 @@ Exit codes: 0 all checks pass, 2 usage, 3 file or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -121,13 +122,24 @@ def scenario_dmax_ppt(d: int, lam: float) -> ScenarioReport:
     return report
 
 
-def _named_target(name: str):
+_NAMED_TARGETS = {"noisy": _half_mixed, "broadcast": _broadcast_of_half_mixed}
+
+
+def _parse_named_target(name: str) -> tuple[str, int] | None:
+    """(family, d) for a ``noisy-phi-D`` or ``broadcast-phi-D`` name, else None."""
     parts = name.split("-")
-    if len(parts) == 3 and parts[0] == "noisy" and parts[1] == "phi":
-        return _half_mixed(int(parts[2]))
-    if len(parts) == 3 and parts[0] == "broadcast" and parts[1] == "phi":
-        return _broadcast_of_half_mixed(int(parts[2]))
+    if (len(parts) == 3 and parts[0] in _NAMED_TARGETS and parts[1] == "phi"
+            and parts[2].isdigit()):
+        return parts[0], int(parts[2])
     return None
+
+
+def _named_target(name: str):
+    parsed = _parse_named_target(name)
+    if parsed is None:
+        return None
+    family, d = parsed
+    return _NAMED_TARGETS[family](d)
 
 
 def scenario_synthesize(m: int, target_name: str, tol: float = 1e-6,
@@ -231,8 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: parse_args leaves it unchanged, and a parser
+    # built per call is ~300 objects of cyclic garbage (argparse formatters
+    # and actions) that repeated in-process calls leave to the collector.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "werner-example":
@@ -254,14 +274,39 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "synthesize":
             if args.m < 0:
                 parser.error("--m must be >= 0")
+            named = _parse_named_target(args.target)
+            if named is not None and named[1] < 2:
+                parser.error(f"{args.target}: the local dimension D must be >= 2")
+            if not args.tol > 0.0:
+                parser.error("--tol must be > 0")
+            if args.max_iter < 1:
+                parser.error("--max-iter must be >= 1")
+            if args.seed < 0:
+                parser.error("--seed must be >= 0")
             report = scenario_synthesize(args.m, args.target, args.tol,
                                          args.max_iter, args.seed)
         elif args.command == "verify-broadcast":
+            if args.n < 1:
+                parser.error("--n must be >= 1")
+            if not args.tol > 0.0:
+                parser.error("--tol must be > 0")
             report = scenario_verify_broadcast(args.mu_file, args.rho_file,
                                                args.n, args.tol)
         elif args.command == "protocol":
+            if args.d < 2:
+                parser.error("--d must be >= 2")
+            if args.n < 1:
+                parser.error("--n must be >= 1")
             report = scenario_protocol(args.d, args.n)
         else:
+            if args.d < 2:
+                parser.error("--d must be >= 2")
+            if args.starts < 1:
+                parser.error("--starts must be >= 1")
+            if args.seed < 0:
+                parser.error("--seed must be >= 0")
+            if not args.tol > 0.0:
+                parser.error("--tol must be > 0")
             report = scenario_rigidity(args.d, args.starts, args.seed, args.tol)
     except ResourceLimitError as exc:
         parser.error(str(exc))

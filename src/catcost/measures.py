@@ -12,14 +12,10 @@ import numpy as np
 from .operators import (
     DensityOperator,
     FactorShape,
-    abs_operator,
-    eig_hermitian,
     hermitian_part,
     partial_trace,
-    partial_transpose,
     relabel,
     trace_distance,
-    trace_norm,
 )
 from .states import isotropic_from_fidelity, isotropic_twirl, max_entangled_fraction
 
@@ -55,28 +51,33 @@ class BinegativityReport:
 
 def log_negativity(rho: DensityOperator) -> float:
     """log2 of the trace norm of the partial transpose; zero on PPT states."""
-    tn = trace_norm(partial_transpose(rho.op))
-    return max(0.0, math.log2(tn))
+    w, _ = rho.partial_transpose_eigh
+    return max(0.0, math.log2(float(np.abs(w).sum())))
 
 
 def binegativity(rho: DensityOperator, tol: float = 1e-10) -> BinegativityReport:
     """Min eigenvalue of the twice partially transposed absolute value."""
-    b = partial_transpose(abs_operator(partial_transpose(rho.op)))
-    lo = float(np.linalg.eigvalsh(hermitian_part(b.entries)).min())
+    lo = rho.binegativity_min_eigenvalue
     return BinegativityReport(min_eigenvalue=lo, positive=lo >= -tol, tol=tol)
 
 
-def exact_ppt_cost(rho: DensityOperator, gate_tol: float = 1e-10) -> CostValue:
-    """Exact preparation cost under PPT operations.
+def gated_ppt_cost(rho: DensityOperator,
+                   gate_tol: float = 1e-10) -> tuple[BinegativityReport, CostValue]:
+    """Binegativity gate together with the exact PPT cost it scopes.
 
-    Equals the logarithmic negativity whenever the binegativity gate
-    passes; outside that regime no formula is claimed and the cost is
-    reported as undefined.
+    The cost equals the logarithmic negativity whenever the gate passes;
+    outside that regime no formula is claimed and the cost is reported
+    as undefined.
     """
     gate = binegativity(rho, tol=gate_tol)
     if gate.positive:
-        return CostValue(log_negativity(rho), Applicability.EXACT_FORMULA)
-    return CostValue(math.nan, Applicability.UNDEFINED)
+        return gate, CostValue(log_negativity(rho), Applicability.EXACT_FORMULA)
+    return gate, CostValue(math.nan, Applicability.UNDEFINED)
+
+
+def exact_ppt_cost(rho: DensityOperator, gate_tol: float = 1e-10) -> CostValue:
+    """Exact preparation cost under PPT operations; see ``gated_ppt_cost``."""
+    return gated_ppt_cost(rho, gate_tol)[1]
 
 
 def d_max(rho: DensityOperator, sigma: DensityOperator, support_tol: float = SUPPORT_TOL) -> float:
@@ -143,9 +144,9 @@ def d_max_to_ppt_isotropic(rho: DensityOperator, symmetry_tol: float = 1e-10,
 def _pure_state_marginal(psi: DensityOperator, purity_tol: float = 1e-9) -> np.ndarray:
     if psi.shape.n_factors != 1:
         raise ValueError("expected a single bipartite factor; merge factors first")
-    spec, _ = eig_hermitian(psi.op)
-    if spec.max < 1.0 - purity_tol:
-        raise ValueError(f"state is not pure: largest eigenvalue {spec.max}")
+    top = float(np.linalg.eigvalsh(hermitian_part(psi.entries)).max())
+    if top < 1.0 - purity_tol:
+        raise ValueError(f"state is not pure: largest eigenvalue {top}")
     (da, db), = psi.shape.factors
     split = relabel(psi.op, FactorShape(((da, 1), (1, db))))
     marginal = partial_trace(split, keep={0})

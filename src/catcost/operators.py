@@ -7,12 +7,15 @@ together form the global A:B cut used by the partial transpose.  A
 plain, non-bipartite subsystem is encoded as (d, 1).
 
 All values are immutable after construction and every operation is a
-pure function; concurrent use needs no synchronisation.
+pure function; concurrent use needs no synchronisation.  The spectra a
+DensityOperator caches on first use are pure functions of its read-only
+entries, so a concurrent first use at worst computes them twice.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,6 +174,28 @@ class DensityOperator:
     @property
     def entries(self) -> np.ndarray:
         return self.op.entries
+
+    @cached_property
+    def partial_transpose_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvector columns of rho^Gamma.
+
+        Computed on first use and kept for the life of the instance; the
+        entries are read-only, so the cache is a pure function of it.
+        Every PPT measure (log negativity, binegativity, exact PPT cost)
+        is derived from this one decomposition.
+        """
+        w, v = np.linalg.eigh(hermitian_part(partial_transpose(self.op).entries))
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
+
+    @cached_property
+    def binegativity_min_eigenvalue(self) -> float:
+        """Min eigenvalue of |rho^Gamma|^Gamma, with |rho^Gamma| = V diag|w| V^dagger."""
+        w, v = self.partial_transpose_eigh
+        absolute = LabeledOperator(self.shape, hermitian_part((v * np.abs(w)) @ v.conj().T))
+        b = partial_transpose(absolute)
+        return float(np.linalg.eigvalsh(hermitian_part(b.entries)).min())
 
 
 def density_from_matrix(entries: np.ndarray, shape: FactorShape, **tols) -> DensityOperator:
@@ -344,8 +369,8 @@ def abs_operator(x: LabeledOperator) -> LabeledOperator:
 
 def trace_norm(x: LabeledOperator) -> float:
     """Sum of absolute eigenvalues (Hermitian inputs only)."""
-    spec, _ = eig_hermitian(x)
-    return float(np.abs(np.array(spec.eigenvalues)).sum())
+    _require_hermitian(x)
+    return float(np.abs(np.linalg.eigvalsh(hermitian_part(x.entries))).sum())
 
 
 def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float:

@@ -7,11 +7,9 @@ import numpy as np
 
 from .operators import (
     DensityOperator,
-    LabeledOperator,
     bipartite_shape,
     density_from_matrix,
     density_from_vector,
-    permute_factors,
     plain_shape,
     tensor,
 )
@@ -112,11 +110,3 @@ def isotropic_twirl(x: DensityOperator) -> DensityOperator:
     (d, _), = x.shape.factors
     return isotropic_from_fidelity(d, min(max(f, 0.0), 1.0))
 
-
-def swap_copies(x: LabeledOperator) -> LabeledOperator:
-    """Exchange the two halves of a 2n-factor operator, copy-wise."""
-    k = x.shape.n_factors
-    if k % 2:
-        raise ValueError("operator does not consist of two copies")
-    h = k // 2
-    return permute_factors(x, list(range(h, k)) + list(range(h)))

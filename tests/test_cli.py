@@ -66,6 +66,27 @@ class TestCliScenarios:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["protocol", "--n", "0"],
+        ["protocol", "--d", "1"],
+        ["rigidity", "--d", "1"],
+        ["rigidity", "--starts", "0"],
+        ["rigidity", "--seed", "-1"],
+        ["rigidity", "--tol", "-1"],
+        ["synthesize", "noisy-phi-1"],
+        ["synthesize", "broadcast-phi-0"],
+        ["synthesize", "noisy-phi-2", "--tol", "-1"],
+        ["synthesize", "noisy-phi-2", "--max-iter", "0"],
+        ["synthesize", "noisy-phi-2", "--seed", "-1"],
+        ["verify-broadcast", "mu.json", "rho.json", "--n", "0"],
+    ])
+    def test_out_of_range_arguments_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+
     def test_werner_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["werner-example", "--d", "9"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catcost.cli import scenario_werner
 from catcost.measures import (
     Applicability,
     CostValue,
@@ -14,18 +15,23 @@ from catcost.measures import (
     d_max_to_ppt_isotropic,
     exact_locc_cost_pure,
     exact_ppt_cost,
+    gated_ppt_cost,
     log_negativity,
     schmidt_rank,
     work_cost_semiclassical,
 )
 from catcost.operators import (
+    FactorShape,
+    abs_operator,
     bipartite_shape,
     density_from_matrix,
     density_from_vector,
+    hermitian_part,
     is_psd,
     partial_transpose,
     plain_shape,
     tensor,
+    trace_norm,
 )
 from catcost.states import (
     IsotropicParams,
@@ -280,3 +286,62 @@ class TestWorkCost:
         plus = density_from_matrix(np.full((2, 2), 0.5), plain_shape(2))
         with pytest.raises(ValueError):
             work_cost_semiclassical(plus, gibbs_qubit(0.25))
+
+
+class TestPartialTransposeSpectrum:
+    """Every PPT measure comes from one cached decomposition of rho^Gamma."""
+
+    @staticmethod
+    def dense_log_negativity(rho):
+        return max(0.0, math.log2(trace_norm(partial_transpose(rho.op))))
+
+    @staticmethod
+    def dense_binegativity(rho):
+        b = partial_transpose(abs_operator(partial_transpose(rho.op)))
+        return float(np.linalg.eigvalsh(hermitian_part(b.entries)).min())
+
+    def oracle_states(self, rng):
+        return [random_density(rng, 2, 2), random_density(rng, 2, 3),
+                random_density(rng, 3, 3, rank=2),
+                density_from_matrix(random_state_matrix(rng, 16),
+                                    FactorShape(((2, 2), (2, 2)))),
+                sample_negative_binegativity_state(),
+                broadcast_of_half_mixed(2)]
+
+    def test_cached_measures_match_dense_formulas(self, rng):
+        for rho in self.oracle_states(rng):
+            ln = log_negativity(rho)
+            lo = binegativity(rho).min_eigenvalue
+            assert abs(ln - self.dense_log_negativity(rho)) <= 1e-12
+            assert abs(lo - self.dense_binegativity(rho)) <= 1e-12
+            assert log_negativity(rho) == ln
+            assert binegativity(rho).min_eigenvalue == lo
+
+    def test_cache_is_read_only(self, rng):
+        w, v = random_density(rng, 2, 2).partial_transpose_eigh
+        assert not w.flags.writeable and not v.flags.writeable
+
+    def test_gated_cost_shares_the_gate(self):
+        rho = half_mixed(3)
+        gate, cost = gated_ppt_cost(rho, gate_tol=1e-9)
+        assert gate == binegativity(rho, tol=1e-9)
+        assert cost == exact_ppt_cost(rho, gate_tol=1e-9)
+        assert cost.bits == log_negativity(rho)
+        gate, cost = gated_ppt_cost(sample_negative_binegativity_state())
+        assert not gate.positive and cost.applicability is Applicability.UNDEFINED
+
+    def test_werner_decomposes_the_broadcast_once(self, monkeypatch):
+        # mu of werner d=3 is 81x81: validation takes one eigvalsh, the
+        # partial-transpose spectrum one eigh, the binegativity gate one eigvalsh
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(m, *args, _name=name, _original=original, **kwargs):
+                if np.shape(m)[-1] == 81:
+                    counts[_name] += 1
+                return _original(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert scenario_werner(3).passed
+        assert counts == {"eigh": 1, "eigvalsh": 2}
