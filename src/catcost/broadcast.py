@@ -6,8 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    MAX_ENTRIES,
     DensityOperator,
     FactorShape,
+    check_entry_budget,
     density_from_matrix,
     hermitian_part,
     partial_trace,
@@ -18,7 +20,7 @@ from .projections import (
     FeasibilityResult,
     project_psd,
     random_density_matrix,
-    solve_feasibility,
+    solve_feasibility_batch,
 )
 
 
@@ -74,39 +76,53 @@ def pure_broadcast_uniqueness(mu: DensityOperator, phi: DensityOperator,
 
 
 def _marginal_projections(phi: np.ndarray):
-    """Joint orthogonal projection onto {Tr_2 X = phi, Tr_1 X = phi}."""
+    """Joint orthogonal projection onto {Tr_2 X = phi, Tr_1 X = phi}.
+
+    Both functions act on a matrix or on each matrix of a stack; the
+    residuals come back with the stack's leading shape.
+    """
     dc = phi.shape[0]
     eye = np.eye(dc)
 
     def proj(x: np.ndarray) -> np.ndarray:
-        t4 = x.reshape(dc, dc, dc, dc)
-        r1 = np.einsum("aibi->ab", t4) - phi
-        r2 = np.einsum("iaib->ab", t4) - phi
+        out = x.copy()
+        t = out.reshape(*x.shape[:-2], dc, dc, dc, dc)
+        r1 = np.einsum("...aibi->...ab", t) - phi
+        r2 = np.einsum("...iaib->...ab", t) - phi
         # minimal-norm multipliers; the one-dimensional Gram degeneracy is
         # split symmetrically between the two constraints
-        t = (np.trace(r1) + np.trace(r2)).real / (4.0 * dc)
-        y1 = (r1 - t * eye) / dc
-        y2 = (r2 - t * eye) / dc
-        return x - np.kron(y1, eye) - np.kron(eye, y2)
+        s = (np.trace(r1, axis1=-2, axis2=-1)
+             + np.trace(r2, axis1=-2, axis2=-1)).real[..., None, None] / (4.0 * dc)
+        y1 = (r1 - s * eye) / dc
+        y2 = (r2 - s * eye) / dc
+        # subtract y1 (x) I and I (x) y2 through writable diagonal views
+        np.einsum("...aibi->...aib", t)[...] -= y1[..., :, None, :]
+        np.einsum("...aiaj->...iaj", t)[...] -= y2[..., :, None, :]
+        return out
 
-    def residual(x: np.ndarray) -> dict[str, float]:
-        t4 = x.reshape(dc, dc, dc, dc)
-        lo = float(np.linalg.eigvalsh(x).min())
+    def residual(x: np.ndarray) -> dict[str, np.ndarray]:
+        t = x.reshape(*x.shape[:-2], dc, dc, dc, dc)
+        lo = np.linalg.eigvalsh(x).min(axis=-1)
         return {
-            "marginal_1": float(np.abs(np.einsum("aibi->ab", t4) - phi).max()),
-            "marginal_2": float(np.abs(np.einsum("iaib->ab", t4) - phi).max()),
-            "psd": max(0.0, -lo),
+            "marginal_1": np.abs(np.einsum("...aibi->...ab", t) - phi).max(axis=(-2, -1)),
+            "marginal_2": np.abs(np.einsum("...iaib->...ab", t) - phi).max(axis=(-2, -1)),
+            "psd": np.maximum(0.0, -lo),
         }
 
     return proj, residual
 
 
+def _project_starts(phi: DensityOperator, starts: np.ndarray, tol: float,
+                    max_iter: int) -> list[FeasibilityResult]:
+    proj_affine, residual = _marginal_projections(phi.entries)
+    return solve_feasibility_batch([proj_affine, project_psd], starts, residual,
+                                   tol=tol, max_iter=max_iter, check_every=5)
+
+
 def project_to_two_copy_broadcast(phi: DensityOperator, start: np.ndarray,
                                   tol: float = 1e-9, max_iter: int = 5000) -> FeasibilityResult:
     """Project a Hermitian start matrix onto the two-copy broadcast set of phi."""
-    proj_affine, residual = _marginal_projections(phi.entries)
-    return solve_feasibility([proj_affine, project_psd], start, residual,
-                             tol=tol, max_iter=max_iter, check_every=5)
+    return _project_starts(phi, np.asarray(start)[None], tol, max_iter)[0]
 
 
 def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: int = 0,
@@ -114,20 +130,26 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
                                max_iter: int = 5000) -> list[DensityOperator]:
     """Random-start projections onto the broadcast set of phi.
 
-    Each start is an independent Ginibre density matrix; a run that fails
-    to reach the feasibility tolerance raises, since the set is nonempty.
+    Each start is an independent Ginibre density matrix, drawn in order
+    from one generator.  The starts are solved in lockstep, in blocks
+    whose stack holds at most MAX_ENTRIES entries.  A run that fails to
+    reach the feasibility tolerance raises, since the set is nonempty.
     """
-    rng = np.random.default_rng(seed)
     dim = phi.dim ** 2
+    check_entry_budget(dim, "two-copy broadcast projection")
+    block = MAX_ENTRIES // (dim * dim)
+    rng = np.random.default_rng(seed)
     shape = phi.shape.copies(2)
     points = []
-    for trial in range(n_starts):
-        start = random_density_matrix(dim, rng)
-        result = project_to_two_copy_broadcast(phi, start, tol=feasibility_tol,
-                                               max_iter=max_iter)
-        if not result.converged:
-            raise RuntimeError(
-                f"projection start {trial} did not reach feasibility: {result.residuals}")
-        m = result.point
-        points.append(density_from_matrix(m / np.trace(m).real, shape))
+    for first in range(0, n_starts, block):
+        # drawing block by block keeps the order of one up-front draw
+        starts = np.stack([random_density_matrix(dim, rng)
+                           for _ in range(min(block, n_starts - first))])
+        for trial, result in enumerate(
+                _project_starts(phi, starts, feasibility_tol, max_iter), start=first):
+            if not result.converged:
+                raise RuntimeError(
+                    f"projection start {trial} did not reach feasibility: {result.residuals}")
+            m = result.point
+            points.append(density_from_matrix(m / np.trace(m).real, shape))
     return points

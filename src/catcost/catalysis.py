@@ -21,9 +21,8 @@ from .measures import (
     work_cost_semiclassical,
 )
 from .operators import (
-    MAX_ENTRIES,
     DensityOperator,
-    ResourceLimitError,
+    check_entry_budget,
     density_from_matrix,
     merge_factors,
     partial_trace,
@@ -92,6 +91,16 @@ class AdvantageCertificate:
                 and self.cost_standard.applicability is Applicability.EXACT_FORMULA
                 and math.isfinite(self.gap))
 
+    def superadditivity_violation(self) -> float:
+        """cost(rho) + cost(rho) - cost(mu), read off the certificate.
+
+        Twice the gap, since the catalytic upper bound is cost(mu) / 2;
+        both binegativity gates must be positive.
+        """
+        if not (self.gate_target.positive and self.gate_broadcast.positive):
+            raise ValueError("states must have positive binegativity")
+        return 2.0 * self.cost_standard.bits - 2.0 * self.cost_upper_catalytic
+
 
 @dataclass(frozen=True)
 class NonconvexityWitness:
@@ -123,9 +132,7 @@ def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
     if not report.is_broadcast:
         raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
     total_dim = (mu.dim ** n) * (rho.dim ** n)
-    if total_dim * total_dim > MAX_ENTRIES:
-        raise ResourceLimitError(
-            f"protocol instance needs {total_dim}^2 entries, budget is {MAX_ENTRIES}")
+    check_entry_budget(total_dim, "protocol instance")
 
     k = rho.shape.n_factors
     system = tensor_power(mu.op, n)
@@ -228,14 +235,7 @@ def superadditivity_violation(rho: DensityOperator, mu: DensityOperator,
     A strictly positive return exhibits the failure of strong
     superadditivity with the broadcast as the joint state.
     """
-    report = verify_broadcast(mu, rho, 2, tol=broadcast_tol)
-    if not report.is_broadcast:
-        raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
-    gate_rho, cost_rho = gated_ppt_cost(rho)
-    gate_mu, cost_mu = gated_ppt_cost(mu)
-    if not (gate_rho.positive and gate_mu.positive):
-        raise ValueError("states must have positive binegativity")
-    return 2.0 * cost_rho.bits - cost_mu.bits
+    return catalytic_cost_upper_bound(rho, mu, broadcast_tol).superadditivity_violation()
 
 
 def thermo_advantage(p: float) -> AdvantageCertificate:

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    MAX_ENTRIES,
     DensityOperator,
     FactorShape,
     LabeledOperator,
-    ResourceLimitError,
     bipartite_shape,
+    check_entry_budget,
     density_from_matrix,
     hermitian_part,
     partial_transpose,
@@ -217,8 +216,7 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
         x_in = tensor_power(max_entangled(2).op, m).entries
     din, dout = in_shape.total_dim, target.dim
     dim = din * dout
-    if dim * dim > MAX_ENTRIES:
-        raise ResourceLimitError(f"Choi needs {dim}^2 entries, budget is {MAX_ENTRIES}")
+    check_entry_budget(dim, "Choi")
     choi_shape = in_shape.concat(target.shape)
     eye_in, eye_out = np.eye(din), np.eye(dout)
 

@@ -18,12 +18,11 @@ from .catalysis import (
     catalytic_cost_upper_bound,
     nonconvexity_witness,
     run_prop1_protocol,
-    superadditivity_violation,
     thermo_advantage,
 )
 from .choi import synthesize_ppt_dilution
 from .measures import binegativity, d_max_to_ppt_isotropic, log_negativity, work_cost_semiclassical
-from .operators import ResourceLimitError, trace_distance, tensor
+from .operators import ResourceLimitError, check_entry_budget, trace_distance, tensor
 from .reports import ScenarioReport
 from .serialize import load_density
 from .states import (
@@ -76,7 +75,7 @@ def scenario_werner(d: int, mu_dim_limit: int = MU_DIM_LIMIT) -> ScenarioReport:
     report.add_result("cost_upper_catalytic", cert.cost_upper_catalytic, 1e-9)
     report.add_result("advantage_gap", cert.gap, 1e-9)
     report.add_check("halving_identity", cert.valid and abs(cert.gap - ln_rho / 2.0) <= 1e-9)
-    violation = superadditivity_violation(rho, mu)
+    violation = cert.superadditivity_violation()
     report.add_result("superadditivity_violation", violation, 1e-9)
     report.add_check("superadditivity_violated", abs(violation - ln_rho) <= 1e-9 and violation > 0)
     return report
@@ -112,6 +111,7 @@ def scenario_thermo(p: float, q_grid: int = 5) -> ScenarioReport:
 
 
 def scenario_dmax_ppt(d: int, lam: float) -> ScenarioReport:
+    check_entry_budget(d * d, "dmax-ppt state")
     report = ScenarioReport("dmax-ppt", __version__, parameters={"d": d, "lam": lam})
     rho = isotropic(IsotropicParams(d, lam))
     ln = log_negativity(rho)
@@ -188,6 +188,7 @@ def scenario_protocol(d: int, n: int, tol: float = 1e-10) -> ScenarioReport:
 
 
 def scenario_rigidity(d: int, starts: int, seed: int, tol: float = 1e-6) -> ScenarioReport:
+    check_entry_budget(d ** 4, "rigidity two-copy state")
     report = ScenarioReport("rigidity", __version__,
                             parameters={"d": d, "starts": starts, "seed": seed})
     phi = max_entangled(d)

@@ -31,8 +31,17 @@ class ResourceLimitError(RuntimeError):
     """Requested computation exceeds the dense-storage entry budget."""
 
 
+def check_entry_budget(dim: int, what: str) -> None:
+    """Refuse a dim x dim matrix with more than MAX_ENTRIES entries."""
+    if dim * dim > MAX_ENTRIES:
+        raise ResourceLimitError(f"{what} needs {dim}^2 entries, budget is {MAX_ENTRIES}")
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    """(m + m^dagger) / 2 of a float or complex matrix, or of each matrix of a stack."""
+    out = m + m.conj().swapaxes(-1, -2)
+    out /= 2  # in place: one temporary fewer at large n
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,15 +253,13 @@ def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     return LabeledOperator(a.shape.concat(b.shape), np.kron(a.entries, b.entries))
 
 
-def tensor_all(ops: list[LabeledOperator]) -> LabeledOperator:
-    out = ops[0]
-    for x in ops[1:]:
+def tensor_power(x: LabeledOperator, n: int) -> LabeledOperator:
+    if n < 1:
+        raise ValueError("copy count must be >= 1")
+    out = x
+    for _ in range(n - 1):
         out = tensor(out, x)
     return out
-
-
-def tensor_power(x: LabeledOperator, n: int) -> LabeledOperator:
-    return tensor_all([x] * n)
 
 
 def partial_trace(x: LabeledOperator, keep) -> LabeledOperator:

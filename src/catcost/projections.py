@@ -5,6 +5,12 @@ closed convex sets of Hermitian matrices.  Iterates are kept exactly on
 the Hermitian subspace: the affine-projection formulas are only
 orthogonal there, and anti-Hermitian rounding noise is otherwise
 amplified by the reflections.
+
+The engine runs a stack of starts in lockstep: every projection, the
+readout and the residuals act on an ``(s, n, n)`` array at once, which
+``np.linalg.eigh`` decomposes in one call.  Each start keeps its own
+stopping bookkeeping and leaves the stack at the cycle it would have
+stopped at if run alone.
 """
 from __future__ import annotations
 
@@ -17,12 +23,16 @@ from .operators import hermitian_part
 
 Projection = Callable[[np.ndarray], np.ndarray]
 ResidualFn = Callable[[np.ndarray], dict[str, float]]
+BatchResidualFn = Callable[[np.ndarray], dict[str, np.ndarray]]
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest positive-semidefinite matrix in Frobenius norm."""
-    w, v = np.linalg.eigh(hermitian_part(m))
-    return hermitian_part((v * np.clip(w, 0.0, None)) @ v.conj().T)
+    """Nearest positive-semidefinite matrix in Frobenius norm, per matrix of a stack.
+
+    ``m`` must be Hermitian: ``eigh`` reads only its lower triangle.
+    """
+    w, v = np.linalg.eigh(m)
+    return hermitian_part((v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -53,6 +63,82 @@ class FeasibilityResult:
         return max(self.residuals.values())
 
 
+def solve_feasibility_batch(
+    projections: list[Projection],
+    starts: np.ndarray,
+    residual_fn: BatchResidualFn,
+    readout: Projection = project_psd,
+    tol: float = 1e-6,
+    max_iter: int = 20000,
+    check_every: int = 10,
+    stall_window: int = 500,
+    stall_rtol: float = 1e-9,
+) -> list[FeasibilityResult]:
+    """Run product-space Douglas-Rachford on a stack of starts in lockstep.
+
+    The governing sequence holds one ``(s, n, n)`` stack per constraint
+    set; each cycle reflects their average through every set.
+    ``readout`` maps the average to the candidate points, and
+    ``residual_fn`` returns one ``(s,)`` array per residual name.  A start
+    stops when its best maximum residual reaches ``tol``, on a stall (no
+    relative improvement of it over ``stall_window`` cycles; infeasible
+    problems end up here), or at ``max_iter``.  Results come back in the
+    order of the starts.
+    """
+    k = len(projections)
+    y = [hermitian_part(np.asarray(starts)) for _ in projections]
+    best_point = readout(y[0])
+    best_res = residual_fn(best_point)
+    best_max = np.max(list(best_res.values()), axis=0)
+    history = [[float(b)] for b in best_max]
+    last_improvement = np.zeros(len(best_point), dtype=int)
+    live = np.arange(len(best_point))  # input position of each start left in the stack
+    results: list[FeasibilityResult | None] = [None] * len(best_point)
+
+    def retire(done, converged, stalled, it) -> None:
+        for j in np.flatnonzero(done):
+            results[live[j]] = FeasibilityResult(
+                best_point[j].copy(), bool(converged[j]), bool(stalled[j]), it,
+                {name: float(r[j]) for name, r in best_res.items()}, history[j])
+
+    it = 0
+    while live.size and it < max_iter:
+        it += 1
+        # y holds exactly Hermitian stacks, and so do avg and 2 avg - y[i]:
+        # one symmetrization per update keeps it that way
+        avg = sum(y) / k
+        for i, proj in enumerate(projections):
+            y[i] = hermitian_part(y[i] + proj(2.0 * avg - y[i]) - avg)
+        if it % check_every and it != max_iter:
+            continue
+        candidate = readout(sum(y) / k)
+        res = residual_fn(candidate)
+        res_max = np.max(list(res.values()), axis=0)
+        last_improvement[res_max < best_max * (1.0 - stall_rtol)] = it
+        better = res_max < best_max
+        best_point = np.where(better[:, None, None], candidate, best_point)
+        best_res = {name: np.where(better, res[name], r) for name, r in best_res.items()}
+        best_max = np.where(better, res_max, best_max)
+        for h, b in zip(history, best_max):
+            h.append(float(b))
+        converged = best_max <= tol
+        stalled = ~converged & (it - last_improvement >= stall_window)
+        done = converged | stalled | (it == max_iter)
+        if not done.any():
+            continue
+        retire(done, converged, stalled, it)
+        keep = ~done
+        y = [m[keep] for m in y]
+        best_point, best_max = best_point[keep], best_max[keep]
+        best_res = {name: r[keep] for name, r in best_res.items()}
+        last_improvement, live = last_improvement[keep], live[keep]
+        history = [h for h, kept in zip(history, keep) if kept]
+    if live.size:  # max_iter < 1: no cycle ran
+        idle = np.zeros(live.size, dtype=bool)
+        retire(~idle, idle, idle, max_iter)
+    return results
+
+
 def solve_feasibility(
     projections: list[Projection],
     start: np.ndarray,
@@ -64,40 +150,19 @@ def solve_feasibility(
     stall_window: int = 500,
     stall_rtol: float = 1e-9,
 ) -> FeasibilityResult:
-    """Run product-space Douglas-Rachford until the readout satisfies all residuals.
+    """Douglas-Rachford from one start; ``solve_feasibility_batch`` on a stack of one.
 
-    The governing sequence holds one matrix per constraint set; each cycle
-    reflects their average through every set.  ``readout`` maps the
-    average to the candidate point whose residuals are measured.  A stall
-    (no relative improvement of the best maximum residual over
-    ``stall_window`` cycles) stops the run early; infeasible problems end
-    up here.
+    The projections, the readout and ``residual_fn`` take and return
+    single ``(n, n)`` matrices; ``residual_fn`` returns floats.
     """
-    y = [hermitian_part(start).copy() for _ in projections]
-    k = len(projections)
-    best_point = readout(hermitian_part(start))
-    best_res = residual_fn(best_point)
-    best_max = max(best_res.values())
-    history = [best_max]
-    last_improvement = 0
-    it = 0
-    while it < max_iter:
-        it += 1
-        avg = hermitian_part(sum(y) / k)
-        for i, proj in enumerate(projections):
-            y[i] = hermitian_part(y[i] + proj(hermitian_part(2.0 * avg - y[i])) - avg)
-        if it % check_every and it != max_iter:
-            continue
-        candidate = readout(hermitian_part(sum(y) / k))
-        res = residual_fn(candidate)
-        res_max = max(res.values())
-        if res_max < best_max * (1.0 - stall_rtol):
-            last_improvement = it
-        if res_max < best_max:
-            best_point, best_res, best_max = candidate, res, res_max
-        history.append(best_max)
-        if best_max <= tol:
-            return FeasibilityResult(best_point, True, False, it, best_res, history)
-        if it - last_improvement >= stall_window:
-            return FeasibilityResult(best_point, False, True, it, best_res, history)
-    return FeasibilityResult(best_point, False, False, max_iter, best_res, history)
+    def on_stack(fn: Projection) -> Projection:
+        return lambda m: fn(m[0])[None]
+
+    def residuals(m: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: np.array([value]) for name, value in residual_fn(m[0]).items()}
+
+    [result] = solve_feasibility_batch(
+        [on_stack(p) for p in projections], np.asarray(start)[None], residuals,
+        readout=on_stack(readout), tol=tol, max_iter=max_iter, check_every=check_every,
+        stall_window=stall_window, stall_rtol=stall_rtol)
+    return result

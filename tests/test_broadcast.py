@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from catcost.broadcast import (
+    _marginal_projections,
     project_to_two_copy_broadcast,
     pure_broadcast_uniqueness,
     sample_two_copy_broadcasts,
     verify_broadcast,
 )
 from catcost.operators import (
+    MAX_ENTRIES,
     FactorShape,
     density_from_matrix,
     density_from_vector,
@@ -119,3 +121,36 @@ class TestProjectionRigidity:
         result = project_to_two_copy_broadcast(phi, random_density_matrix(16, rng))
         hist = result.best_history
         assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
+
+    def test_stacked_marginal_projection_matches_kron_formula(self, rng):
+        phi = max_entangled(2).entries
+        eye = np.eye(4)
+        proj, _ = _marginal_projections(phi)
+
+        def reference(x):
+            t4 = x.reshape(4, 4, 4, 4)
+            r1 = np.einsum("aibi->ab", t4) - phi
+            r2 = np.einsum("iaib->ab", t4) - phi
+            t = (np.trace(r1) + np.trace(r2)).real / 16.0
+            return x - np.kron((r1 - t * eye) / 4, eye) - np.kron(eye, (r2 - t * eye) / 4)
+
+        g = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal((3, 16, 16))
+        stack = g + g.conj().swapaxes(-1, -2)
+        assert np.array_equal(proj(stack), np.stack([reference(x) for x in stack]))
+
+    def test_blocks_respect_the_entry_budget(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        # the block rule does not depend on convergence: a loose tolerance
+        # lets every start finish at its first check
+        points = sample_two_copy_broadcasts(max_entangled(3), n_starts=20,
+                                            feasibility_tol=1.0)
+        assert len(points) == 20
+        assert all(math.prod(shape) <= MAX_ENTRIES for shape in shapes)
+        assert {shape[0] for shape in shapes} == {MAX_ENTRIES // 81 ** 2, 20 % 9}

@@ -1,4 +1,5 @@
 """Protocol execution and every advantage/witness certificate."""
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from catcost.catalysis import (
     superadditivity_violation,
     thermo_advantage,
 )
-from catcost.measures import log_negativity
+from catcost.measures import BinegativityReport, exact_ppt_cost, log_negativity
 from catcost.operators import (
     FactorShape,
     ResourceLimitError,
@@ -172,6 +173,19 @@ class TestSuperadditivity:
     def test_product_broadcast_no_violation(self):
         rho = half_mixed(2)
         assert abs(superadditivity_violation(rho, product_broadcast(rho))) <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_certificate_reading_is_exact(self, d):
+        rho, mu = half_mixed(d), correlated_broadcast(d)
+        violation = catalytic_cost_upper_bound(rho, mu).superadditivity_violation()
+        assert violation == 2.0 * exact_ppt_cost(rho).bits - exact_ppt_cost(mu).bits
+        assert violation == superadditivity_violation(rho, mu)
+
+    def test_certificate_reading_needs_positive_gates(self):
+        cert = catalytic_cost_upper_bound(half_mixed(2), correlated_broadcast(2))
+        failed = dataclasses.replace(cert, gate_broadcast=BinegativityReport(-0.1, False, 1e-10))
+        with pytest.raises(ValueError, match="binegativity"):
+            failed.superadditivity_violation()
 
 
 class TestThermoAdvantage:

@@ -87,6 +87,28 @@ class TestCliScenarios:
         err = capsys.readouterr().err
         assert "usage:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["dmax-ppt", "--d", "40"],
+        ["rigidity", "--d", "5"],
+    ])
+    def test_oversized_requests_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "budget" in err and "Traceback" not in err
+
+    def test_werner_verifies_the_broadcast_once(self, monkeypatch):
+        import catcost.catalysis
+        from catcost.cli import scenario_werner
+
+        calls = []
+        verify = catcost.catalysis.verify_broadcast
+        monkeypatch.setattr(catcost.catalysis, "verify_broadcast",
+                            lambda *a, **k: calls.append(a) or verify(*a, **k))
+        assert scenario_werner(2).passed
+        assert len(calls) == 1
+
     def test_werner_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["werner-example", "--d", "9"])

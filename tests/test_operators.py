@@ -20,6 +20,7 @@ from catcost.operators import (
     plain_shape,
     relabel,
     tensor,
+    tensor_power,
     trace_distance,
     trace_norm,
 )
@@ -96,6 +97,15 @@ class TestTensor:
                           LabeledOperator(plain_shape(2), p2))
             eigs = np.linalg.eigvalsh(prod.entries)
             assert (eigs > 1e-12).sum() == 1
+
+    def test_tensor_power_is_repeated_tensor(self):
+        phi = bell_pair().op
+        assert tensor_power(phi, 1) is phi
+        cube = tensor_power(phi, 3)
+        assert cube.shape == phi.shape.copies(3)
+        assert np.array_equal(cube.entries, tensor(tensor(phi, phi), phi).entries)
+        with pytest.raises(ValueError):
+            tensor_power(phi, 0)
 
 
 class TestPartialTrace:
