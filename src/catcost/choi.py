@@ -21,6 +21,7 @@ from .operators import (
     density_from_matrix,
     hermitian_part,
     partial_transpose,
+    partial_transpose_entries,
     permute_factors,
     tensor,
     tensor_power,
@@ -176,13 +177,40 @@ def _named_residuals(j: np.ndarray, choi_shape: FactorShape, din: int, dout: int
                      x_in: np.ndarray | None, target: np.ndarray | None) -> dict[str, float]:
     jh = hermitian_part(j)
     cp = max(0.0, -float(np.linalg.eigvalsh(jh).min()))
-    pt = partial_transpose(LabeledOperator(choi_shape, jh)).entries
+    pt = partial_transpose_entries(jh, choi_shape)
     ppt = max(0.0, -float(np.linalg.eigvalsh(hermitian_part(pt)).min()))
     tp = float(np.abs(_trace_out_output(jh, din, dout) - np.eye(din)).max())
     res = {"cp": cp, "ppt": ppt, "tp": tp}
     if target is not None:
         res["correctness"] = float(np.abs(_apply_matrix(jh, din, dout, x_in) - target).max())
     return res
+
+
+def _affine_projection(x_in: np.ndarray, target: np.ndarray, din: int, dout: int):
+    """Orthogonal projection onto {Tr_out J = I, J(x_in) = target}.
+
+    J - y (x) I - x_in (x) r2 with the minimal-norm multipliers, formed by
+    broadcasting into the (in, out, in, out) index layout; real input
+    data keep a real symmetric J real.
+    """
+    eye_in = np.eye(din)
+
+    def proj(j: np.ndarray) -> np.ndarray:
+        r1 = _trace_out_output(j, din, dout) - eye_in
+        r2 = _apply_matrix(j, din, dout, x_in) - target
+        y = (r1 - np.trace(r2).real * x_in) / dout
+        out = j.reshape(din, dout, din, dout).copy()
+        # subtract y (x) I through a writable diagonal view, then x_in (x) r2
+        np.einsum("aibi->aib", out)[...] -= y[:, None, :]
+        out -= x_in[:, None, :, None] * r2[None, :, None, :]
+        return out.reshape(din * dout, din * dout)
+
+    return proj
+
+
+def _real_if_real(m: np.ndarray) -> np.ndarray:
+    """``m`` as float64 when it has no imaginary part, else unchanged."""
+    return m.real.copy() if np.iscomplexobj(m) and not m.imag.any() else m
 
 
 def verify_ppt_operation(choi: ChoiOperator, tol: float = 1e-9) -> SolveReport:
@@ -204,38 +232,40 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
     combining trace preservation with exact correctness on the input.
     Infeasible instances surface as a residual stall; when the input is
     trivial and the target is NPT, the negative partial-transpose
-    eigenvalue is attached as an analytic witness.
+    eigenvalue is attached as an analytic witness.  The input is real, so
+    a target without imaginary part is searched for in float64 over real
+    symmetric Choi matrices; any other target in complex128.
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")
     if m == 0:
         in_shape = FactorShape(((1, 1),))
-        x_in = np.ones((1, 1), dtype=np.complex128)
+        x_in = np.ones((1, 1))
     else:
         in_shape = bipartite_shape(2, 2).copies(m)
-        x_in = tensor_power(max_entangled(2).op, m).entries
+        x_in = _real_if_real(tensor_power(max_entangled(2).op, m).entries)
     din, dout = in_shape.total_dim, target.dim
     dim = din * dout
     check_entry_budget(dim, "Choi")
     choi_shape = in_shape.concat(target.shape)
-    eye_in, eye_out = np.eye(din), np.eye(dout)
-
-    def proj_affine(j: np.ndarray) -> np.ndarray:
-        r1 = _trace_out_output(j, din, dout) - eye_in
-        r2 = _apply_matrix(j, din, dout, x_in) - target.entries
-        y = (r1 - np.trace(r2).real * x_in) / dout
-        return j - np.kron(y, eye_out) - np.kron(x_in, r2)
+    target_m = _real_if_real(target.entries)
 
     def proj_ppt_cone(j: np.ndarray) -> np.ndarray:
-        pt = partial_transpose(LabeledOperator(choi_shape, j)).entries
-        return partial_transpose(LabeledOperator(choi_shape, project_psd(pt))).entries
+        pt = partial_transpose_entries(j, choi_shape)
+        return partial_transpose_entries(project_psd(pt), choi_shape)
 
     def residual_fn(j: np.ndarray) -> dict[str, float]:
-        return _named_residuals(j, choi_shape, din, dout, x_in, target.entries)
+        return _named_residuals(j, choi_shape, din, dout, x_in, target_m)
 
     start = random_density_matrix(dim, np.random.default_rng(seed)) * din
+    if not (np.iscomplexobj(x_in) or np.iscomplexobj(target_m)):
+        # real data: the feasible set is closed under complex conjugation,
+        # so (J + conj J) / 2 of any feasible J is feasible and the search
+        # stays on real symmetric matrices; Re of a PSD start is PSD
+        start = start.real.copy()
     result = solve_feasibility(
-        [project_psd, proj_ppt_cone, proj_affine], start, residual_fn,
+        [project_psd, proj_ppt_cone, _affine_projection(x_in, target_m, din, dout)],
+        start, residual_fn,
         tol=tol, max_iter=max_iter, check_every=check_every,
     )
 

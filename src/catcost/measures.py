@@ -17,7 +17,7 @@ from .operators import (
     relabel,
     trace_distance,
 )
-from .states import isotropic_from_fidelity, isotropic_twirl, max_entangled_fraction
+from .states import isotropic_twirl, max_entangled_fraction
 
 # Eigendirections of the reference below this threshold count as outside
 # its support, so that infinite divergences are decidable numerically.
@@ -101,33 +101,13 @@ def d_max(rho: DensityOperator, sigma: DensityOperator, support_tol: float = SUP
     return math.log2(max(top, 1e-300))
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
-    """Minimiser of a unimodal function on [lo, hi] to within tol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def d_max_to_ppt_isotropic(rho: DensityOperator, symmetry_tol: float = 1e-10,
-                           search_tol: float = 1e-10) -> float:
+def d_max_to_ppt_isotropic(rho: DensityOperator, symmetry_tol: float = 1e-10) -> float:
     """Max-relative entropy to the PPT set for isotropic-symmetric states.
 
-    Twirling reduces the feasible set to the one-parameter isotropic PPT
-    segment with entangled fraction g in (0, 1/d]; the minimum over g is
-    located by golden-section search and the divergence evaluated exactly
-    at the minimiser.
+    Twirling reduces the feasible set to the isotropic PPT segment with
+    entangled fraction g in (0, 1/d] (Vollbrecht-Werner).  An isotropic
+    rho_f commutes with every sigma_g, so D_max = log2 max(f/g, (1-f)/(1-g)),
+    whose minimum over the segment is max(0, log2(d f)).
     """
     if trace_distance(rho.op, isotropic_twirl(rho).op) > symmetry_tol:
         raise ValueError("state is not isotropic-symmetric within tolerance")
@@ -135,10 +115,7 @@ def d_max_to_ppt_isotropic(rho: DensityOperator, symmetry_tol: float = 1e-10,
     f = max_entangled_fraction(rho)
     if f <= 1.0 / d + 1e-12:
         return 0.0
-    def objective(g: float) -> float:
-        return d_max(rho, isotropic_from_fidelity(d, g))
-    g_star = _golden_section_min(objective, 1e-9, 1.0 / d, search_tol)
-    return objective(g_star)
+    return math.log2(d * f)
 
 
 def _pure_state_marginal(psi: DensityOperator, purity_tol: float = 1e-9) -> np.ndarray:

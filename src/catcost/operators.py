@@ -193,7 +193,7 @@ class DensityOperator:
         Every PPT measure (log negativity, binegativity, exact PPT cost)
         is derived from this one decomposition.
         """
-        w, v = np.linalg.eigh(hermitian_part(partial_transpose(self.op).entries))
+        w, v = np.linalg.eigh(hermitian_part(partial_transpose_entries(self.entries, self.shape)))
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
@@ -202,9 +202,9 @@ class DensityOperator:
     def binegativity_min_eigenvalue(self) -> float:
         """Min eigenvalue of |rho^Gamma|^Gamma, with |rho^Gamma| = V diag|w| V^dagger."""
         w, v = self.partial_transpose_eigh
-        absolute = LabeledOperator(self.shape, hermitian_part((v * np.abs(w)) @ v.conj().T))
-        b = partial_transpose(absolute)
-        return float(np.linalg.eigvalsh(hermitian_part(b.entries)).min())
+        absolute = hermitian_part((v * np.abs(w)) @ v.conj().T)
+        b = partial_transpose_entries(absolute, self.shape)
+        return float(np.linalg.eigvalsh(hermitian_part(b)).min())
 
 
 def density_from_matrix(entries: np.ndarray, shape: FactorShape, **tols) -> DensityOperator:
@@ -286,22 +286,30 @@ def partial_trace(x: LabeledOperator, keep) -> LabeledOperator:
     return LabeledOperator(FactorShape(tuple(x.shape.factors[i] for i in keep)), m)
 
 
+def partial_transpose_entries(m: np.ndarray, shape: FactorShape) -> np.ndarray:
+    """Partial transpose of a bare ``(n, n)`` matrix laid out by ``shape``.
+
+    Keeps the dtype of ``m``: a real symmetric matrix maps to a real
+    symmetric one.  Returns ``m`` itself when no factor has a B side.
+    """
+    n = shape.total_dim
+    # running dims with the current factor's B index isolated
+    for idx, (a, b) in enumerate(shape.factors):
+        if b == 1:
+            continue
+        pre = math.prod(shape.factor_dims[:idx]) * a
+        post = math.prod(shape.factor_dims[idx + 1:])
+        t = m.reshape(pre, b, post, pre, b, post)
+        m = t.transpose(0, 4, 2, 3, 1, 5).reshape(n, n)
+    return m
+
+
 def partial_transpose(x: LabeledOperator) -> LabeledOperator:
     """Transpose the B side of every factor (the global A:B cut).
 
     Involutive, trace-preserving, Hermiticity-preserving.
     """
-    n = x.dim
-    m = x.entries
-    # running dims with the current factor's B index isolated
-    for idx, (a, b) in enumerate(x.shape.factors):
-        if b == 1:
-            continue
-        pre = math.prod(x.shape.factor_dims[:idx]) * a
-        post = math.prod(x.shape.factor_dims[idx + 1:])
-        t = m.reshape(pre, b, post, pre, b, post)
-        m = t.transpose(0, 4, 2, 3, 1, 5).reshape(n, n)
-    return LabeledOperator(x.shape, m)
+    return LabeledOperator(x.shape, partial_transpose_entries(x.entries, x.shape))
 
 
 def permute_factors(x: LabeledOperator, perm) -> LabeledOperator:

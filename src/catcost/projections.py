@@ -26,13 +26,27 @@ ResidualFn = Callable[[np.ndarray], dict[str, float]]
 BatchResidualFn = Callable[[np.ndarray], dict[str, np.ndarray]]
 
 
+def _store_hermitian_part(out: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Write (m + m^dagger) / 2 into ``out``, a buffer other than ``m``; return it.
+
+    The same arithmetic as ``hermitian_part(m)``, without its two temporaries.
+    """
+    out[...] = m.swapaxes(-1, -2)
+    np.conjugate(out, out=out)
+    out += m
+    out /= 2
+    return out
+
+
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm, per matrix of a stack.
 
     ``m`` must be Hermitian: ``eigh`` reads only its lower triangle.
     """
     w, v = np.linalg.eigh(m)
-    return hermitian_part((v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    scaled = v * np.clip(w, 0.0, None)[..., None, :]
+    np.conjugate(v, out=v)  # v is ours: its conjugate in place, not a copy
+    return _store_hermitian_part(scaled, scaled @ v.swapaxes(-1, -2))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -63,6 +77,18 @@ class FeasibilityResult:
         return max(self.residuals.values())
 
 
+def _update_in_place(y: np.ndarray, step: np.ndarray, avg: np.ndarray) -> None:
+    """Set y to ``hermitian_part(y + step - avg)`` with no temporary stack.
+
+    The sum accumulates in ``step``, the projection's output, and its
+    Hermitian part is written into y's buffer.  Passing ``step`` in ends
+    its life with this call, before the next projection allocates.
+    """
+    step += y
+    step -= avg
+    _store_hermitian_part(y, step)
+
+
 def solve_feasibility_batch(
     projections: list[Projection],
     starts: np.ndarray,
@@ -84,6 +110,11 @@ def solve_feasibility_batch(
     relative improvement of it over ``stall_window`` cycles; infeasible
     problems end up here), or at ``max_iter``.  Results come back in the
     order of the starts.
+
+    Each projection must return a writable array of its argument's dtype
+    that no one else holds, such as a fresh array or the argument itself:
+    the update is accumulated into it.  The stacks keep the dtype of
+    ``starts``, so real symmetric starts with real projections stay real.
     """
     k = len(projections)
     y = [hermitian_part(np.asarray(starts)) for _ in projections]
@@ -108,7 +139,7 @@ def solve_feasibility_batch(
         # one symmetrization per update keeps it that way
         avg = sum(y) / k
         for i, proj in enumerate(projections):
-            y[i] = hermitian_part(y[i] + proj(2.0 * avg - y[i]) - avg)
+            _update_in_place(y[i], proj(2.0 * avg - y[i]), avg)
         if it % check_every and it != max_iter:
             continue
         candidate = readout(sum(y) / k)

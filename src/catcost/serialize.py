@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from .choi import ChoiOperator
-from .operators import DensityOperator, FactorShape, LabeledOperator, density_from_matrix
+from .operators import (
+    DensityOperator,
+    FactorShape,
+    LabeledOperator,
+    check_entry_budget,
+    density_from_matrix,
+)
 
 
 def operator_to_document(x: LabeledOperator) -> dict:
@@ -30,6 +36,7 @@ def operator_from_document(doc: dict) -> LabeledOperator:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator document: {exc}") from exc
     n = shape.total_dim
+    check_entry_budget(n, "operator")
     if len(pairs) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(pairs)}")
     flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)

@@ -2,8 +2,12 @@
 import numpy as np
 import pytest
 
+from catcost.cli import _named_target, main
 from catcost.choi import (
     ChoiOperator,
+    _affine_projection,
+    _apply_matrix,
+    _trace_out_output,
     analytic_mixer_choi,
     apply_choi,
     coin_flip_broadcast_choi,
@@ -18,8 +22,10 @@ from catcost.operators import (
     bipartite_shape,
     density_from_matrix,
     partial_transpose,
+    tensor_power,
     trace_distance,
 )
+from catcost.serialize import save_operator
 from catcost.states import IsotropicParams, isotropic, max_entangled, symmetric_two_broadcast
 
 from conftest import random_density
@@ -145,3 +151,62 @@ class TestSynthesis:
         b = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6, seed=5)
         assert a.iterations == b.iterations
         assert np.array_equal(a.feasible_point.op.entries, b.feasible_point.op.entries)
+
+
+def eigh_dtypes(monkeypatch):
+    """Record the dtype of every ``np.linalg.eigh`` argument from here on."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        seen.append(np.asarray(m).dtype)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return seen
+
+
+class TestRealSubspace:
+    @pytest.mark.parametrize("name, m", [
+        ("noisy-phi-2", 1), ("broadcast-phi-2", 1), ("noisy-phi-3", 2)])
+    def test_named_targets_solve_in_float64(self, name, m, monkeypatch):
+        target = _named_target(name)
+        seen = eigh_dtypes(monkeypatch)
+        report = synthesize_ppt_dilution(m, target, seed=0)
+        monkeypatch.undo()
+        assert seen and set(seen) == {np.dtype(np.float64)}
+        assert report.converged
+        assert verify_ppt_operation(report.feasible_point, tol=1e-6).converged
+        phi = tensor_power(max_entangled(2).op, m)
+        out = apply_choi(report.feasible_point, density_from_matrix(phi.entries, phi.shape),
+                         validate_tol=1e-6)
+        assert trace_distance(out.op, target.op) <= 1e-5
+
+    def test_complex_target_file_keeps_complex128(self, tmp_path, monkeypatch, capsys):
+        # a local phase on B: as entangled as noisy-phi-2, but not real
+        u = np.kron(np.eye(2), np.diag([1.0, 1j]))
+        rho = _named_target("noisy-phi-2").entries
+        target = density_from_matrix(u @ rho @ u.conj().T, bipartite_shape(2, 2))
+        assert np.abs(target.entries.imag).max() > 0.1
+        path = tmp_path / "phased.json"
+        save_operator(target.op, path)
+        seen = eigh_dtypes(monkeypatch)
+        assert main(["synthesize", str(path), "--m", "1", "--seed", "0"]) == 0
+        assert set(seen) == {np.dtype(np.complex128)}
+        assert "overall: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_affine_projection_matches_kron_formula(self, m, rng):
+        x_in = tensor_power(max_entangled(2).op, m).entries.real.copy()
+        target = random_density(rng, 2, 2).entries
+        din, dout = x_in.shape[0], target.shape[0]
+        g = rng.standard_normal((din * dout,) * 2) + 1j * rng.standard_normal((din * dout,) * 2)
+        j = g + g.conj().T
+        r1 = _trace_out_output(j, din, dout) - np.eye(din)
+        r2 = _apply_matrix(j, din, dout, x_in) - target
+        y = (r1 - np.trace(r2).real * x_in) / dout
+        oracle = j - np.kron(y, np.eye(dout)) - np.kron(x_in, r2)
+        got = _affine_projection(x_in, target, din, dout)(j)
+        assert np.abs(got - oracle).max() <= 1e-14
+        assert np.abs(_trace_out_output(got, din, dout) - np.eye(din)).max() <= 1e-12
+        assert np.abs(_apply_matrix(got, din, dout, x_in) - target).max() <= 1e-12

@@ -98,6 +98,22 @@ class TestCliScenarios:
         err = capsys.readouterr().err
         assert "usage:" in err and "budget" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["verify-broadcast", "synthesize"])
+    def test_oversized_file_is_a_usage_error(self, command, tmp_path, capsys):
+        # 17*17 = 289 > 256: refused on its shape, before any entry is read,
+        # so the missing entries never surface as a parse error (exit 3)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"shape": [[17, 17]], "entries": []}))
+        rho = tmp_path / "rho.json"
+        save_operator(isotropic(IsotropicParams(2, 0.5)).op, rho)
+        argv = ([command, str(big), str(rho)] if command == "verify-broadcast"
+                else [command, str(big)])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "budget" in err and "Traceback" not in err
+
     def test_werner_verifies_the_broadcast_once(self, monkeypatch):
         import catcost.catalysis
         from catcost.cli import scenario_werner

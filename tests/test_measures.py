@@ -229,6 +229,17 @@ class TestDmaxToPpt:
         rho = isotropic(IsotropicParams(d, lam))
         assert abs(d_max_to_ppt_isotropic(rho) - log_negativity(rho)) <= 1e-6
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [0.5, 0.75, 1.0])
+    def test_closed_form_matches_dense_oracle(self, d, lam):
+        # the closed form is the dense d_max at the segment end g = 1/d,
+        # and no PPT isotropic sigma_g on the segment does better
+        rho = isotropic(IsotropicParams(d, lam))
+        closed = d_max_to_ppt_isotropic(rho)
+        assert abs(closed - d_max(rho, isotropic_from_fidelity(d, 1.0 / d))) <= 1e-9
+        for g in np.linspace(0.05, 1.0 / d, 8):
+            assert d_max(rho, isotropic_from_fidelity(d, g)) >= closed - 1e-9
+
     def test_d3_closed_form(self):
         rho = half_mixed(3)
         assert abs(d_max_to_ppt_isotropic(rho) - (math.log2(10 / 3) - 1)) <= 1e-6

@@ -16,6 +16,7 @@ from catcost.operators import (
     merge_factors,
     partial_trace,
     partial_transpose,
+    partial_transpose_entries,
     permute_factors,
     plain_shape,
     relabel,
@@ -179,6 +180,15 @@ class TestPartialTranspose:
         pt = partial_transpose(x)
         assert abs(pt.trace() - x.trace()) < 1e-12
         assert pt.hermiticity_defect() < 1e-12
+
+    def test_entries_form_keeps_dtype(self, rng):
+        x = hermitian_operator(rng, [(2, 2), (3, 1), (1, 2)])
+        assert np.array_equal(partial_transpose_entries(x.entries, x.shape),
+                              partial_transpose(x).entries)
+        real = x.entries.real.copy()
+        pt = partial_transpose_entries(real, x.shape)
+        assert pt.dtype == np.float64
+        assert np.array_equal(pt, partial_transpose(LabeledOperator(x.shape, real)).entries.real)
 
 
 class TestEigHermitian:

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from catcost.broadcast import _marginal_projections
+from catcost.operators import hermitian_part
 from catcost.projections import (
+    _update_in_place,
     project_psd,
     random_density_matrix,
     solve_feasibility,
@@ -85,3 +87,26 @@ class TestRetirement:
             (False, False, 15)] * len(starts)
         # the cap forces a final check off the check_every grid
         assert all(len(r.best_history) == 3 for r in batched)
+
+
+class TestInPlaceArithmetic:
+    """The buffer-reusing kernels repeat the plain formulas bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_project_psd_matches_the_formula(self, rng, dtype):
+        g = rng.standard_normal((4, 9, 9)) + 1j * rng.standard_normal((4, 9, 9))
+        m = hermitian_part(g).real.copy() if dtype is np.float64 else hermitian_part(g)
+        w, v = np.linalg.eigh(m)
+        oracle = hermitian_part((v * np.clip(w, 0.0, None)[..., None, :])
+                                @ v.conj().swapaxes(-1, -2))
+        got = project_psd(m)
+        assert got.dtype == dtype
+        assert np.array_equal(got, oracle)
+
+    def test_update_matches_the_formula(self, rng):
+        y, step, avg = (hermitian_part(rng.standard_normal((3, 6, 6))
+                                       + 1j * rng.standard_normal((3, 6, 6)))
+                        for _ in range(3))
+        oracle = hermitian_part(y + step - avg)
+        _update_in_place(y, step, avg)
+        assert np.array_equal(y, oracle)
