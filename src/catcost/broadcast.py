@@ -11,8 +11,8 @@ from .operators import (
     FactorShape,
     check_entry_budget,
     density_from_matrix,
-    hermitian_part,
     partial_trace,
+    require_pure,
     tensor,
     trace_distance,
 )
@@ -62,9 +62,7 @@ def pure_broadcast_uniqueness(mu: DensityOperator, phi: DensityOperator,
     Returns whether a verified broadcast mu coincides with it; a False
     return flags a numerical violation of the purity argument.
     """
-    top = float(np.linalg.eigvalsh(hermitian_part(phi.entries)).max())
-    if top < 1.0 - purity_tol:
-        raise ValueError(f"reference state is not pure: largest eigenvalue {top}")
+    require_pure(phi, purity_tol, "reference state")
     report = verify_broadcast(mu, phi, 2, tol=max(tol, 1e-9))
     if not report.is_broadcast:
         raise ValueError(f"candidate is not a 2-copy broadcast: residuals {report.residuals}")

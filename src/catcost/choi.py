@@ -20,9 +20,10 @@ from .operators import (
     check_entry_budget,
     density_from_matrix,
     hermitian_part,
-    partial_transpose,
+    hermitian_spectrum,
     partial_transpose_entries,
     permute_factors,
+    real_if_real,
     tensor,
     tensor_power,
 )
@@ -175,10 +176,9 @@ def coin_flip_broadcast_choi(d: int) -> ChoiOperator:
 
 def _named_residuals(j: np.ndarray, choi_shape: FactorShape, din: int, dout: int,
                      x_in: np.ndarray | None, target: np.ndarray | None) -> dict[str, float]:
+    cp = max(0.0, -float(hermitian_spectrum(j).min()))
+    ppt = max(0.0, -float(hermitian_spectrum(partial_transpose_entries(j, choi_shape)).min()))
     jh = hermitian_part(j)
-    cp = max(0.0, -float(np.linalg.eigvalsh(jh).min()))
-    pt = partial_transpose_entries(jh, choi_shape)
-    ppt = max(0.0, -float(np.linalg.eigvalsh(hermitian_part(pt)).min()))
     tp = float(np.abs(_trace_out_output(jh, din, dout) - np.eye(din)).max())
     res = {"cp": cp, "ppt": ppt, "tp": tp}
     if target is not None:
@@ -206,11 +206,6 @@ def _affine_projection(x_in: np.ndarray, target: np.ndarray, din: int, dout: int
         return out.reshape(din * dout, din * dout)
 
     return proj
-
-
-def _real_if_real(m: np.ndarray) -> np.ndarray:
-    """``m`` as float64 when it has no imaginary part, else unchanged."""
-    return m.real.copy() if np.iscomplexobj(m) and not m.imag.any() else m
 
 
 def verify_ppt_operation(choi: ChoiOperator, tol: float = 1e-9) -> SolveReport:
@@ -243,12 +238,12 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
         x_in = np.ones((1, 1))
     else:
         in_shape = bipartite_shape(2, 2).copies(m)
-        x_in = _real_if_real(tensor_power(max_entangled(2).op, m).entries)
+        x_in = real_if_real(tensor_power(max_entangled(2).op, m).entries)
     din, dout = in_shape.total_dim, target.dim
     dim = din * dout
     check_entry_budget(dim, "Choi")
     choi_shape = in_shape.concat(target.shape)
-    target_m = _real_if_real(target.entries)
+    target_m = real_if_real(target.entries)
 
     def proj_ppt_cone(j: np.ndarray) -> np.ndarray:
         pt = partial_transpose_entries(j, choi_shape)
@@ -271,8 +266,7 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
 
     npt_witness = None
     if din == 1:
-        lo = float(np.linalg.eigvalsh(
-            hermitian_part(partial_transpose(target.op).entries)).min())
+        lo = float(target.partial_transpose_eigh[0][0])
         if lo < 0:
             npt_witness = lo
 

@@ -12,9 +12,10 @@ import numpy as np
 from .operators import (
     DensityOperator,
     FactorShape,
-    hermitian_part,
+    hermitian_spectrum,
     partial_trace,
     relabel,
+    require_pure,
     trace_distance,
 )
 from .states import isotropic_twirl, max_entangled_fraction
@@ -88,7 +89,7 @@ def d_max(rho: DensityOperator, sigma: DensityOperator, support_tol: float = SUP
     """
     if rho.shape != sigma.shape:
         raise ValueError("states must share a shape")
-    w, v = np.linalg.eigh(hermitian_part(sigma.entries))
+    w, v = hermitian_spectrum(sigma.entries, vectors=True)
     inside = w > support_tol
     if not inside.all():
         v_out = v[:, ~inside]
@@ -97,7 +98,7 @@ def d_max(rho: DensityOperator, sigma: DensityOperator, support_tol: float = SUP
             return math.inf
     v_in = v[:, inside]
     core = (v_in / np.sqrt(w[inside])).conj().T @ rho.entries @ (v_in / np.sqrt(w[inside]))
-    top = float(np.linalg.eigvalsh(hermitian_part(core)).max())
+    top = float(hermitian_spectrum(core).max())
     return math.log2(max(top, 1e-300))
 
 
@@ -121,13 +122,11 @@ def d_max_to_ppt_isotropic(rho: DensityOperator, symmetry_tol: float = 1e-10) ->
 def _pure_state_marginal(psi: DensityOperator, purity_tol: float = 1e-9) -> np.ndarray:
     if psi.shape.n_factors != 1:
         raise ValueError("expected a single bipartite factor; merge factors first")
-    top = float(np.linalg.eigvalsh(hermitian_part(psi.entries)).max())
-    if top < 1.0 - purity_tol:
-        raise ValueError(f"state is not pure: largest eigenvalue {top}")
+    require_pure(psi, purity_tol)
     (da, db), = psi.shape.factors
     split = relabel(psi.op, FactorShape(((da, 1), (1, db))))
     marginal = partial_trace(split, keep={0})
-    return np.linalg.eigvalsh(hermitian_part(marginal.entries))
+    return hermitian_spectrum(marginal.entries)
 
 
 def schmidt_rank(psi: DensityOperator, tol: float = 1e-9) -> int:

@@ -1,4 +1,9 @@
-"""Dense complex operator algebra over labelled tensor factors.
+"""Dense operator algebra over labelled tensor factors.
+
+Operators store complex128 entries.  Spectra follow one dtype rule
+(``hermitian_spectrum``): an operator whose imaginary part is exactly
+zero, as every named state in catcost is, is decomposed in float64, and
+any other in complex128.
 
 Every operator carries an ordered list of factors, each factor a pair
 (dimA, dimB) of local dimensions.  The flattened matrix index runs
@@ -42,6 +47,30 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     out = m + m.conj().swapaxes(-1, -2)
     out /= 2  # in place: one temporary fewer at large n
     return out
+
+
+def real_if_real(m: np.ndarray) -> np.ndarray:
+    """The real part of a complex ``m`` with no imaginary part, else ``m``.
+
+    ``not m.imag.any()`` is a test, not a tolerance.  A real result is a
+    view of ``m``: read it, do not write it.
+    """
+    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
+
+
+def hermitian_spectrum(m: np.ndarray,
+                       vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the Hermitian part of ``m`` (a matrix or a stack).
+
+    With ``vectors``, returns ``(w, v)`` with eigenvector columns, as
+    ``np.linalg.eigh`` does.  Every measure and validation spectrum goes
+    through here, under one dtype rule: a complex ``m`` with no imaginary
+    part is decomposed as its real part in float64, whose real
+    eigendecomposition is one of ``m`` (Gatermann-Parrilo 2004); any
+    other ``m`` keeps its dtype.
+    """
+    h = hermitian_part(real_if_real(m))
+    return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
 
 
 @dataclass(frozen=True)
@@ -168,7 +197,7 @@ class DensityOperator:
         defect = self.op.hermiticity_defect()
         if defect > self.trace_tol:
             raise ValueError(f"not Hermitian: defect {defect:.3e}")
-        lo = float(np.linalg.eigvalsh(hermitian_part(self.op.entries)).min())
+        lo = float(hermitian_spectrum(self.op.entries).min())
         if lo < -self.psd_tol * abs(tr):
             raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
 
@@ -193,7 +222,7 @@ class DensityOperator:
         Every PPT measure (log negativity, binegativity, exact PPT cost)
         is derived from this one decomposition.
         """
-        w, v = np.linalg.eigh(hermitian_part(partial_transpose_entries(self.entries, self.shape)))
+        w, v = hermitian_spectrum(partial_transpose_entries(self.entries, self.shape), vectors=True)
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
@@ -202,9 +231,10 @@ class DensityOperator:
     def binegativity_min_eigenvalue(self) -> float:
         """Min eigenvalue of |rho^Gamma|^Gamma, with |rho^Gamma| = V diag|w| V^dagger."""
         w, v = self.partial_transpose_eigh
-        absolute = hermitian_part((v * np.abs(w)) @ v.conj().T)
-        b = partial_transpose_entries(absolute, self.shape)
-        return float(np.linalg.eigvalsh(hermitian_part(b)).min())
+        # the partial transpose commutes with taking the Hermitian part,
+        # which hermitian_spectrum does once
+        b = partial_transpose_entries((v * np.abs(w)) @ v.conj().T, self.shape)
+        return float(hermitian_spectrum(b).min())
 
 
 def density_from_matrix(entries: np.ndarray, shape: FactorShape, **tols) -> DensityOperator:
@@ -218,6 +248,13 @@ def density_from_vector(psi: np.ndarray, shape: FactorShape) -> DensityOperator:
     if norm2 <= 0:
         raise ValueError("zero state vector")
     return density_from_matrix(np.outer(v, v.conj()) / norm2, shape)
+
+
+def require_pure(rho: DensityOperator, purity_tol: float, what: str = "state") -> None:
+    """Refuse ``rho`` unless its largest eigenvalue is >= 1 - ``purity_tol``."""
+    top = float(hermitian_spectrum(rho.entries).max())
+    if top < 1.0 - purity_tol:
+        raise ValueError(f"{what} is not pure: largest eigenvalue {top}")
 
 
 @dataclass(frozen=True)
@@ -367,10 +404,10 @@ def eig_hermitian(x: LabeledOperator, tol: float = DEFAULT_HERM_TOL) -> tuple[Sp
     """Eigendecomposition of a Hermitian operator.
 
     Returns the spectrum sorted descending and the matrix of matching
-    eigenvector columns.
+    eigenvector columns, real when ``x`` has no imaginary part.
     """
     _require_hermitian(x, tol)
-    w, v = np.linalg.eigh(hermitian_part(x.entries))
+    w, v = hermitian_spectrum(x.entries, vectors=True)
     order = np.argsort(w)[::-1]
     return Spectrum(tuple(float(t) for t in w[order])), v[:, order]
 
@@ -385,7 +422,7 @@ def abs_operator(x: LabeledOperator) -> LabeledOperator:
 def trace_norm(x: LabeledOperator) -> float:
     """Sum of absolute eigenvalues (Hermitian inputs only)."""
     _require_hermitian(x)
-    return float(np.abs(np.linalg.eigvalsh(hermitian_part(x.entries))).sum())
+    return float(np.abs(hermitian_spectrum(x.entries)).sum())
 
 
 def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float:
@@ -395,6 +432,6 @@ def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float:
 def is_psd(x: LabeledOperator, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Test min eigenvalue >= -tol * max(1, |trace|); reports the witness."""
     _require_hermitian(x)
-    lo = float(np.linalg.eigvalsh(hermitian_part(x.entries)).min())
+    lo = float(hermitian_spectrum(x.entries).min())
     scale = max(1.0, abs(x.trace()))
     return PsdReport(ok=lo >= -tol * scale, min_eigenvalue=lo, tol=tol)

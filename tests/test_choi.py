@@ -120,11 +120,14 @@ class TestSynthesis:
         assert trace_distance(out.op, target.op) <= 1e-5
 
     def test_npt_target_without_input_is_infeasible(self):
-        report = synthesize_ppt_dilution(0, half_mixed(2), tol=1e-6)
+        target = half_mixed(2)
+        report = synthesize_ppt_dilution(0, target, tol=1e-6)
         assert not report.converged
         assert report.stalled
         assert report.npt_witness is not None
         assert abs(report.npt_witness + 1 / 8) <= 1e-12
+        # the witness is the target's one cached partial-transpose spectrum
+        assert report.npt_witness == target.partial_transpose_eigh[0][0]
         # residual floor certified by the witness: ppt + sqrt(dim) * correctness
         res = report.residuals
         assert res["ppt"] + 2.0 * res["correctness"] >= 1 / 8 - 1e-9

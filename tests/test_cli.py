@@ -1,5 +1,9 @@
 """Interchange format round-trips and CLI scenario behaviour."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,18 @@ class TestCliScenarios:
               "--m", "1", "--seed", "3"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_reruns_at_one_blas_thread_are_byte_identical(self):
+        # the determinism claim is scoped to a fixed BLAS configuration:
+        # separate processes, one OpenBLAS thread each
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "catcost.cli", "werner-example", "--d", "3"]
+        runs = [subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+                for _ in range(2)]
+        assert b"overall: PASS" in runs[0]
+        assert runs[0] == runs[1]
 
     def test_rigidity_scenario(self, capsys):
         assert main(["rigidity", "--d", "2", "--starts", "3", "--seed", "2"]) == 0

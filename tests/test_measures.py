@@ -26,10 +26,13 @@ from catcost.operators import (
     bipartite_shape,
     density_from_matrix,
     density_from_vector,
+    eig_hermitian,
     hermitian_part,
     is_psd,
     partial_transpose,
+    partial_transpose_entries,
     plain_shape,
+    real_if_real,
     tensor,
     trace_norm,
 )
@@ -299,6 +302,34 @@ class TestWorkCost:
             work_cost_semiclassical(plus, gibbs_qubit(0.25))
 
 
+def spectral_calls(monkeypatch):
+    """Record (name, order, dtype) of every ``eigh``/``eigvalsh`` call from here on."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def spy(m, *args, _name=name, _original=original, **kwargs):
+            seen.append((_name, np.shape(m)[-1], np.asarray(m).dtype))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+def real_density(rng, d):
+    """A real-valued (d, d) state, NPT through its Phi_d component."""
+    g = rng.standard_normal((d * d, d * d))
+    m = g @ g.T
+    m = 0.4 * m / np.trace(m) + 0.6 * max_entangled(d).entries.real
+    return density_from_matrix(m, bipartite_shape(d, d))
+
+
+def complex_pt_eigh(rho):
+    """Dense eigh of rho^Gamma forced to complex128."""
+    pt = partial_transpose(rho.op).entries.astype(np.complex128)
+    return np.linalg.eigh(hermitian_part(pt))
+
+
 class TestPartialTransposeSpectrum:
     """Every PPT measure comes from one cached decomposition of rho^Gamma."""
 
@@ -341,18 +372,53 @@ class TestPartialTransposeSpectrum:
         gate, cost = gated_ppt_cost(sample_negative_binegativity_state())
         assert not gate.positive and cost.applicability is Applicability.UNDEFINED
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_real_states_decompose_in_float64_and_match_complex(self, d, rng, monkeypatch):
+        for _ in range(3):
+            rho = real_density(rng, d)
+            pt = partial_transpose(rho.op)
+            seen = spectral_calls(monkeypatch)
+            ln, lo = log_negativity(rho), binegativity(rho).min_eigenvalue
+            norm, psd = trace_norm(pt), is_psd(pt)
+            spec, v = eig_hermitian(pt)
+            monkeypatch.undo()
+            assert seen and {dtype for _, _, dtype in seen} == {np.dtype(np.float64)}
+
+            w, vc = complex_pt_eigh(rho)
+            absolute = hermitian_part((vc * np.abs(w)) @ vc.conj().T)
+            b = partial_transpose_entries(absolute, rho.shape)
+            assert ln > 0.1 and abs(ln - math.log2(np.abs(w).sum())) <= 1e-12
+            assert abs(lo - np.linalg.eigvalsh(hermitian_part(b)).min()) <= 1e-12
+            assert abs(norm - np.abs(w).sum()) <= 1e-12
+            assert not psd.ok and abs(psd.min_eigenvalue - w.min()) <= 1e-12
+            assert np.abs(np.array(spec.eigenvalues) - w[::-1]).max() <= 1e-12
+            rebuilt = (v * np.array(spec.eigenvalues)) @ v.conj().T
+            assert np.abs(rebuilt - pt.entries).max() <= 1e-12
+
+    def test_a_tiny_imaginary_pair_keeps_complex128(self, monkeypatch):
+        # a local phase of 1e-12 rad on B: Hermitian, within every
+        # tolerance of the real state, but not real, so it stays complex
+        real = half_mixed(2).entries
+        u = np.kron(np.eye(2), np.diag([1.0, np.exp(1e-12j)]))
+        entries = u @ real @ u.conj().T
+        assert 0 < np.abs(entries.imag).max() < 1e-12
+        assert real_if_real(entries) is entries
+        seen = spectral_calls(monkeypatch)
+        rho = density_from_matrix(entries, bipartite_shape(2, 2))
+        log_negativity(rho), binegativity(rho)
+        trace_norm(rho.op), is_psd(rho.op), eig_hermitian(rho.op)
+        monkeypatch.undo()
+        assert len(seen) == 6
+        assert {dtype for _, _, dtype in seen} == {np.dtype(np.complex128)}
+        assert abs(log_negativity(rho) - log_negativity(half_mixed(2))) <= 1e-12
+
     def test_werner_decomposes_the_broadcast_once(self, monkeypatch):
-        # mu of werner d=3 is 81x81: validation takes one eigvalsh, the
-        # partial-transpose spectrum one eigh, the binegativity gate one eigvalsh
-        counts = {"eigh": 0, "eigvalsh": 0}
-        for name in counts:
-            original = getattr(np.linalg, name)
-
-            def counted(m, *args, _name=name, _original=original, **kwargs):
-                if np.shape(m)[-1] == 81:
-                    counts[_name] += 1
-                return _original(m, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        # mu of werner d=3 is 81x81 and real: validation takes one eigvalsh,
+        # the partial-transpose spectrum one eigh, the binegativity gate one
+        # eigvalsh, all three in float64
+        seen = spectral_calls(monkeypatch)
         assert scenario_werner(3).passed
-        assert counts == {"eigh": 1, "eigvalsh": 2}
+        at_81 = [(name, dtype) for name, n, dtype in seen if n == 81]
+        assert sorted(at_81) == [("eigh", np.dtype(np.float64)),
+                                 ("eigvalsh", np.dtype(np.float64)),
+                                 ("eigvalsh", np.dtype(np.float64))]

@@ -19,7 +19,9 @@ from catcost.operators import (
     partial_transpose_entries,
     permute_factors,
     plain_shape,
+    real_if_real,
     relabel,
+    require_pure,
     tensor,
     tensor_power,
     trace_distance,
@@ -303,6 +305,26 @@ class TestIsPsd:
 
     def test_mixture_of_states(self):
         assert is_psd(half_mixed().op).ok
+
+
+class TestSpectralDtype:
+    def test_real_data_become_a_float64_view(self):
+        m = bell_pair().entries
+        real = real_if_real(m)
+        assert real.dtype == np.float64 and np.shares_memory(real, m)
+        assert np.array_equal(real, m.real)
+
+    def test_any_imaginary_entry_keeps_the_input(self):
+        m = bell_pair().entries.copy()
+        m[0, 3] += 1e-300j
+        assert real_if_real(m) is m
+        x = np.eye(2)
+        assert real_if_real(x) is x
+
+    def test_require_pure(self):
+        require_pure(bell_pair(), 1e-9)
+        with pytest.raises(ValueError, match="reference state is not pure"):
+            require_pure(half_mixed(), 1e-9, "reference state")
 
 
 class TestRegrouping:
