@@ -27,6 +27,7 @@ def main() -> int:
     reports = [
         scenario_werner(2),
         scenario_werner(3),
+        scenario_werner(8),
         scenario_thermo(0.25, q_grid=5),
         scenario_dmax_ppt(2, 0.5),
         scenario_dmax_ppt(3, 0.75),

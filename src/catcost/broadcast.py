@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import IsotropicCopies
 from .operators import (
     MAX_ENTRIES,
     DensityOperator,
@@ -39,18 +40,28 @@ def _copy_factor_indices(rho_shape: FactorShape, i: int) -> set[int]:
     return set(range(i * k, (i + 1) * k))
 
 
-def verify_broadcast(mu: DensityOperator, rho: DensityOperator, n: int,
+def verify_broadcast(mu: DensityOperator | IsotropicCopies,
+                     rho: DensityOperator | IsotropicCopies, n: int,
                      tol: float = 1e-9) -> BroadcastReport:
-    """Check that every single-copy marginal of mu equals rho."""
+    """Check that every single-copy marginal of mu equals rho.
+
+    mu and rho are both dense, or both ``IsotropicCopies``, whose
+    marginals and trace distances are closed forms.
+    """
     if n < 1:
         raise ValueError("copy count must be >= 1")
+    if type(mu) is not type(rho):
+        raise ValueError("broadcast and target must be both dense or both IsotropicCopies")
     if mu.shape != rho.shape.copies(n):
         raise ValueError(
             f"broadcast shape {mu.shape.factors} is not {n} copies of {rho.shape.factors}")
     residuals = []
     for i in range(n):
-        marginal = partial_trace(mu.op, _copy_factor_indices(rho.shape, i))
-        residuals.append(trace_distance(marginal, rho.op))
+        keep = _copy_factor_indices(rho.shape, i)
+        if isinstance(mu, IsotropicCopies):
+            residuals.append(mu.marginal(keep).trace_distance(rho))
+        else:
+            residuals.append(trace_distance(partial_trace(mu.op, keep), rho.op))
     return BroadcastReport(n=n, residuals=tuple(residuals),
                            is_broadcast=max(residuals) <= tol, tol=tol)
 

@@ -15,6 +15,7 @@ from .measures import (
     Applicability,
     BinegativityReport,
     CostValue,
+    IsotropicCopies,
     binegativity,
     exact_locc_cost_pure,
     gated_ppt_cost,
@@ -165,9 +166,13 @@ def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
     )
 
 
-def catalytic_cost_upper_bound(rho: DensityOperator, mu: DensityOperator,
+def catalytic_cost_upper_bound(rho: DensityOperator | IsotropicCopies,
+                               mu: DensityOperator | IsotropicCopies,
                                broadcast_tol: float = 1e-9) -> AdvantageCertificate:
-    """Certificate for: catalytic exact cost <= half the exact cost of a broadcast."""
+    """Certificate for: catalytic exact cost <= half the exact cost of a broadcast.
+
+    rho and mu are both dense or both ``IsotropicCopies``.
+    """
     report = verify_broadcast(mu, rho, 2, tol=broadcast_tol)
     if not report.is_broadcast:
         raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
@@ -228,7 +233,8 @@ def nonconvexity_witness(s0: DensityOperator, s1: DensityOperator,
     )
 
 
-def superadditivity_violation(rho: DensityOperator, mu: DensityOperator,
+def superadditivity_violation(rho: DensityOperator | IsotropicCopies,
+                              mu: DensityOperator | IsotropicCopies,
                               broadcast_tol: float = 1e-9) -> float:
     """cost(rho) + cost(rho) - cost(mu) for a verified broadcast mu.
 

@@ -1,24 +1,33 @@
 """Scalar resource measures: logarithmic negativity, exact PPT cost with its
 binegativity gate, max-relative entropy, Schmidt rank, and semiclassical
-work cost."""
+work cost.
+
+The PPT measures take a dense ``DensityOperator`` or an ``IsotropicCopies``
+state, which gives the same partial-transpose quantities in closed form.
+"""
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .operators import (
+    DEFAULT_PSD_TOL,
     DensityOperator,
     FactorShape,
+    bipartite_shape,
+    density_from_matrix,
     hermitian_spectrum,
     partial_trace,
     relabel,
     require_pure,
     trace_distance,
 )
-from .states import isotropic_twirl, max_entangled_fraction
+from .states import IsotropicParams, isotropic_twirl, max_entangled, max_entangled_fraction
 
 # Eigendirections of the reference below this threshold count as outside
 # its support, so that infinite divergences are decidable numerically.
@@ -50,19 +59,19 @@ class BinegativityReport:
     tol: float
 
 
-def log_negativity(rho: DensityOperator) -> float:
+def log_negativity(rho: DensityOperator | IsotropicCopies) -> float:
     """log2 of the trace norm of the partial transpose; zero on PPT states."""
-    w, _ = rho.partial_transpose_eigh
-    return max(0.0, math.log2(float(np.abs(w).sum())))
+    return max(0.0, math.log2(rho.partial_transpose_trace_norm))
 
 
-def binegativity(rho: DensityOperator, tol: float = 1e-10) -> BinegativityReport:
+def binegativity(rho: DensityOperator | IsotropicCopies,
+                 tol: float = 1e-10) -> BinegativityReport:
     """Min eigenvalue of the twice partially transposed absolute value."""
     lo = rho.binegativity_min_eigenvalue
     return BinegativityReport(min_eigenvalue=lo, positive=lo >= -tol, tol=tol)
 
 
-def gated_ppt_cost(rho: DensityOperator,
+def gated_ppt_cost(rho: DensityOperator | IsotropicCopies,
                    gate_tol: float = 1e-10) -> tuple[BinegativityReport, CostValue]:
     """Binegativity gate together with the exact PPT cost it scopes.
 
@@ -76,7 +85,7 @@ def gated_ppt_cost(rho: DensityOperator,
     return gate, CostValue(math.nan, Applicability.UNDEFINED)
 
 
-def exact_ppt_cost(rho: DensityOperator, gate_tol: float = 1e-10) -> CostValue:
+def exact_ppt_cost(rho: DensityOperator | IsotropicCopies, gate_tol: float = 1e-10) -> CostValue:
     """Exact preparation cost under PPT operations; see ``gated_ppt_cost``."""
     return gated_ppt_cost(rho, gate_tol)[1]
 
@@ -117,6 +126,141 @@ def d_max_to_ppt_isotropic(rho: DensityOperator, symmetry_tol: float = 1e-10) ->
     if f <= 1.0 / d + 1e-12:
         return 0.0
     return math.log2(d * f)
+
+
+def _per_copy(m: tuple[tuple[float, float], tuple[float, float]], c: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 matrix m to every axis of the coefficient tensor c.
+
+    Elementwise arithmetic, no BLAS call: the result does not depend on
+    the BLAS configuration.
+    """
+    for axis in range(c.ndim):
+        c0, c1 = np.moveaxis(c, axis, 0)
+        c = np.moveaxis(np.stack([m[0][0] * c0 + m[0][1] * c1,
+                                  m[1][0] * c0 + m[1][1] * c1]), 0, axis)
+    return c
+
+
+# eq=False: a field-wise == would compare the coefficient arrays and raise
+@dataclass(frozen=True, eq=False)
+class IsotropicCopies:
+    """A state of k copies of a (d, d) system in span{Phi, 1 - Phi}^(x k).
+
+    ``coeffs`` has shape (2,) * k; entry (i_1, ..., i_k) weighs the tensor
+    product over copies of Phi (i_j = 0) or 1 - Phi (i_j = 1).  These
+    products are orthogonal projectors of rank prod_j (1, d^2 - 1)[i_j],
+    so ``coeffs`` is the spectrum.  Isotropic states and their symmetric
+    broadcasts lie in this commutative algebra (the U x conj(U) twirl
+    commutant of Vollbrecht-Werner, PRA 64, 062307).
+
+    The partial transpose of each copy maps it onto span{P_sym, P_anti},
+    since Phi^Gamma = F / d: (c0, c1) goes to
+    (c0/d + c1 (1 - 1/d), -c0/d + c1 (1 + 1/d)), with ranks
+    (d(d+1)/2, d(d-1)/2), and (s, a) goes back to
+    ((1+d)/2 s + (1-d)/2 a, (s + a)/2).  So E_N, the binegativity gate,
+    copy marginals and trace distances are closed forms in 2^k numbers,
+    and no eigendecomposition is made.  ``to_density`` builds the dense
+    state, for checks against the dense path.
+
+    Validated as ``DensityOperator`` is: trace within 1e-12 of one and
+    least coefficient >= -``DEFAULT_PSD_TOL``.
+    """
+
+    d: int
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.d < 2:
+            raise ValueError("local dimension must be >= 2")
+        c = np.array(self.coeffs, dtype=np.float64)
+        if c.ndim < 1 or c.shape != (2,) * c.ndim:
+            raise ValueError(f"coefficients have shape {c.shape}, expected (2,) * k")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+        tr = float((c * self._weights(1.0, self.d ** 2 - 1.0)).sum())
+        if not abs(tr - 1.0) <= 1e-12:
+            raise ValueError(f"trace {tr} is not 1 within 1.0e-12")
+        if c.min() < -DEFAULT_PSD_TOL:
+            raise ValueError(f"not positive semidefinite: min eigenvalue {c.min():.3e}")
+
+    @classmethod
+    def isotropic(cls, d: int, lam: float) -> IsotropicCopies:
+        """One copy of lam * Phi_d + (1 - lam) * identity / d^2 (``states.isotropic``)."""
+        IsotropicParams(d, lam)  # validates d and lam
+        white = (1.0 - lam) / (d * d)
+        return cls(d, np.array([lam + white, white]))
+
+    @classmethod
+    def symmetric_two_broadcast(cls, s0: IsotropicCopies,
+                                s1: IsotropicCopies) -> IsotropicCopies:
+        """(s0 x s1 + s1 x s0) / 2 (``states.symmetric_two_broadcast``)."""
+        if s0.shape != s1.shape:
+            raise ValueError("broadcast halves must share a shape")
+        outer = np.multiply.outer
+        return cls(s0.d, (outer(s0.coeffs, s1.coeffs) + outer(s1.coeffs, s0.coeffs)) / 2)
+
+    @property
+    def shape(self) -> FactorShape:
+        """One (d, d) factor per copy, as the dense state has."""
+        return bipartite_shape(self.d, self.d).copies(self.coeffs.ndim)
+
+    def _weights(self, w0: float, w1: float) -> np.ndarray:
+        """The (2,) * k outer product of the per-copy weights (w0, w1)."""
+        return functools.reduce(np.multiply.outer, [np.array([w0, w1])] * self.coeffs.ndim)
+
+    @cached_property
+    def partial_transpose_coeffs(self) -> np.ndarray:
+        """Spectrum of rho^Gamma on span{P_sym, P_anti}^(x k), read-only."""
+        d = self.d
+        s = _per_copy(((1.0 / d, 1.0 - 1.0 / d), (-1.0 / d, 1.0 + 1.0 / d)), self.coeffs)
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def partial_transpose_trace_norm(self) -> float:
+        """Trace norm of rho^Gamma: sum of |s| times the P_sym/P_anti ranks."""
+        d = self.d
+        ranks = self._weights(d * (d + 1) / 2.0, d * (d - 1) / 2.0)
+        return float((np.abs(self.partial_transpose_coeffs) * ranks).sum())
+
+    @cached_property
+    def binegativity_min_eigenvalue(self) -> float:
+        """Least coefficient of |rho^Gamma|^Gamma, back on span{Phi, 1 - Phi}^(x k)."""
+        d = self.d
+        back = ((0.5 * (1.0 + d), 0.5 * (1.0 - d)), (0.5, 0.5))
+        return float(_per_copy(back, np.abs(self.partial_transpose_coeffs)).min())
+
+    def marginal(self, keep) -> IsotropicCopies:
+        """Trace out every copy not in ``keep``, as ``operators.partial_trace``.
+
+        Each copy is one factor, so ``keep`` lists copies; tracing one out
+        contracts its axis with the traces (1, d^2 - 1).
+        """
+        keep = set(int(i) for i in keep)
+        k = self.coeffs.ndim
+        if not keep or not keep <= set(range(k)):
+            raise ValueError(f"keep indices {sorted(keep)} out of range for {k} copies")
+        c = self.coeffs
+        for axis in reversed(range(k)):
+            if axis not in keep:
+                c0, c1 = np.moveaxis(c, axis, 0)
+                c = c0 + (self.d ** 2 - 1) * c1
+        return IsotropicCopies(self.d, c)
+
+    def trace_distance(self, other: IsotropicCopies) -> float:
+        """Half the sum of |coefficient differences| times their ranks."""
+        if not isinstance(other, IsotropicCopies) or other.shape != self.shape:
+            raise ValueError("trace distance needs two IsotropicCopies of one shape")
+        diff = np.abs(self.coeffs - other.coeffs)
+        return 0.5 * float((diff * self._weights(1.0, self.d ** 2 - 1.0)).sum())
+
+    def to_density(self) -> DensityOperator:
+        """The dense state, with d^(2k) x d^(2k) entries."""
+        phi = max_entangled(self.d).entries.real
+        basis = (phi, np.eye(self.d ** 2) - phi)
+        m = sum(c * functools.reduce(np.kron, [basis[i] for i in idx])
+                for idx, c in np.ndenumerate(self.coeffs))
+        return density_from_matrix(m, self.shape)
 
 
 def _pure_state_marginal(psi: DensityOperator, purity_tol: float = 1e-9) -> np.ndarray:

@@ -228,6 +228,12 @@ class DensityOperator:
         return w, v
 
     @cached_property
+    def partial_transpose_trace_norm(self) -> float:
+        """Sum of |w| over the spectrum of rho^Gamma."""
+        w, _ = self.partial_transpose_eigh
+        return float(np.abs(w).sum())
+
+    @cached_property
     def binegativity_min_eigenvalue(self) -> float:
         """Min eigenvalue of |rho^Gamma|^Gamma, with |rho^Gamma| = V diag|w| V^dagger."""
         w, v = self.partial_transpose_eigh

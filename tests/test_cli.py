@@ -1,5 +1,6 @@
 """Interchange format round-trips and CLI scenario behaviour."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -83,6 +84,8 @@ class TestCliScenarios:
         ["synthesize", "noisy-phi-2", "--max-iter", "0"],
         ["synthesize", "noisy-phi-2", "--seed", "-1"],
         ["verify-broadcast", "mu.json", "rho.json", "--n", "0"],
+        # refused before np.linspace would allocate the grid
+        ["thermo-example", "--q-grid", "1000000000000"],
     ])
     def test_out_of_range_arguments_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -121,13 +124,31 @@ class TestCliScenarios:
     def test_werner_verifies_the_broadcast_once(self, monkeypatch):
         import catcost.catalysis
         from catcost.cli import scenario_werner
+        from catcost.measures import IsotropicCopies
 
         calls = []
         verify = catcost.catalysis.verify_broadcast
         monkeypatch.setattr(catcost.catalysis, "verify_broadcast",
                             lambda *a, **k: calls.append(a) or verify(*a, **k))
-        assert scenario_werner(2).passed
-        assert len(calls) == 1
+        for d in (2, 8):
+            calls.clear()
+            assert scenario_werner(d).passed
+            assert len(calls) == 1
+            mu, rho, n = calls[0]
+            # the marginals are checked in the algebra, on the scenario's own states
+            assert isinstance(mu, IsotropicCopies) and isinstance(rho, IsotropicCopies)
+            assert (mu.d, n) == (d, 2)
+
+    def test_werner_reports_the_broadcast_at_d8(self, capsys):
+        assert main(["--format", "json-like-keyvalue", "werner-example", "--d", "8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        ln = math.log2(65 / 8) - 1.0
+        closed = {"ln_mu": ln, "binegativity_mu": 1 / (2 * 8 ** 3),
+                  "cost_upper_catalytic": ln / 2, "advantage_gap": ln / 2,
+                  "superadditivity_violation": ln}
+        for name, want in closed.items():
+            assert abs(doc["results"][name]["value"] - want) <= 1e-9, name
+        assert doc["overall"] is True and doc["parameters"] == {"d": 8}
 
     def test_werner_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -213,6 +234,20 @@ class TestCliScenarios:
         argv = [sys.executable, "-m", "catcost.cli", "werner-example", "--d", "3"]
         runs = [subprocess.run(argv, env=env, capture_output=True, check=True).stdout
                 for _ in range(2)]
+        assert b"overall: PASS" in runs[0]
+        assert runs[0] == runs[1]
+
+    def test_werner_is_byte_identical_across_blas_threads(self):
+        # werner-example is computed in the closed-form algebra, which makes
+        # no BLAS call, so its report does not depend on the thread count
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = [sys.executable, "-m", "catcost.cli", "werner-example", "--d", "5"]
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                                os.environ.get("PYTHONPATH")])))
+            runs.append(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
         assert b"overall: PASS" in runs[0]
         assert runs[0] == runs[1]
 

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catcost.broadcast import verify_broadcast
+from catcost.catalysis import catalytic_cost_upper_bound
 from catcost.cli import scenario_werner
 from catcost.measures import (
     Applicability,
     CostValue,
+    IsotropicCopies,
     binegativity,
     d_max,
     d_max_to_ppt_isotropic,
@@ -29,11 +32,13 @@ from catcost.operators import (
     eig_hermitian,
     hermitian_part,
     is_psd,
+    partial_trace,
     partial_transpose,
     partial_transpose_entries,
     plain_shape,
     real_if_real,
     tensor,
+    trace_distance,
     trace_norm,
 )
 from catcost.states import (
@@ -412,13 +417,102 @@ class TestPartialTransposeSpectrum:
         assert {dtype for _, _, dtype in seen} == {np.dtype(np.complex128)}
         assert abs(log_negativity(rho) - log_negativity(half_mixed(2))) <= 1e-12
 
-    def test_werner_decomposes_the_broadcast_once(self, monkeypatch):
-        # mu of werner d=3 is 81x81 and real: validation takes one eigvalsh,
-        # the partial-transpose spectrum one eigh, the binegativity gate one
-        # eigvalsh, all three in float64
+    def test_werner_makes_no_two_copy_decomposition(self, monkeypatch):
+        # rho and mu of werner-example are closed forms in the
+        # isotropic-copies algebra: no spectrum is computed at any d,
+        # so none at n = d^4 (the dense path made 1 eigh + 2 eigvalsh there)
         seen = spectral_calls(monkeypatch)
-        assert scenario_werner(3).passed
-        at_81 = [(name, dtype) for name, n, dtype in seen if n == 81]
-        assert sorted(at_81) == [("eigh", np.dtype(np.float64)),
-                                 ("eigvalsh", np.dtype(np.float64)),
-                                 ("eigvalsh", np.dtype(np.float64))]
+        for d in range(2, 9):
+            assert scenario_werner(d).passed
+            assert seen == [], d
+
+
+def off_werner_copies(d):
+    """Two copies with coefficients proportional to [[0, 1], [1/2, 0]]: gate -1/72."""
+    c = np.array([[0.0, 1.0], [0.5, 0.0]])
+    ranks = np.multiply.outer([1.0, d * d - 1.0], [1.0, d * d - 1.0])
+    return IsotropicCopies(d, c / (c * ranks).sum())
+
+
+class TestIsotropicCopies:
+    """The closed-form algebra against the dense path it replaces."""
+
+    @staticmethod
+    def pairs(d):
+        rho = IsotropicCopies.isotropic(d, 0.5)
+        mu = IsotropicCopies.symmetric_two_broadcast(IsotropicCopies.isotropic(d, 1.0),
+                                                     IsotropicCopies.isotropic(d, 0.0))
+        return rho, mu, half_mixed(d), broadcast_of_half_mixed(d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_measures_match_the_dense_path(self, d):
+        rho, mu, rho_dense, mu_dense = self.pairs(d)
+        for state, dense in ((rho, rho_dense), (mu, mu_dense)):
+            assert state.shape == dense.shape
+            assert np.abs(state.to_density().entries - dense.entries).max() <= 1e-12
+            assert abs(log_negativity(state) - log_negativity(dense)) <= 1e-12
+            assert abs(binegativity(state).min_eigenvalue
+                       - binegativity(dense).min_eigenvalue) <= 1e-12
+        cert = catalytic_cost_upper_bound(rho, mu)
+        dense_cert = catalytic_cost_upper_bound(rho_dense, mu_dense)
+        assert cert.valid and dense_cert.valid
+        assert abs(cert.gap - dense_cert.gap) <= 1e-12
+        assert abs(cert.superadditivity_violation()
+                   - dense_cert.superadditivity_violation()) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_copy_marginals_match_partial_trace(self, d):
+        rho, mu, rho_dense, mu_dense = self.pairs(d)
+        for i in range(2):
+            marginal = mu.marginal({i})
+            dense = partial_trace(mu_dense.op, {i})
+            assert np.abs(marginal.to_density().entries - dense.entries).max() <= 1e-12
+            assert marginal.trace_distance(rho) <= 1e-15
+        assert np.array_equal(mu.marginal({0, 1}).coeffs, mu.coeffs)
+        report = verify_broadcast(mu, rho, 2)
+        dense_report = verify_broadcast(mu_dense, rho_dense, 2)
+        assert report.is_broadcast and dense_report.is_broadcast
+        assert max(report.residuals) <= 1e-12 and max(dense_report.residuals) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_trace_distance_matches_dense(self, d):
+        a = IsotropicCopies.isotropic(d, 0.5)
+        b = IsotropicCopies.isotropic(d, 0.2)
+        dense = trace_distance(a.to_density().op, b.to_density().op)
+        assert abs(a.trace_distance(b) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_negative_gate_is_undefined_on_both_types(self, d):
+        state = off_werner_copies(d)
+        for x in (state, state.to_density()):
+            gate, cost = gated_ppt_cost(x)
+            assert abs(gate.min_eigenvalue - (-1.0 / 72.0)) <= 1e-12
+            assert not gate.positive
+            assert cost.applicability is Applicability.UNDEFINED and math.isnan(cost.bits)
+
+    def test_cache_is_read_only(self):
+        state = IsotropicCopies.isotropic(2, 0.5)
+        assert not state.coeffs.flags.writeable
+        assert not state.partial_transpose_coeffs.flags.writeable
+
+    @pytest.mark.parametrize("d, coeffs", [
+        (1, [1.0, 0.0]),                      # local dimension below 2
+        (2, [[1.0, 0.0, 0.0]]),               # not (2,) * k
+        (2, [0.5, 0.5]),                      # trace 2
+        (2, [1.3, -0.1]),                     # negative eigenvalue
+        (2, [float("nan"), 0.0]),
+    ])
+    def test_invalid_coefficients_are_refused(self, d, coeffs):
+        with pytest.raises(ValueError):
+            IsotropicCopies(d, np.array(coeffs))
+
+    def test_mixed_types_and_bad_marginals_are_refused(self):
+        rho, mu, rho_dense, mu_dense = self.pairs(2)
+        with pytest.raises(ValueError):
+            verify_broadcast(mu, rho_dense, 2)
+        with pytest.raises(ValueError):
+            verify_broadcast(mu_dense, rho, 2)
+        with pytest.raises(ValueError):
+            mu.marginal({2})
+        with pytest.raises(ValueError):
+            mu.marginal(set())
