@@ -118,7 +118,9 @@ def bipartite_shape(d_a: int, d_b: int) -> FactorShape:
     return FactorShape(((d_a, d_b),))
 
 
-@dataclass(frozen=True)
+# eq=False on the two operator types: a field-wise == would compare the
+# entry arrays and raise, so == and hash are by identity
+@dataclass(frozen=True, eq=False)
 class LabeledOperator:
     """Square complex matrix together with its factor structure."""
 
@@ -178,12 +180,12 @@ def _require_hermitian(x: LabeledOperator, tol: float = DEFAULT_HERM_TOL) -> Non
         raise ValueError(f"operator is not Hermitian (defect {defect:.3e} > {tol:.1e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Unit-trace positive-semidefinite LabeledOperator.
 
-    Validation tolerances: trace within ``trace_tol`` of one, Hermitian
-    within ``trace_tol``, minimum eigenvalue >= -``psd_tol`` * trace.
+    Validation: finite entries, trace within ``trace_tol`` of one,
+    Hermitian within ``trace_tol``, minimum eigenvalue >= -``psd_tol`` * trace.
     """
 
     op: LabeledOperator
@@ -191,6 +193,9 @@ class DensityOperator:
     psd_tol: float = DEFAULT_PSD_TOL
 
     def __post_init__(self) -> None:
+        # every comparison below is False for NaN, so none of them would fail
+        if not np.isfinite(self.op.entries).all():
+            raise ValueError("entries must be finite")
         tr = self.op.trace()
         if abs(tr - 1.0) > self.trace_tol:
             raise ValueError(f"trace {tr} is not 1 within {self.trace_tol:.1e}")

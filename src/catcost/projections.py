@@ -11,6 +11,12 @@ readout and the residuals act on an ``(s, n, n)`` array at once, which
 ``np.linalg.eigh`` decomposes in one call.  Each start keeps its own
 stopping bookkeeping and leaves the stack at the cycle it would have
 stopped at if run alone.
+
+The Douglas-Rachford map T is accelerated by safeguarded type-II
+Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482; Zhang-O'Donoghue-Boyd,
+arXiv:1808.03971) over the last ``ANDERSON_DEPTH`` differences, kept in
+packed real coordinates of the Hermitian stacks.  T is still evaluated
+once per cycle.
 """
 from __future__ import annotations
 
@@ -89,6 +95,170 @@ def _update_in_place(y: np.ndarray, step: np.ndarray, avg: np.ndarray) -> None:
     _store_hermitian_part(y, step)
 
 
+# Anderson acceleration: differences kept per start, and the ridge weight
+# of its least-squares problem relative to the squared sizes of those
+# differences
+ANDERSON_DEPTH = 3
+_ANDERSON_REG = 1e-10
+_SQRT2 = np.sqrt(2.0)
+
+
+class _PackedStacks:
+    """Packed real coordinates of an ``(s, k, n, n)`` array of Hermitian matrices.
+
+    A complex Hermitian matrix packs into n^2 reals: its diagonal, then
+    sqrt(2) Re and sqrt(2) Im of its strict upper triangle.  A real
+    symmetric one packs into n(n+1)/2: its diagonal, then sqrt(2) times
+    its strict upper triangle.  The k matrices of start j lie side by
+    side in row j.  The Euclidean inner product of two rows is the
+    Frobenius inner product of the matrices, and unpacking any real row
+    gives exactly Hermitian matrices of the array's dtype.
+
+    Both directions are one gather over the matrices' float64 entries, a
+    complex entry as its (re, im) pair.
+    """
+
+    def __init__(self, n: int, dtype: np.dtype) -> None:
+        iu, ju = np.triu_indices(n, 1)
+        q = len(iu)
+        diag, upper, lower = np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
+        off = n + np.arange(q)  # packed positions of the strict upper triangle
+        self.n = n
+        if np.issubdtype(dtype, np.complexfloating):
+            self.take = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+            # unpacking gathers from [diagonal, Re, Im, -Im, 0], scaled
+            self.source = np.empty(2 * n * n, dtype=np.intp)
+            self.source[2 * diag], self.source[2 * diag + 1] = np.arange(n), n + 3 * q
+            self.source[2 * upper] = self.source[2 * lower] = off
+            self.source[2 * upper + 1], self.source[2 * lower + 1] = off + q, off + 2 * q
+            self.imag, self.extra = slice(n + q, n + 2 * q), q + 1
+        else:
+            self.take = np.concatenate([diag, upper])
+            self.source = np.empty(n * n, dtype=np.intp)
+            self.source[diag] = np.arange(n)
+            self.source[upper] = self.source[lower] = off
+            self.imag, self.extra = None, 0
+
+    @staticmethod
+    def _floats(y: np.ndarray) -> np.ndarray:
+        """The entries of a C-contiguous ``(s, k, n, n)`` y as an ``(s, k, f)`` float64 view."""
+        return y.view(np.float64).reshape(*y.shape[:2], -1)
+
+    def pack(self, y: np.ndarray) -> np.ndarray:
+        """The ``(s, k * width)`` packed coordinates of y."""
+        packed = np.take(self._floats(y), self.take, axis=2)
+        packed[..., self.n:] *= _SQRT2
+        return packed.reshape(len(packed), -1)
+
+    def unpack_into(self, packed: np.ndarray, y: np.ndarray) -> None:
+        """Overwrite every entry of the C-contiguous y with ``packed``, in place."""
+        floats = self._floats(y)
+        rows = packed.reshape(floats.shape[:2] + (-1,))
+        n, width = self.n, rows.shape[-1]
+        source = np.empty(rows.shape[:2] + (width + self.extra,))
+        source[..., :n] = rows[..., :n]
+        np.multiply(rows[..., n:], 1 / _SQRT2, out=source[..., n:width])
+        if self.imag is not None:
+            np.negative(source[..., self.imag], out=source[..., width:-1])
+            source[..., -1] = 0.0
+        # mode="clip" writes straight into out; the indices are in range
+        np.take(source, self.source, axis=2, out=floats, mode="clip")
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows; each row's value does not depend on the others."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _compact_rows(a: np.ndarray, rows: np.ndarray) -> None:
+    """Move rows ``rows`` (increasing) of ``a`` to its front, one row at a time."""
+    for new, old in enumerate(rows):
+        if new != old:
+            a[new] = a[old]
+
+
+class _AndersonHistory:
+    """Safeguarded type-II Anderson acceleration of a fixed-point map T, per start.
+
+    Rows are starts, in packed coordinates.  Each start keeps T and
+    g = T - id at its last accepted point, the last ``depth`` differences
+    of both in rolling buffers, and the Gram matrix of the g differences,
+    updated by one row per step.  Its current point is
+    ``f - df @ gamma`` and is not stored.  The buffers are allocated once;
+    ``keep`` compacts them in place when starts retire.
+    """
+
+    def __init__(self, x0: np.ndarray, depth: int) -> None:
+        s, dim = x0.shape
+        self.depth = depth
+        self.eye = np.eye(depth)
+        self.slot = -1  # ring slot of the newest difference; -1 before the first step
+        self._buffers = (
+            x0.copy(),                    # f: T at the last accepted point; at first x0
+            np.zeros((s, dim)),           # g at that point
+            np.zeros(s),                  # |g|^2 there
+            np.zeros((s, depth, dim)),    # df: differences of T
+            np.zeros((s, depth, dim)),    # dg: differences of g
+            np.zeros((s, depth, depth)),  # gram: dg dg^T
+            np.zeros((s, depth)),         # |df_j|^2 + |dg_j|^2, which scales the ridge
+            np.zeros((s, depth)),         # gamma
+            np.zeros(s, dtype=bool),      # the current point is an extrapolation
+        )
+        self._rows = self._buffers
+
+    def step(self, t: np.ndarray) -> np.ndarray:
+        """Take T at the current points; return the next points.
+
+        A start whose current point is an extrapolation with a larger
+        ``|g|`` than the point it left from rejects it: it goes on from
+        the T it already holds and clears its history.
+        """
+        f, g, g_norm2, df, dg, gram, scale, gamma, extrapolated = self._rows
+        # r = g at the current point x = f - df @ gamma
+        r = np.matmul(gamma[:, None, :], df)[:, 0]
+        r += t
+        r -= f
+        r_norm2 = _row_dots(r, r)
+        if self.slot < 0:  # the first step is a plain one
+            self.slot = self.depth - 1
+            f[...], g[...], g_norm2[...] = t, r, r_norm2
+            return t
+        rejected = extrapolated & (r_norm2 > g_norm2)
+        self.slot = j = (self.slot + 1) % self.depth
+        np.subtract(r, g, out=dg[:, j])
+        np.subtract(t, f, out=df[:, j])
+        row = np.matmul(dg, dg[:, j, :, None])[..., 0]
+        gram[:, j, :] = row
+        gram[:, :, j] = row
+        scale[:, j] = row[:, j] + _row_dots(df[:, j], df[:, j])
+        if rejected.any():
+            for a in (df, dg, gram, scale):
+                a[rejected] = 0.0
+            accepted = ~rejected
+            np.copyto(f, t, where=accepted[:, None])
+            np.copyto(g, r, where=accepted[:, None])
+            np.copyto(g_norm2, r_norm2, where=accepted)
+            extrapolated[...] = accepted
+        else:
+            f[...], g[...], g_norm2[...], extrapolated[...] = t, r, r_norm2, True
+        # gamma = argmin |g - dg gamma|^2 + ridge |gamma|^2, the ridge scaled
+        # by the sizes of both difference sets (Fu-Zhang-Boyd); a cleared
+        # column gets gamma 0, and an all-clear history the plain step
+        ridge = _ANDERSON_REG * scale.sum(axis=1) + np.finfo(float).tiny
+        lhs = gram + ridge[:, None, None] * self.eye
+        gamma[...] = np.linalg.solve(lhs, np.matmul(dg, g[..., None]))[..., 0]
+        np.matmul(gamma[:, None, :], df, out=r[:, None, :])
+        np.subtract(f, r, out=r)
+        return r
+
+    def keep(self, keep: np.ndarray) -> None:
+        """Keep the rows where ``keep`` holds, moved in place to the front."""
+        rows = np.flatnonzero(keep)
+        for a in self._buffers:
+            _compact_rows(a, rows)
+        self._rows = tuple(a[:len(rows)] for a in self._buffers)
+
+
 def solve_feasibility_batch(
     projections: list[Projection],
     starts: np.ndarray,
@@ -102,9 +272,12 @@ def solve_feasibility_batch(
 ) -> list[FeasibilityResult]:
     """Run product-space Douglas-Rachford on a stack of starts in lockstep.
 
-    The governing sequence holds one ``(s, n, n)`` stack per constraint
-    set; each cycle reflects their average through every set.
-    ``readout`` maps the average to the candidate points, and
+    The governing sequence holds an ``(s, k, n, n)`` array, one matrix per
+    start and constraint set; the DR map T reflects their average through
+    every set.  Each cycle evaluates T once, at the point Anderson
+    acceleration chose from T's last values (see ``_AndersonHistory``).
+    ``readout`` maps the average of T at the current points to the
+    candidate points, and
     ``residual_fn`` returns one ``(s,)`` array per residual name.  A start
     stops when its best maximum residual reaches ``tol``, on a stall (no
     relative improvement of it over ``stall_window`` cycles; infeasible
@@ -117,8 +290,10 @@ def solve_feasibility_batch(
     ``starts``, so real symmetric starts with real projections stay real.
     """
     k = len(projections)
-    y = [hermitian_part(np.asarray(starts)) for _ in projections]
-    best_point = readout(y[0])
+    y = np.stack([hermitian_part(np.asarray(starts))] * k, axis=1)
+    packing = _PackedStacks(y.shape[-1], y.dtype)
+    anderson = _AndersonHistory(packing.pack(y), ANDERSON_DEPTH)
+    best_point = readout(y[:, 0])
     best_res = residual_fn(best_point)
     best_max = np.max(list(best_res.values()), axis=0)
     history = [[float(b)] for b in best_max]
@@ -134,15 +309,20 @@ def solve_feasibility_batch(
 
     it = 0
     while live.size and it < max_iter:
+        if it:
+            # y holds T at the current points, which the last check read
+            # out; the accelerated next points replace it
+            packing.unpack_into(anderson.step(packing.pack(y)), y)
         it += 1
         # y holds exactly Hermitian stacks, and so do avg and 2 avg - y[i]:
         # one symmetrization per update keeps it that way
-        avg = sum(y) / k
+        avg = y.sum(axis=1)
+        avg /= k
         for i, proj in enumerate(projections):
-            _update_in_place(y[i], proj(2.0 * avg - y[i]), avg)
+            _update_in_place(y[:, i], proj(2.0 * avg - y[:, i]), avg)
         if it % check_every and it != max_iter:
             continue
-        candidate = readout(sum(y) / k)
+        candidate = readout(y.sum(axis=1) / k)
         res = residual_fn(candidate)
         res_max = np.max(list(res.values()), axis=0)
         last_improvement[res_max < best_max * (1.0 - stall_rtol)] = it
@@ -159,7 +339,8 @@ def solve_feasibility_batch(
             continue
         retire(done, converged, stalled, it)
         keep = ~done
-        y = [m[keep] for m in y]
+        y = y[keep]
+        anderson.keep(keep)
         best_point, best_max = best_point[keep], best_max[keep]
         best_res = {name: r[keep] for name, r in best_res.items()}
         last_improvement, live = last_improvement[keep], live[keep]

@@ -6,7 +6,9 @@ documents add ``input_factors``, the list of input factor indices.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +39,23 @@ def operator_from_document(doc: dict) -> LabeledOperator:
         raise ValueError(f"malformed operator document: {exc}") from exc
     n = shape.total_dim
     check_entry_budget(n, "operator")
-    if len(pairs) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(pairs)}")
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return LabeledOperator(shape, flat.reshape(n, n))
+    return LabeledOperator(shape, _entries_from_pairs(pairs, n))
+
+
+def _entries_from_pairs(pairs, n: int) -> np.ndarray:
+    """The n x n complex matrix of a list of n^2 [re, im] pairs of finite JSON numbers."""
+    expected = f"expected {n * n} [re, im] pairs of numbers"
+    try:
+        if len(pairs) != n * n or set(map(len, pairs)) != {2}:
+            raise ValueError(expected)
+        # unary + refuses strings, nulls, lists and objects
+        parts = np.fromiter(map(operator.pos, itertools.chain.from_iterable(pairs)),
+                            np.float64, count=2 * n * n)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(expected) from exc
+    if not np.isfinite(parts).all():
+        raise ValueError("entries must be finite")
+    return parts.view(np.complex128).reshape(n, n)
 
 
 def choi_to_document(choi: ChoiOperator) -> dict:

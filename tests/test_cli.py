@@ -48,6 +48,35 @@ class TestSerialize:
         with pytest.raises(ValueError):
             operator_from_document({"shape": [[2, 2]], "entries": [[0.0, 0.0]] * 3})
 
+    @pytest.mark.parametrize("entries", [
+        [[0.5, 0.0], None, [0.0, 0.0], [0.5, 0.0]],
+        [[0.5, 0.0], "a", [0.0, 0.0], [0.5, 0.0]],
+        [[0.5, 0.0], 0.0, [0.0, 0.0], [0.5, 0.0]],
+        5,
+        [["0.5", "0"], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+        [[0.5, 0.0, 0.0], [0.0], [0.0, 0.0], [0.5, 0.0]],
+        [[0.5, None], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+        [[10 ** 400, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+        [[0.5, 0.0]] * 5,
+    ])
+    def test_entries_that_are_not_pairs_of_numbers_rejected(self, entries):
+        with pytest.raises(ValueError, match="pairs of numbers"):
+            operator_from_document({"shape": [[2, 1]], "entries": entries})
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entries_rejected(self, bad, tmp_path):
+        # Python's json reads these non-standard literals as floats
+        path = tmp_path / "rho.json"
+        path.write_text('{"shape": [[2, 1]], "entries": [[%s, 0], [0, 0], [0, 0], [0.5, 0]]}'
+                        % bad)
+        with pytest.raises(ValueError, match="finite"):
+            load_operator(path)
+
+    def test_entries_keep_their_values(self):
+        op = operator_from_document(
+            {"shape": [[2, 1]], "entries": [[1, 2], [3, 4.5], [0, -1], [7, 0]]})
+        assert np.array_equal(op.entries, [[1 + 2j, 3 + 4.5j], [-1j, 7]])
+
     def test_density_validation_on_load(self, rng, tmp_path):
         x = random_density(rng, 2, 2)
         path = tmp_path / "rho.json"
@@ -194,6 +223,30 @@ class TestCliScenarios:
         save_operator(mu.op, mu_path)
         save_operator(rho.op, rho_path)
         assert main(["verify-broadcast", str(mu_path), str(rho_path), "--n", "2"]) == 0
+
+    @pytest.mark.parametrize("entries", [
+        [[0.25, 0.0], None] + [[0.25 * (i % 5 == 0), 0.0] for i in range(2, 16)],
+        [[0.25, 0.0], "a"] + [[0.25 * (i % 5 == 0), 0.0] for i in range(2, 16)],
+        [[0.25, 0.0], 0.0] + [[0.25 * (i % 5 == 0), 0.0] for i in range(2, 16)],
+        5,
+        [[float("nan"), 0.0]] + [[0.25 * (i % 5 == 0), 0.0] for i in range(1, 16)],
+    ])
+    def test_malformed_matrix_file_exits_io(self, entries, tmp_path):
+        # in a fresh process, so that a traceback would reach stderr; mu
+        # is (1/2)^2 times the identity on two qubits, but for one entry
+        mu_path, rho_path = tmp_path / "mu.json", tmp_path / "rho.json"
+        rho_path.write_text(json.dumps(
+            {"shape": [[2, 1]], "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}))
+        mu_path.write_text(json.dumps({"shape": [[2, 1], [2, 1]], "entries": entries}))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "catcost.cli", "verify-broadcast",
+                              str(mu_path), str(rho_path), "--n", "2"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 3
+        assert run.stderr.startswith("error:")
+        assert "Traceback" not in run.stderr
 
     def test_verify_broadcast_failure_exits_numerical(self, tmp_path, capsys):
         rho = isotropic(IsotropicParams(2, 0.5))

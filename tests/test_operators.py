@@ -74,6 +74,21 @@ class TestShapes:
         with pytest.raises(ValueError):
             density_from_matrix(m, plain_shape(2))  # not Hermitian
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_rejected(self, bad):
+        # every trace, Hermiticity and PSD comparison is False for NaN
+        m = np.diag([1.0, 0.0, 0.0, 0.0])
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            density_from_matrix(m, bipartite_shape(2, 2))
+
+    def test_equality_and_hash_are_identity(self):
+        a, b = max_entangled(2), max_entangled(2)
+        assert a == a and a != b
+        assert a.op == a.op and a.op != b.op
+        assert hash(a) == hash(a) and hash(a.op) == hash(a.op)
+        assert len({a, b, a.op, b.op}) == 4
+
 
 class TestTensor:
     def test_identity_case(self):

@@ -1,10 +1,18 @@
 """Lockstep Douglas-Rachford: a stack of starts against each start run alone."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from catcost import broadcast, projections
 from catcost.broadcast import _marginal_projections
-from catcost.operators import hermitian_part
+from catcost.choi import synthesize_ppt_dilution
+from catcost.cli import _named_target, scenario_rigidity
+from catcost.operators import bipartite_shape, density_from_matrix, hermitian_part
 from catcost.projections import (
+    ANDERSON_DEPTH,
+    _AndersonHistory,
+    _PackedStacks,
     _update_in_place,
     project_psd,
     random_density_matrix,
@@ -59,7 +67,7 @@ class TestRetirement:
     @pytest.fixture
     def problem(self, rng):
         proj, residual = trace_minus_one(3)
-        scales = (1.0, 3.0, 10.0, 0.1, 30.0)
+        scales = (1e-4, 1e-1, 1e2, 1e5, 1e8)
         starts = np.stack([random_density_matrix(3, rng) * s for s in scales])
         return [project_psd, proj], residual, starts
 
@@ -110,3 +118,165 @@ class TestInPlaceArithmetic:
         oracle = hermitian_part(y + step - avg)
         _update_in_place(y, step, avg)
         assert np.array_equal(y, oracle)
+
+
+class TestPackedCoordinates:
+    @pytest.mark.parametrize("dtype, width", [(np.complex128, 25), (np.float64, 15)])
+    def test_inner_products_and_exact_hermitian_unpacking(self, rng, dtype, width):
+        g = rng.standard_normal((4, 3, 5, 5)) + 1j * rng.standard_normal((4, 3, 5, 5))
+        y = hermitian_part(g if dtype is np.complex128 else g.real.copy())
+        packing = _PackedStacks(5, y.dtype)
+        x = packing.pack(y)
+        assert x.dtype == np.float64 and x.shape == (4, 3 * width)
+        frobenius = np.einsum("skij,skij->s", y.conj(), y).real
+        assert np.allclose(np.einsum("ij,ij->i", x, x), frobenius, rtol=1e-14, atol=0)
+        back = np.empty_like(y)
+        packing.unpack_into(x, back)
+        assert np.abs(back - y).max() <= 1e-15
+        # any real row unpacks to exactly Hermitian matrices of y's dtype
+        packing.unpack_into(rng.standard_normal(x.shape), back)
+        assert back.dtype == dtype
+        assert np.array_equal(back, back.conj().swapaxes(-1, -2))
+
+
+def affine_contraction(rng, dim):
+    """T(x) = a x + b row by row, a symmetric with spectrum in [0, 0.99]; and T's fixed point."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    a, b = (q * np.linspace(0.0, 0.99, dim)) @ q.T, rng.standard_normal(dim)
+    return (lambda x: np.stack([a @ row + b for row in x])), np.linalg.solve(np.eye(dim) - a, b)
+
+
+class TestAnderson:
+    def test_rejected_extrapolation_continues_from_the_held_step(self, rng):
+        t, _ = affine_contraction(rng, 8)
+        x0 = rng.standard_normal((2, 8))
+        history = _AndersonHistory(x0, ANDERSON_DEPTH)
+        df, dg, gram, scale, gamma, extrapolated = history._rows[3:]
+        x1 = history.step(t(x0))
+        assert not extrapolated.any()  # the first step is a plain one
+        t1 = t(x1)
+        x2 = history.step(t1)
+        assert extrapolated.all() and not np.array_equal(x2, t1)
+        # T at x2: start 0 reports a residual ten times the one at x1, so
+        # it rejects x2; start 1 reports its true value
+        step = t(x2)
+        step[0] = x2[0] + 10.0 * (t1[0] - x1[0])
+        x3 = history.step(step)
+        assert np.array_equal(x3[0], t1[0])
+        assert not extrapolated[0] and extrapolated[1]
+        for buffer in (df, dg, gram, scale, gamma):
+            assert not buffer[0].any() and buffer[1].any()
+        # start 0 builds a new history from the step it went on from
+        history.step(t(x3))
+        assert extrapolated.all()
+
+    def test_acceleration_beats_plain_iteration_on_a_contraction(self, rng):
+        t, fixed = affine_contraction(rng, 8)
+        history = _AndersonHistory(np.zeros((1, 8)), ANDERSON_DEPTH)
+        x = plain = np.zeros((1, 8))
+        for _ in range(30):
+            x = history.step(t(x))
+            plain = t(plain)
+        assert np.abs(x - fixed).max() <= 1e-3 * np.abs(plain - fixed).max()
+
+    def test_compaction_keeps_each_rows_history(self, rng):
+        t, _ = affine_contraction(rng, 6)
+        starts = rng.standard_normal((3, 6))
+        stacked = _AndersonHistory(starts, ANDERSON_DEPTH)
+        alone = _AndersonHistory(starts[2:], ANDERSON_DEPTH)
+        x, y = starts, starts[2:]
+        for i in range(5):
+            x, y = stacked.step(t(x)), alone.step(t(y))
+            if i == 2:
+                stacked.keep(np.array([False, False, True]))
+                x = x[2:]
+        assert np.array_equal(x, y)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked._rows, alone._rows))
+
+
+class TestAcceleratedSolves:
+    def test_real_search_keeps_iterates_and_history_float64(self, monkeypatch):
+        seen = {"iterates": set(), "history": set()}
+
+        class History(_AndersonHistory):
+            def step(self, t):
+                seen["history"] |= {a.dtype for a in self._rows[:-1]} | {t.dtype}
+                return super().step(t)
+
+        class Packing(_PackedStacks):
+            def unpack_into(self, packed, y):
+                super().unpack_into(packed, y)
+                seen["iterates"].add(y.dtype)
+
+        monkeypatch.setattr(projections, "_AndersonHistory", History)
+        monkeypatch.setattr(projections, "_PackedStacks", Packing)
+        report = synthesize_ppt_dilution(2, _named_target("noisy-phi-3"), seed=0)
+        assert report.converged
+        assert seen == {"iterates": {np.dtype(np.float64)}, "history": {np.dtype(np.float64)}}
+
+    def test_complex_search_keeps_complex_iterates(self, monkeypatch):
+        seen = set()
+
+        class Packing(_PackedStacks):
+            def unpack_into(self, packed, y):
+                assert packed.dtype == np.float64
+                super().unpack_into(packed, y)
+                seen.add(y.dtype)
+
+        monkeypatch.setattr(projections, "_PackedStacks", Packing)
+        u = np.kron(np.eye(2), np.diag([1.0, 1j]))
+        rho = _named_target("noisy-phi-2").entries
+        target = density_from_matrix(u @ rho @ u.conj().T, bipartite_shape(2, 2))
+        assert synthesize_ppt_dilution(1, target, seed=0).converged
+        assert seen == {np.dtype(np.complex128)}
+
+    def test_infeasible_solve_still_stalls(self):
+        report = synthesize_ppt_dilution(0, _named_target("noisy-phi-2"), seed=0)
+        assert report.stalled and not report.converged
+        assert report.npt_witness == pytest.approx(-0.125, abs=1e-12)
+        hist = report.best_history
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+        # the stall rule is unchanged: 500 cycles after the last improvement
+        last = max(i for i in range(1, len(hist)) if hist[i] < hist[i - 1] * (1 - 1e-9))
+        assert report.iterations == 10 * last + 500
+
+    def test_rigidity_work_counts(self, monkeypatch):
+        cycles, calls = [], []
+        eigh, batch = np.linalg.eigh, broadcast.solve_feasibility_batch
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def counting_batch(*args, **kwargs):
+            results = batch(*args, **kwargs)
+            cycles.extend(r.iterations for r in results)
+            return results
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(broadcast, "solve_feasibility_batch", counting_batch)
+        assert scenario_rigidity(2, 50, 42).passed
+        # the plain engine took 14 160 cycles and 343 stacked eigh calls
+        assert len(cycles) == 50 and sum(cycles) <= 9000
+        assert len(calls) <= 240 and {shape[-1] for shape in calls} == {16}
+
+    def test_rigidity_lands_on_the_product_at_d3(self):
+        report = scenario_rigidity(3, 1, 0)
+        assert report.passed
+        assert report.results["max_distance_to_product"].value <= 1e-6
+
+    def test_rigidity_heap_peak(self):
+        scenario_rigidity(2, 1, 0)  # first-use allocations outside the measured run
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert scenario_rigidity(2, 50, 42).passed
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # the plain engine peaked at 2.17 MB; the history may add 2 MB
+        assert peak <= 4.17e6
