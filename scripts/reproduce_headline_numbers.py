@@ -1,53 +1,44 @@
 #!/usr/bin/env python3
-"""Run every named scenario in sequence and print the reports.
+"""Run every named scenario through the CLI and print the reports.
 
 Covers the closed-form entangled family, the thermodynamic work-cost gap,
 the max-relative-entropy reduction, the dilution protocol, broadcast
 rigidity, and channel synthesis (one feasible and one certified-infeasible
-instance).  Exits nonzero if any scenario check fails.  Runs from a
-checkout without installing: ``src/`` goes on ``sys.path``.
+instance).  Each instance is a command line with the exit code it must
+give: 0, or 4 for the infeasible synthesis.  Exits 1 if any instance
+exits otherwise.  Runs from a checkout without installing: ``src/`` goes
+on ``sys.path``.
 """
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from catcost.cli import (  # noqa: E402
+from catcost.cli import main as catcost  # noqa: E402
 
-    scenario_dmax_ppt,
-    scenario_protocol,
-    scenario_rigidity,
-    scenario_synthesize,
-    scenario_thermo,
-    scenario_werner,
-)
+INSTANCES = [
+    ("werner-example --d 2", 0),
+    ("werner-example --d 3", 0),
+    ("werner-example --d 8", 0),
+    ("thermo-example --p 0.25 --q-grid 5", 0),
+    ("dmax-ppt --d 2 --lam 0.5", 0),
+    ("dmax-ppt --d 3 --lam 0.75", 0),
+    ("protocol --d 2 --n 1", 0),
+    ("rigidity --d 2 --starts 50 --seed 42", 0),
+    ("synthesize noisy-phi-2 --m 1", 0),
+    ("synthesize broadcast-phi-2 --m 1", 0),
+    # preparing an NPT state from nothing: certified infeasible
+    ("synthesize noisy-phi-2 --m 0", 4),
+]
 
 
 def main() -> int:
-    reports = [
-        scenario_werner(2),
-        scenario_werner(3),
-        scenario_werner(8),
-        scenario_thermo(0.25, q_grid=5),
-        scenario_dmax_ppt(2, 0.5),
-        scenario_dmax_ppt(3, 0.75),
-        scenario_protocol(2, 1),
-        scenario_rigidity(2, starts=50, seed=42),
-        scenario_synthesize(1, "noisy-phi-2"),
-        scenario_synthesize(1, "broadcast-phi-2"),
-    ]
     failures = 0
-    for report in reports:
-        print(report.to_text())
-        failures += 0 if report.passed else 1
-
-    # expected infeasible: preparing an NPT state from nothing
-    infeasible = scenario_synthesize(0, "noisy-phi-2")
-    print(infeasible.to_text())
-    if infeasible.passed:
-        print("unexpected: the infeasible synthesis converged")
-        failures += 1
-
+    for argv, expected in INSTANCES:
+        code = catcost(argv.split())
+        if code != expected:
+            print(f"unexpected: catcost {argv} exited {code}, expected {expected}")
+            failures += 1
     print(f"{failures} unexpected scenario failures")
     return 1 if failures else 0
 

@@ -52,7 +52,8 @@ def verify_broadcast(mu: DensityOperator | IsotropicCopies,
         raise ValueError("copy count must be >= 1")
     if type(mu) is not type(rho):
         raise ValueError("broadcast and target must be both dense or both IsotropicCopies")
-    if mu.shape != rho.shape.copies(n):
+    # n_factors first: a huge n is a mismatch, and rho.shape.copies(n) would overflow
+    if mu.shape.n_factors != n * rho.shape.n_factors or mu.shape != rho.shape.copies(n):
         raise ValueError(
             f"broadcast shape {mu.shape.factors} is not {n} copies of {rho.shape.factors}")
     residuals = []

@@ -23,7 +23,7 @@ from .measures import (
 )
 from .operators import (
     DensityOperator,
-    check_entry_budget,
+    check_power_budget,
     density_from_matrix,
     merge_factors,
     partial_trace,
@@ -129,11 +129,10 @@ def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
     measure the final catalyst marginal against rho^n and the final
     system marginal against rho^n x rho^n.
     """
+    check_power_budget(mu.dim * rho.dim, n, "protocol instance")
     report = verify_broadcast(mu, rho, 2, tol=broadcast_tol)
     if not report.is_broadcast:
         raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
-    total_dim = (mu.dim ** n) * (rho.dim ** n)
-    check_entry_budget(total_dim, "protocol instance")
 
     k = rho.shape.n_factors
     system = tensor_power(mu.op, n)

@@ -17,7 +17,7 @@ from .operators import (
     FactorShape,
     LabeledOperator,
     bipartite_shape,
-    check_entry_budget,
+    check_power_budget,
     density_from_matrix,
     hermitian_part,
     hermitian_spectrum,
@@ -233,6 +233,8 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")
+    # the Choi matrix is (4^m * target.dim)-dimensional: refused before any input is built
+    check_power_budget(4, m, "Choi", times=target.dim)
     if m == 0:
         in_shape = FactorShape(((1, 1),))
         x_in = np.ones((1, 1))
@@ -241,7 +243,6 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
         x_in = real_if_real(tensor_power(max_entangled(2).op, m).entries)
     din, dout = in_shape.total_dim, target.dim
     dim = din * dout
-    check_entry_budget(dim, "Choi")
     choi_shape = in_shape.concat(target.shape)
     target_m = real_if_real(target.entries)
 

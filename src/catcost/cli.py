@@ -28,7 +28,13 @@ from .measures import (
     log_negativity,
     work_cost_semiclassical,
 )
-from .operators import ResourceLimitError, check_entry_budget, trace_distance, tensor
+from .operators import (
+    ResourceLimitError,
+    check_entry_budget,
+    check_power_budget,
+    tensor,
+    trace_distance,
+)
 from .reports import ScenarioReport
 from .serialize import load_density
 from .states import (
@@ -128,29 +134,34 @@ def scenario_dmax_ppt(d: int, lam: float) -> ScenarioReport:
     return report
 
 
-_NAMED_TARGETS = {"noisy": _half_mixed, "broadcast": _broadcast_of_half_mixed}
+# family -> (the target's constructor, its dimension as a power of D)
+_NAMED_TARGETS = {"noisy": (_half_mixed, 2), "broadcast": (_broadcast_of_half_mixed, 4)}
 
 
 def _parse_named_target(name: str) -> tuple[str, int] | None:
-    """(family, d) for a ``noisy-phi-D`` or ``broadcast-phi-D`` name, else None."""
+    """(family, D) for a ``noisy-phi-D`` or ``broadcast-phi-D`` name, else None."""
     parts = name.split("-")
     if (len(parts) == 3 and parts[0] in _NAMED_TARGETS and parts[1] == "phi"
-            and parts[2].isdigit()):
+            and parts[2].isdecimal()):
         return parts[0], int(parts[2])
     return None
 
 
-def _named_target(name: str):
+def _named_target(name: str, m: int = 0):
+    """The named target, None for a matrix file; its Choi matrix for m ebits
+    is refused on dimension before the target is built."""
     parsed = _parse_named_target(name)
     if parsed is None:
         return None
     family, d = parsed
-    return _NAMED_TARGETS[family](d)
+    build, power = _NAMED_TARGETS[family]
+    check_power_budget(4, m, "Choi", times=d ** power)
+    return build(d)
 
 
 def scenario_synthesize(m: int, target_name: str, tol: float = 1e-6,
                         max_iter: int = 20000, seed: int = 0) -> ScenarioReport:
-    target = _named_target(target_name)
+    target = _named_target(target_name, m)
     if target is None:
         target = load_density(target_name)
     report = ScenarioReport("synthesize", __version__,
@@ -182,6 +193,9 @@ def scenario_verify_broadcast(mu_path: str, rho_path: str, n: int,
 
 
 def scenario_protocol(d: int, n: int, tol: float = 1e-10) -> ScenarioReport:
+    # rho is d^2- and its broadcast d^4-dimensional: the instance is refused
+    # on d^(6n) before either is built
+    check_power_budget(d ** 6, n, "protocol instance")
     report = ScenarioReport("protocol", __version__, parameters={"d": d, "n": n})
     rho = _half_mixed(d)
     mu = _broadcast_of_half_mixed(d)
@@ -206,7 +220,45 @@ def scenario_rigidity(d: int, starts: int, seed: int, tol: float = 1e-6) -> Scen
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _checked(kind, accept, expected: str):
+    """An argparse type: ``kind(text)``, a usage error unless ``accept`` holds for it."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:  # also an integer of more digits than int() reads
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+def _int_in(lo: int, hi: int | None = None):
+    if hi is None:
+        return _checked(int, lambda v: v >= lo, f"an integer >= {lo}")
+    return _checked(int, lambda v: lo <= v <= hi, f"an integer in {lo}..{hi}")
+
+
+_POSITIVE = _checked(float, lambda v: v > 0.0, "a number > 0")  # every tolerance
+
+
+def _target(text: str) -> str:
+    named = _parse_named_target(text)
+    if named is not None and named[1] < 2:
+        raise argparse.ArgumentTypeError(f"{text}: the local dimension D must be >= 2")
+    return text
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The scenario table: each scenario's name, help, runner and arguments.
+
+    Each argument's ``type`` checks its range, so out-of-range input is a
+    usage error before the runner starts.  One parser per process:
+    parse_args leaves it unchanged, and a parser built per call is ~300
+    objects of cyclic garbage that repeated in-process calls leave to the
+    collector.
+    """
     parser = argparse.ArgumentParser(
         prog="catcost",
         description="Exact PPT entanglement cost and catalytic dilution toolkit")
@@ -214,116 +266,70 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("werner-example", help="half-mixed entangled family, closed forms")
-    p.add_argument("--d", type=int, default=2)
+    def scenario(name: str, run: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        # by name: main looks the runner up in this module at call time, so
+        # a rebinding of catcost.cli.scenario_* is what runs
+        p.set_defaults(scenario=run)
+        return p
 
-    p = sub.add_parser("thermo-example", help="exact work cost and its catalytic gap")
-    p.add_argument("--p", type=float, default=0.25)
-    p.add_argument("--q-grid", type=int, default=5)
+    p = scenario("werner-example", "scenario_werner", "half-mixed entangled family, closed forms")
+    p.add_argument("--d", type=_int_in(2, 8), default=2)
 
-    p = sub.add_parser("dmax-ppt", help="max-relative entropy to the PPT set")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--lam", type=float, default=0.5)
+    p = scenario("thermo-example", "scenario_thermo", "exact work cost and its catalytic gap")
+    p.add_argument("--p", type=_checked(float, lambda p: 0.0 < p < 0.5, "a number in (0, 0.5)"),
+                   default=0.25)
+    p.add_argument("--q-grid", type=_int_in(2, MAX_Q_GRID), default=5)
 
-    p = sub.add_parser("synthesize", help="solve for a PPT dilution channel")
-    p.add_argument("target", help="named target (noisy-phi-D, broadcast-phi-D) or a matrix file")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p = scenario("dmax-ppt", "scenario_dmax_ppt", "max-relative entropy to the PPT set")
+    p.add_argument("--d", type=_int_in(2), default=2)
+    p.add_argument("--lam", type=_checked(float, lambda lam: 0.0 <= lam <= 1.0,
+                                          "a number in [0, 1]"), default=0.5)
 
-    p = sub.add_parser("verify-broadcast", help="check per-copy marginals of a state file")
-    p.add_argument("mu_file")
-    p.add_argument("rho_file")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p = scenario("synthesize", "scenario_synthesize", "solve for a PPT dilution channel")
+    p.add_argument("target_name", metavar="target", type=_target,
+                   help="named target (noisy-phi-D, broadcast-phi-D) or a matrix file")
+    p.add_argument("--m", type=_int_in(0), default=1)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--max-iter", type=_int_in(1), default=20000)
+    p.add_argument("--seed", type=_int_in(0), default=0)
 
-    p = sub.add_parser("protocol", help="run the catalytic dilution protocol")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
+    p = scenario("verify-broadcast", "scenario_verify_broadcast",
+                 "check per-copy marginals of a state file")
+    p.add_argument("mu_path", metavar="mu_file")
+    p.add_argument("rho_path", metavar="rho_file")
+    p.add_argument("--n", type=_int_in(1), default=2)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-9)
 
-    p = sub.add_parser("rigidity", help="project random states onto a pure broadcast set")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--starts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p = scenario("protocol", "scenario_protocol", "run the catalytic dilution protocol")
+    p.add_argument("--d", type=_int_in(2), default=2)
+    p.add_argument("--n", type=_int_in(1), default=1)
+
+    p = scenario("rigidity", "scenario_rigidity",
+                 "project random states onto a pure broadcast set")
+    p.add_argument("--d", type=_int_in(2), default=2)
+    p.add_argument("--starts", type=_int_in(1), default=50)
+    p.add_argument("--seed", type=_int_in(0), default=0)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # One parser per process: parse_args leaves it unchanged, and a parser
-    # built per call is ~300 objects of cyclic garbage (argparse formatters
-    # and actions) that repeated in-process calls leave to the collector.
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    fmt, command = args.pop("format"), args.pop("command")
+    run = globals()[args.pop("scenario")]
     try:
-        if args.command == "werner-example":
-            if not 2 <= args.d <= 8:
-                parser.error("--d must lie in 2..8")
-            report = scenario_werner(args.d)
-        elif args.command == "thermo-example":
-            if not 0.0 < args.p < 0.5:
-                parser.error("--p must lie in (0, 0.5)")
-            if not 2 <= args.q_grid <= MAX_Q_GRID:
-                parser.error(f"--q-grid must lie in 2..{MAX_Q_GRID}")
-            report = scenario_thermo(args.p, args.q_grid)
-        elif args.command == "dmax-ppt":
-            if args.d < 2:
-                parser.error("--d must be >= 2")
-            if not 0.0 <= args.lam <= 1.0:
-                parser.error("--lam must lie in [0, 1]")
-            report = scenario_dmax_ppt(args.d, args.lam)
-        elif args.command == "synthesize":
-            if args.m < 0:
-                parser.error("--m must be >= 0")
-            named = _parse_named_target(args.target)
-            if named is not None and named[1] < 2:
-                parser.error(f"{args.target}: the local dimension D must be >= 2")
-            if not args.tol > 0.0:
-                parser.error("--tol must be > 0")
-            if args.max_iter < 1:
-                parser.error("--max-iter must be >= 1")
-            if args.seed < 0:
-                parser.error("--seed must be >= 0")
-            report = scenario_synthesize(args.m, args.target, args.tol,
-                                         args.max_iter, args.seed)
-        elif args.command == "verify-broadcast":
-            if args.n < 1:
-                parser.error("--n must be >= 1")
-            if not args.tol > 0.0:
-                parser.error("--tol must be > 0")
-            report = scenario_verify_broadcast(args.mu_file, args.rho_file,
-                                               args.n, args.tol)
-        elif args.command == "protocol":
-            if args.d < 2:
-                parser.error("--d must be >= 2")
-            if args.n < 1:
-                parser.error("--n must be >= 1")
-            report = scenario_protocol(args.d, args.n)
-        else:
-            if args.d < 2:
-                parser.error("--d must be >= 2")
-            if args.starts < 1:
-                parser.error("--starts must be >= 1")
-            if args.seed < 0:
-                parser.error("--seed must be >= 0")
-            if not args.tol > 0.0:
-                parser.error("--tol must be > 0")
-            report = scenario_rigidity(args.d, args.starts, args.seed, args.tol)
+        report = run(**args)
     except ResourceLimitError as exc:
         parser.error(str(exc))
     except (OSError, ValueError) as exc:
         # file loading and document parsing failures
-        if args.command in ("synthesize", "verify-broadcast"):
+        if command in ("synthesize", "verify-broadcast"):
             print(f"error: {exc}", file=sys.stderr)
             return 3
         raise
-    sys.stdout.write(report.render(args.format))
+    sys.stdout.write(report.render(fmt))
     return 0 if report.passed else 4
 
 

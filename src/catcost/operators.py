@@ -42,6 +42,22 @@ def check_entry_budget(dim: int, what: str) -> None:
         raise ResourceLimitError(f"{what} needs {dim}^2 entries, budget is {MAX_ENTRIES}")
 
 
+def check_power_budget(base: int, n: int, what: str, times: int = 1) -> None:
+    """check_entry_budget for a ``times * base**n`` dimension.
+
+    ``base**n`` is never formed: a copy count n can be large enough for
+    that integer alone to exhaust memory, while the budget is exceeded
+    after a few factors.
+    """
+    dim = times
+    for _ in range(n if base > 1 else 0):
+        if dim * dim > MAX_ENTRIES:
+            size = f"{base}^{n}" if times == 1 else f"{times}*{base}^{n}"
+            raise ResourceLimitError(f"{what} needs ({size})^2 entries, budget is {MAX_ENTRIES}")
+        dim *= base
+    check_entry_budget(dim, what)
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dagger) / 2 of a float or complex matrix, or of each matrix of a stack."""
     out = m + m.conj().swapaxes(-1, -2)

@@ -15,6 +15,14 @@ def rng():
     return np.random.default_rng(20240815)
 
 
+@pytest.fixture
+def forbid_dense_operators(monkeypatch):
+    """Fail at the first dense operator built: every dense state goes through LabeledOperator."""
+    def refuse(self):
+        raise AssertionError(f"a {self.shape.total_dim}-dimensional operator was built")
+    monkeypatch.setattr(LabeledOperator, "__post_init__", refuse)
+
+
 def random_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return hermitian_part(g)

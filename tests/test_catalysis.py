@@ -100,6 +100,13 @@ class TestProtocol:
         with pytest.raises(ResourceLimitError):
             run_prop1_protocol(correlated_broadcast(3), half_mixed(3), n=1)
 
+    @pytest.mark.parametrize("n", [2, 10 ** 20])
+    def test_budget_checked_before_anything_is_built(self, n, request):
+        mu, rho = correlated_broadcast(2), half_mixed(2)
+        request.getfixturevalue("forbid_dense_operators")
+        with pytest.raises(ResourceLimitError, match="budget"):
+            run_prop1_protocol(mu, rho, n=n)
+
     def test_non_broadcast_rejected(self):
         rho = half_mixed(2)
         white = density_from_matrix(np.eye(16) / 16, rho.shape.copies(2))

@@ -149,6 +149,12 @@ class TestSynthesis:
         with pytest.raises(ResourceLimitError):
             synthesize_ppt_dilution(2, big)
 
+    def test_budget_checked_before_the_input_is_built(self, request):
+        target = half_mixed(2)
+        request.getfixturevalue("forbid_dense_operators")
+        with pytest.raises(ResourceLimitError, match="budget"):
+            synthesize_ppt_dilution(4, target)
+
     def test_seeded_runs_are_deterministic(self):
         a = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6, seed=5)
         b = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6, seed=5)

@@ -1,4 +1,7 @@
 """Interchange format round-trips and CLI scenario behaviour."""
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catcost.cli import main
+from catcost.cli import _parser, main
 from catcost.choi import analytic_mixer_choi
 from catcost.serialize import (
     load_choi,
@@ -94,7 +99,28 @@ class TestSerialize:
         assert np.array_equal(back.op.entries, choi.op.entries)
 
 
+def _broadcast_files(directory):
+    """The half-mixed qubit pair and its symmetric two-copy broadcast, as state files."""
+    rho = isotropic(IsotropicParams(2, 0.5))
+    mu = symmetric_two_broadcast(max_entangled(2), isotropic(IsotropicParams(2, 0.0)))
+    mu_path, rho_path = directory / "mu.json", directory / "rho.json"
+    save_operator(mu.op, mu_path)
+    save_operator(rho.op, rho_path)
+    return mu_path, rho_path
+
+
 class TestCliScenarios:
+    def test_scenarios_are_looked_up_at_call_time(self, monkeypatch, capsys):
+        # a rebinding of catcost.cli.scenario_* (as a tracer does) is what runs
+        import catcost.cli
+
+        calls = []
+        run = catcost.cli.scenario_dmax_ppt
+        monkeypatch.setattr(catcost.cli, "scenario_dmax_ppt",
+                            lambda **kw: calls.append(kw) or run(**kw))
+        assert main(["dmax-ppt"]) == 0
+        assert calls == [{"d": 2, "lam": 0.5}]
+
     def test_werner_passes(self, capsys):
         assert main(["werner-example", "--d", "2"]) == 0
         out = capsys.readouterr().out
@@ -115,6 +141,10 @@ class TestCliScenarios:
         ["verify-broadcast", "mu.json", "rho.json", "--n", "0"],
         # refused before np.linspace would allocate the grid
         ["thermo-example", "--q-grid", "1000000000000"],
+        ["thermo-example", "--p", "nan"],
+        ["dmax-ppt", "--lam", "inf"],
+        ["synthesize", "noisy-phi-2", "--tol", "nan"],
+        ["werner-example", "--d", "two"],
     ])
     def test_out_of_range_arguments_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -126,8 +156,15 @@ class TestCliScenarios:
     @pytest.mark.parametrize("argv", [
         ["dmax-ppt", "--d", "40"],
         ["rigidity", "--d", "5"],
+        ["synthesize", "noisy-phi-2", "--m", "4"],
+        ["synthesize", "noisy-phi-2", "--m", "1000000000"],
+        ["synthesize", "broadcast-phi-5", "--m", "0"],
+        ["synthesize", "broadcast-phi-100000", "--m", "0"],
+        ["protocol", "--d", "4"],
+        ["protocol", "--d", "1000", "--n", "1000000"],
     ])
-    def test_oversized_requests_are_usage_errors(self, argv, capsys):
+    def test_oversized_requests_are_usage_errors(self, argv, capsys, forbid_dense_operators):
+        # refused on the arguments alone, before any state is built
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -217,12 +254,15 @@ class TestCliScenarios:
         assert main(["verify-broadcast", "/no/such/mu.json", "/no/such/rho.json"]) == 3
 
     def test_verify_broadcast_files(self, tmp_path, capsys):
-        rho = isotropic(IsotropicParams(2, 0.5))
-        mu = symmetric_two_broadcast(max_entangled(2), isotropic(IsotropicParams(2, 0.0)))
-        mu_path, rho_path = tmp_path / "mu.json", tmp_path / "rho.json"
-        save_operator(mu.op, mu_path)
-        save_operator(rho.op, rho_path)
+        mu_path, rho_path = _broadcast_files(tmp_path)
         assert main(["verify-broadcast", str(mu_path), str(rho_path), "--n", "2"]) == 0
+
+    def test_huge_copy_count_is_a_shape_mismatch(self, tmp_path, capsys):
+        mu_path, rho_path = _broadcast_files(tmp_path)
+        n = "100000000000000000000"
+        assert main(["verify-broadcast", str(mu_path), str(rho_path), "--n", n]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"is not {n} copies" in err
 
     @pytest.mark.parametrize("entries", [
         [[0.25, 0.0], None] + [[0.25 * (i % 5 == 0), 0.0] for i in range(2, 16)],
@@ -306,3 +346,69 @@ class TestCliScenarios:
 
     def test_rigidity_scenario(self, capsys):
         assert main(["rigidity", "--d", "2", "--starts", "3", "--seed", "2"]) == 0
+
+
+# Argument values for the fuzz below.  Sizes (--d, --n, --m, a target's D)
+# are drawn up to 10**30: the entry budget must refuse the large ones before
+# any work.  Arguments that add work but no size (--starts, --max-iter,
+# --q-grid) stay small.
+_JUNK = st.sampled_from(["nan", "-inf", "inf", "1e400", "", "two", "0x10", "1.5"])
+_SIZE = st.one_of(st.integers(-2, 12).map(str), st.integers(0, 10 ** 30).map(str),
+                  st.sampled_from([str(10 ** 9), str(10 ** 20)]), _JUNK)
+_SMALL = st.one_of(st.integers(-2, 3).map(str), _JUNK)
+_REAL = st.one_of(st.floats().map(repr), st.floats(0.0, 1.0).map(repr), _JUNK)
+_VALUES = {
+    "d": _SIZE, "n": _SIZE, "m": _SIZE,
+    "starts": _SMALL, "q_grid": _SMALL, "max_iter": st.integers(-1, 20).map(str),
+    "seed": st.one_of(st.integers(-2, 2 ** 70).map(str), _JUNK),
+    "tol": _REAL, "p": _REAL, "lam": _REAL,
+}
+_NAMED_TARGET = st.one_of(
+    st.tuples(st.sampled_from(["noisy", "broadcast"]), _SIZE).map(lambda fd: "-phi-".join(fd)),
+    st.text(max_size=6).map(lambda text: f"noisy-phi-{text}"))
+# rigidity --d 3 and 4 are within the budget but take seconds a start
+_RIGIDITY_D = st.one_of(st.integers(-2, 2).map(str), st.integers(5, 10 ** 30).map(str), _JUNK)
+
+
+def _scenario_argv(files):
+    """argv over the parser's own scenario table: each scenario's positionals,
+    then any subset of its options, each with a value drawn for its dest (a
+    dest with no strategy here is a KeyError, so a new argument is fuzzed too)."""
+    parser = _parser()
+    (scenarios,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    files = st.sampled_from(files)
+    values = dict(_VALUES, mu_path=files, rho_path=files, target_name=_NAMED_TARGET | files)
+    commands = []
+    for name, sub in scenarios.choices.items():
+        parts = [st.just([name])]
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            value = _RIGIDITY_D if (name, action.dest) == ("rigidity", "d") else values[action.dest]
+            if action.option_strings:
+                flag = action.option_strings[0]
+                parts.append(st.just([]) | value.map(lambda v, flag=flag: [flag, v]))
+            else:
+                parts.append(value.map(lambda v: [v]))
+        commands.append(st.tuples(*parts))
+    formats = st.sampled_from([[], ["--format", "csv"], ["--format", "json-like-keyvalue"]])
+    return st.tuples(formats, st.one_of(commands)).map(
+        lambda drawn: drawn[0] + [token for part in drawn[1] for token in part])
+
+
+def test_drawn_argv_exits_with_a_documented_code(tmp_path_factory):
+    files = [str(path) for path in _broadcast_files(tmp_path_factory.mktemp("fuzz"))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scenario_argv(files))
+    def run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    run()
