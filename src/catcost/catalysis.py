@@ -137,8 +137,7 @@ def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
     k = rho.shape.n_factors
     system = tensor_power(mu.op, n)
     catalyst = tensor_power(rho.op, n)
-    stage1 = density_from_matrix(tensor(system, catalyst).entries,
-                                 system.shape.concat(catalyst.shape))
+    stage1 = DensityOperator(tensor(system, catalyst))
 
     # swap S'_i (second half of broadcast copy i) with catalyst block C_i
     perm = list(range(3 * k * n))
@@ -148,7 +147,7 @@ def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
         for a, b in zip(s_prime, c_block):
             perm[a], perm[b] = perm[b], perm[a]
     swapped = permute_factors(stage1.op, perm)
-    stage2 = density_from_matrix(swapped.entries, swapped.shape)
+    stage2 = DensityOperator(swapped)
 
     catalyst_out = partial_trace(swapped, keep=range(2 * k * n, 3 * k * n))
     system_out = partial_trace(swapped, keep=range(2 * k * n))
@@ -158,8 +157,8 @@ def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
     }
     return ProtocolTrace(
         stages=(("dilution-output", stage1), ("after-swap", stage2)),
-        final_catalyst=density_from_matrix(catalyst_out.entries, catalyst_out.shape),
-        final_system=density_from_matrix(system_out.entries, system_out.shape),
+        final_catalyst=DensityOperator(catalyst_out),
+        final_system=DensityOperator(system_out),
         residuals=residuals,
         tol=marginal_tol,
     )
@@ -211,8 +210,7 @@ def nonconvexity_witness(s0: DensityOperator, s1: DensityOperator,
     else:
         def cost_of(state, ref):
             return CostValue(work_cost_semiclassical(state, ref), Applicability.EXACT_FORMULA)
-        reference2 = density_from_matrix(tensor(gamma.op, gamma.op).entries,
-                                         gamma.shape.copies(2))
+        reference2 = DensityOperator(tensor(gamma.op, gamma.op))
         cost0 = cost_of(s0, gamma)
         cost1 = cost_of(s1, gamma)
         cost_mid = cost_of(midpoint, gamma)
@@ -254,7 +252,7 @@ def thermo_advantage(p: float) -> AdvantageCertificate:
     ground = classical_mix(0.0, p)
     rho = classical_mix(0.5, p)
     mu = symmetric_two_broadcast(ground, gamma)
-    gamma2 = density_from_matrix(tensor(gamma.op, gamma.op).entries, gamma.shape.copies(2))
+    gamma2 = DensityOperator(tensor(gamma.op, gamma.op))
     standard = work_cost_semiclassical(rho, gamma)
     upper = work_cost_semiclassical(mu, gamma2) / 2.0
     return AdvantageCertificate(
@@ -273,8 +271,7 @@ def pure_additivity_check(psi: DensityOperator, phi: DensityOperator) -> float:
     on pure tensor factors.
     """
     joint = merge_factors(tensor(psi.op, phi.op))
-    joint_state = density_from_matrix(joint.entries, joint.shape)
-    total = exact_locc_cost_pure(joint_state)
+    total = exact_locc_cost_pure(DensityOperator(joint))
     return abs(total - exact_locc_cost_pure(psi) - exact_locc_cost_pure(phi))
 
 

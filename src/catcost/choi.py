@@ -23,7 +23,6 @@ from .operators import (
     hermitian_spectrum,
     partial_transpose_entries,
     permute_factors,
-    real_if_real,
     tensor,
     tensor_power,
 )
@@ -113,7 +112,7 @@ def apply_choi(choi: ChoiOperator, x: DensityOperator,
 
 def identity_choi(shape: FactorShape) -> ChoiOperator:
     d = shape.total_dim
-    vec = np.eye(d, dtype=np.complex128).reshape(-1)
+    vec = np.eye(d).reshape(-1)
     k = shape.n_factors
     op = LabeledOperator(shape.concat(shape), np.outer(vec, vec.conj()))
     return ChoiOperator(op, tuple(range(k)), tuple(range(k, 2 * k)))
@@ -130,7 +129,7 @@ def replacer_choi(sigma: DensityOperator, input_shape: FactorShape) -> ChoiOpera
 
 def transpose_map_choi(d: int) -> ChoiOperator:
     """Choi of the full transpose on a plain d-level system; not CP."""
-    j = np.zeros((d * d, d * d), dtype=np.complex128)
+    j = np.zeros((d * d, d * d))
     for i in range(d):
         for k in range(d):
             j[i * d + k, k * d + i] = 1.0
@@ -228,8 +227,9 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
     Infeasible instances surface as a residual stall; when the input is
     trivial and the target is NPT, the negative partial-transpose
     eigenvalue is attached as an analytic witness.  The input is real, so
-    a target without imaginary part is searched for in float64 over real
-    symmetric Choi matrices; any other target in complex128.
+    the search runs in the dtype of ``target.entries``: in float64 over
+    real symmetric Choi matrices for a target stored real, in complex128
+    for any other.
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")
@@ -240,27 +240,26 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
         x_in = np.ones((1, 1))
     else:
         in_shape = bipartite_shape(2, 2).copies(m)
-        x_in = real_if_real(tensor_power(max_entangled(2).op, m).entries)
+        x_in = tensor_power(max_entangled(2).op, m).entries
     din, dout = in_shape.total_dim, target.dim
     dim = din * dout
     choi_shape = in_shape.concat(target.shape)
-    target_m = real_if_real(target.entries)
 
     def proj_ppt_cone(j: np.ndarray) -> np.ndarray:
         pt = partial_transpose_entries(j, choi_shape)
         return partial_transpose_entries(project_psd(pt), choi_shape)
 
     def residual_fn(j: np.ndarray) -> dict[str, float]:
-        return _named_residuals(j, choi_shape, din, dout, x_in, target_m)
+        return _named_residuals(j, choi_shape, din, dout, x_in, target.entries)
 
     start = random_density_matrix(dim, np.random.default_rng(seed)) * din
-    if not (np.iscomplexobj(x_in) or np.iscomplexobj(target_m)):
+    if target.entries.dtype == np.float64:
         # real data: the feasible set is closed under complex conjugation,
         # so (J + conj J) / 2 of any feasible J is feasible and the search
         # stays on real symmetric matrices; Re of a PSD start is PSD
         start = start.real.copy()
     result = solve_feasibility(
-        [project_psd, proj_ppt_cone, _affine_projection(x_in, target_m, din, dout)],
+        [project_psd, proj_ppt_cone, _affine_projection(x_in, target.entries, din, dout)],
         start, residual_fn,
         tol=tol, max_iter=max_iter, check_every=check_every,
     )

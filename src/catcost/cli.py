@@ -239,7 +239,8 @@ def _int_in(lo: int, hi: int | None = None):
     return _checked(int, lambda v: lo <= v <= hi, f"an integer in {lo}..{hi}")
 
 
-_POSITIVE = _checked(float, lambda v: v > 0.0, "a number > 0")  # every tolerance
+# every tolerance; inf would pass every residual check and is not JSON
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
 
 
 def _target(text: str) -> str:

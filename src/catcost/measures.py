@@ -256,7 +256,7 @@ class IsotropicCopies:
 
     def to_density(self) -> DensityOperator:
         """The dense state, with d^(2k) x d^(2k) entries."""
-        phi = max_entangled(self.d).entries.real
+        phi = max_entangled(self.d).entries
         basis = (phi, np.eye(self.d ** 2) - phi)
         m = sum(c * functools.reduce(np.kron, [basis[i] for i in idx])
                 for idx, c in np.ndenumerate(self.coeffs))

@@ -1,9 +1,9 @@
 """Dense operator algebra over labelled tensor factors.
 
-Operators store complex128 entries.  Spectra follow one dtype rule
-(``hermitian_spectrum``): an operator whose imaginary part is exactly
-zero, as every named state in catcost is, is decomposed in float64, and
-any other in complex128.
+The dtype is decided once, at construction (``LabeledOperator``): entries
+with no imaginary part, as every named state in catcost has, are stored
+as float64, any others as complex128.  Every operation keeps the dtype of
+its inputs, so a real state is traced, multiplied and decomposed in float64.
 
 Every operator carries an ordered list of factors, each factor a pair
 (dimA, dimB) of local dimensions.  The flattened matrix index runs
@@ -65,27 +65,17 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def real_if_real(m: np.ndarray) -> np.ndarray:
-    """The real part of a complex ``m`` with no imaginary part, else ``m``.
-
-    ``not m.imag.any()`` is a test, not a tolerance.  A real result is a
-    view of ``m``: read it, do not write it.
-    """
-    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
-
-
 def hermitian_spectrum(m: np.ndarray,
                        vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the Hermitian part of ``m`` (a matrix or a stack).
 
     With ``vectors``, returns ``(w, v)`` with eigenvector columns, as
     ``np.linalg.eigh`` does.  Every measure and validation spectrum goes
-    through here, under one dtype rule: a complex ``m`` with no imaginary
-    part is decomposed as its real part in float64, whose real
-    eigendecomposition is one of ``m`` (Gatermann-Parrilo 2004); any
-    other ``m`` keeps its dtype.
+    through here, in the dtype of ``m``: float64 for an operator stored
+    real, whose real eigendecomposition is one of it as a Hermitian
+    matrix (Gatermann-Parrilo 2004).
     """
-    h = hermitian_part(real_if_real(m))
+    h = hermitian_part(m)
     return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
 
 
@@ -138,13 +128,22 @@ def bipartite_shape(d_a: int, d_b: int) -> FactorShape:
 # entry arrays and raise, so == and hash are by identity
 @dataclass(frozen=True, eq=False)
 class LabeledOperator:
-    """Square complex matrix together with its factor structure."""
+    """Square matrix together with its factor structure.
+
+    Stores a read-only C-contiguous copy of ``entries``: float64 when they
+    have no imaginary part (``not m.imag.any()``, a test, not a
+    tolerance), complex128 otherwise.
+    """
 
     shape: FactorShape
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=np.complex128, order="C")
+        m = np.asarray(self.entries)
+        if np.iscomplexobj(m) and m.imag.any():
+            m = np.array(m, dtype=np.complex128, order="C")
+        else:
+            m = np.array(m.real, dtype=np.float64, order="C")
         n = self.shape.total_dim
         if m.shape != (n, n):
             raise ValueError(f"entries have shape {m.shape}, expected ({n}, {n})")
@@ -270,7 +269,7 @@ def density_from_matrix(entries: np.ndarray, shape: FactorShape, **tols) -> Dens
 
 def density_from_vector(psi: np.ndarray, shape: FactorShape) -> DensityOperator:
     """Rank-1 density operator |psi><psi| / <psi|psi>."""
-    v = np.asarray(psi, dtype=np.complex128).ravel()
+    v = np.asarray(psi).ravel()
     norm2 = float(np.vdot(v, v).real)
     if norm2 <= 0:
         raise ValueError("zero state vector")
@@ -431,7 +430,8 @@ def eig_hermitian(x: LabeledOperator, tol: float = DEFAULT_HERM_TOL) -> tuple[Sp
     """Eigendecomposition of a Hermitian operator.
 
     Returns the spectrum sorted descending and the matrix of matching
-    eigenvector columns, real when ``x`` has no imaginary part.
+    eigenvector columns, in the dtype of ``x.entries``: float64 for an
+    operator stored real.
     """
     _require_hermitian(x, tol)
     w, v = hermitian_spectrum(x.entries, vectors=True)

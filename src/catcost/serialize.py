@@ -19,7 +19,6 @@ from .operators import (
     FactorShape,
     LabeledOperator,
     check_entry_budget,
-    density_from_matrix,
 )
 
 
@@ -83,8 +82,7 @@ def load_operator(path: str | Path) -> LabeledOperator:
 
 
 def load_density(path: str | Path, **tols) -> DensityOperator:
-    op = load_operator(path)
-    return density_from_matrix(op.entries, op.shape, **tols)
+    return DensityOperator(load_operator(path), **tols)
 
 
 def save_choi(choi: ChoiOperator, path: str | Path) -> None:

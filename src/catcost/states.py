@@ -44,7 +44,7 @@ def max_entangled(d: int) -> DensityOperator:
     """Maximally entangled state sum_i |ii> / sqrt(d) on a single (d, d) factor."""
     if d < 2:
         raise ValueError("local dimension must be >= 2")
-    v = np.zeros(d * d, dtype=np.complex128)
+    v = np.zeros(d * d)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return density_from_vector(v, bipartite_shape(d, d))
 

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcost.cli import _parser, main
+from catcost.cli import _named_target, _parser, main
 from catcost.choi import analytic_mixer_choi
+from catcost.operators import bipartite_shape, density_from_matrix
 from catcost.serialize import (
     load_choi,
     load_density,
@@ -89,6 +90,19 @@ class TestSerialize:
         with pytest.raises(ValueError):
             load_density(path)
 
+    def test_round_trip_keeps_the_dtype(self, tmp_path):
+        real = isotropic(IsotropicParams(2, 0.5))
+        # the local-phase state of test_complex_target_file_keeps_complex128
+        u = np.kron(np.eye(2), np.diag([1.0, 1j]))
+        phased = density_from_matrix(u @ _named_target("noisy-phi-2").entries @ u.conj().T,
+                                     bipartite_shape(2, 2))
+        for x, dtype in [(real, np.float64), (phased, np.complex128)]:
+            path = tmp_path / "state.json"
+            save_operator(x.op, path)
+            back = load_density(path)
+            assert back.entries.dtype == dtype
+            assert np.array_equal(back.entries, x.entries)
+
     def test_choi_round_trip(self, tmp_path):
         choi = analytic_mixer_choi(2)
         path = tmp_path / "choi.json"
@@ -145,6 +159,10 @@ class TestCliScenarios:
         ["dmax-ppt", "--lam", "inf"],
         ["synthesize", "noisy-phi-2", "--tol", "nan"],
         ["werner-example", "--d", "two"],
+        # inf would pass every residual check and print as Infinity, not JSON
+        ["rigidity", "--starts", "1", "--tol", "inf"],
+        ["synthesize", "noisy-phi-2", "--tol", "inf"],
+        ["verify-broadcast", "mu.json", "rho.json", "--tol", "inf"],
     ])
     def test_out_of_range_arguments_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

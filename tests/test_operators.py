@@ -19,7 +19,6 @@ from catcost.operators import (
     partial_transpose_entries,
     permute_factors,
     plain_shape,
-    real_if_real,
     relabel,
     require_pure,
     tensor,
@@ -323,18 +322,29 @@ class TestIsPsd:
 
 
 class TestSpectralDtype:
-    def test_real_data_become_a_float64_view(self):
-        m = bell_pair().entries
-        real = real_if_real(m)
-        assert real.dtype == np.float64 and np.shares_memory(real, m)
+    """Spectra run in the dtype LabeledOperator stored, decided at construction."""
+
+    def test_complex_input_with_no_imaginary_part_is_stored_float64(self):
+        m = bell_pair().entries.astype(np.complex128)
+        real = LabeledOperator(bell_pair().shape, m).entries
+        assert real.dtype == np.float64 and not np.shares_memory(real, m)
         assert np.array_equal(real, m.real)
 
     def test_any_imaginary_entry_keeps_the_input(self):
-        m = bell_pair().entries.copy()
+        m = bell_pair().entries.astype(np.complex128)
         m[0, 3] += 1e-300j
-        assert real_if_real(m) is m
+        x = LabeledOperator(bell_pair().shape, m).entries
+        assert x.dtype == np.complex128 and np.array_equal(x, m)
         x = np.eye(2)
-        assert real_if_real(x) is x
+        assert LabeledOperator(plain_shape(2), x).entries.dtype == np.float64
+
+    @pytest.mark.parametrize("off", [0.25, 0.25j])
+    def test_a_write_to_the_callers_array_does_not_reach_the_entries(self, off):
+        m = np.array([[0.5, off], [np.conj(off), 0.5]])
+        x = LabeledOperator(plain_shape(2), m)
+        assert x.entries.dtype == m.dtype and not x.entries.flags.writeable
+        m[0, 1] = 7.0
+        assert x.entries[0, 1] == off
 
     def test_require_pure(self):
         require_pure(bell_pair(), 1e-9)
