@@ -141,7 +141,10 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
     """Random-start projections onto the broadcast set of phi.
 
     Each start is an independent Ginibre density matrix, drawn in order
-    from one generator.  The starts are solved in lockstep, in blocks
+    from one generator, in the dtype of ``phi.entries``.  For a real phi
+    the set is closed under entrywise conjugation, so it is the single
+    point phi x phi exactly when its real symmetric part is, and the
+    search runs in float64.  The starts are solved in lockstep, in blocks
     whose stack holds at most MAX_ENTRIES entries.  A run that fails to
     reach the feasibility tolerance raises, since the set is nonempty.
     """
@@ -153,7 +156,7 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
     points = []
     for first in range(0, n_starts, block):
         # drawing block by block keeps the order of one up-front draw
-        starts = np.stack([random_density_matrix(dim, rng)
+        starts = np.stack([random_density_matrix(dim, rng, phi.entries.dtype)
                            for _ in range(min(block, n_starts - first))])
         for trial, result in enumerate(
                 _project_starts(phi, starts, feasibility_tol, max_iter), start=first):

@@ -252,12 +252,10 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
     def residual_fn(j: np.ndarray) -> dict[str, float]:
         return _named_residuals(j, choi_shape, din, dout, x_in, target.entries)
 
-    start = random_density_matrix(dim, np.random.default_rng(seed)) * din
-    if target.entries.dtype == np.float64:
-        # real data: the feasible set is closed under complex conjugation,
-        # so (J + conj J) / 2 of any feasible J is feasible and the search
-        # stays on real symmetric matrices; Re of a PSD start is PSD
-        start = start.real.copy()
+    # real data: the feasible set is closed under complex conjugation, so
+    # (J + conj J) / 2 of any feasible J is feasible and a real start keeps
+    # the search on real symmetric matrices
+    start = random_density_matrix(dim, np.random.default_rng(seed), target.entries.dtype) * din
     result = solve_feasibility(
         [project_psd, proj_ppt_cone, _affine_projection(x_in, target.entries, din, dout)],
         start, residual_fn,

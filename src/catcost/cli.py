@@ -278,7 +278,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_int_in(2, 8), default=2)
 
     p = scenario("thermo-example", "scenario_thermo", "exact work cost and its catalytic gap")
-    p.add_argument("--p", type=_checked(float, lambda p: 0.0 < p < 0.5, "a number in (0, 0.5)"),
+    # below about 5.6e-17, 1 - p rounds to 1: the Gibbs state is pure in
+    # float64 and the nonconvexity gap reads 0
+    p.add_argument("--p", type=_checked(float, lambda p: 0.0 < p < 0.5 and 1.0 - p < 1.0,
+                                        "a number in (0, 0.5) with 1 - p < 1 in float64"),
                    default=0.25)
     p.add_argument("--q-grid", type=_int_in(2, MAX_Q_GRID), default=5)
 

@@ -317,8 +317,10 @@ def tensor(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 
 
 def tensor_power(x: LabeledOperator, n: int) -> LabeledOperator:
+    """x tensored with itself n times; a power over the entry budget is refused first."""
     if n < 1:
         raise ValueError("copy count must be >= 1")
+    check_power_budget(x.dim, n, "tensor power")
     out = x
     for _ in range(n - 1):
         out = tensor(out, x)

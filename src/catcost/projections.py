@@ -55,12 +55,18 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return _store_hermitian_part(scaled, scaled @ v.swapaxes(-1, -2))
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Ginibre-ensemble density matrix, optionally rank-deficient."""
-    cols = dim if rank is None else rank
-    g = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+def random_density_matrix(dim: int, rng: np.random.Generator,
+                          dtype: np.dtype = np.complex128) -> np.ndarray:
+    """Ginibre-ensemble density matrix in ``dtype``, the dtype of the search's data.
+
+    A real one is the real part of the complex draw from the same
+    generator state: Re rho = (rho + conj rho) / 2 is still PSD with unit
+    trace, and the generator advances as for a complex draw.
+    """
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return m / np.trace(m).real
+    m = m / np.trace(m).real
+    return m if np.issubdtype(dtype, np.complexfloating) else m.real.copy()
 
 
 @dataclass

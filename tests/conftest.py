@@ -43,3 +43,17 @@ def random_density(rng, d_a, d_b, rank=None):
 def hermitian_operator(rng, factors):
     shape = FactorShape(tuple(factors))
     return LabeledOperator(shape, random_hermitian(rng, shape.total_dim))
+
+
+def spectral_calls(monkeypatch):
+    """Record (name, shape, dtype) of every ``eigh``/``eigvalsh`` call from here on."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def spy(m, *args, _name=name, _original=original, **kwargs):
+            seen.append((_name, np.shape(m), np.asarray(m).dtype))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen

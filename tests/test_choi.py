@@ -176,15 +176,16 @@ def eigh_dtypes(monkeypatch):
 
 
 class TestRealSubspace:
-    @pytest.mark.parametrize("name, m", [
-        ("noisy-phi-2", 1), ("broadcast-phi-2", 1), ("noisy-phi-3", 2)])
-    def test_named_targets_solve_in_float64(self, name, m, monkeypatch):
+    @pytest.mark.parametrize("name, m, cycles", [
+        ("noisy-phi-2", 1, 40), ("broadcast-phi-2", 1, 60), ("noisy-phi-3", 2, 40)],
+        ids=["noisy-phi-2-1", "broadcast-phi-2-1", "noisy-phi-3-2"])
+    def test_named_targets_solve_in_float64(self, name, m, cycles, monkeypatch):
         target = _named_target(name)
         seen = eigh_dtypes(monkeypatch)
         report = synthesize_ppt_dilution(m, target, seed=0)
         monkeypatch.undo()
         assert seen and set(seen) == {np.dtype(np.float64)}
-        assert report.converged
+        assert report.converged and report.iterations == cycles
         assert verify_ppt_operation(report.feasible_point, tol=1e-6).converged
         phi = tensor_power(max_entangled(2).op, m)
         out = apply_choi(report.feasible_point, density_from_matrix(phi.entries, phi.shape),

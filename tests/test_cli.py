@@ -163,6 +163,9 @@ class TestCliScenarios:
         ["rigidity", "--starts", "1", "--tol", "inf"],
         ["synthesize", "noisy-phi-2", "--tol", "inf"],
         ["verify-broadcast", "mu.json", "rho.json", "--tol", "inf"],
+        # 1 - p rounds to 1: the Gibbs state is pure in float64
+        ["thermo-example", "--p", "1e-17"],
+        ["thermo-example", "--p", "5e-17"],
     ])
     def test_out_of_range_arguments_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

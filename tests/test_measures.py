@@ -50,7 +50,7 @@ from catcost.states import (
     symmetric_two_broadcast,
 )
 
-from conftest import random_density, random_state_matrix
+from conftest import random_density, random_state_matrix, spectral_calls
 
 
 def half_mixed(d):
@@ -304,20 +304,6 @@ class TestWorkCost:
         plus = density_from_matrix(np.full((2, 2), 0.5), plain_shape(2))
         with pytest.raises(ValueError):
             work_cost_semiclassical(plus, gibbs_qubit(0.25))
-
-
-def spectral_calls(monkeypatch):
-    """Record (name, order, dtype) of every ``eigh``/``eigvalsh`` call from here on."""
-    seen = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def spy(m, *args, _name=name, _original=original, **kwargs):
-            seen.append((_name, np.shape(m)[-1], np.asarray(m).dtype))
-            return _original(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, spy)
-    return seen
 
 
 def real_density(rng, d):

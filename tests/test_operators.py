@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from catcost.operators import (
     FactorShape,
     LabeledOperator,
+    ResourceLimitError,
     abs_operator,
     bipartite_shape,
     density_from_matrix,
@@ -123,6 +124,14 @@ class TestTensor:
         assert np.array_equal(cube.entries, tensor(tensor(phi, phi), phi).entries)
         with pytest.raises(ValueError):
             tensor_power(phi, 0)
+
+    def test_tensor_power_budget_checked_before_any_product(self, request):
+        phi = bell_pair().op
+        assert tensor_power(phi, 4).dim == 256  # exactly the budget
+        request.getfixturevalue("forbid_dense_operators")
+        for n in (5, 10**9):
+            with pytest.raises(ResourceLimitError, match="tensor power"):
+                tensor_power(phi, n)
 
 
 class TestPartialTrace:
