@@ -52,7 +52,7 @@ def verify_broadcast(mu: DensityOperator | IsotropicCopies,
         raise ValueError("copy count must be >= 1")
     if type(mu) is not type(rho):
         raise ValueError("broadcast and target must be both dense or both IsotropicCopies")
-    # n_factors first: a huge n is a mismatch, and rho.shape.copies(n) would overflow
+    # n_factors first: a huge n is a mismatch, which rho.shape.copies(n) would refuse
     if mu.shape.n_factors != n * rho.shape.n_factors or mu.shape != rho.shape.copies(n):
         raise ValueError(
             f"broadcast shape {mu.shape.factors} is not {n} copies of {rho.shape.factors}")

@@ -8,6 +8,7 @@ input and output factors alike.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,49 @@ class ChoiOperator:
         return self.output_shape.total_dim
 
 
+@dataclass(frozen=True, eq=False)
+class TwirledChoi:
+    """Choi operator Phi_K (x) a + (1 - Phi_K) (x) b, the input Phi_K = Phi_2^(x m).
+
+    The U (x) conj(U) twirl of a channel's input fixes Phi_K and leaves
+    this form, so it decides PPT dilution from m ebits with output-sized
+    blocks (Audenaert-Plenio-Eisert, PRL 90, 027901 (2003)).  At m = 0
+    the Choi operator is a, and b = a keeps every formula.  ``to_choi``
+    builds the dense operator, for checks against the dense path.
+    """
+
+    m: int
+    output_shape: FactorShape
+    a: np.ndarray
+    b: np.ndarray
+
+    def residuals(self, target: np.ndarray) -> dict[str, float]:
+        """Dense cp/ppt/tp and correctness on Phi_K; Phi_K^Gamma = (P_sym - P_anti)/K."""
+        e = math.ldexp(1.0, -self.m)  # 1/K; a float 2.0**m overflows from m = 1024
+        a_pt = partial_transpose_entries(self.a, self.output_shape)
+        b_pt = partial_transpose_entries(self.b, self.output_shape)
+        cp = min(hermitian_spectrum(self.a).min(), hermitian_spectrum(self.b).min())
+        ppt = min(hermitian_spectrum(e * a_pt + (1.0 - e) * b_pt).min(),
+                  hermitian_spectrum((1.0 + e) * b_pt - e * a_pt).min())
+        return {"cp": max(0.0, -float(cp)), "ppt": max(0.0, -float(ppt)),
+                "tp": abs(float(np.trace(self.b).real) - 1.0),
+                "correctness": float(np.abs(self.a - target).max())}
+
+    def to_choi(self) -> ChoiOperator:
+        """The dense Choi operator, inputs (2, 2)^m first; refused over the entry budget."""
+        check_power_budget(4, self.m, "Choi", times=self.output_shape.total_dim)
+        if self.m == 0:
+            in_shape, phi = FactorShape(((1, 1),)), np.ones((1, 1))
+        else:
+            in_shape = bipartite_shape(2, 2).copies(self.m)
+            phi = tensor_power(max_entangled(2).op, self.m).entries
+        j = np.kron(phi, self.a) + np.kron(np.eye(len(phi)) - phi, self.b)
+        shape = in_shape.concat(self.output_shape)
+        k_in = in_shape.n_factors
+        return ChoiOperator(LabeledOperator(shape, j), tuple(range(k_in)),
+                            tuple(range(k_in, shape.n_factors)))
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """Residuals and outcome of a feasibility solve or verification.
@@ -79,7 +123,7 @@ class SolveReport:
     converged: bool
     iterations: int
     residuals: dict[str, float]
-    feasible_point: ChoiOperator | None
+    feasible_point: ChoiOperator | TwirledChoi | None
     stalled: bool = False
     npt_witness: float | None = None
     best_history: tuple[float, ...] = field(default_factory=tuple)
@@ -87,10 +131,6 @@ class SolveReport:
 
 def _apply_matrix(j: np.ndarray, din: int, dout: int, x: np.ndarray) -> np.ndarray:
     return np.einsum("ki,kaib->ab", x, j.reshape(din, dout, din, dout))
-
-
-def _trace_out_output(j: np.ndarray, din: int, dout: int) -> np.ndarray:
-    return np.einsum("aibi->ab", j.reshape(din, dout, din, dout))
 
 
 def apply_choi(choi: ChoiOperator, x: DensityOperator,
@@ -173,112 +213,72 @@ def coin_flip_broadcast_choi(d: int) -> ChoiOperator:
     return ChoiOperator(op, (0,), (1, 2))
 
 
-def _named_residuals(j: np.ndarray, choi_shape: FactorShape, din: int, dout: int,
-                     x_in: np.ndarray | None, target: np.ndarray | None) -> dict[str, float]:
-    cp = max(0.0, -float(hermitian_spectrum(j).min()))
-    ppt = max(0.0, -float(hermitian_spectrum(partial_transpose_entries(j, choi_shape)).min()))
-    jh = hermitian_part(j)
-    tp = float(np.abs(_trace_out_output(jh, din, dout) - np.eye(din)).max())
-    res = {"cp": cp, "ppt": ppt, "tp": tp}
-    if target is not None:
-        res["correctness"] = float(np.abs(_apply_matrix(jh, din, dout, x_in) - target).max())
-    return res
-
-
-def _affine_projection(x_in: np.ndarray, target: np.ndarray, din: int, dout: int):
-    """Orthogonal projection onto {Tr_out J = I, J(x_in) = target}.
-
-    J - y (x) I - x_in (x) r2 with the minimal-norm multipliers, formed by
-    broadcasting into the (in, out, in, out) index layout; real input
-    data keep a real symmetric J real.
-    """
-    eye_in = np.eye(din)
-
-    def proj(j: np.ndarray) -> np.ndarray:
-        r1 = _trace_out_output(j, din, dout) - eye_in
-        r2 = _apply_matrix(j, din, dout, x_in) - target
-        y = (r1 - np.trace(r2).real * x_in) / dout
-        out = j.reshape(din, dout, din, dout).copy()
-        # subtract y (x) I through a writable diagonal view, then x_in (x) r2
-        np.einsum("aibi->aib", out)[...] -= y[:, None, :]
-        out -= x_in[:, None, :, None] * r2[None, :, None, :]
-        return out.reshape(din * dout, din * dout)
-
-    return proj
-
-
 def verify_ppt_operation(choi: ChoiOperator, tol: float = 1e-9) -> SolveReport:
     """Check complete positivity, the PPT condition, and trace preservation."""
-    res = _named_residuals(choi.op.entries, choi.op.shape,
-                           choi.input_dim, choi.output_dim, None, None)
+    j, din, dout = choi.op.entries, choi.input_dim, choi.output_dim
+    cp = max(0.0, -float(hermitian_spectrum(j).min()))
+    ppt = max(0.0, -float(hermitian_spectrum(partial_transpose_entries(j, choi.op.shape)).min()))
+    tr_out = np.einsum("aibi->ab", hermitian_part(j).reshape(din, dout, din, dout))
+    res = {"cp": cp, "ppt": ppt, "tp": float(np.abs(tr_out - np.eye(din)).max())}
     ok = max(res.values()) <= tol
     return SolveReport(converged=ok, iterations=0, residuals=res,
                        feasible_point=choi if ok else None)
 
 
+def _shifted_ppt_cone(shift: np.ndarray | float, shape: FactorShape):
+    """Projection onto {x : x^Gamma >= shift}; Gamma permutes entries, so it is orthogonal."""
+    def proj(x: np.ndarray) -> np.ndarray:
+        pt = partial_transpose_entries(x, shape)
+        return partial_transpose_entries(shift + project_psd(pt - shift), shape)
+
+    return proj
+
+
 def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 20000,
-                            tol: float = 1e-6, seed: int = 0,
-                            check_every: int = 10) -> SolveReport:
+                            tol: float = 1e-6, seed: int = 0) -> SolveReport:
     """Search for a PPT operation taking m maximally entangled pairs to the target.
 
-    Alternating reflections over the PSD cone (complete positivity), the
-    partial-transposed PSD cone (PPT condition), and the affine set
-    combining trace preservation with exact correctness on the input.
-    Infeasible instances surface as a residual stall; when the input is
-    trivial and the target is NPT, the negative partial-transpose
-    eigenvalue is attached as an analytic witness.  The input is real, so
-    the search runs in the dtype of ``target.entries``: in float64 over
-    real symmetric Choi matrices for a target stored real, in complex128
-    for any other.
+    Alternating reflections over one target-sized block of a ``TwirledChoi``
+    with a = target: b over the PSD cone, unit trace, and the two cones of
+    the PPT condition, b^Gamma >= -rho^Gamma e/(1-e) and >= rho^Gamma e/(1+e)
+    with e = 2^-m; at m = 0, a = b over the PSD cone, the partial-transposed
+    PSD cone and the target.  Infeasible instances surface as a residual
+    stall; at m = 0 an NPT target's negative partial-transpose eigenvalue is
+    attached as an analytic witness.  The input is real, so the search runs
+    in the dtype of ``target.entries``: float64 for a target stored real.
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")
-    # the Choi matrix is (4^m * target.dim)-dimensional: refused before any input is built
-    check_power_budget(4, m, "Choi", times=target.dim)
+    rho, shape, dim = target.entries, target.shape, target.dim
     if m == 0:
-        in_shape = FactorShape(((1, 1),))
-        x_in = np.ones((1, 1))
+        projections = [project_psd, _shifted_ppt_cone(0.0, shape), lambda x: rho.copy()]
     else:
-        in_shape = bipartite_shape(2, 2).copies(m)
-        x_in = tensor_power(max_entangled(2).op, m).entries
-    din, dout = in_shape.total_dim, target.dim
-    dim = din * dout
-    choi_shape = in_shape.concat(target.shape)
+        e = math.ldexp(1.0, -m)  # 1/K
+        rho_pt = partial_transpose_entries(rho, shape)
+        projections = [project_psd,
+                       lambda x: x - (np.trace(x).real - 1.0) / dim * np.eye(dim),
+                       _shifted_ppt_cone(-e / (1.0 - e) * rho_pt, shape),
+                       _shifted_ppt_cone(e / (1.0 + e) * rho_pt, shape)]
 
-    def proj_ppt_cone(j: np.ndarray) -> np.ndarray:
-        pt = partial_transpose_entries(j, choi_shape)
-        return partial_transpose_entries(project_psd(pt), choi_shape)
+    def point(x: np.ndarray) -> TwirledChoi:
+        return TwirledChoi(m, shape, x if m == 0 else rho, x)
 
-    def residual_fn(j: np.ndarray) -> dict[str, float]:
-        return _named_residuals(j, choi_shape, din, dout, x_in, target.entries)
-
-    # real data: the feasible set is closed under complex conjugation, so
-    # (J + conj J) / 2 of any feasible J is feasible and a real start keeps
-    # the search on real symmetric matrices
-    start = random_density_matrix(dim, np.random.default_rng(seed), target.entries.dtype) * din
-    result = solve_feasibility(
-        [project_psd, proj_ppt_cone, _affine_projection(x_in, target.entries, din, dout)],
-        start, residual_fn,
-        tol=tol, max_iter=max_iter, check_every=check_every,
-    )
+    # real data: the feasible set is closed under complex conjugation, so its
+    # real part is feasible, and a real start keeps the search real symmetric
+    start = random_density_matrix(dim, np.random.default_rng(seed), rho.dtype)
+    result = solve_feasibility(projections, start, lambda x: point(x).residuals(rho),
+                               tol=tol, max_iter=max_iter)
 
     npt_witness = None
-    if din == 1:
+    if m == 0:
         lo = float(target.partial_transpose_eigh[0][0])
         if lo < 0:
             npt_witness = lo
-
-    feasible = None
-    if result.converged:
-        k_in = in_shape.n_factors
-        k = choi_shape.n_factors
-        feasible = ChoiOperator(LabeledOperator(choi_shape, result.point),
-                                tuple(range(k_in)), tuple(range(k_in, k)))
     return SolveReport(
         converged=result.converged,
         iterations=result.iterations,
         residuals=result.residuals,
-        feasible_point=feasible,
+        feasible_point=point(result.point) if result.converged else None,
         stalled=result.stalled,
         npt_witness=npt_witness,
         best_history=tuple(result.best_history),

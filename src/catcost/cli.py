@@ -147,21 +147,20 @@ def _parse_named_target(name: str) -> tuple[str, int] | None:
     return None
 
 
-def _named_target(name: str, m: int = 0):
-    """The named target, None for a matrix file; its Choi matrix for m ebits
-    is refused on dimension before the target is built."""
+def _named_target(name: str):
+    """The named target, None for a matrix file; refused over the budget before it is built."""
     parsed = _parse_named_target(name)
     if parsed is None:
         return None
     family, d = parsed
     build, power = _NAMED_TARGETS[family]
-    check_power_budget(4, m, "Choi", times=d ** power)
+    check_power_budget(d, power, "synthesis target")
     return build(d)
 
 
 def scenario_synthesize(m: int, target_name: str, tol: float = 1e-6,
                         max_iter: int = 20000, seed: int = 0) -> ScenarioReport:
-    target = _named_target(target_name, m)
+    target = _named_target(target_name)
     if target is None:
         target = load_density(target_name)
     report = ScenarioReport("synthesize", __version__,

@@ -110,8 +110,11 @@ class FactorShape:
         return FactorShape(self.factors + other.factors)
 
     def copies(self, n: int) -> FactorShape:
+        """n copies; more than 32 factors in all are refused before the tuple is formed."""
         if n < 1:
             raise ValueError("copy count must be >= 1")
+        if n * len(self.factors) > 32:
+            raise ResourceLimitError(f"{n} copies of {len(self.factors)} factors exceed 32")
         return FactorShape(self.factors * n)
 
 
@@ -159,9 +162,6 @@ class LabeledOperator:
 
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def is_hermitian(self, tol: float = DEFAULT_HERM_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
 
     def __add__(self, other: LabeledOperator) -> LabeledOperator:
         _require_same_shape(self, other)

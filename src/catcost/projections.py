@@ -84,10 +84,6 @@ class FeasibilityResult:
     residuals: dict[str, float]
     best_history: list[float] = field(default_factory=list)
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
 
 def _update_in_place(y: np.ndarray, step: np.ndarray, avg: np.ndarray) -> None:
     """Set y to ``hermitian_part(y + step - avg)`` with no temporary stack.

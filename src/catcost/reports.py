@@ -5,6 +5,21 @@ import json
 from dataclasses import dataclass, field
 
 
+def _indented_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for nested dicts of scalars.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder, whose
+    closures leave a reference cycle per call; keys and leaves rendered
+    one at a time go through the C encoder and leave none.
+    """
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    items = [f"{inner}{json.dumps(key)}: {_indented_json(value[key], inner)}"
+             for key in sorted(value)]
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+
+
 @dataclass(frozen=True)
 class ResultRow:
     """A numeric result together with the tolerance its check used."""
@@ -69,7 +84,7 @@ class ScenarioReport:
             "checks": dict(self.checks),
             "overall": self.passed,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _indented_json(doc) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "text":

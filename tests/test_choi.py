@@ -5,9 +5,8 @@ import pytest
 from catcost.cli import _named_target, main
 from catcost.choi import (
     ChoiOperator,
-    _affine_projection,
+    TwirledChoi,
     _apply_matrix,
-    _trace_out_output,
     analytic_mixer_choi,
     apply_choi,
     coin_flip_broadcast_choi,
@@ -28,7 +27,7 @@ from catcost.operators import (
 from catcost.serialize import save_operator
 from catcost.states import IsotropicParams, isotropic, max_entangled, symmetric_two_broadcast
 
-from conftest import random_density
+from conftest import random_density, random_hermitian, spectral_calls
 
 
 def half_mixed(d=2):
@@ -104,9 +103,9 @@ class TestSynthesis:
         assert max(report.residuals.values()) <= 1e-6
         # self-verification: the feasible point is a PPT operation and
         # reproduces the target
-        check = verify_ppt_operation(report.feasible_point, tol=1e-6)
+        check = verify_ppt_operation(report.feasible_point.to_choi(), tol=1e-6)
         assert check.converged
-        out = apply_choi(report.feasible_point, max_entangled(2), validate_tol=1e-6)
+        out = apply_choi(report.feasible_point.to_choi(), max_entangled(2), validate_tol=1e-6)
         assert trace_distance(out.op, half_mixed(2).op) <= 1e-5
 
     def test_dilution_to_broadcast(self):
@@ -114,9 +113,9 @@ class TestSynthesis:
         report = synthesize_ppt_dilution(1, target, tol=1e-6)
         assert report.converged
         assert max(report.residuals.values()) <= 1e-6
-        assert verify_ppt_operation(report.feasible_point, tol=1e-6).converged
+        assert verify_ppt_operation(report.feasible_point.to_choi(), tol=1e-6).converged
         input_state = max_entangled(2)
-        out = apply_choi(report.feasible_point, input_state, validate_tol=1e-6)
+        out = apply_choi(report.feasible_point.to_choi(), input_state, validate_tol=1e-6)
         assert trace_distance(out.op, target.op) <= 1e-5
 
     def test_npt_target_without_input_is_infeasible(self):
@@ -145,21 +144,49 @@ class TestSynthesis:
         assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
     def test_budget_enforced(self):
+        # the search is target-sized; only the dense Choi matrix is over budget
         big = density_from_matrix(np.eye(81) / 81, bipartite_shape(9, 9))
+        report = synthesize_ppt_dilution(2, big)
+        assert report.converged
         with pytest.raises(ResourceLimitError):
-            synthesize_ppt_dilution(2, big)
+            report.feasible_point.to_choi()
 
     def test_budget_checked_before_the_input_is_built(self, request):
         target = half_mixed(2)
         request.getfixturevalue("forbid_dense_operators")
+        report = synthesize_ppt_dilution(4, target)
+        assert report.converged
         with pytest.raises(ResourceLimitError, match="budget"):
-            synthesize_ppt_dilution(4, target)
+            report.feasible_point.to_choi()
 
     def test_seeded_runs_are_deterministic(self):
         a = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6, seed=5)
         b = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6, seed=5)
         assert a.iterations == b.iterations
-        assert np.array_equal(a.feasible_point.op.entries, b.feasible_point.op.entries)
+        assert np.array_equal(a.feasible_point.to_choi().op.entries,
+                              b.feasible_point.to_choi().op.entries)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_block_residuals_match_the_dense_choi_matrix(self, m, rng):
+        target = random_density(rng, 2, 2)
+        phi = np.ones((1, 1)) if m == 0 else tensor_power(max_entangled(2).op, m).entries
+        for a in (target.entries, random_hermitian(rng, 4)):
+            b = a if m == 0 else random_hermitian(rng, 4)
+            point = TwirledChoi(m, target.shape, a, b)
+            block = point.residuals(target.entries)
+            choi = point.to_choi()
+            dense = dict(verify_ppt_operation(choi).residuals)
+            out = _apply_matrix(choi.op.entries, len(phi), 4, phi)
+            dense["correctness"] = float(np.abs(out - target.entries).max())
+            assert block.keys() == dense.keys()
+            assert all(abs(block[k] - dense[k]) <= 1e-12 for k in block), (block, dense)
+        # the random Hermitian blocks leave every residual nonzero
+        assert min(block.values()) > 0
+
+    def test_search_decomposes_only_target_sized_blocks(self, monkeypatch, capsys):
+        seen = spectral_calls(monkeypatch)
+        assert main(["synthesize", "noisy-phi-3", "--m", "2", "--seed", "0"]) == 0
+        assert seen and max(shape[-1] for _, shape, _ in seen) == 9
 
 
 def eigh_dtypes(monkeypatch):
@@ -177,7 +204,7 @@ def eigh_dtypes(monkeypatch):
 
 class TestRealSubspace:
     @pytest.mark.parametrize("name, m, cycles", [
-        ("noisy-phi-2", 1, 40), ("broadcast-phi-2", 1, 60), ("noisy-phi-3", 2, 40)],
+        ("noisy-phi-2", 1, 20), ("broadcast-phi-2", 1, 20), ("noisy-phi-3", 2, 20)],
         ids=["noisy-phi-2-1", "broadcast-phi-2-1", "noisy-phi-3-2"])
     def test_named_targets_solve_in_float64(self, name, m, cycles, monkeypatch):
         target = _named_target(name)
@@ -186,9 +213,10 @@ class TestRealSubspace:
         monkeypatch.undo()
         assert seen and set(seen) == {np.dtype(np.float64)}
         assert report.converged and report.iterations == cycles
-        assert verify_ppt_operation(report.feasible_point, tol=1e-6).converged
+        choi = report.feasible_point.to_choi()
+        assert verify_ppt_operation(choi, tol=1e-6).converged
         phi = tensor_power(max_entangled(2).op, m)
-        out = apply_choi(report.feasible_point, density_from_matrix(phi.entries, phi.shape),
+        out = apply_choi(choi, density_from_matrix(phi.entries, phi.shape),
                          validate_tol=1e-6)
         assert trace_distance(out.op, target.op) <= 1e-5
 
@@ -204,19 +232,3 @@ class TestRealSubspace:
         assert main(["synthesize", str(path), "--m", "1", "--seed", "0"]) == 0
         assert set(seen) == {np.dtype(np.complex128)}
         assert "overall: PASS" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_affine_projection_matches_kron_formula(self, m, rng):
-        x_in = tensor_power(max_entangled(2).op, m).entries.real.copy()
-        target = random_density(rng, 2, 2).entries
-        din, dout = x_in.shape[0], target.shape[0]
-        g = rng.standard_normal((din * dout,) * 2) + 1j * rng.standard_normal((din * dout,) * 2)
-        j = g + g.conj().T
-        r1 = _trace_out_output(j, din, dout) - np.eye(din)
-        r2 = _apply_matrix(j, din, dout, x_in) - target
-        y = (r1 - np.trace(r2).real * x_in) / dout
-        oracle = j - np.kron(y, np.eye(dout)) - np.kron(x_in, r2)
-        got = _affine_projection(x_in, target, din, dout)(j)
-        assert np.abs(got - oracle).max() <= 1e-14
-        assert np.abs(_trace_out_output(got, din, dout) - np.eye(din)).max() <= 1e-12
-        assert np.abs(_apply_matrix(got, din, dout, x_in) - target).max() <= 1e-12

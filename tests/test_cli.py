@@ -1,6 +1,7 @@
 """Interchange format round-trips and CLI scenario behaviour."""
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -177,8 +178,6 @@ class TestCliScenarios:
     @pytest.mark.parametrize("argv", [
         ["dmax-ppt", "--d", "40"],
         ["rigidity", "--d", "5"],
-        ["synthesize", "noisy-phi-2", "--m", "4"],
-        ["synthesize", "noisy-phi-2", "--m", "1000000000"],
         ["synthesize", "broadcast-phi-5", "--m", "0"],
         ["synthesize", "broadcast-phi-100000", "--m", "0"],
         ["protocol", "--d", "4"],
@@ -191,6 +190,12 @@ class TestCliScenarios:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "budget" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("m", ["4", "1000000000"])
+    def test_synthesis_at_any_ebit_count_is_target_sized(self, m, capsys):
+        # the search never builds the 4^m-fold Choi matrix
+        assert main(["synthesize", "noisy-phi-2", "--m", m]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["verify-broadcast", "synthesize"])
     def test_oversized_file_is_a_usage_error(self, command, tmp_path, capsys):
@@ -330,6 +335,18 @@ class TestCliScenarios:
         elif fmt == "csv":
             assert out.splitlines()[0] == "section,name,value,tol"
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json-like-keyvalue"])
+    def test_rendering_leaves_no_cyclic_garbage(self, fmt, capsys):
+        argv = ["--format", fmt, "synthesize", "noisy-phi-2", "--m", "1"]
+        main(argv)  # first-use allocations outside the measured run
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_reports_are_byte_identical(self, capsys):
         main(["--format", "json-like-keyvalue", "synthesize", "noisy-phi-2",
               "--m", "1", "--seed", "3"])
@@ -417,19 +434,26 @@ def _scenario_argv(files):
         lambda drawn: drawn[0] + [token for part in drawn[1] for token in part])
 
 
+def _not_json(literal):
+    raise ValueError(f"{literal} is not JSON")
+
+
 def test_drawn_argv_exits_with_a_documented_code(tmp_path_factory):
     files = [str(path) for path in _broadcast_files(tmp_path_factory.mktemp("fuzz"))]
 
     @settings(max_examples=200, deadline=None)
     @given(_scenario_argv(files))
     def run(argv):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if code in (0, 4) and argv[:2] == ["--format", "json-like-keyvalue"]:
+            # strict JSON: no NaN or Infinity literals
+            json.loads(out.getvalue(), parse_constant=_not_json)
 
     run()

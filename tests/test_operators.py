@@ -61,6 +61,14 @@ class TestShapes:
         with pytest.raises(ValueError):
             FactorShape(())
 
+    def test_copies_refused_over_32_factors_before_the_tuple_is_formed(self):
+        assert bipartite_shape(2, 2).copies(32).n_factors == 32
+        assert FactorShape(((2, 2), (3, 1))).copies(16).n_factors == 32
+        with pytest.raises(ResourceLimitError):
+            FactorShape(((2, 2), (3, 1))).copies(17)
+        with pytest.raises(ResourceLimitError):
+            bipartite_shape(2, 2).copies(10 ** 9)
+
     def test_entries_must_match_shape(self):
         with pytest.raises(ValueError):
             LabeledOperator(bipartite_shape(2, 2), np.eye(3))
