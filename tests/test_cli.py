@@ -178,6 +178,9 @@ class TestCliScenarios:
     @pytest.mark.parametrize("argv", [
         ["dmax-ppt", "--d", "40"],
         ["rigidity", "--d", "5"],
+        # far over the budget: refused on the integer, before any state is built
+        ["dmax-ppt", "--d", "1000000"],
+        ["rigidity", "--d", "100000"],
         ["synthesize", "broadcast-phi-5", "--m", "0"],
         ["synthesize", "broadcast-phi-100000", "--m", "0"],
         ["protocol", "--d", "4"],
