@@ -1,4 +1,16 @@
-"""n-copy broadcast verification and the purity-rigidity projection check."""
+"""n-copy broadcast verification and the purity-rigidity projection check.
+
+The two-copy broadcast set S = {X >= 0 : Tr_1 X = Tr_2 X = phi} of a pure
+phi is the single point phi x phi.  ``sample_two_copy_broadcasts`` tests
+this by dense Douglas-Rachford from random d^4 x d^4 starts, for any
+pure phi.  For phi = Phi_d, ``sample_twirled_two_copy_broadcasts`` runs
+the same test in the per-copy twirl algebra: (U x conj U) x (V x conj V)
+fixes phi, so it maps S into S, and twirling a start leaves four
+coefficients on span{Phi, 1 - Phi}^(x 2) (``IsotropicCopies``, k = 2).
+There the marginal equations and positivity leave only phi x phi, and
+since phi x phi is pure, a twirl average equal to it forces every point
+of S to equal it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -165,4 +177,77 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
                     f"projection start {trial} did not reach feasibility: {result.residuals}")
             m = result.point
             points.append(density_from_matrix(m / np.trace(m).real, shape))
+    return points
+
+
+# ---------------------------------------------------------------------------
+# the same search in the per-copy twirl algebra of Phi_d
+
+
+def _twirled_marginal_projections(d: int):
+    """Projection onto the marginal equations of Phi_d's broadcast set, and residuals.
+
+    A point is a diagonal 4 x 4 matrix y = sqrt(r) c, with c the
+    coefficients (c00, c01, c10, c11) of ``IsotropicCopies`` and
+    r = (1, D) x (1, D) their ranks, D = d^2 - 1: in these coordinates
+    the Frobenius norm is the Hilbert-Schmidt norm of the state, and
+    ``project_psd`` clips the diagonal.  Tr_2 X = Phi and Tr_1 X = Phi
+    read c00 + D c01 = 1, c10 + D c11 = 0, c00 + D c10 = 1 (the fourth
+    row follows), which in y is the line e00 + t (D, -sqrt D, -sqrt D, 1).
+    A marginal residual is the largest deviation of the marginal's
+    coefficients from Phi's (1, 0): its operator-norm distance from Phi.
+    """
+    rank = d * d - 1.0  # D, the rank of 1 - Phi
+    root = np.sqrt([1.0, rank, rank, rank * rank])
+    unit = np.array([rank, -root[1], -root[1], 1.0]) / (rank + 1.0)
+    phi = np.array([1.0, 0.0])  # the marginal's coefficients
+
+    def proj(x: np.ndarray) -> np.ndarray:
+        t = (np.diagonal(x, axis1=1, axis2=2) * unit).sum(axis=1) - unit[0]
+        out = np.zeros_like(x)
+        diagonal = np.einsum("sii->si", out)
+        diagonal[...] = t[:, None] * unit
+        diagonal[:, 0] += 1.0
+        return out
+
+    def residual(x: np.ndarray) -> dict[str, np.ndarray]:
+        y = np.diagonal(x, axis1=1, axis2=2)
+        c = (y / root).reshape(-1, 2, 2)
+        return {
+            "marginal_1": np.abs(c[:, :, 0] + rank * c[:, :, 1] - phi).max(axis=1),
+            "marginal_2": np.abs(c[:, 0] + rank * c[:, 1] - phi).max(axis=1),
+            "psd": np.maximum(0.0, -y.min(axis=1)),
+        }
+
+    return root, proj, residual
+
+
+def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
+                                       seed: int = 0) -> list[IsotropicCopies]:
+    """``sample_two_copy_broadcasts`` for phi = Phi_d, in 4 coefficients a start.
+
+    The starts are the dense search's, drawn in order from one generator
+    as real d^4 x d^4 density matrices (Phi_d is real); each is twirled
+    (``IsotropicCopies.from_twirl``) and the solve runs on diagonal
+    (s, 4, 4) ``float64`` stacks (see ``_twirled_marginal_projections``).
+    The feasibility tolerance (1e-9) and cycle cap (5000) are the dense
+    search's defaults; a run that fails to reach the tolerance raises.
+    """
+    dim = d ** 4
+    check_entry_budget(dim, "two-copy broadcast start")
+    root, proj_affine, residual = _twirled_marginal_projections(d)
+    rng = np.random.default_rng(seed)
+    starts = np.zeros((n_starts, 4, 4))
+    for start in starts:
+        twirled = IsotropicCopies.from_twirl(d, random_density_matrix(dim, rng, np.float64))
+        np.einsum("ii->i", start)[...] = root * twirled.coeffs.ravel()
+    results = solve_feasibility_batch([proj_affine, project_psd], starts, residual,
+                                      tol=1e-9, max_iter=5000, check_every=5)
+    points = []
+    for trial, result in enumerate(results):
+        if not result.converged:
+            raise RuntimeError(
+                f"projection start {trial} did not reach feasibility: {result.residuals}")
+        y = np.diagonal(result.point)
+        points.append(IsotropicCopies(d, (y / root / (y * root).sum()).reshape(2, 2)))
     return points

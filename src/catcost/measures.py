@@ -199,6 +199,32 @@ class IsotropicCopies:
         outer = np.multiply.outer
         return cls(s0.d, (outer(s0.coeffs, s1.coeffs) + outer(s1.coeffs, s0.coeffs)) / 2)
 
+    @classmethod
+    def from_twirl(cls, d: int, x: np.ndarray) -> IsotropicCopies:
+        """The U x conj(U) twirl, on every copy, of a dense k-copy state x.
+
+        Contracting each copy with Phi and with the identity gives the
+        traces Tr x (A_1 x ... x A_k), A_j in {Phi, 1}: for k = 2,
+        Tr x (Phi x Phi), Tr x (Phi x 1), Tr x (1 x Phi) and Tr x.  Per copy,
+        (Phi, 1) -> (Phi, 1 - Phi) turns them into the masses of the
+        projectors, and dividing by the ranks (1, d^2 - 1) into their
+        coefficients.  ``einsum`` and elementwise arithmetic, no BLAS call.
+        """
+        if d < 2:
+            raise ValueError("local dimension must be >= 2")
+        n = d * d
+        x = np.asarray(x)
+        k = max(1, round(math.log(max(x.size, 1), n * n)))
+        if x.shape != (n ** k, n ** k):
+            raise ValueError(f"matrix of shape {x.shape} is not k copies of a ({d}, {d}) system")
+        diagonal = np.eye(d).ravel()  # sqrt(d) times the vector of Phi
+        pair = np.stack([np.outer(diagonal, diagonal) / d, np.eye(n)])
+        operands = [x.reshape((n,) * (2 * k)), list(range(2 * k))]
+        for j in range(k):
+            operands += [pair, [2 * k + j, j, k + j]]
+        traces = np.einsum(*operands, list(range(2 * k, 3 * k))).real
+        return cls(d, _per_copy(((1.0, 0.0), (-1.0 / (n - 1), 1.0 / (n - 1))), traces))
+
     @property
     def shape(self) -> FactorShape:
         """One (d, d) factor per copy, as the dense state has."""

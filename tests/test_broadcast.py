@@ -6,11 +6,15 @@ import pytest
 
 from catcost.broadcast import (
     _marginal_projections,
+    _twirled_marginal_projections,
     project_to_two_copy_broadcast,
     pure_broadcast_uniqueness,
+    sample_twirled_two_copy_broadcasts,
     sample_two_copy_broadcasts,
     verify_broadcast,
 )
+from catcost.cli import scenario_rigidity
+from catcost.measures import IsotropicCopies
 from catcost.operators import (
     MAX_ENTRIES,
     FactorShape,
@@ -154,3 +158,57 @@ class TestProjectionRigidity:
         assert len(points) == 20
         assert all(math.prod(shape) <= MAX_ENTRIES for shape in shapes)
         assert {shape[0] for shape in shapes} == {MAX_ENTRIES // 81 ** 2, 20 % 9}
+
+
+class TestTwirledRigidity:
+    """The four-coefficient search of ``rigidity`` against the dense path."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_readout_is_the_projector_traces(self, d):
+        # the first seeded start of the search, and P_i x P_j / rank as the
+        # dense state of the coefficient tensor with one entry 1 / rank
+        x = random_density_matrix(d ** 4, np.random.default_rng(0), np.float64)
+        coeffs = IsotropicCopies.from_twirl(d, x).coeffs
+        ranks = np.multiply.outer([1.0, d * d - 1.0], [1.0, d * d - 1.0])
+        for i, j in np.ndindex(2, 2):
+            unit = np.zeros((2, 2))
+            unit[i, j] = 1.0 / ranks[i, j]
+            projector = IsotropicCopies(d, unit).to_density().entries
+            assert abs(np.trace(x @ projector) - coeffs[i, j]) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_points_are_the_dense_product(self, d):
+        phi = max_entangled(d)
+        product = tensor(phi.op, phi.op)
+        one = IsotropicCopies.isotropic(d, 1.0)
+        for point in sample_twirled_two_copy_broadcasts(d, n_starts=5, seed=0):
+            assert trace_distance(point.to_density().op, product) <= 1e-6
+            assert verify_broadcast(point, one, 2, tol=1e-9).is_broadcast
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dense_and_algebra_paths_pass_at_one_seed(self, d):
+        phi = max_entangled(d)
+        product = tensor(phi.op, phi.op)
+        dense = sample_two_copy_broadcasts(phi, n_starts=2, seed=7)
+        assert max(trace_distance(x.op, product) for x in dense) <= 1e-6
+        report = scenario_rigidity(d, 2, 7)
+        assert report.passed
+        assert report.results["max_distance_to_product"].value <= 1e-6
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_marginal_projection_is_orthogonal_onto_the_marginal_line(self, d, rng):
+        _, proj, residual = _twirled_marginal_projections(d)
+        y = rng.standard_normal((3, 4))
+        stack = np.stack([np.diag(row) for row in y])
+        out = proj(stack)
+        assert np.array_equal(out, np.stack([np.diag(np.diag(m)) for m in out]))
+        res = residual(out)
+        assert max(res["marginal_1"].max(), res["marginal_2"].max()) <= 1e-12
+        assert np.abs(proj(out) - out).max() <= 1e-12
+        # the product state e00 lies on the line, and each step is
+        # orthogonal to the line, along which out - e00 runs
+        e00 = np.diag([1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(proj(e00[None])[0], e00)
+        steps = np.diagonal(stack - out, axis1=1, axis2=2)
+        along = np.diagonal(out - e00, axis1=1, axis2=2)
+        assert np.abs((steps * along).sum(axis=1)).max() <= 1e-12

@@ -1,4 +1,5 @@
 """Resource measures against closed forms and independent eigenvalue oracles."""
+import functools
 import math
 
 import numpy as np
@@ -46,6 +47,7 @@ from catcost.states import (
     gibbs_qubit,
     isotropic,
     isotropic_from_fidelity,
+    isotropic_twirl,
     max_entangled,
     symmetric_two_broadcast,
 )
@@ -501,3 +503,24 @@ class TestIsotropicCopies:
             mu.marginal({2})
         with pytest.raises(ValueError):
             mu.marginal(set())
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_twirl_fixes_the_algebra(self, d, k, rng):
+        c = rng.random((2,) * k)
+        ranks = functools.reduce(np.multiply.outer, [np.array([1.0, d * d - 1.0])] * k)
+        state = IsotropicCopies(d, c / (c * ranks).sum())
+        twirled = IsotropicCopies.from_twirl(d, state.to_density().entries)
+        assert np.abs(twirled.coeffs - state.coeffs).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_copy_twirl_is_isotropic_twirl(self, d, rng):
+        rho = random_density(rng, d, d)
+        twirled = IsotropicCopies.from_twirl(d, rho.entries)
+        assert np.abs(twirled.to_density().entries
+                      - isotropic_twirl(rho).entries).max() <= 1e-12
+
+    @pytest.mark.parametrize("d, dim", [(1, 1), (2, 8), (2, 32), (3, 16)])
+    def test_twirl_refuses_a_matrix_of_no_copy_count(self, d, dim):
+        with pytest.raises(ValueError):
+            IsotropicCopies.from_twirl(d, np.eye(dim) / dim)

@@ -278,7 +278,7 @@ class TestAcceleratedSolves:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(broadcast, "solve_feasibility_batch", counting_batch)
-        assert scenario_rigidity(2, 50, 42).passed
+        assert len(sample_two_copy_broadcasts(max_entangled(2), n_starts=50, seed=42)) == 50
         # the plain engine took 14 160 cycles and 343 stacked eigh calls, the
         # accelerated one in complex128 8 280 and 223; in float64 8 785 and 229
         assert len(cycles) == 50 and sum(cycles) <= 9000
@@ -287,9 +287,17 @@ class TestAcceleratedSolves:
 
     def test_rigidity_stacks_are_float64(self, monkeypatch):
         seen = spectral_calls(monkeypatch)
-        assert scenario_rigidity(2, 5, 0).passed
+        assert len(sample_two_copy_broadcasts(max_entangled(2), n_starts=5, seed=0)) == 5
         stacked = {(name, dtype) for name, shape, dtype in seen if len(shape) == 3}
         assert stacked == {("eigh", np.dtype(np.float64)), ("eigvalsh", np.dtype(np.float64))}
+
+    def test_rigidity_scenario_decomposes_only_4x4_stacks(self, monkeypatch):
+        seen = spectral_calls(monkeypatch)
+        assert scenario_rigidity(2, 50, 42).passed
+        assert not any(shape[-1] == 16 for _, shape, _ in seen)
+        stacked = {(name, shape[1:], dtype) for name, shape, dtype in seen
+                   if name == "eigh" and len(shape) == 3}
+        assert stacked == {("eigh", (4, 4), np.dtype(np.float64))}
 
     def test_phased_rigidity_keeps_complex_iterates(self, monkeypatch):
         seen = set()
@@ -316,14 +324,15 @@ class TestAcceleratedSolves:
         assert report.results["max_distance_to_product"].value <= 1e-6
 
     def test_rigidity_heap_peak(self):
-        scenario_rigidity(2, 1, 0)  # first-use allocations outside the measured run
+        phi = max_entangled(2)
+        sample_two_copy_broadcasts(phi, n_starts=1)  # first-use allocations outside the run
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            assert scenario_rigidity(2, 50, 42).passed
+            assert len(sample_two_copy_broadcasts(phi, n_starts=50, seed=42)) == 50
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
