@@ -9,7 +9,8 @@ fixes phi, so it maps S into S, and twirling a start leaves four
 coefficients on span{Phi, 1 - Phi}^(x 2) (``IsotropicCopies``, k = 2).
 There the marginal equations and positivity leave only phi x phi, and
 since phi x phi is pure, a twirl average equal to it forces every point
-of S to equal it.
+of S to equal it.  ``max_twirled_distance_to_product`` is that test as
+one number, for the ``rigidity`` scenario and the distillation check.
 """
 from __future__ import annotations
 
@@ -251,3 +252,15 @@ def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
         y = np.diagonal(result.point)
         points.append(IsotropicCopies(d, (y / root / (y * root).sum()).reshape(2, 2)))
     return points
+
+
+def max_twirled_distance_to_product(d: int, n_starts: int = 50, seed: int = 0) -> float:
+    """Largest trace distance from phi x phi, phi = Phi_d, of the twirled search's points.
+
+    The rigidity claim in one number: every sampled point of Phi_d's
+    two-copy broadcast set lies within this distance of Phi_d x Phi_d.
+    """
+    phi = IsotropicCopies.isotropic(d, 1.0)
+    product = IsotropicCopies.symmetric_two_broadcast(phi, phi)
+    points = sample_twirled_two_copy_broadcasts(d, n_starts=n_starts, seed=seed)
+    return max(point.trace_distance(product) for point in points)

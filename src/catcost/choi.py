@@ -251,7 +251,7 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
         raise ValueError("ebit count must be >= 0")
     rho, shape, dim = target.entries, target.shape, target.dim
     if m == 0:
-        projections = [project_psd, _shifted_ppt_cone(0.0, shape), lambda x: rho.copy()]
+        projections = [project_psd, _shifted_ppt_cone(0.0, shape), lambda x: rho]
     else:
         e = math.ldexp(1.0, -m)  # 1/K
         rho_pt = partial_transpose_entries(rho, shape)

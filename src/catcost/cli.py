@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .broadcast import sample_twirled_two_copy_broadcasts, verify_broadcast
+from .broadcast import max_twirled_distance_to_product, verify_broadcast
 from .catalysis import (
     catalytic_cost_upper_bound,
     nonconvexity_witness,
@@ -208,10 +208,7 @@ def scenario_rigidity(d: int, starts: int, seed: int, tol: float = 1e-6) -> Scen
     check_entry_budget(d ** 4, "rigidity two-copy state")
     report = ScenarioReport("rigidity", __version__,
                             parameters={"d": d, "starts": starts, "seed": seed})
-    phi = IsotropicCopies.isotropic(d, 1.0)
-    product = IsotropicCopies.symmetric_two_broadcast(phi, phi)
-    points = sample_twirled_two_copy_broadcasts(d, n_starts=starts, seed=seed)
-    worst = max(point.trace_distance(product) for point in points)
+    worst = max_twirled_distance_to_product(d, n_starts=starts, seed=seed)
     report.add_result("max_distance_to_product", worst, tol)
     report.add_check("broadcast_set_is_singleton", worst <= tol)
     return report

@@ -97,9 +97,9 @@ class FactorShape:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def factor_dims(self) -> tuple[int, ...]:
-        """Total dimension a*b of each factor."""
+        """Total dimension a*b of each factor; computed once per shape."""
         return tuple(a * b for a, b in self.factors)
 
     @property

@@ -14,9 +14,12 @@ stopped at if run alone.
 
 The Douglas-Rachford map T is accelerated by safeguarded type-II
 Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482; Zhang-O'Donoghue-Boyd,
-arXiv:1808.03971) over the last ``ANDERSON_DEPTH`` differences, kept in
-packed real coordinates of the Hermitian stacks.  T is still evaluated
-once per cycle.
+arXiv:1808.03971) over the last ``ANDERSON_DEPTH`` differences.  The
+history is kept on the stacks' own float64 view, a complex entry as its
+(re, im) pair: the Euclidean inner product there is the Frobenius inner
+product Re tr(A^dagger B) of the Hermitian matrices.  T is still
+evaluated once per cycle, and the extrapolated stack is made exactly
+Hermitian once per cycle.
 """
 from __future__ import annotations
 
@@ -38,7 +41,8 @@ def _store_hermitian_part(out: np.ndarray, m: np.ndarray) -> np.ndarray:
     The same arithmetic as ``hermitian_part(m)``, without its two temporaries.
     """
     out[...] = m.swapaxes(-1, -2)
-    np.conjugate(out, out=out)
+    if out.dtype.kind == "c":
+        np.conjugate(out, out=out)
     out += m
     out /= 2
     return out
@@ -50,8 +54,9 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     ``m`` must be Hermitian: ``eigh`` reads only its lower triangle.
     """
     w, v = np.linalg.eigh(m)
-    scaled = v * np.clip(w, 0.0, None)[..., None, :]
-    np.conjugate(v, out=v)  # v is ours: its conjugate in place, not a copy
+    scaled = v * np.maximum(w, 0.0)[..., None, :]
+    if v.dtype.kind == "c":
+        np.conjugate(v, out=v)  # v is ours: its conjugate in place, not a copy
     return _store_hermitian_part(scaled, scaled @ v.swapaxes(-1, -2))
 
 
@@ -86,15 +91,13 @@ class FeasibilityResult:
 
 
 def _update_in_place(y: np.ndarray, step: np.ndarray, avg: np.ndarray) -> None:
-    """Set y to ``hermitian_part(y + step - avg)`` with no temporary stack.
+    """Set y to ``y + step - avg`` in place.
 
-    The sum accumulates in ``step``, the projection's output, and its
-    Hermitian part is written into y's buffer.  Passing ``step`` in ends
-    its life with this call, before the next projection allocates.
+    Exactly Hermitian operands give an exactly Hermitian result: the
+    entries (i, j) and (j, i) see the same additions, up to sign.
     """
-    step += y
-    step -= avg
-    _store_hermitian_part(y, step)
+    y += step
+    y -= avg
 
 
 # Anderson acceleration: differences kept per start, and the ridge weight
@@ -102,69 +105,7 @@ def _update_in_place(y: np.ndarray, step: np.ndarray, avg: np.ndarray) -> None:
 # differences
 ANDERSON_DEPTH = 3
 _ANDERSON_REG = 1e-10
-_SQRT2 = np.sqrt(2.0)
-
-
-class _PackedStacks:
-    """Packed real coordinates of an ``(s, k, n, n)`` array of Hermitian matrices.
-
-    A complex Hermitian matrix packs into n^2 reals: its diagonal, then
-    sqrt(2) Re and sqrt(2) Im of its strict upper triangle.  A real
-    symmetric one packs into n(n+1)/2: its diagonal, then sqrt(2) times
-    its strict upper triangle.  The k matrices of start j lie side by
-    side in row j.  The Euclidean inner product of two rows is the
-    Frobenius inner product of the matrices, and unpacking any real row
-    gives exactly Hermitian matrices of the array's dtype.
-
-    Both directions are one gather over the matrices' float64 entries, a
-    complex entry as its (re, im) pair.
-    """
-
-    def __init__(self, n: int, dtype: np.dtype) -> None:
-        iu, ju = np.triu_indices(n, 1)
-        q = len(iu)
-        diag, upper, lower = np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
-        off = n + np.arange(q)  # packed positions of the strict upper triangle
-        self.n = n
-        if np.issubdtype(dtype, np.complexfloating):
-            self.take = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
-            # unpacking gathers from [diagonal, Re, Im, -Im, 0], scaled
-            self.source = np.empty(2 * n * n, dtype=np.intp)
-            self.source[2 * diag], self.source[2 * diag + 1] = np.arange(n), n + 3 * q
-            self.source[2 * upper] = self.source[2 * lower] = off
-            self.source[2 * upper + 1], self.source[2 * lower + 1] = off + q, off + 2 * q
-            self.imag, self.extra = slice(n + q, n + 2 * q), q + 1
-        else:
-            self.take = np.concatenate([diag, upper])
-            self.source = np.empty(n * n, dtype=np.intp)
-            self.source[diag] = np.arange(n)
-            self.source[upper] = self.source[lower] = off
-            self.imag, self.extra = None, 0
-
-    @staticmethod
-    def _floats(y: np.ndarray) -> np.ndarray:
-        """The entries of a C-contiguous ``(s, k, n, n)`` y as an ``(s, k, f)`` float64 view."""
-        return y.view(np.float64).reshape(*y.shape[:2], -1)
-
-    def pack(self, y: np.ndarray) -> np.ndarray:
-        """The ``(s, k * width)`` packed coordinates of y."""
-        packed = np.take(self._floats(y), self.take, axis=2)
-        packed[..., self.n:] *= _SQRT2
-        return packed.reshape(len(packed), -1)
-
-    def unpack_into(self, packed: np.ndarray, y: np.ndarray) -> None:
-        """Overwrite every entry of the C-contiguous y with ``packed``, in place."""
-        floats = self._floats(y)
-        rows = packed.reshape(floats.shape[:2] + (-1,))
-        n, width = self.n, rows.shape[-1]
-        source = np.empty(rows.shape[:2] + (width + self.extra,))
-        source[..., :n] = rows[..., :n]
-        np.multiply(rows[..., n:], 1 / _SQRT2, out=source[..., n:width])
-        if self.imag is not None:
-            np.negative(source[..., self.imag], out=source[..., width:-1])
-            source[..., -1] = 0.0
-        # mode="clip" writes straight into out; the indices are in range
-        np.take(source, self.source, axis=2, out=floats, mode="clip")
+_TINY = np.finfo(float).tiny
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,7 +123,7 @@ def _compact_rows(a: np.ndarray, rows: np.ndarray) -> None:
 class _AndersonHistory:
     """Safeguarded type-II Anderson acceleration of a fixed-point map T, per start.
 
-    Rows are starts, in packed coordinates.  Each start keeps T and
+    Rows are starts, as float64 vectors.  Each start keeps T and
     g = T - id at its last accepted point, the last ``depth`` differences
     of both in rolling buffers, and the Gram matrix of the g differences,
     updated by one row per step.  Its current point is
@@ -209,7 +150,7 @@ class _AndersonHistory:
         self._rows = self._buffers
 
     def step(self, t: np.ndarray) -> np.ndarray:
-        """Take T at the current points; return the next points.
+        """Take T at the current points; return the next points, in a new array.
 
         A start whose current point is an extrapolation with a larger
         ``|g|`` than the point it left from rejects it: it goes on from
@@ -224,16 +165,17 @@ class _AndersonHistory:
         if self.slot < 0:  # the first step is a plain one
             self.slot = self.depth - 1
             f[...], g[...], g_norm2[...] = t, r, r_norm2
-            return t
+            return t.copy()
         rejected = extrapolated & (r_norm2 > g_norm2)
         self.slot = j = (self.slot + 1) % self.depth
-        np.subtract(r, g, out=dg[:, j])
-        np.subtract(t, f, out=df[:, j])
-        row = np.matmul(dg, dg[:, j, :, None])[..., 0]
+        df_j, dg_j = df[:, j], dg[:, j]
+        np.subtract(r, g, out=dg_j)
+        np.subtract(t, f, out=df_j)
+        row = np.matmul(dg, dg_j[..., None])[..., 0]
         gram[:, j, :] = row
         gram[:, :, j] = row
-        scale[:, j] = row[:, j] + _row_dots(df[:, j], df[:, j])
-        if rejected.any():
+        scale[:, j] = row[:, j] + _row_dots(df_j, df_j)
+        if np.count_nonzero(rejected):
             for a in (df, dg, gram, scale):
                 a[rejected] = 0.0
             accepted = ~rejected
@@ -246,7 +188,7 @@ class _AndersonHistory:
         # gamma = argmin |g - dg gamma|^2 + ridge |gamma|^2, the ridge scaled
         # by the sizes of both difference sets (Fu-Zhang-Boyd); a cleared
         # column gets gamma 0, and an all-clear history the plain step
-        ridge = _ANDERSON_REG * scale.sum(axis=1) + np.finfo(float).tiny
+        ridge = _ANDERSON_REG * np.add.reduce(scale, 1) + _TINY
         lhs = gram + ridge[:, None, None] * self.eye
         gamma[...] = np.linalg.solve(lhs, np.matmul(dg, g[..., None]))[..., 0]
         np.matmul(gamma[:, None, :], df, out=r[:, None, :])
@@ -259,6 +201,11 @@ class _AndersonHistory:
         for a in self._buffers:
             _compact_rows(a, rows)
         self._rows = tuple(a[:len(rows)] for a in self._buffers)
+
+
+def _floats(y: np.ndarray) -> np.ndarray:
+    """A C-contiguous stack as one float64 row per start, a view; complex entries as (re, im)."""
+    return y.view(np.float64).reshape(len(y), -1)
 
 
 def solve_feasibility_batch(
@@ -277,24 +224,24 @@ def solve_feasibility_batch(
     The governing sequence holds an ``(s, k, n, n)`` array, one matrix per
     start and constraint set; the DR map T reflects their average through
     every set.  Each cycle evaluates T once, at the point Anderson
-    acceleration chose from T's last values (see ``_AndersonHistory``).
-    ``readout`` maps the average of T at the current points to the
-    candidate points, and
-    ``residual_fn`` returns one ``(s,)`` array per residual name.  A start
-    stops when its best maximum residual reaches ``tol``, on a stall (no
-    relative improvement of it over ``stall_window`` cycles; infeasible
-    problems end up here), or at ``max_iter``.  Results come back in the
-    order of the starts.
+    acceleration chose from T's last values (see ``_AndersonHistory``),
+    which runs on the array's float64 view and whose output is made
+    exactly Hermitian once per cycle.  ``readout`` maps the Hermitian part
+    of the average of T at the current points to the candidate points,
+    and ``residual_fn`` returns one ``(s,)`` array per residual name.
+    Every array handed to a projection or to ``readout`` is exactly
+    Hermitian.  A start stops when its best maximum residual reaches
+    ``tol``, on a stall (no relative improvement of it over
+    ``stall_window`` cycles; infeasible problems end up here), or at
+    ``max_iter``.  Results come back in the order of the starts.
 
-    Each projection must return a writable array of its argument's dtype
-    that no one else holds, such as a fresh array or the argument itself:
-    the update is accumulated into it.  The stacks keep the dtype of
-    ``starts``, so real symmetric starts with real projections stay real.
+    Each projection returns an array of its argument's shape and dtype;
+    the engine only reads it.  The stacks keep the dtype of ``starts``,
+    so real symmetric starts with real projections stay real.
     """
     k = len(projections)
     y = np.stack([hermitian_part(np.asarray(starts))] * k, axis=1)
-    packing = _PackedStacks(y.shape[-1], y.dtype)
-    anderson = _AndersonHistory(packing.pack(y), ANDERSON_DEPTH)
+    anderson = _AndersonHistory(_floats(y), ANDERSON_DEPTH)
     best_point = readout(y[:, 0])
     best_res = residual_fn(best_point)
     best_max = np.max(list(best_res.values()), axis=0)
@@ -313,18 +260,21 @@ def solve_feasibility_batch(
     while live.size and it < max_iter:
         if it:
             # y holds T at the current points, which the last check read
-            # out; the accelerated next points replace it
-            packing.unpack_into(anderson.step(packing.pack(y)), y)
+            # out; the accelerated next points, made exactly Hermitian,
+            # replace it
+            step = anderson.step(_floats(y))
+            _store_hermitian_part(y, step.view(y.dtype).reshape(y.shape))
         it += 1
-        # y holds exactly Hermitian stacks, and so do avg and 2 avg - y[i]:
-        # one symmetrization per update keeps it that way
+        # y, avg and 2 avg - y[i] are exactly Hermitian; a projection that
+        # keeps that keeps the updated y[i] so
         avg = y.sum(axis=1)
         avg /= k
+        twice = 2.0 * avg
         for i, proj in enumerate(projections):
-            _update_in_place(y[:, i], proj(2.0 * avg - y[:, i]), avg)
+            _update_in_place(y[:, i], proj(twice - y[:, i]), avg)
         if it % check_every and it != max_iter:
             continue
-        candidate = readout(y.sum(axis=1) / k)
+        candidate = readout(hermitian_part(y.sum(axis=1) / k))
         res = residual_fn(candidate)
         res_max = np.max(list(res.values()), axis=0)
         last_improvement[res_max < best_max * (1.0 - stall_rtol)] = it

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +46,12 @@ def _entries_from_pairs(pairs, n: int) -> np.ndarray:
     try:
         if len(pairs) != n * n or set(map(len, pairs)) != {2}:
             raise ValueError(expected)
-        # unary + refuses strings, nulls, lists and objects
-        parts = np.fromiter(map(operator.pos, itertools.chain.from_iterable(pairs)),
-                            np.float64, count=2 * n * n)
+        flat = itertools.chain.from_iterable
+        # by exact type: JSON numbers read as int or float, and true/false,
+        # whose bool is an int, are refused with strings, nulls and containers
+        if not set(map(type, flat(pairs))) <= {int, float}:
+            raise ValueError(expected)
+        parts = np.fromiter(flat(pairs), np.float64, count=2 * n * n)
     except (TypeError, OverflowError) as exc:
         raise ValueError(expected) from exc
     if not np.isfinite(parts).all():

@@ -65,6 +65,7 @@ class TestSerialize:
         [[0.5, None], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
         [[10 ** 400, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
         [[0.5, 0.0]] * 5,
+        [[True, False], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
     ])
     def test_entries_that_are_not_pairs_of_numbers_rejected(self, entries):
         with pytest.raises(ValueError, match="pairs of numbers"):
@@ -299,6 +300,8 @@ class TestCliScenarios:
         [[0.25, 0.0], 0.0] + [[0.25 * (i % 5 == 0), 0.0] for i in range(2, 16)],
         5,
         [[float("nan"), 0.0]] + [[0.25 * (i % 5 == 0), 0.0] for i in range(1, 16)],
+        # read as numbers, false would make this the valid broadcast
+        [[0.25, False]] + [[0.25 * (i % 5 == 0), 0.0] for i in range(1, 16)],
     ])
     def test_malformed_matrix_file_exits_io(self, entries, tmp_path):
         # in a fresh process, so that a traceback would reach stderr; mu
