@@ -135,11 +135,22 @@ def _marginal_projections(phi: np.ndarray):
     return proj, residual
 
 
+def _marginals_and_cone(proj_affine, proj_cone):
+    """Projection onto (marginal equations) x (cone), block by block of a stack."""
+    def project(z: np.ndarray) -> np.ndarray:
+        out = np.empty_like(z)
+        out[:, 0] = proj_affine(z[:, 0])
+        out[:, 1] = proj_cone(z[:, 1])
+        return out
+
+    return project
+
+
 def _project_starts(phi: DensityOperator, starts: np.ndarray, tol: float,
                     max_iter: int) -> list[FeasibilityResult]:
     proj_affine, residual = _marginal_projections(phi.entries)
-    return solve_feasibility_batch([proj_affine, project_psd], starts, residual,
-                                   tol=tol, max_iter=max_iter, check_every=5)
+    return solve_feasibility_batch(_marginals_and_cone(proj_affine, project_psd), 2, starts,
+                                   residual, tol=tol, max_iter=max_iter, check_every=5)
 
 
 def project_to_two_copy_broadcast(phi: DensityOperator, start: np.ndarray,
@@ -185,16 +196,22 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
 # the same search in the per-copy twirl algebra of Phi_d
 
 
+def _clip(y: np.ndarray) -> np.ndarray:
+    """``project_psd`` of a stack of diagonal matrices, bit for bit, with no eigendecomposition."""
+    return np.maximum(y, 0.0)
+
+
 def _twirled_marginal_projections(d: int):
     """Projection onto the marginal equations of Phi_d's broadcast set, and residuals.
 
     A point is a diagonal 4 x 4 matrix y = sqrt(r) c, with c the
     coefficients (c00, c01, c10, c11) of ``IsotropicCopies`` and
     r = (1, D) x (1, D) their ranks, D = d^2 - 1: in these coordinates
-    the Frobenius norm is the Hilbert-Schmidt norm of the state, and
-    ``project_psd`` clips the diagonal.  Tr_2 X = Phi and Tr_1 X = Phi
-    read c00 + D c01 = 1, c10 + D c11 = 0, c00 + D c10 = 1 (the fourth
-    row follows), which in y is the line e00 + t (D, -sqrt D, -sqrt D, 1).
+    the Frobenius norm is the Hilbert-Schmidt norm of the state, and the
+    PSD projection clips the diagonal (``_clip``).  Tr_2 X = Phi and
+    Tr_1 X = Phi read c00 + D c01 = 1, c10 + D c11 = 0, c00 + D c10 = 1
+    (the fourth row follows), which in y is the line
+    e00 + t (D, -sqrt D, -sqrt D, 1).
     A marginal residual is the largest deviation of the marginal's
     coefficients from Phi's (1, 0): its operator-norm distance from Phi.
     """
@@ -230,7 +247,8 @@ def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
     The starts are the dense search's, drawn in order from one generator
     as real d^4 x d^4 density matrices (Phi_d is real); each is twirled
     (``IsotropicCopies.from_twirl``) and the solve runs on diagonal
-    (s, 4, 4) ``float64`` stacks (see ``_twirled_marginal_projections``).
+    (s, 4, 4) ``float64`` stacks (see ``_twirled_marginal_projections``),
+    with no eigendecomposition.
     The feasibility tolerance (1e-9) and cycle cap (5000) are the dense
     search's defaults; a run that fails to reach the tolerance raises.
     """
@@ -242,8 +260,9 @@ def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
     for start in starts:
         twirled = IsotropicCopies.from_twirl(d, random_density_matrix(dim, rng, np.float64))
         np.einsum("ii->i", start)[...] = root * twirled.coeffs.ravel()
-    results = solve_feasibility_batch([proj_affine, project_psd], starts, residual,
-                                      tol=1e-9, max_iter=5000, check_every=5)
+    results = solve_feasibility_batch(_marginals_and_cone(proj_affine, _clip), 2, starts,
+                                      residual, readout=_clip, tol=1e-9, max_iter=5000,
+                                      check_every=5)
     points = []
     for trial, result in enumerate(results):
         if not result.converged:

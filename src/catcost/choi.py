@@ -88,9 +88,9 @@ class TwirledChoi:
         e = math.ldexp(1.0, -self.m)  # 1/K; a float 2.0**m overflows from m = 1024
         a_pt = partial_transpose_entries(self.a, self.output_shape)
         b_pt = partial_transpose_entries(self.b, self.output_shape)
-        cp = min(hermitian_spectrum(self.a).min(), hermitian_spectrum(self.b).min())
-        ppt = min(hermitian_spectrum(e * a_pt + (1.0 - e) * b_pt).min(),
-                  hermitian_spectrum((1.0 + e) * b_pt - e * a_pt).min())
+        lo = hermitian_spectrum(np.stack([self.a, self.b, e * a_pt + (1.0 - e) * b_pt,
+                                          (1.0 + e) * b_pt - e * a_pt])).min(axis=1)
+        cp, ppt = min(lo[0], lo[1]), min(lo[2], lo[3])
         return {"cp": max(0.0, -float(cp)), "ppt": max(0.0, -float(ppt)),
                 "tp": abs(float(np.trace(self.b).real) - 1.0),
                 "correctness": float(np.abs(self.a - target).max())}
@@ -225,13 +225,49 @@ def verify_ppt_operation(choi: ChoiOperator, tol: float = 1e-9) -> SolveReport:
                        feasible_point=choi if ok else None)
 
 
-def _shifted_ppt_cone(shift: np.ndarray | float, shape: FactorShape):
-    """Projection onto {x : x^Gamma >= shift}; Gamma permutes entries, so it is orthogonal."""
-    def proj(x: np.ndarray) -> np.ndarray:
-        pt = partial_transpose_entries(x, shape)
-        return partial_transpose_entries(shift + project_psd(pt - shift), shape)
+def _dilution_projection(m: int, rho: np.ndarray, shape: FactorShape):
+    """The search's sets for ``synthesize_ppt_dilution``: their count, and P onto their product.
 
-    return proj
+    Blocks in order: at m = 0, b over the PSD cone, the partial-transposed
+    PSD cone and the target; at m >= 1, b over the PSD cone, unit trace,
+    and the two shifted cones {x : x^Gamma >= shift}.  Gamma permutes
+    entries, so it is orthogonal, and it is an involution: one index
+    gathers every cone block of the stack into one ``project_psd`` call,
+    partially transposed and shifted, and scatters the results back.
+    """
+    dim = len(rho)
+    entries = np.arange(dim * dim).reshape(dim, dim)
+    gamma = partial_transpose_entries(entries, shape).ravel()
+    zero = np.zeros(dim * dim, rho.dtype)
+    if m == 0:
+        target = hermitian_part(rho)  # exactly Hermitian, as the engine's blocks must be
+        cone_blocks = (0, 1)
+        shifts = np.stack([zero, zero])
+    else:
+        e = math.ldexp(1.0, -m)  # 1/K
+        rho_pt = partial_transpose_entries(rho, shape).ravel()
+        cone_blocks = (0, 2, 3)
+        shifts = np.stack([zero, -e / (1.0 - e) * rho_pt, e / (1.0 + e) * rho_pt])
+    # entry j of cone c is entry gather[c, j] of a start's flattened blocks
+    gather = np.stack([i * dim * dim + (gamma if i else entries.ravel()) for i in cone_blocks])
+
+    def project(z: np.ndarray) -> np.ndarray:
+        s = len(z)
+        psd = z.reshape(s, -1)[:, gather]
+        psd -= shifts
+        psd = project_psd(psd.reshape(-1, dim, dim)).reshape(psd.shape)
+        psd[:, 1:] += shifts[1:]
+        out = np.empty_like(z)
+        out.reshape(s, -1)[:, gather] = psd
+        if m == 0:
+            out[:, 2] = target
+        else:
+            x = z[:, 1]
+            tr = np.trace(x, axis1=-2, axis2=-1).real
+            out[:, 1] = x - ((tr - 1.0) / dim)[:, None, None] * np.eye(dim)
+        return out
+
+    return 3 if m == 0 else 4, project
 
 
 def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 20000,
@@ -250,15 +286,7 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
     if m < 0:
         raise ValueError("ebit count must be >= 0")
     rho, shape, dim = target.entries, target.shape, target.dim
-    if m == 0:
-        projections = [project_psd, _shifted_ppt_cone(0.0, shape), lambda x: rho]
-    else:
-        e = math.ldexp(1.0, -m)  # 1/K
-        rho_pt = partial_transpose_entries(rho, shape)
-        projections = [project_psd,
-                       lambda x: x - (np.trace(x).real - 1.0) / dim * np.eye(dim),
-                       _shifted_ppt_cone(-e / (1.0 - e) * rho_pt, shape),
-                       _shifted_ppt_cone(e / (1.0 + e) * rho_pt, shape)]
+    n_sets, project = _dilution_projection(m, rho, shape)
 
     def point(x: np.ndarray) -> TwirledChoi:
         return TwirledChoi(m, shape, x if m == 0 else rho, x)
@@ -266,7 +294,7 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
     # real data: the feasible set is closed under complex conjugation, so its
     # real part is feasible, and a real start keeps the search real symmetric
     start = random_density_matrix(dim, np.random.default_rng(seed), rho.dtype)
-    result = solve_feasibility(projections, start, lambda x: point(x).residuals(rho),
+    result = solve_feasibility(project, n_sets, start, lambda x: point(x).residuals(rho),
                                tol=tol, max_iter=max_iter)
 
     npt_witness = None

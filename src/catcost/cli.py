@@ -172,6 +172,13 @@ def scenario_synthesize(m: int, target_name: str, tol: float = 1e-6,
     if solve.npt_witness is not None:
         report.add_result("npt_witness", solve.npt_witness, None)
         report.parameters["infeasible"] = True
+    elif m >= 1 and not solve.converged:
+        # E_N is a PPT monotone and E_N(Phi_2^(x m)) = m, so E_N(target) > m
+        # rules out every PPT map from m ebits
+        ln = log_negativity(target)
+        if ln - m > tol:
+            report.add_result("log_negativity", ln, None)
+            report.parameters["infeasible"] = True
     report.add_check("converged", solve.converged)
     return report
 

@@ -1,16 +1,21 @@
 """Convex feasibility engine for intersections of matrix constraint sets.
 
-Product-space Douglas-Rachford splitting over a list of projections onto
-closed convex sets of Hermitian matrices.  Iterates are kept exactly on
-the Hermitian subspace: the affine-projection formulas are only
-orthogonal there, and anti-Hermitian rounding noise is otherwise
-amplified by the reflections.
+Product-space Douglas-Rachford splitting: the governing sequence holds
+one Hermitian matrix per constraint set C_1, ..., C_k, and each cycle
+reflects their average through the product set C_1 x ... x C_k with one
+call of its projection P on the whole ``(s, k, n, n)`` stack of starts
+and sets.  Iterates are kept exactly on the Hermitian subspace: the
+affine-projection formulas are only orthogonal there, and anti-Hermitian
+rounding noise is otherwise amplified by the reflections.
 
-The engine runs a stack of starts in lockstep: every projection, the
-readout and the residuals act on an ``(s, n, n)`` array at once, which
-``np.linalg.eigh`` decomposes in one call.  Each start keeps its own
-stopping bookkeeping and leaves the stack at the cycle it would have
-stopped at if run alone.
+The starts run in lockstep, so a P that sends every cone block through
+one ``project_psd`` call decomposes them all in one ``np.linalg.eigh``
+on a stack; LAPACK and ``matmul`` work matrix by matrix inside it, so
+stacking changes no bit.  Each start keeps its own stopping bookkeeping
+and leaves the stack at the cycle it would have stopped at if run alone.
+A P whose cone blocks are diagonal can clip them with
+``np.maximum(x, 0.0)``, bit for bit ``project_psd`` on a diagonal matrix,
+and make no eigendecomposition.
 
 The Douglas-Rachford map T is accelerated by safeguarded type-II
 Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482; Zhang-O'Donoghue-Boyd,
@@ -40,10 +45,12 @@ def _store_hermitian_part(out: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     The same arithmetic as ``hermitian_part(m)``, without its two temporaries.
     """
-    out[...] = m.swapaxes(-1, -2)
+    transposed = m.swapaxes(-1, -2)
     if out.dtype.kind == "c":
-        np.conjugate(out, out=out)
-    out += m
+        np.conjugate(transposed, out=out)
+        out += m
+    else:
+        np.add(transposed, m, out=out)
     out /= 2
     return out
 
@@ -88,16 +95,6 @@ class FeasibilityResult:
     iterations: int
     residuals: dict[str, float]
     best_history: list[float] = field(default_factory=list)
-
-
-def _update_in_place(y: np.ndarray, step: np.ndarray, avg: np.ndarray) -> None:
-    """Set y to ``y + step - avg`` in place.
-
-    Exactly Hermitian operands give an exactly Hermitian result: the
-    entries (i, j) and (j, i) see the same additions, up to sign.
-    """
-    y += step
-    y -= avg
 
 
 # Anderson acceleration: differences kept per start, and the ridge weight
@@ -209,7 +206,8 @@ def _floats(y: np.ndarray) -> np.ndarray:
 
 
 def solve_feasibility_batch(
-    projections: list[Projection],
+    project: Projection,
+    n_sets: int,
     starts: np.ndarray,
     residual_fn: BatchResidualFn,
     readout: Projection = project_psd,
@@ -221,26 +219,28 @@ def solve_feasibility_batch(
 ) -> list[FeasibilityResult]:
     """Run product-space Douglas-Rachford on a stack of starts in lockstep.
 
-    The governing sequence holds an ``(s, k, n, n)`` array, one matrix per
-    start and constraint set; the DR map T reflects their average through
-    every set.  Each cycle evaluates T once, at the point Anderson
-    acceleration chose from T's last values (see ``_AndersonHistory``),
-    which runs on the array's float64 view and whose output is made
-    exactly Hermitian once per cycle.  ``readout`` maps the Hermitian part
-    of the average of T at the current points to the candidate points,
-    and ``residual_fn`` returns one ``(s,)`` array per residual name.
-    Every array handed to a projection or to ``readout`` is exactly
-    Hermitian.  A start stops when its best maximum residual reaches
-    ``tol``, on a stall (no relative improvement of it over
+    The governing sequence y holds an ``(s, k, n, n)`` array, one matrix
+    per start and constraint set, k = ``n_sets``; ``project`` is the
+    projection onto the product of the k sets, block by block along axis
+    1, and the DR map T sends y to y + P(2 avg - y) - avg, avg the
+    average over the sets.  Each cycle evaluates T once, at the point
+    Anderson acceleration chose from T's last values (see
+    ``_AndersonHistory``), which runs on the array's float64 view and
+    whose output is made exactly Hermitian once per cycle.  ``readout``
+    maps the average of T at the current points, an ``(s, n, n)`` stack,
+    to the candidate points, and ``residual_fn`` returns one ``(s,)``
+    array per residual name.  Every array handed to ``project`` or to
+    ``readout`` is exactly Hermitian when ``project`` returns exactly
+    Hermitian blocks.  A start stops when its best maximum residual
+    reaches ``tol``, on a stall (no relative improvement of it over
     ``stall_window`` cycles; infeasible problems end up here), or at
     ``max_iter``.  Results come back in the order of the starts.
 
-    Each projection returns an array of its argument's shape and dtype;
-    the engine only reads it.  The stacks keep the dtype of ``starts``,
-    so real symmetric starts with real projections stay real.
+    ``project`` returns an array of its argument's shape and dtype; the
+    engine only reads it.  The stacks keep the dtype of ``starts``, so
+    real symmetric starts with a real projection stay real.
     """
-    k = len(projections)
-    y = np.stack([hermitian_part(np.asarray(starts))] * k, axis=1)
+    y = np.stack([hermitian_part(np.asarray(starts))] * n_sets, axis=1)
     anderson = _AndersonHistory(_floats(y), ANDERSON_DEPTH)
     best_point = readout(y[:, 0])
     best_res = residual_fn(best_point)
@@ -265,16 +265,16 @@ def solve_feasibility_batch(
             step = anderson.step(_floats(y))
             _store_hermitian_part(y, step.view(y.dtype).reshape(y.shape))
         it += 1
-        # y, avg and 2 avg - y[i] are exactly Hermitian; a projection that
-        # keeps that keeps the updated y[i] so
-        avg = y.sum(axis=1)
-        avg /= k
-        twice = 2.0 * avg
-        for i, proj in enumerate(projections):
-            _update_in_place(y[:, i], proj(twice - y[:, i]), avg)
+        # y, avg and 2 avg - y are exactly Hermitian, and a projection
+        # that keeps that keeps y so: entries (i, j) and (j, i) see the
+        # same additions, up to sign
+        avg = y.sum(axis=1, keepdims=True)
+        avg /= n_sets
+        y += project(2.0 * avg - y)
+        y -= avg
         if it % check_every and it != max_iter:
             continue
-        candidate = readout(hermitian_part(y.sum(axis=1) / k))
+        candidate = readout(y.sum(axis=1) / n_sets)
         res = residual_fn(candidate)
         res_max = np.max(list(res.values()), axis=0)
         last_improvement[res_max < best_max * (1.0 - stall_rtol)] = it
@@ -304,7 +304,8 @@ def solve_feasibility_batch(
 
 
 def solve_feasibility(
-    projections: list[Projection],
+    project: Projection,
+    n_sets: int,
     start: np.ndarray,
     residual_fn: ResidualFn,
     readout: Projection = project_psd,
@@ -316,17 +317,15 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Douglas-Rachford from one start; ``solve_feasibility_batch`` on a stack of one.
 
-    The projections, the readout and ``residual_fn`` take and return
-    single ``(n, n)`` matrices; ``residual_fn`` returns floats.
+    ``project`` and ``readout`` act on that stack of one, as in the
+    batch; ``residual_fn`` takes the single ``(n, n)`` candidate and
+    returns floats.
     """
-    def on_stack(fn: Projection) -> Projection:
-        return lambda m: fn(m[0])[None]
-
     def residuals(m: np.ndarray) -> dict[str, np.ndarray]:
         return {name: np.array([value]) for name, value in residual_fn(m[0]).items()}
 
     [result] = solve_feasibility_batch(
-        [on_stack(p) for p in projections], np.asarray(start)[None], residuals,
-        readout=on_stack(readout), tol=tol, max_iter=max_iter, check_every=check_every,
-        stall_window=stall_window, stall_rtol=stall_rtol)
+        project, n_sets, np.asarray(start)[None], residuals, readout=readout, tol=tol,
+        max_iter=max_iter, check_every=check_every, stall_window=stall_window,
+        stall_rtol=stall_rtol)
     return result

@@ -29,12 +29,25 @@ def operator_to_document(x: LabeledOperator) -> dict:
     }
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple if each is exactly a JSON integer.
+
+    By exact type: true/false, whose bool is an int, and 2.0, 2.7 and "2",
+    which ``int`` would coerce, are refused.
+    """
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"{what} must be integers, got {list(values)!r}")
+    return values
+
+
 def operator_from_document(doc: dict) -> LabeledOperator:
     try:
-        shape = FactorShape(tuple((int(a), int(b)) for a, b in doc["shape"]))
+        factors = tuple(_integers(pair, "shape dimensions") for pair in doc["shape"])
         pairs = doc["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator document: {exc}") from exc
+    shape = FactorShape(factors)
     n = shape.total_dim
     check_entry_budget(n, "operator")
     return LabeledOperator(shape, _entries_from_pairs(pairs, n))
@@ -68,7 +81,7 @@ def choi_to_document(choi: ChoiOperator) -> dict:
 def choi_from_document(doc: dict) -> ChoiOperator:
     op = operator_from_document(doc)
     try:
-        ins = tuple(int(i) for i in doc["input_factors"])
+        ins = _integers(doc["input_factors"], "input factors")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Choi document: {exc}") from exc
     outs = tuple(i for i in range(op.shape.n_factors) if i not in ins)

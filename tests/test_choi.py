@@ -7,6 +7,7 @@ from catcost.choi import (
     ChoiOperator,
     TwirledChoi,
     _apply_matrix,
+    _dilution_projection,
     analytic_mixer_choi,
     apply_choi,
     coin_flip_broadcast_choi,
@@ -20,10 +21,13 @@ from catcost.operators import (
     ResourceLimitError,
     bipartite_shape,
     density_from_matrix,
+    hermitian_part,
     partial_transpose,
+    partial_transpose_entries,
     tensor_power,
     trace_distance,
 )
+from catcost.projections import project_psd
 from catcost.serialize import save_operator
 from catcost.states import IsotropicParams, isotropic, max_entangled, symmetric_two_broadcast
 
@@ -182,6 +186,35 @@ class TestSynthesis:
             assert all(abs(block[k] - dense[k]) <= 1e-12 for k in block), (block, dense)
         # the random Hermitian blocks leave every residual nonzero
         assert min(block.values()) > 0
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_product_projection_repeats_the_per_set_projections(self, m, dtype, rng):
+        target = random_density(rng, 2, 3)
+        real = dtype is np.float64
+        rho = target.entries.real.copy() if real else target.entries
+        n_sets, project = _dilution_projection(m, rho, target.shape)
+        z = np.stack([random_hermitian(rng, 6) for _ in range(3 * n_sets)]).reshape(3, n_sets, 6, 6)
+        z = z.real.copy() if real else z
+
+        def pt(x):
+            return partial_transpose_entries(x, target.shape)
+
+        def cone(x, shift):
+            return np.stack([pt(shift + project_psd(pt(block) - shift)) for block in x])
+
+        if m == 0:
+            blocks = [project_psd(z[:, 0]), cone(z[:, 1], 0.0),
+                      np.broadcast_to(hermitian_part(rho), (3, 6, 6))]
+        else:
+            e, rho_pt = 2.0 ** -m, pt(rho)
+            tr = np.trace(z[:, 1], axis1=-2, axis2=-1).real
+            blocks = [project_psd(z[:, 0]), z[:, 1] - ((tr - 1.0) / 6)[:, None, None] * np.eye(6),
+                      cone(z[:, 2], -e / (1.0 - e) * rho_pt), cone(z[:, 3], e / (1.0 + e) * rho_pt)]
+        # one gathered project_psd call and one scatter, bit for bit the per-set formulas
+        got = project(z)
+        assert got.dtype == dtype and n_sets == len(blocks)
+        assert np.array_equal(got, np.stack(blocks, axis=1))
 
     def test_search_decomposes_only_target_sized_blocks(self, monkeypatch, capsys):
         seen = spectral_calls(monkeypatch)

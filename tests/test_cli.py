@@ -19,6 +19,8 @@ from catcost.cli import _named_target, _parser, main
 from catcost.choi import analytic_mixer_choi
 from catcost.operators import bipartite_shape, density_from_matrix
 from catcost.serialize import (
+    choi_from_document,
+    choi_to_document,
     load_choi,
     load_density,
     load_operator,
@@ -70,6 +72,21 @@ class TestSerialize:
     def test_entries_that_are_not_pairs_of_numbers_rejected(self, entries):
         with pytest.raises(ValueError, match="pairs of numbers"):
             operator_from_document({"shape": [[2, 1]], "entries": entries})
+
+    @pytest.mark.parametrize("shape", [[[2.7, True]], [["2", 1]], [[2.0, 1]], [[True, 1]],
+                                       [[2, 1], [2, False]]])
+    def test_shapes_that_are_not_integers_rejected(self, shape):
+        # int() would read each of these as a valid shape
+        entries = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]] * (4 if len(shape) > 1 else 1)
+        with pytest.raises(ValueError, match="must be integers"):
+            operator_from_document({"shape": shape, "entries": entries})
+
+    @pytest.mark.parametrize("factors", [[0.9], [True], ["0"], [0.0]])
+    def test_input_factors_that_are_not_integers_rejected(self, factors):
+        doc = choi_to_document(analytic_mixer_choi(2))
+        doc["input_factors"] = factors
+        with pytest.raises(ValueError, match="must be integers"):
+            choi_from_document(doc)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_entries_rejected(self, bad, tmp_path):
@@ -279,6 +296,38 @@ class TestCliScenarios:
         assert code == 4
         assert "npt_witness" in out
         assert "-0.125" in out
+
+    def test_log_negativity_certifies_infeasibility_from_ebits(self, capsys):
+        argv = ["--format", "json-like-keyvalue", "synthesize", "noisy-phi-4", "--m", "1"]
+        assert main(argv) == 4
+        doc = json.loads(capsys.readouterr().out)
+        # E_N = log2(17/4) - 1 > 1 ebit; the search still runs and stalls
+        ln = doc["results"]["log_negativity"]
+        assert abs(ln["value"] - (math.log2(17 / 4) - 1.0)) <= 1e-9 and ln["tol"] is None
+        assert doc["parameters"]["infeasible"] is True and doc["parameters"]["stalled"] is True
+        assert "npt_witness" not in doc["results"] and doc["checks"] == {"converged": False}
+
+    @pytest.mark.parametrize("argv", [["noisy-phi-4", "--m", "2"],
+                                      ["noisy-phi-2", "--m", "1", "--max-iter", "1"]])
+    def test_no_certificate_when_log_negativity_allows_the_ebits(self, argv, capsys):
+        # feasible, and cut off before convergence: E_N <= m either way
+        code = main(["--format", "json-like-keyvalue", "synthesize", *argv])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == (0 if doc["parameters"]["iterations"] > 1 else 4)
+        assert "log_negativity" not in doc["results"] and "infeasible" not in doc["parameters"]
+
+    @pytest.mark.parametrize("shape", [[[2.7, True]], [["2", 1]]])
+    def test_non_integer_shape_file_exits_io(self, shape, tmp_path, capsys):
+        # read with int(), either shape was the (2, 1) of the maximally mixed
+        # qubit, whose two-copy broadcast mu is
+        mu_path, bad = tmp_path / "mu.json", tmp_path / "bad.json"
+        mu_path.write_text(json.dumps({"shape": [[2, 1], [2, 1]], "entries": [
+            [0.25 * (i % 5 == 0), 0.0] for i in range(16)]}))
+        bad.write_text(json.dumps({"shape": shape, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}))
+        for argv in (["verify-broadcast", str(mu_path), str(bad), "--n", "2"],
+                     ["synthesize", str(bad), "--m", "0"]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err.startswith("error: shape dimensions must be integers")
 
     def test_missing_file_exits_io(self, capsys):
         assert main(["verify-broadcast", "/no/such/mu.json", "/no/such/rho.json"]) == 3

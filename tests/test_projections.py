@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from catcost import broadcast, projections
-from catcost.broadcast import _marginal_projections, sample_two_copy_broadcasts
+from catcost.broadcast import _clip, _marginal_projections, sample_two_copy_broadcasts
 from catcost.choi import synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
 from catcost.operators import (
@@ -20,7 +20,6 @@ from catcost.projections import (
     _AndersonHistory,
     _floats,
     _row_dots,
-    _update_in_place,
     project_psd,
     random_density_matrix,
     solve_feasibility,
@@ -42,24 +41,38 @@ def assert_same_outcome(batched, alone):
     assert batched.residuals == alone.residuals
 
 
+def product(*projections):
+    """The projection onto C_1 x ... x C_k from one projection per set, block by block."""
+    def project(z):
+        return np.stack([p(z[:, i]) for i, p in enumerate(projections)], axis=1)
+    return project
+
+
 def spy_on_engine_inputs(monkeypatch, module):
     """Record (dtype, exactly Hermitian) of every array the engine hands on.
 
-    Wraps ``module.solve_feasibility_batch`` so that each projection, the
-    readout and ``residual_fn`` record their argument first.
+    Wraps ``module.solve_feasibility_batch`` so that the product
+    projection, the readout and ``residual_fn`` record their argument
+    first, and the product projection its output too.
     """
     seen = set()
     batch = projections.solve_feasibility_batch
 
-    def recording(fn):
+    def record(x):
+        seen.add((x.dtype, bool(np.array_equal(x, x.conj().swapaxes(-1, -2)))))
+
+    def recording(fn, output=False):
         def spied(x):
-            seen.add((x.dtype, bool(np.array_equal(x, x.conj().swapaxes(-1, -2)))))
-            return fn(x)
+            record(x)
+            out = fn(x)
+            if output:
+                record(out)
+            return out
         return spied
 
-    def spying_batch(projs, starts, residual_fn, readout=project_psd, **kwargs):
-        return batch([recording(p) for p in projs], starts, recording(residual_fn),
-                     readout=recording(readout), **kwargs)
+    def spying_batch(project, n_sets, starts, residual_fn, readout=project_psd, **kwargs):
+        return batch(recording(project, output=True), n_sets, starts,
+                     recording(residual_fn), readout=recording(readout), **kwargs)
 
     monkeypatch.setattr(module, "solve_feasibility_batch", spying_batch)
     return seen
@@ -83,11 +96,11 @@ class TestLockstepOracle:
         proj, residual = _marginal_projections(max_entangled(2).entries)
         starts = np.stack([random_density_matrix(16, rng) for _ in range(5)])
         kwargs = dict(tol=1e-9, max_iter=5000, check_every=5)
-        batched = solve_feasibility_batch([proj, project_psd], starts, residual, **kwargs)
+        project = product(proj, project_psd)
+        batched = solve_feasibility_batch(project, 2, starts, residual, **kwargs)
         assert len(batched) == 5
         for start, result in zip(starts, batched):
-            alone = solve_feasibility([proj, project_psd], start,
-                                      scalar_residuals(residual), **kwargs)
+            alone = solve_feasibility(project, 2, start, scalar_residuals(residual), **kwargs)
             assert result.converged
             assert_same_outcome(result, alone)
             assert np.abs(result.point - alone.point).max() <= 1e-12
@@ -116,11 +129,11 @@ class TestRetirement:
         proj, residual = trace_minus_one(3)
         scales = (1e-4, 1e-1, 1e2, 1e5, 1e8)
         starts = np.stack([random_density_matrix(3, rng) * s for s in scales])
-        return [project_psd, proj], residual, starts
+        return product(project_psd, proj), residual, starts
 
     def test_infeasible_starts_stall_at_their_own_cycle(self, problem):
-        projections, residual, starts = problem
-        batched = solve_feasibility_batch(projections, starts, residual, stall_window=50)
+        project, residual, starts = problem
+        batched = solve_feasibility_batch(project, 2, starts, residual, stall_window=50)
         assert all(r.stalled and not r.converged for r in batched)
         # starts leave the stack at different cycles
         assert len({r.iterations for r in batched}) > 1
@@ -130,14 +143,14 @@ class TestRetirement:
             hist = result.best_history
             last = max(i for i in range(1, len(hist)) if hist[i] < hist[i - 1] * (1 - 1e-9))
             assert result.iterations == 10 * last + 50
-            alone = solve_feasibility(projections, start, scalar_residuals(residual),
+            alone = solve_feasibility(project, 2, start, scalar_residuals(residual),
                                       stall_window=50)
             assert_same_outcome(result, alone)
             assert np.array_equal(result.point, alone.point)
 
     def test_iteration_cap(self, problem):
-        projections, residual, starts = problem
-        batched = solve_feasibility_batch(projections, starts, residual, max_iter=15)
+        project, residual, starts = problem
+        batched = solve_feasibility_batch(project, 2, starts, residual, max_iter=15)
         assert [(r.converged, r.stalled, r.iterations) for r in batched] == [
             (False, False, 15)] * len(starts)
         # the cap forces a final check off the check_every grid
@@ -158,13 +171,26 @@ class TestInPlaceArithmetic:
         assert got.dtype == dtype
         assert np.array_equal(got, oracle)
 
-    def test_update_matches_the_formula(self, rng):
-        y, step, avg = (hermitian_part(rng.standard_normal((3, 6, 6))
-                                       + 1j * rng.standard_normal((3, 6, 6)))
-                        for _ in range(3))
-        oracle = hermitian_part(y + step - avg)
-        _update_in_place(y, step, avg)
-        assert np.array_equal(y, oracle)
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_stacked_project_psd_equals_per_block_calls(self, rng, dtype, n):
+        g = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        m = hermitian_part(g).real.copy() if dtype is np.float64 else hermitian_part(g)
+        stacked = project_psd(m)
+        assert np.array_equal(stacked, np.stack([project_psd(block) for block in m]))
+        # a block of a larger stack, as the product projections pass them
+        assert np.array_equal(stacked[2:4], project_psd(m[2:4]))
+
+    def test_clip_equals_project_psd_on_diagonal_stacks(self, rng):
+        diagonals = rng.standard_normal((7, 4))
+        diagonals[diagonals < -1.0] = 0.0
+        diagonals[0] = (-1.5, 0.0, 2.5, -0.0)
+        stack = np.zeros((7, 4, 4))
+        np.einsum("sii->si", stack)[...] = diagonals
+        assert (diagonals < 0).any() and (diagonals == 0).any() and (diagonals > 0).any()
+        clipped = _clip(stack)
+        assert np.array_equal(clipped, project_psd(stack))
+        assert np.array_equal(np.einsum("sii->si", clipped), np.maximum(diagonals, 0.0))
 
 
 class TestFloatView:
@@ -316,13 +342,31 @@ class TestAcceleratedSolves:
         assert len(cycles) == 50 and sum(cycles) == 2525
         assert min(cycles) >= 45 and max(cycles) <= 55
 
-    def test_rigidity_scenario_decomposes_only_4x4_stacks(self, monkeypatch):
+    def test_rigidity_scenario_makes_no_eigendecomposition(self, monkeypatch):
         seen = spectral_calls(monkeypatch)
         assert scenario_rigidity(2, 50, 42).passed
-        assert not any(shape[-1] == 16 for _, shape, _ in seen)
-        stacked = {(name, shape[1:], dtype) for name, shape, dtype in seen
-                   if name == "eigh" and len(shape) == 3}
-        assert stacked == {("eigh", (4, 4), np.dtype(np.float64))}
+        # the twirled search clips its diagonal blocks
+        assert seen == []
+
+    @pytest.mark.parametrize("name, m", [("noisy-phi-2", 0), ("noisy-phi-2", 1),
+                                         ("broadcast-phi-2", 1), ("noisy-phi-3", 2)])
+    def test_synthesis_makes_one_eigh_per_cycle(self, monkeypatch, name, m):
+        target = _named_target(name)
+        target.partial_transpose_eigh  # the m = 0 witness, decomposed before the count
+        n = target.dim
+        seen = spectral_calls(monkeypatch)
+        report = synthesize_ppt_dilution(m, target, seed=0)
+        checks = len(report.best_history)  # the start's readout, then one per check
+        eigh = [shape for kind, shape, _ in seen if kind == "eigh"]
+        # every cone block of a cycle in one stacked eigh: the PSD and the
+        # partially transposed block at m = 0, and both shifted PPT blocks
+        # at m >= 1; the readout of a check makes the one other
+        cones = 2 if m == 0 else 3
+        assert eigh.count((cones, n, n)) == report.iterations
+        assert eigh.count((1, n, n)) == checks
+        assert len(eigh) == report.iterations + checks
+        # the four residual spectra of a check in one stacked eigvalsh
+        assert [shape for kind, shape, _ in seen if kind == "eigvalsh"] == [(4, n, n)] * checks
 
     def test_phased_rigidity_keeps_complex_iterates(self, monkeypatch):
         seen = spy_on_engine_inputs(monkeypatch, broadcast)
