@@ -58,9 +58,19 @@ def check_power_budget(base: int, n: int, what: str, times: int = 1) -> None:
     check_entry_budget(dim, what)
 
 
-def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dagger) / 2 of a float or complex matrix, or of each matrix of a stack."""
-    out = m + m.conj().swapaxes(-1, -2)
+def hermitian_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(m + m^dagger) / 2 of a float or complex matrix, or of each matrix of a stack.
+
+    As numpy's ``out``: the same values, written with no temporary into
+    ``out``, a buffer of their shape and dtype other than ``m``.
+    """
+    if out is None:
+        out = m + m.conj().swapaxes(-1, -2)
+    elif out.dtype.kind == "c":
+        np.conjugate(m.swapaxes(-1, -2), out=out)
+        out += m
+    else:
+        np.add(m.swapaxes(-1, -2), m, out=out)
     out /= 2  # in place: one temporary fewer at large n
     return out
 

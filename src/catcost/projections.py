@@ -22,9 +22,11 @@ Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482; Zhang-O'Donoghue-Boyd,
 arXiv:1808.03971) over the last ``ANDERSON_DEPTH`` differences.  The
 history is kept on the stacks' own float64 view, a complex entry as its
 (re, im) pair: the Euclidean inner product there is the Frobenius inner
-product Re tr(A^dagger B) of the Hermitian matrices.  T is still
-evaluated once per cycle, and the extrapolated stack is made exactly
-Hermitian once per cycle.
+product Re tr(A^dagger B) of the Hermitian matrices.  T is evaluated
+once per cycle, and ``hermitian_part`` makes the extrapolated
+stack exactly Hermitian once per cycle, written into the stack's buffer.
+The Anderson depth and the stall rule are module constants; the per-call
+options are declared on ``solve_feasibility_batch`` alone.
 """
 from __future__ import annotations
 
@@ -40,21 +42,6 @@ ResidualFn = Callable[[np.ndarray], dict[str, float]]
 BatchResidualFn = Callable[[np.ndarray], dict[str, np.ndarray]]
 
 
-def _store_hermitian_part(out: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Write (m + m^dagger) / 2 into ``out``, a buffer other than ``m``; return it.
-
-    The same arithmetic as ``hermitian_part(m)``, without its two temporaries.
-    """
-    transposed = m.swapaxes(-1, -2)
-    if out.dtype.kind == "c":
-        np.conjugate(transposed, out=out)
-        out += m
-    else:
-        np.add(transposed, m, out=out)
-    out /= 2
-    return out
-
-
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm, per matrix of a stack.
 
@@ -64,7 +51,7 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     scaled = v * np.maximum(w, 0.0)[..., None, :]
     if v.dtype.kind == "c":
         np.conjugate(v, out=v)  # v is ours: its conjugate in place, not a copy
-    return _store_hermitian_part(scaled, scaled @ v.swapaxes(-1, -2))
+    return hermitian_part(scaled @ v.swapaxes(-1, -2), out=scaled)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator,
@@ -99,9 +86,12 @@ class FeasibilityResult:
 
 # Anderson acceleration: differences kept per start, and the ridge weight
 # of its least-squares problem relative to the squared sizes of those
-# differences
+# differences.  The stall rule: a start stops after STALL_WINDOW cycles in
+# which its best maximum residual did not fall by a relative _STALL_RTOL.
 ANDERSON_DEPTH = 3
 _ANDERSON_REG = 1e-10
+STALL_WINDOW = 500
+_STALL_RTOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
@@ -121,16 +111,16 @@ class _AndersonHistory:
     """Safeguarded type-II Anderson acceleration of a fixed-point map T, per start.
 
     Rows are starts, as float64 vectors.  Each start keeps T and
-    g = T - id at its last accepted point, the last ``depth`` differences
-    of both in rolling buffers, and the Gram matrix of the g differences,
-    updated by one row per step.  Its current point is
+    g = T - id at its last accepted point, the last ``ANDERSON_DEPTH``
+    differences of both in rolling buffers, and the Gram matrix of the g
+    differences, updated by one row per step.  Its current point is
     ``f - df @ gamma`` and is not stored.  The buffers are allocated once;
     ``keep`` compacts them in place when starts retire.
     """
 
-    def __init__(self, x0: np.ndarray, depth: int) -> None:
+    def __init__(self, x0: np.ndarray) -> None:
         s, dim = x0.shape
-        self.depth = depth
+        depth = ANDERSON_DEPTH
         self.eye = np.eye(depth)
         self.slot = -1  # ring slot of the newest difference; -1 before the first step
         self._buffers = (
@@ -160,11 +150,11 @@ class _AndersonHistory:
         r -= f
         r_norm2 = _row_dots(r, r)
         if self.slot < 0:  # the first step is a plain one
-            self.slot = self.depth - 1
+            self.slot = ANDERSON_DEPTH - 1
             f[...], g[...], g_norm2[...] = t, r, r_norm2
             return t.copy()
         rejected = extrapolated & (r_norm2 > g_norm2)
-        self.slot = j = (self.slot + 1) % self.depth
+        self.slot = j = (self.slot + 1) % ANDERSON_DEPTH
         df_j, dg_j = df[:, j], dg[:, j]
         np.subtract(r, g, out=dg_j)
         np.subtract(t, f, out=df_j)
@@ -214,8 +204,6 @@ def solve_feasibility_batch(
     tol: float = 1e-6,
     max_iter: int = 20000,
     check_every: int = 10,
-    stall_window: int = 500,
-    stall_rtol: float = 1e-9,
 ) -> list[FeasibilityResult]:
     """Run product-space Douglas-Rachford on a stack of starts in lockstep.
 
@@ -226,22 +214,24 @@ def solve_feasibility_batch(
     average over the sets.  Each cycle evaluates T once, at the point
     Anderson acceleration chose from T's last values (see
     ``_AndersonHistory``), which runs on the array's float64 view and
-    whose output is made exactly Hermitian once per cycle.  ``readout``
-    maps the average of T at the current points, an ``(s, n, n)`` stack,
-    to the candidate points, and ``residual_fn`` returns one ``(s,)``
-    array per residual name.  Every array handed to ``project`` or to
+    whose output ``hermitian_part`` makes exactly Hermitian in y's own
+    buffer once per cycle.  ``readout`` maps the average of T at the
+    current points, an ``(s, n, n)`` stack, to the candidate points, and
+    ``residual_fn`` returns one ``(s,)`` array per residual name.  Every array handed to ``project`` or to
     ``readout`` is exactly Hermitian when ``project`` returns exactly
     Hermitian blocks.  A start stops when its best maximum residual
-    reaches ``tol``, on a stall (no relative improvement of it over
-    ``stall_window`` cycles; infeasible problems end up here), or at
-    ``max_iter``.  Results come back in the order of the starts.
+    reaches ``tol``, on a stall (no relative improvement of it by
+    ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles; infeasible problems end
+    up here), or at ``max_iter``.  A stopped start leaves the stack, and
+    its rows of the Anderson buffers are compacted away in place.
+    Results come back in the order of the starts.
 
     ``project`` returns an array of its argument's shape and dtype; the
     engine only reads it.  The stacks keep the dtype of ``starts``, so
     real symmetric starts with a real projection stay real.
     """
     y = np.stack([hermitian_part(np.asarray(starts))] * n_sets, axis=1)
-    anderson = _AndersonHistory(_floats(y), ANDERSON_DEPTH)
+    anderson = _AndersonHistory(_floats(y))
     best_point = readout(y[:, 0])
     best_res = residual_fn(best_point)
     best_max = np.max(list(best_res.values()), axis=0)
@@ -263,7 +253,7 @@ def solve_feasibility_batch(
             # out; the accelerated next points, made exactly Hermitian,
             # replace it
             step = anderson.step(_floats(y))
-            _store_hermitian_part(y, step.view(y.dtype).reshape(y.shape))
+            hermitian_part(step.view(y.dtype).reshape(y.shape), out=y)
         it += 1
         # y, avg and 2 avg - y are exactly Hermitian, and a projection
         # that keeps that keeps y so: entries (i, j) and (j, i) see the
@@ -277,7 +267,7 @@ def solve_feasibility_batch(
         candidate = readout(y.sum(axis=1) / n_sets)
         res = residual_fn(candidate)
         res_max = np.max(list(res.values()), axis=0)
-        last_improvement[res_max < best_max * (1.0 - stall_rtol)] = it
+        last_improvement[res_max < best_max * (1.0 - _STALL_RTOL)] = it
         better = res_max < best_max
         best_point = np.where(better[:, None, None], candidate, best_point)
         best_res = {name: np.where(better, res[name], r) for name, r in best_res.items()}
@@ -285,7 +275,7 @@ def solve_feasibility_batch(
         for h, b in zip(history, best_max):
             h.append(float(b))
         converged = best_max <= tol
-        stalled = ~converged & (it - last_improvement >= stall_window)
+        stalled = ~converged & (it - last_improvement >= STALL_WINDOW)
         done = converged | stalled | (it == max_iter)
         if not done.any():
             continue
@@ -303,29 +293,17 @@ def solve_feasibility_batch(
     return results
 
 
-def solve_feasibility(
-    project: Projection,
-    n_sets: int,
-    start: np.ndarray,
-    residual_fn: ResidualFn,
-    readout: Projection = project_psd,
-    tol: float = 1e-6,
-    max_iter: int = 20000,
-    check_every: int = 10,
-    stall_window: int = 500,
-    stall_rtol: float = 1e-9,
-) -> FeasibilityResult:
+def solve_feasibility(project: Projection, n_sets: int, start: np.ndarray,
+                      residual_fn: ResidualFn, **options) -> FeasibilityResult:
     """Douglas-Rachford from one start; ``solve_feasibility_batch`` on a stack of one.
 
     ``project`` and ``readout`` act on that stack of one, as in the
     batch; ``residual_fn`` takes the single ``(n, n)`` candidate and
-    returns floats.
+    returns floats.  ``options`` go to the batch, which declares them.
     """
     def residuals(m: np.ndarray) -> dict[str, np.ndarray]:
         return {name: np.array([value]) for name, value in residual_fn(m[0]).items()}
 
-    [result] = solve_feasibility_batch(
-        project, n_sets, np.asarray(start)[None], residuals, readout=readout, tol=tol,
-        max_iter=max_iter, check_every=check_every, stall_window=stall_window,
-        stall_rtol=stall_rtol)
+    [result] = solve_feasibility_batch(project, n_sets, np.asarray(start)[None], residuals,
+                                       **options)
     return result

@@ -92,8 +92,16 @@ def save_operator(x: LabeledOperator, path: str | Path) -> None:
     Path(path).write_text(json.dumps(operator_to_document(x)))
 
 
+def _read_document(path: str | Path, what: str):
+    text = Path(path).read_text()
+    try:  # a nesting deeper than the parser's recursion limit is malformed too
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"malformed {what} document: nested too deeply") from exc
+
+
 def load_operator(path: str | Path) -> LabeledOperator:
-    return operator_from_document(json.loads(Path(path).read_text()))
+    return operator_from_document(_read_document(path, "operator"))
 
 
 def load_density(path: str | Path, **tols) -> DensityOperator:
@@ -105,4 +113,4 @@ def save_choi(choi: ChoiOperator, path: str | Path) -> None:
 
 
 def load_choi(path: str | Path) -> ChoiOperator:
-    return choi_from_document(json.loads(Path(path).read_text()))
+    return choi_from_document(_read_document(path, "Choi"))

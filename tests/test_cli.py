@@ -97,6 +97,13 @@ class TestSerialize:
         with pytest.raises(ValueError, match="finite"):
             load_operator(path)
 
+    @pytest.mark.parametrize("load, what", [(load_operator, "operator"), (load_choi, "Choi")])
+    def test_nesting_deeper_than_the_parser_rejected(self, load, what, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        with pytest.raises(ValueError, match=f"malformed {what} document"):
+            load(path)
+
     def test_entries_keep_their_values(self):
         op = operator_from_document(
             {"shape": [[2, 1]], "entries": [[1, 2], [3, 4.5], [0, -1], [7, 0]]})
@@ -367,6 +374,23 @@ class TestCliScenarios:
                              env=env, capture_output=True, text=True)
         assert run.returncode == 3
         assert run.stderr.startswith("error:")
+        assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("command", [["verify-broadcast", "{deep}", "{rho}", "--n", "2"],
+                                         ["synthesize", "{deep}", "--m", "1"]])
+    def test_deeply_nested_matrix_file_exits_io(self, command, tmp_path):
+        # deeper than json's recursion limit; in a fresh process, as above
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        _, rho_path = _broadcast_files(tmp_path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        argv = [arg.format(deep=deep, rho=rho_path) for arg in command]
+        run = subprocess.run([sys.executable, "-m", "catcost.cli", *argv],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 3
+        assert run.stderr.startswith("error: malformed operator document")
         assert "Traceback" not in run.stderr
 
     def test_verify_broadcast_failure_exits_numerical(self, tmp_path, capsys):

@@ -16,7 +16,6 @@ from catcost.operators import (
     trace_distance,
 )
 from catcost.projections import (
-    ANDERSON_DEPTH,
     _AndersonHistory,
     _floats,
     _row_dots,
@@ -131,9 +130,10 @@ class TestRetirement:
         starts = np.stack([random_density_matrix(3, rng) * s for s in scales])
         return product(project_psd, proj), residual, starts
 
-    def test_infeasible_starts_stall_at_their_own_cycle(self, problem):
+    def test_infeasible_starts_stall_at_their_own_cycle(self, problem, monkeypatch):
+        monkeypatch.setattr(projections, "STALL_WINDOW", 50)
         project, residual, starts = problem
-        batched = solve_feasibility_batch(project, 2, starts, residual, stall_window=50)
+        batched = solve_feasibility_batch(project, 2, starts, residual)
         assert all(r.stalled and not r.converged for r in batched)
         # starts leave the stack at different cycles
         assert len({r.iterations for r in batched}) > 1
@@ -143,8 +143,7 @@ class TestRetirement:
             hist = result.best_history
             last = max(i for i in range(1, len(hist)) if hist[i] < hist[i - 1] * (1 - 1e-9))
             assert result.iterations == 10 * last + 50
-            alone = solve_feasibility(project, 2, start, scalar_residuals(residual),
-                                      stall_window=50)
+            alone = solve_feasibility(project, 2, start, scalar_residuals(residual))
             assert_same_outcome(result, alone)
             assert np.array_equal(result.point, alone.point)
 
@@ -157,16 +156,35 @@ class TestRetirement:
         assert all(len(r.best_history) == 3 for r in batched)
 
 
+def hermitian_formula(m):
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
 class TestInPlaceArithmetic:
     """The buffer-reusing kernels repeat the plain formulas bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_hermitian_part_into_a_buffer_matches_the_formula(self, rng, dtype, n):
+        g = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+        m = g.real.copy() if dtype is np.float64 else g
+        before = m.copy()
+        buf = np.empty_like(m)
+        oracle = hermitian_formula(m)
+        assert oracle.dtype == dtype
+        # byte for byte: the signs of zeros too
+        assert hermitian_part(m).tobytes() == oracle.tobytes()
+        assert hermitian_part(m, out=buf) is buf
+        assert buf.tobytes() == oracle.tobytes()
+        assert m.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     def test_project_psd_matches_the_formula(self, rng, dtype):
         g = rng.standard_normal((4, 9, 9)) + 1j * rng.standard_normal((4, 9, 9))
         m = hermitian_part(g).real.copy() if dtype is np.float64 else hermitian_part(g)
         w, v = np.linalg.eigh(m)
-        oracle = hermitian_part((v * np.clip(w, 0.0, None)[..., None, :])
-                                @ v.conj().swapaxes(-1, -2))
+        oracle = hermitian_formula((v * np.clip(w, 0.0, None)[..., None, :])
+                                   @ v.conj().swapaxes(-1, -2))
         got = project_psd(m)
         assert got.dtype == dtype
         assert np.array_equal(got, oracle)
@@ -221,7 +239,7 @@ class TestAnderson:
     def test_rejected_extrapolation_continues_from_the_held_step(self, rng):
         t, _ = affine_contraction(rng, 8)
         x0 = rng.standard_normal((2, 8))
-        history = _AndersonHistory(x0, ANDERSON_DEPTH)
+        history = _AndersonHistory(x0)
         df, dg, gram, scale, gamma, extrapolated = history._rows[3:]
         x1 = history.step(t(x0))
         assert not extrapolated.any()  # the first step is a plain one
@@ -243,7 +261,7 @@ class TestAnderson:
 
     def test_acceleration_beats_plain_iteration_on_a_contraction(self, rng):
         t, fixed = affine_contraction(rng, 8)
-        history = _AndersonHistory(np.zeros((1, 8)), ANDERSON_DEPTH)
+        history = _AndersonHistory(np.zeros((1, 8)))
         x = plain = np.zeros((1, 8))
         for _ in range(30):
             x = history.step(t(x))
@@ -253,8 +271,8 @@ class TestAnderson:
     def test_compaction_keeps_each_rows_history(self, rng):
         t, _ = affine_contraction(rng, 6)
         starts = rng.standard_normal((3, 6))
-        stacked = _AndersonHistory(starts, ANDERSON_DEPTH)
-        alone = _AndersonHistory(starts[2:], ANDERSON_DEPTH)
+        stacked = _AndersonHistory(starts)
+        alone = _AndersonHistory(starts[2:])
         x, y = starts, starts[2:]
         for i in range(5):
             x, y = stacked.step(t(x)), alone.step(t(y))
