@@ -61,12 +61,12 @@ def check_power_budget(base: int, n: int, what: str, times: int = 1) -> None:
 def hermitian_part(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(m + m^dagger) / 2 of a float or complex matrix, or of each matrix of a stack.
 
-    As numpy's ``out``: the same values, written with no temporary into
-    ``out``, a buffer of their shape and dtype other than ``m``.
+    Written with no temporary into ``out`` if given: a buffer of the
+    result's shape and dtype that shares no memory with ``m``.
     """
     if out is None:
-        out = m + m.conj().swapaxes(-1, -2)
-    elif out.dtype.kind == "c":
+        out = np.empty_like(m)
+    if out.dtype.kind == "c":
         np.conjugate(m.swapaxes(-1, -2), out=out)
         out += m
     else:
