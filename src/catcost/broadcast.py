@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import IsotropicCopies
+from .measures import IsotropicCopies, copy_ranks, twirl_coefficients
 from .operators import (
     MAX_ENTRIES,
     DensityOperator,
@@ -32,6 +32,7 @@ from .operators import (
 )
 from .projections import (
     FeasibilityResult,
+    clip,
     project_psd,
     random_density_matrix,
     solve_feasibility_batch,
@@ -174,31 +175,33 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
     """
     dim = phi.dim ** 2
     check_entry_budget(dim, "two-copy broadcast projection")
-    block = MAX_ENTRIES // (dim * dim)
-    rng = np.random.default_rng(seed)
     shape = phi.shape.copies(2)
     points = []
-    for first in range(0, n_starts, block):
-        # drawing block by block keeps the order of one up-front draw
-        starts = np.stack([random_density_matrix(dim, rng, phi.entries.dtype)
-                           for _ in range(min(block, n_starts - first))])
-        for trial, result in enumerate(
-                _project_starts(phi, starts, feasibility_tol, max_iter), start=first):
+    for starts in _start_blocks(dim, n_starts, seed, phi.entries.dtype):
+        for result in _project_starts(phi, starts, feasibility_tol, max_iter):
             if not result.converged:
-                raise RuntimeError(
-                    f"projection start {trial} did not reach feasibility: {result.residuals}")
+                raise RuntimeError(f"projection start {len(points)} did not reach "
+                                   f"feasibility: {result.residuals}")
             m = result.point
             points.append(density_from_matrix(m / np.trace(m).real, shape))
     return points
 
 
+def _start_blocks(dim: int, n_starts: int, seed: int, dtype: np.dtype):
+    """The seeded dim x dim starts, drawn in order from one generator, in stacks.
+
+    A stack holds at most MAX_ENTRIES entries (one start if a start alone
+    has more); drawing block by block keeps the order of one up-front draw.
+    """
+    block = max(1, MAX_ENTRIES // (dim * dim))
+    rng = np.random.default_rng(seed)
+    for first in range(0, n_starts, block):
+        yield np.stack([random_density_matrix(dim, rng, dtype)
+                        for _ in range(min(block, n_starts - first))])
+
+
 # ---------------------------------------------------------------------------
 # the same search in the per-copy twirl algebra of Phi_d
-
-
-def _clip(y: np.ndarray) -> np.ndarray:
-    """``project_psd`` of a stack of diagonal matrices, bit for bit, with no eigendecomposition."""
-    return np.maximum(y, 0.0)
 
 
 def _twirled_marginal_projections(d: int):
@@ -208,7 +211,7 @@ def _twirled_marginal_projections(d: int):
     coefficients (c00, c01, c10, c11) of ``IsotropicCopies`` and
     r = (1, D) x (1, D) their ranks, D = d^2 - 1: in these coordinates
     the Frobenius norm is the Hilbert-Schmidt norm of the state, and the
-    PSD projection clips the diagonal (``_clip``).  Tr_2 X = Phi and
+    PSD projection clips the diagonal (``projections.clip``).  Tr_2 X = Phi and
     Tr_1 X = Phi read c00 + D c01 = 1, c10 + D c11 = 0, c00 + D c10 = 1
     (the fourth row follows), which in y is the line
     e00 + t (D, -sqrt D, -sqrt D, 1).
@@ -216,7 +219,7 @@ def _twirled_marginal_projections(d: int):
     coefficients from Phi's (1, 0): its operator-norm distance from Phi.
     """
     rank = d * d - 1.0  # D, the rank of 1 - Phi
-    root = np.sqrt([1.0, rank, rank, rank * rank])
+    root = np.sqrt(copy_ranks(d, 2).ravel())
     unit = np.array([rank, -root[1], -root[1], 1.0]) / (rank + 1.0)
     phi = np.array([1.0, 0.0])  # the marginal's coefficients
 
@@ -245,8 +248,8 @@ def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
     """``sample_two_copy_broadcasts`` for phi = Phi_d, in 4 coefficients a start.
 
     The starts are the dense search's, drawn in order from one generator
-    as real d^4 x d^4 density matrices (Phi_d is real); each is twirled
-    (``IsotropicCopies.from_twirl``) and the solve runs on diagonal
+    as real d^4 x d^4 density matrices (Phi_d is real) and twirled a
+    stack at a time (``twirl_coefficients``); the solve runs on diagonal
     (s, 4, 4) ``float64`` stacks (see ``_twirled_marginal_projections``),
     with no eigendecomposition.
     The feasibility tolerance (1e-9) and cycle cap (5000) are the dense
@@ -255,13 +258,12 @@ def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
     dim = d ** 4
     check_entry_budget(dim, "two-copy broadcast start")
     root, proj_affine, residual = _twirled_marginal_projections(d)
-    rng = np.random.default_rng(seed)
+    coeffs = np.concatenate([twirl_coefficients(d, starts).reshape(-1, 4)
+                             for starts in _start_blocks(dim, n_starts, seed, np.float64)])
     starts = np.zeros((n_starts, 4, 4))
-    for start in starts:
-        twirled = IsotropicCopies.from_twirl(d, random_density_matrix(dim, rng, np.float64))
-        np.einsum("ii->i", start)[...] = root * twirled.coeffs.ravel()
-    results = solve_feasibility_batch(_marginals_and_cone(proj_affine, _clip), 2, starts,
-                                      residual, readout=_clip, tol=1e-9, max_iter=5000,
+    np.einsum("sii->si", starts)[...] = root * coeffs
+    results = solve_feasibility_batch(_marginals_and_cone(proj_affine, clip), 2, starts,
+                                      residual, readout=clip, tol=1e-9, max_iter=5000,
                                       check_every=5)
     points = []
     for trial, result in enumerate(results):

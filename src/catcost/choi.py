@@ -5,6 +5,10 @@ with factor order (input factors, output factors).  The channel is a PPT
 operation exactly when the Choi operator stays positive semidefinite
 under the global B-side partial transpose, which covers the B indices of
 input and output factors alike.
+
+``synthesize_ppt_dilution`` decides PPT dilution from m ebits with a
+target-sized search: D x D for a dense target, and 2^k twirl
+coefficients for an ``IsotropicCopies`` one.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from .operators import (
     FactorShape,
     LabeledOperator,
     bipartite_shape,
+    check_entry_budget,
     check_power_budget,
     density_from_matrix,
     hermitian_part,
@@ -27,7 +32,16 @@ from .operators import (
     tensor,
     tensor_power,
 )
-from .projections import project_psd, random_density_matrix, solve_feasibility
+from .measures import (
+    IsotropicCopies,
+    copies_matrix,
+    copy_ranks,
+    largest_entry,
+    partial_transpose_isometry,
+    partial_transpose_spectrum,
+    twirl_coefficients,
+)
+from .projections import clip, project_psd, random_density_matrix, solve_feasibility
 from .states import max_entangled
 
 
@@ -270,8 +284,116 @@ def _dilution_projection(m: int, rho: np.ndarray, shape: FactorShape):
     return 3 if m == 0 else 4, project
 
 
-def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 20000,
-                            tol: float = 1e-6, seed: int = 0) -> SolveReport:
+def _dense_dilution(m: int, target: DensityOperator, rng: np.random.Generator):
+    """The D x D search: its sets' count, P, readout, start, residuals and point.
+
+    The input is real, so the search runs in the dtype of
+    ``target.entries``: float64 for a target stored real.
+    """
+    rho = target.entries
+    n_sets, project = _dilution_projection(m, rho, target.shape)
+
+    def point(x: np.ndarray) -> TwirledChoi:
+        return TwirledChoi(m, target.shape, x if m == 0 else rho, x)
+
+    # real data: the feasible set is closed under complex conjugation, so its
+    # real part is feasible, and a real start keeps the search real symmetric
+    start = random_density_matrix(target.dim, rng, rho.dtype)
+    return n_sets, project, project_psd, start, lambda x: point(x).residuals(rho), point
+
+
+def _block_diagonal(blocks) -> np.ndarray:
+    n = sum(len(b) for b in blocks)
+    out, first = np.zeros((n, n)), 0
+    for b in blocks:
+        out[first:first + len(b), first:first + len(b)] = b
+        first += len(b)
+    return out
+
+
+def _twirled_dilution(m: int, target: IsotropicCopies, rng: np.random.Generator):
+    """``_dense_dilution`` in the twirl algebra of an ``IsotropicCopies`` target.
+
+    A block is a diagonal 2^k x 2^k ``float64`` matrix y = sqrt(r) c,
+    with c the coefficients of a twirl-invariant sigma and r their ranks,
+    so the Frobenius norm of y is the Hilbert-Schmidt norm of sigma.  The
+    target's twirl symmetry maps every set into itself, so P restricted to
+    these blocks is P of the dense search, and each set is a clip in an
+    orthonormal frame of the coefficients or an affine map:
+
+    - the PSD cone: ``clip``, y -> max(y, 0);
+    - unit trace: the hyperplane <sqrt(r), y> = 1;
+    - each cone {x : x^Gamma >= shift}: y -> Q^T (s + max(Q y - s, 0)),
+      with Q the orthogonal ``partial_transpose_isometry`` and
+      s = Q sqrt(r) c_shift;
+    - the target at m = 0: the fixed point sqrt(r) c_rho.
+
+    Over a start's row of diagonals, P is y -> max(y F - s, floor) B + o,
+    with F and B the sets' frames and back-maps as block-diagonal
+    matrices, floor 0 where a set clips and -inf where it is affine.  The
+    start is the twirl of the dense search's seeded start.  The residuals
+    are those of ``TwirledChoi.residuals`` on the dense blocks, in closed
+    form: cp and ppt the least coefficients of a, b and the two cone
+    operators, tp = |r.c - 1|, and the correctness at m = 0 the largest
+    entry of sigma - rho (``largest_entry``); at m >= 1, a = rho exactly.
+    ``point`` builds the dense blocks.
+    """
+    d, rho = target.d, target.coeffs
+    ranks = copy_ranks(d, rho.ndim).ravel()
+    root = np.sqrt(ranks)
+    gamma = partial_transpose_isometry(d, rho.ndim)
+    y_rho = root * rho.ravel()
+    e = math.ldexp(1.0, -m)  # 1/K; at m = 0, a = b and both cones read sigma^Gamma >= 0
+    # per set, for row vectors: (frame, back-map, shift, floor, offset)
+    eye, none = np.eye(len(root)), np.zeros(len(root))
+    psd = (eye, eye, none, 0.0, none)
+    if m == 0:
+        sets = [psd, (gamma.T, gamma, none, 0.0, none), (eye, 0.0 * eye, none, -np.inf, y_rho)]
+    else:
+        s, n = gamma @ y_rho, ranks.sum()
+        trace = (eye, eye - np.outer(root, root) / n, none, -np.inf, root / n)
+        sets = [psd, trace, (gamma.T, gamma, -e / (1.0 - e) * s, 0.0, none),
+                (gamma.T, gamma, e / (1.0 + e) * s, 0.0, none)]
+    frames, backs, shifts, floors, offsets = zip(*sets)
+    forward, backward = _block_diagonal(frames), _block_diagonal(backs)
+    shift, floor = np.concatenate(shifts), np.repeat(floors, len(root))
+    offset = shift @ backward + np.concatenate(offsets)
+    stride = len(root) + 1  # of a block's diagonal, flattened
+
+    def project(z: np.ndarray) -> np.ndarray:
+        shape = (len(z), len(sets), -1)
+        y = z.reshape(shape)[..., ::stride].reshape(len(z), -1)
+        out = np.zeros_like(z)
+        out.reshape(shape)[..., ::stride] = (
+            clip(y @ forward - shift, floor) @ backward + offset).reshape(shape)
+        return out
+
+    def coeffs(x: np.ndarray) -> np.ndarray:
+        return (np.diagonal(x) / root).reshape(rho.shape)
+
+    def residuals(x: np.ndarray) -> dict[str, float]:
+        c = coeffs(x)
+        a = c if m == 0 else rho
+        b_pt = partial_transpose_spectrum(d, c)
+        a_pt = b_pt if m == 0 else target.partial_transpose_coeffs
+        ppt = min((e * a_pt + (1.0 - e) * b_pt).min(), ((1.0 + e) * b_pt - e * a_pt).min())
+        return {"cp": max(0.0, -float(min(c.min(), a.min()))), "ppt": max(0.0, -float(ppt)),
+                "tp": abs(float(c.ravel() @ ranks) - 1.0),
+                "correctness": largest_entry(d, c - rho) if m == 0 else 0.0}
+
+    def point(x: np.ndarray) -> TwirledChoi:
+        b = copies_matrix(d, coeffs(x))
+        return TwirledChoi(m, target.shape, b if m == 0 else copies_matrix(d, rho), b)
+
+    check_entry_budget(target.shape.total_dim, "synthesis start")  # the seeded start is dense
+    drawn = random_density_matrix(target.shape.total_dim, rng, np.float64)
+    start = np.diag(root * twirl_coefficients(d, drawn).ravel())
+    return len(sets), project, clip, start, residuals, point
+
+
+def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
+                            max_iter: int = 20000, tol: float = 1e-6,
+                            seed: int = 0) -> SolveReport:
     """Search for a PPT operation taking m maximally entangled pairs to the target.
 
     Alternating reflections over one target-sized block of a ``TwirledChoi``
@@ -280,26 +402,23 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator, max_iter: int = 200
     with e = 2^-m; at m = 0, a = b over the PSD cone, the partial-transposed
     PSD cone and the target.  Infeasible instances surface as a residual
     stall; at m = 0 an NPT target's negative partial-transpose eigenvalue is
-    attached as an analytic witness.  The input is real, so the search runs
-    in the dtype of ``target.entries``: float64 for a target stored real.
+    attached as an analytic witness.  A ``DensityOperator`` target is
+    searched as a D x D matrix (``_dense_dilution``), an ``IsotropicCopies``
+    one in its 2^k twirl coefficients (``_twirled_dilution``), with no
+    eigendecomposition; both draw the same seeded start.
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")
-    rho, shape, dim = target.entries, target.shape, target.dim
-    n_sets, project = _dilution_projection(m, rho, shape)
-
-    def point(x: np.ndarray) -> TwirledChoi:
-        return TwirledChoi(m, shape, x if m == 0 else rho, x)
-
-    # real data: the feasible set is closed under complex conjugation, so its
-    # real part is feasible, and a real start keeps the search real symmetric
-    start = random_density_matrix(dim, np.random.default_rng(seed), rho.dtype)
-    result = solve_feasibility(project, n_sets, start, lambda x: point(x).residuals(rho),
+    twirled = isinstance(target, IsotropicCopies)
+    n_sets, project, readout, start, residuals, point = (
+        _twirled_dilution if twirled else _dense_dilution)(m, target, np.random.default_rng(seed))
+    result = solve_feasibility(project, n_sets, start, residuals, readout=readout,
                                tol=tol, max_iter=max_iter)
 
     npt_witness = None
     if m == 0:
-        lo = float(target.partial_transpose_eigh[0][0])
+        lo = float(target.partial_transpose_coeffs.min() if twirled
+                   else target.partial_transpose_eigh[0][0])
         if lo < 0:
             npt_witness = lo
     return SolveReport(

@@ -49,29 +49,28 @@ from .states import (
 MAX_Q_GRID = 10_000
 
 
-def _half_mixed(d: int):
-    return isotropic(IsotropicParams(d, 0.5))
+# The half-mixed state and its broadcast with white noise lie in the
+# isotropic-copies algebra: 2 and 4 coefficients, no dense state.
+def _half_mixed(d: int) -> IsotropicCopies:
+    return IsotropicCopies.isotropic(d, 0.5)
 
 
-def _broadcast_of_half_mixed(d: int):
-    phi = max_entangled(d)
-    white = isotropic(IsotropicParams(d, 0.0))
-    return symmetric_two_broadcast(phi, white)
+def _broadcast_of_half_mixed(d: int) -> IsotropicCopies:
+    return IsotropicCopies.symmetric_two_broadcast(IsotropicCopies.isotropic(d, 1.0),
+                                                   IsotropicCopies.isotropic(d, 0.0))
 
 
 def scenario_werner(d: int) -> ScenarioReport:
-    # rho and mu lie in the isotropic-copies algebra, so every value below
-    # is a closed form in 2 and 4 coefficients; no dense state is built
+    # every value below is a closed form in the coefficients of rho and mu
     report = ScenarioReport("werner-example", __version__, parameters={"d": d})
-    rho = IsotropicCopies.isotropic(d, 0.5)
+    rho = _half_mixed(d)
     ln_rho = log_negativity(rho)
     closed_form = math.log2((d * d + 1) / d) - 1.0
     report.add_result("ln_rho", ln_rho, 1e-9)
     report.add_result("closed_form", closed_form, 1e-9)
     report.add_check("werner_formula", abs(ln_rho - closed_form) <= 1e-9)
 
-    mu = IsotropicCopies.symmetric_two_broadcast(IsotropicCopies.isotropic(d, 1.0),
-                                                 IsotropicCopies.isotropic(d, 0.0))
+    mu = _broadcast_of_half_mixed(d)
     ln_mu = log_negativity(mu)
     report.add_result("ln_mu", ln_mu, 1e-9)
     report.add_check("broadcast_equality", abs(ln_mu - ln_rho) <= 1e-9)
@@ -146,7 +145,10 @@ def _parse_named_target(name: str) -> tuple[str, int] | None:
 
 
 def _named_target(name: str):
-    """The named target, None for a matrix file; refused over the budget before it is built."""
+    """The named target as ``IsotropicCopies``, None for a matrix file.
+
+    Refused over the entry budget of its dense D x D start.
+    """
     parsed = _parse_named_target(name)
     if parsed is None:
         return None
@@ -201,8 +203,8 @@ def scenario_protocol(d: int, n: int, tol: float = 1e-10) -> ScenarioReport:
     # on d^(6n) before either is built
     check_power_budget(d ** 6, n, "protocol instance")
     report = ScenarioReport("protocol", __version__, parameters={"d": d, "n": n})
-    rho = _half_mixed(d)
-    mu = _broadcast_of_half_mixed(d)
+    rho = isotropic(IsotropicParams(d, 0.5))
+    mu = symmetric_two_broadcast(max_entangled(d), isotropic(IsotropicParams(d, 0.0)))
     trace = run_prop1_protocol(mu, rho, n=n, marginal_tol=tol)
     report.add_result("catalyst_residual", trace.residuals["catalyst"], tol)
     report.add_result("system_residual", trace.residuals["system"], tol)

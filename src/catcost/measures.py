@@ -4,6 +4,10 @@ work cost.
 
 The PPT measures take a dense ``DensityOperator`` or an ``IsotropicCopies``
 state, which gives the same partial-transpose quantities in closed form.
+The algebra's maps are also module functions on raw coefficient arrays
+(``copy_ranks``, ``partial_transpose_spectrum``, ``largest_entry``,
+``copies_matrix``, ``twirl_coefficients``): the twirled searches' iterates
+have any sign and trace, and ``IsotropicCopies`` validates a state.
 """
 from __future__ import annotations
 
@@ -128,17 +132,110 @@ def d_max_to_ppt_isotropic(rho: DensityOperator, symmetry_tol: float = 1e-10) ->
     return math.log2(d * f)
 
 
-def _per_copy(m: tuple[tuple[float, float], tuple[float, float]], c: np.ndarray) -> np.ndarray:
-    """Apply the 2x2 matrix m to every axis of the coefficient tensor c.
+def _per_copy(m, c: np.ndarray, first: int = 0) -> np.ndarray:
+    """Apply the matrix m, one (2,) row per output index, to every axis of c from ``first`` on.
 
     Elementwise arithmetic, no BLAS call: the result does not depend on
-    the BLAS configuration.
+    the BLAS configuration.  Axes before ``first`` index a stack.
     """
-    for axis in range(c.ndim):
-        c0, c1 = np.moveaxis(c, axis, 0)
-        c = np.moveaxis(np.stack([m[0][0] * c0 + m[0][1] * c1,
-                                  m[1][0] * c0 + m[1][1] * c1]), 0, axis)
+    for axis in range(first, c.ndim):
+        head = (slice(None),) * axis
+        c0, c1 = c[head + (0,)], c[head + (1,)]
+        out = np.empty(c.shape[:axis] + (len(m),) + c.shape[axis + 1:])
+        for i, (u, v) in enumerate(m):
+            out[head + (i,)] = u * c0 + v * c1
+        c = out
     return c
+
+
+# Per copy of a (d, d) system: the ranks of Phi and 1 - Phi, and the map
+# of rho's (Phi, 1 - Phi) coefficients to rho^Gamma's (P_sym, P_anti)
+# ones, whose ranks are d(d+1)/2 and d(d-1)/2.
+def _ranks(d: int) -> tuple[float, float]:
+    return 1.0, d * d - 1.0
+
+
+def _partial_transpose_ranks(d: int) -> tuple[float, float]:
+    return d * (d + 1) / 2.0, d * (d - 1) / 2.0
+
+
+def _partial_transpose_map(d: int):
+    return (1.0 / d, 1.0 - 1.0 / d), (-1.0 / d, 1.0 + 1.0 / d)
+
+
+def _outer_power(w: tuple[float, float], k: int) -> np.ndarray:
+    """The (2,) * k outer product of the per-copy weights w."""
+    return functools.reduce(np.multiply.outer, [np.array(w)] * k)
+
+
+def copy_ranks(d: int, k: int) -> np.ndarray:
+    """The (2,) * k ranks of the projectors that ``IsotropicCopies`` coefficients weigh."""
+    return _outer_power(_ranks(d), k)
+
+
+def partial_transpose_spectrum(d: int, c: np.ndarray) -> np.ndarray:
+    """The (P_sym, P_anti)^(x k) coefficients of rho^Gamma from rho's (2,) * k ones."""
+    return _per_copy(_partial_transpose_map(d), c)
+
+
+def partial_transpose_isometry(d: int, k: int) -> np.ndarray:
+    """Gamma on k copies as an orthogonal 2^k x 2^k matrix, in sqrt(rank)-weighted coordinates.
+
+    Row-major over the (2,) * k coefficients: it sends y = sqrt(r) c to
+    sqrt(q) s, with s = ``partial_transpose_spectrum(d, c)`` and q the
+    P_sym/P_anti ranks.  Gamma permutes entries, so it keeps the
+    Hilbert-Schmidt norm, which these coordinates make Euclidean.
+    """
+    per_copy = (np.sqrt(_partial_transpose_ranks(d))[:, None]
+                * np.array(_partial_transpose_map(d)) / np.sqrt(_ranks(d)))
+    return functools.reduce(np.kron, [per_copy] * k)
+
+
+def largest_entry(d: int, c: np.ndarray) -> float:
+    """The largest |entry| of the dense operator with (2,) * k coefficients c.
+
+    Per copy, c0 Phi + c1 (1 - Phi) has the entries c0/d + c1 (1 - 1/d)
+    at |ii><ii|, (c0 - c1)/d at |ii><jj| and c1 at |ij><ij| (i != j), and
+    0 elsewhere; an entry of k copies is a product of one class a copy.
+    """
+    classes = (1.0 / d, 1.0 - 1.0 / d), (1.0 / d, -1.0 / d), (0.0, 1.0)
+    return float(np.abs(_per_copy(classes, c)).max())
+
+
+def copies_matrix(d: int, c: np.ndarray) -> np.ndarray:
+    """The dense d^(2k) x d^(2k) operator with (2,) * k coefficients c, unvalidated."""
+    phi = max_entangled(d).entries
+    basis = (phi, np.eye(d * d) - phi)
+    return sum(v * functools.reduce(np.kron, [basis[i] for i in idx])
+               for idx, v in np.ndenumerate(c))
+
+
+def twirl_coefficients(d: int, x: np.ndarray) -> np.ndarray:
+    """The U x conj(U) twirl, on every copy, of a dense k-copy matrix or an (s, N, N) stack.
+
+    Contracting each copy with Phi and with the identity gives the
+    traces Tr x (A_1 x ... x A_k), A_j in {Phi, 1}: for k = 2,
+    Tr x (Phi x Phi), Tr x (Phi x 1), Tr x (1 x Phi) and Tr x.  Per copy,
+    (Phi, 1) -> (Phi, 1 - Phi) turns them into the masses of the
+    projectors, and dividing by the ranks (1, d^2 - 1) into their
+    coefficients, of shape (s,) + (2,) * k for a stack.  One ``einsum``
+    and elementwise arithmetic, no BLAS call; each matrix of a stack
+    gets the bits it gets alone.
+    """
+    if d < 2:
+        raise ValueError("local dimension must be >= 2")
+    n = d * d
+    x = np.asarray(x)
+    k = max(1, round(math.log(max(x.shape[-1], 1), n))) if x.ndim else 1
+    if x.ndim not in (2, 3) or x.shape[-2:] != (n ** k, n ** k):
+        raise ValueError(f"matrix of shape {x.shape} is not k copies of a ({d}, {d}) system")
+    diagonal = np.eye(d).ravel()  # sqrt(d) times the vector of Phi
+    pair = np.stack([np.outer(diagonal, diagonal) / d, np.eye(n)])
+    operands = [x.reshape(x.shape[:-2] + (n,) * (2 * k)), [...] + list(range(2 * k))]
+    for j in range(k):
+        operands += [pair, [2 * k + j, j, k + j]]
+    traces = np.einsum(*operands, [...] + list(range(2 * k, 3 * k))).real
+    return _per_copy(((1.0, 0.0), (-1.0 / (n - 1), 1.0 / (n - 1))), traces, x.ndim - 2)
 
 
 # eq=False: a field-wise == would compare the coefficient arrays and raise
@@ -177,7 +274,7 @@ class IsotropicCopies:
             raise ValueError(f"coefficients have shape {c.shape}, expected (2,) * k")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        tr = float((c * self._weights(1.0, self.d ** 2 - 1.0)).sum())
+        tr = float((c * copy_ranks(self.d, c.ndim)).sum())
         if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"trace {tr} is not 1 within 1.0e-12")
         if c.min() < -DEFAULT_PSD_TOL:
@@ -201,52 +298,30 @@ class IsotropicCopies:
 
     @classmethod
     def from_twirl(cls, d: int, x: np.ndarray) -> IsotropicCopies:
-        """The U x conj(U) twirl, on every copy, of a dense k-copy state x.
+        """The U x conj(U) twirl, on every copy, of one dense k-copy state x.
 
-        Contracting each copy with Phi and with the identity gives the
-        traces Tr x (A_1 x ... x A_k), A_j in {Phi, 1}: for k = 2,
-        Tr x (Phi x Phi), Tr x (Phi x 1), Tr x (1 x Phi) and Tr x.  Per copy,
-        (Phi, 1) -> (Phi, 1 - Phi) turns them into the masses of the
-        projectors, and dividing by the ranks (1, d^2 - 1) into their
-        coefficients.  ``einsum`` and elementwise arithmetic, no BLAS call.
+        ``twirl_coefficients`` computes it; a stack of states is refused.
         """
-        if d < 2:
-            raise ValueError("local dimension must be >= 2")
-        n = d * d
-        x = np.asarray(x)
-        k = max(1, round(math.log(max(x.size, 1), n * n)))
-        if x.shape != (n ** k, n ** k):
-            raise ValueError(f"matrix of shape {x.shape} is not k copies of a ({d}, {d}) system")
-        diagonal = np.eye(d).ravel()  # sqrt(d) times the vector of Phi
-        pair = np.stack([np.outer(diagonal, diagonal) / d, np.eye(n)])
-        operands = [x.reshape((n,) * (2 * k)), list(range(2 * k))]
-        for j in range(k):
-            operands += [pair, [2 * k + j, j, k + j]]
-        traces = np.einsum(*operands, list(range(2 * k, 3 * k))).real
-        return cls(d, _per_copy(((1.0, 0.0), (-1.0 / (n - 1), 1.0 / (n - 1))), traces))
+        if np.ndim(x) != 2:
+            raise ValueError(f"matrix of shape {np.shape(x)} is not one k-copy state")
+        return cls(d, twirl_coefficients(d, x))
 
     @property
     def shape(self) -> FactorShape:
         """One (d, d) factor per copy, as the dense state has."""
         return bipartite_shape(self.d, self.d).copies(self.coeffs.ndim)
 
-    def _weights(self, w0: float, w1: float) -> np.ndarray:
-        """The (2,) * k outer product of the per-copy weights (w0, w1)."""
-        return functools.reduce(np.multiply.outer, [np.array([w0, w1])] * self.coeffs.ndim)
-
     @cached_property
     def partial_transpose_coeffs(self) -> np.ndarray:
         """Spectrum of rho^Gamma on span{P_sym, P_anti}^(x k), read-only."""
-        d = self.d
-        s = _per_copy(((1.0 / d, 1.0 - 1.0 / d), (-1.0 / d, 1.0 + 1.0 / d)), self.coeffs)
+        s = partial_transpose_spectrum(self.d, self.coeffs)
         s.setflags(write=False)
         return s
 
     @cached_property
     def partial_transpose_trace_norm(self) -> float:
         """Trace norm of rho^Gamma: sum of |s| times the P_sym/P_anti ranks."""
-        d = self.d
-        ranks = self._weights(d * (d + 1) / 2.0, d * (d - 1) / 2.0)
+        ranks = _outer_power(_partial_transpose_ranks(self.d), self.coeffs.ndim)
         return float((np.abs(self.partial_transpose_coeffs) * ranks).sum())
 
     @cached_property
@@ -278,15 +353,11 @@ class IsotropicCopies:
         if not isinstance(other, IsotropicCopies) or other.shape != self.shape:
             raise ValueError("trace distance needs two IsotropicCopies of one shape")
         diff = np.abs(self.coeffs - other.coeffs)
-        return 0.5 * float((diff * self._weights(1.0, self.d ** 2 - 1.0)).sum())
+        return 0.5 * float((diff * copy_ranks(self.d, diff.ndim)).sum())
 
     def to_density(self) -> DensityOperator:
         """The dense state, with d^(2k) x d^(2k) entries."""
-        phi = max_entangled(self.d).entries
-        basis = (phi, np.eye(self.d ** 2) - phi)
-        m = sum(c * functools.reduce(np.kron, [basis[i] for i in idx])
-                for idx, c in np.ndenumerate(self.coeffs))
-        return density_from_matrix(m, self.shape)
+        return density_from_matrix(copies_matrix(self.d, self.coeffs), self.shape)
 
 
 def _pure_state_marginal(psi: DensityOperator, purity_tol: float = 1e-9) -> np.ndarray:

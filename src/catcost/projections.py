@@ -13,9 +13,8 @@ one ``project_psd`` call decomposes them all in one ``np.linalg.eigh``
 on a stack; LAPACK and ``matmul`` work matrix by matrix inside it, so
 stacking changes no bit.  Each start keeps its own stopping bookkeeping
 and leaves the stack at the cycle it would have stopped at if run alone.
-A P whose cone blocks are diagonal can clip them with
-``np.maximum(x, 0.0)``, bit for bit ``project_psd`` on a diagonal matrix,
-and make no eigendecomposition.
+A P whose cone blocks are diagonal clips them with ``clip``, bit for bit
+``project_psd`` on a diagonal matrix, and makes no eigendecomposition.
 
 The Douglas-Rachford map T is accelerated by safeguarded type-II
 Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482; Zhang-O'Donoghue-Boyd,
@@ -52,6 +51,16 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     if v.dtype.kind == "c":
         np.conjugate(v, out=v)  # v is ours: its conjugate in place, not a copy
     return hermitian_part(scaled @ v.swapaxes(-1, -2), out=scaled)
+
+
+def clip(y: np.ndarray, floor: float | np.ndarray = 0.0) -> np.ndarray:
+    """The nearest point entrywise at or above ``floor``, with no eigendecomposition.
+
+    At the default floor 0 it is ``project_psd`` of a stack of diagonal
+    matrices, bit for bit.  ``floor`` may vary along the last axis; an
+    entry with floor -inf is kept as it is.
+    """
+    return np.maximum(y, floor)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator,

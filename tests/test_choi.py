@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
+from catcost import choi
 from catcost.cli import _named_target, main
 from catcost.choi import (
     ChoiOperator,
     TwirledChoi,
     _apply_matrix,
     _dilution_projection,
+    _twirled_dilution,
     analytic_mixer_choi,
     apply_choi,
     coin_flip_broadcast_choi,
@@ -17,7 +19,9 @@ from catcost.choi import (
     transpose_map_choi,
     verify_ppt_operation,
 )
+from catcost.measures import IsotropicCopies, copy_ranks
 from catcost.operators import (
+    FactorShape,
     ResourceLimitError,
     bipartite_shape,
     density_from_matrix,
@@ -27,7 +31,7 @@ from catcost.operators import (
     tensor_power,
     trace_distance,
 )
-from catcost.projections import project_psd
+from catcost.projections import project_psd, random_density_matrix
 from catcost.serialize import save_operator
 from catcost.states import IsotropicParams, isotropic, max_entangled, symmetric_two_broadcast
 
@@ -216,10 +220,116 @@ class TestSynthesis:
         assert got.dtype == dtype and n_sets == len(blocks)
         assert np.array_equal(got, np.stack(blocks, axis=1))
 
-    def test_search_decomposes_only_target_sized_blocks(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, code", [(["noisy-phi-3", "--m", "2"], 0),
+                                            (["broadcast-phi-2", "--m", "1"], 0),
+                                            (["noisy-phi-2", "--m", "0"], 4)])
+    def test_named_search_makes_no_eigendecomposition(self, argv, code, monkeypatch, capsys):
         seen = spectral_calls(monkeypatch)
-        assert main(["synthesize", "noisy-phi-3", "--m", "2", "--seed", "0"]) == 0
-        assert seen and max(shape[-1] for _, shape, _ in seen) == 9
+        inside, solve = [], choi.solve_feasibility
+
+        def counting_solve(*args, **kwargs):
+            before = len(seen)
+            result = solve(*args, **kwargs)
+            inside.append(len(seen) - before)
+            return result
+
+        monkeypatch.setattr(choi, "solve_feasibility", counting_solve)
+        assert main(["synthesize", *argv, "--seed", "0"]) == code
+        # the twirl algebra clips its diagonal blocks: no spectral call in
+        # the Douglas-Rachford loop, and no eigh at all (building the dense
+        # feasible point validates Phi_d, one small eigvalsh)
+        assert inside == [0]
+        assert [shape for kind, shape, _ in seen if kind == "eigh"] == []
+
+
+NAMED = [(name, m) for name in ("noisy-phi-2", "noisy-phi-3", "broadcast-phi-2")
+         for m in (0, 1, 2)]
+
+
+def ebits(m):
+    """Phi_2^(x m) as the Choi input; at m = 0 the one-dimensional state."""
+    if m == 0:
+        return density_from_matrix(np.ones((1, 1)), FactorShape(((1, 1),)))
+    phi = tensor_power(max_entangled(2).op, m)
+    return density_from_matrix(phi.entries, phi.shape)
+
+
+class TestTwirledSynthesis:
+    """The named targets' search in the twirl algebra against the dense D x D one."""
+
+    @pytest.mark.parametrize("name, m", NAMED)
+    def test_closed_form_residuals_match_the_dense_blocks(self, name, m, rng):
+        target = _named_target(name)
+        rho = target.to_density().entries
+        _, _, _, start, residuals, point = _twirled_dilution(m, target, rng)
+        root = np.sqrt(copy_ranks(target.d, target.coeffs.ndim).ravel())
+        # the twirled seeded start, and coefficients of either sign, which
+        # leave cp, ppt and tp (and at m = 0 the correctness) nonzero
+        largest = dict.fromkeys(["cp", "ppt", "tp", "correctness"], 0.0)
+        for y in [np.diagonal(start)] + [root * rng.standard_normal(len(root)) for _ in range(6)]:
+            closed, dense = residuals(np.diag(y)), point(np.diag(y)).residuals(rho)
+            assert list(closed) == list(dense) == list(largest)
+            assert all(abs(closed[k] - dense[k]) <= 1e-12 for k in closed), (closed, dense)
+            largest = {k: max(v, closed[k]) for k, v in largest.items()}
+        assert min(largest[k] for k in ("cp", "ppt", "tp")) > 0
+        assert (largest["correctness"] > 0) == (m == 0)
+
+    @pytest.mark.parametrize("target, m", [
+        (_named_target(name), m) for name, m in NAMED if m] + [
+        (IsotropicCopies.isotropic(2, 0.25), 0), (IsotropicCopies.isotropic(3, 0.2), 0)],
+        ids=[f"{name}-{m}" for name, m in NAMED if m] + ["ppt-isotropic-2-0", "ppt-isotropic-3-0"])
+    def test_converged_point_is_a_ppt_dilution(self, target, m):
+        report = synthesize_ppt_dilution(m, target, seed=0)
+        assert report.converged and max(report.residuals.values()) <= 1e-6
+        choi_op = report.feasible_point.to_choi()
+        assert verify_ppt_operation(choi_op, tol=1e-6).converged
+        out = apply_choi(choi_op, ebits(m), validate_tol=1e-6)
+        assert trace_distance(out.op, target.to_density().op) <= 1e-5
+
+    @pytest.mark.parametrize("name, m", NAMED)
+    def test_algebra_and_dense_searches_agree(self, name, m):
+        target = _named_target(name)
+        twirled = synthesize_ppt_dilution(m, target, seed=0)
+        dense = synthesize_ppt_dilution(m, target.to_density(), seed=0)
+        assert (twirled.converged, twirled.stalled) == (dense.converged, dense.stalled)
+        assert (twirled.npt_witness is None) == (dense.npt_witness is None) == (m > 0)
+        if m == 0:
+            assert twirled.npt_witness == pytest.approx(dense.npt_witness, abs=1e-12)
+
+    def test_boundary_instance_converges(self):
+        # on the feasibility boundary: its one-shot exact PPT cost W is 2, so
+        # one ebit is just enough, and the search takes 70 cycles
+        report = synthesize_ppt_dilution(1, _named_target("broadcast-phi-3"), seed=0)
+        assert report.converged and not report.stalled
+        assert report.iterations == 70
+        assert max(report.residuals.values()) <= 1e-6
+
+    def test_infeasible_solve_stalls(self):
+        target = _named_target("noisy-phi-2")
+        for seed in range(6):
+            report = synthesize_ppt_dilution(0, target, seed=seed)
+            assert report.stalled and not report.converged and report.iterations == 510
+            # partial_transpose_coeffs.min(), exactly
+            assert report.npt_witness == -0.125
+            res = report.residuals
+            assert res["ppt"] == pytest.approx(0.0625, abs=1e-4)
+            assert res["correctness"] == pytest.approx(0.03125, abs=1e-4)
+            # the floor the witness certifies: ppt + sqrt(dim) * correctness
+            assert res["ppt"] + 2.0 * res["correctness"] >= 1 / 8 - 1e-9
+
+    def test_start_is_the_twirled_dense_start(self):
+        target = _named_target("broadcast-phi-2")
+        _, _, _, start, _, _ = _twirled_dilution(1, target, np.random.default_rng(3))
+        drawn = random_density_matrix(16, np.random.default_rng(3), np.float64)
+        root = np.sqrt(copy_ranks(2, 2).ravel())
+        assert np.array_equal(np.diagonal(start),
+                              root * IsotropicCopies.from_twirl(2, drawn).coeffs.ravel())
+        assert np.array_equal(start, np.diag(np.diagonal(start)))
+
+    def test_start_refused_over_the_entry_budget(self, request):
+        request.getfixturevalue("forbid_dense_operators")
+        with pytest.raises(ResourceLimitError, match="synthesis start"):
+            synthesize_ppt_dilution(1, IsotropicCopies.isotropic(17, 0.5))
 
 
 def eigh_dtypes(monkeypatch):
@@ -240,7 +350,7 @@ class TestRealSubspace:
         ("noisy-phi-2", 1, 20), ("broadcast-phi-2", 1, 20), ("noisy-phi-3", 2, 20)],
         ids=["noisy-phi-2-1", "broadcast-phi-2-1", "noisy-phi-3-2"])
     def test_named_targets_solve_in_float64(self, name, m, cycles, monkeypatch):
-        target = _named_target(name)
+        target = _named_target(name).to_density()
         seen = eigh_dtypes(monkeypatch)
         report = synthesize_ppt_dilution(m, target, seed=0)
         monkeypatch.undo()
@@ -256,7 +366,7 @@ class TestRealSubspace:
     def test_complex_target_file_keeps_complex128(self, tmp_path, monkeypatch, capsys):
         # a local phase on B: as entangled as noisy-phi-2, but not real
         u = np.kron(np.eye(2), np.diag([1.0, 1j]))
-        rho = _named_target("noisy-phi-2").entries
+        rho = _named_target("noisy-phi-2").to_density().entries
         target = density_from_matrix(u @ rho @ u.conj().T, bipartite_shape(2, 2))
         assert np.abs(target.entries.imag).max() > 0.1
         path = tmp_path / "phased.json"

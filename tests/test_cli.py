@@ -120,8 +120,8 @@ class TestSerialize:
         real = isotropic(IsotropicParams(2, 0.5))
         # the local-phase state of test_complex_target_file_keeps_complex128
         u = np.kron(np.eye(2), np.diag([1.0, 1j]))
-        phased = density_from_matrix(u @ _named_target("noisy-phi-2").entries @ u.conj().T,
-                                     bipartite_shape(2, 2))
+        rho = _named_target("noisy-phi-2").to_density().entries
+        phased = density_from_matrix(u @ rho @ u.conj().T, bipartite_shape(2, 2))
         for x, dtype in [(real, np.float64), (phased, np.complex128)]:
             path = tmp_path / "state.json"
             save_operator(x.op, path)
@@ -315,7 +315,7 @@ class TestCliScenarios:
         assert "npt_witness" not in doc["results"] and doc["checks"] == {"converged": False}
 
     @pytest.mark.parametrize("argv", [["noisy-phi-4", "--m", "2"],
-                                      ["noisy-phi-2", "--m", "1", "--max-iter", "1"]])
+                                      ["broadcast-phi-2", "--m", "1", "--max-iter", "1"]])
     def test_no_certificate_when_log_negativity_allows_the_ebits(self, argv, capsys):
         # feasible, and cut off before convergence: E_N <= m either way
         code = main(["--format", "json-like-keyvalue", "synthesize", *argv])
@@ -465,6 +465,15 @@ class TestCliScenarios:
         # runs on one thread
         runs = self.reports_at_one_and_two_blas_threads(
             "rigidity", "--d", "2", "--starts", "50", "--seed", "42")
+        assert b"overall: PASS" in runs[0]
+        assert runs[0] == runs[1]
+
+    def test_named_synthesis_is_byte_identical_across_blas_threads(self):
+        # the named target is searched in its 4 twirl coefficients: the
+        # BLAS calls left act on 16 x 16 or smaller matrices, and the dense
+        # start is drawn at 16 x 16
+        runs = self.reports_at_one_and_two_blas_threads(
+            "synthesize", "broadcast-phi-2", "--m", "1", "--seed", "0")
         assert b"overall: PASS" in runs[0]
         assert runs[0] == runs[1]
 

@@ -15,13 +15,19 @@ from catcost.measures import (
     CostValue,
     IsotropicCopies,
     binegativity,
+    copies_matrix,
+    copy_ranks,
     d_max,
     d_max_to_ppt_isotropic,
     exact_locc_cost_pure,
     exact_ppt_cost,
     gated_ppt_cost,
+    largest_entry,
     log_negativity,
+    partial_transpose_isometry,
+    partial_transpose_spectrum,
     schmidt_rank,
+    twirl_coefficients,
     work_cost_semiclassical,
 )
 from catcost.operators import (
@@ -524,3 +530,41 @@ class TestIsotropicCopies:
     def test_twirl_refuses_a_matrix_of_no_copy_count(self, d, dim):
         with pytest.raises(ValueError):
             IsotropicCopies.from_twirl(d, np.eye(dim) / dim)
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_stacked_twirl_repeats_each_start_bit_for_bit(self, d, k, rng):
+        # the rigidity search twirls its starts a stack at a time
+        dim = d ** (2 * k)
+        stack = np.stack([random_state_matrix(rng, dim).real for _ in range(7)])
+        stacked = twirl_coefficients(d, stack)
+        assert stacked.shape == (7,) + (2,) * k
+        for x, coeffs in zip(stack, stacked):
+            assert np.array_equal(coeffs, IsotropicCopies.from_twirl(d, x).coeffs)
+        with pytest.raises(ValueError):
+            IsotropicCopies.from_twirl(d, stack)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_raw_coefficient_maps_match_the_dense_operator(self, d, k, rng):
+        # coefficients of either sign and any trace: a search's iterates
+        c = rng.standard_normal((2,) * k)
+        dense = copies_matrix(d, c)
+        dense_pt = partial_transpose_entries(dense, bipartite_shape(d, d).copies(k))
+        spectrum = np.sort(np.linalg.eigvalsh(dense_pt))
+        s = partial_transpose_spectrum(d, c)
+        q = functools.reduce(np.multiply.outer, [np.array([d * (d + 1) / 2, d * (d - 1) / 2])] * k)
+        expected = np.sort(np.repeat(s.ravel(), q.ravel().astype(int)))
+        assert np.abs(spectrum - expected).max() <= 1e-12
+        assert largest_entry(d, c) == pytest.approx(np.abs(dense).max(), abs=1e-15)
+        assert float((c * copy_ranks(d, k)).sum()) == pytest.approx(np.trace(dense), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_partial_transpose_isometry_is_orthogonal(self, d, k, rng):
+        gamma = partial_transpose_isometry(d, k)
+        assert np.abs(gamma @ gamma.T - np.eye(2 ** k)).max() <= 1e-15
+        c = rng.standard_normal((2,) * k)
+        q = functools.reduce(np.multiply.outer, [np.array([d * (d + 1) / 2, d * (d - 1) / 2])] * k)
+        weighted = gamma @ (np.sqrt(copy_ranks(d, k)) * c).ravel()
+        expected = (np.sqrt(q) * partial_transpose_spectrum(d, c)).ravel()
+        assert np.abs(weighted - expected).max() <= 1e-14 * np.abs(expected).max()

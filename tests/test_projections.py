@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from catcost import broadcast, projections
-from catcost.broadcast import _clip, _marginal_projections, sample_two_copy_broadcasts
+from catcost.broadcast import _marginal_projections, sample_two_copy_broadcasts
 from catcost.choi import synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
 from catcost.operators import (
@@ -19,6 +19,7 @@ from catcost.projections import (
     _AndersonHistory,
     _floats,
     _row_dots,
+    clip,
     project_psd,
     random_density_matrix,
     solve_feasibility,
@@ -206,9 +207,17 @@ class TestInPlaceArithmetic:
         stack = np.zeros((7, 4, 4))
         np.einsum("sii->si", stack)[...] = diagonals
         assert (diagonals < 0).any() and (diagonals == 0).any() and (diagonals > 0).any()
-        clipped = _clip(stack)
+        clipped = clip(stack)
         assert np.array_equal(clipped, project_psd(stack))
         assert np.array_equal(np.einsum("sii->si", clipped), np.maximum(diagonals, 0.0))
+
+    def test_clip_with_a_floor_keeps_the_entries_it_does_not_clip(self, rng):
+        # the twirled synthesis clips its cone blocks and passes its affine ones
+        y = rng.standard_normal((5, 8))
+        floor = np.repeat([0.0, -np.inf], 4)
+        clipped = clip(y, floor)
+        assert np.array_equal(clipped[:, :4], clip(y[:, :4]))
+        assert np.array_equal(clipped[:, 4:], y[:, 4:])
 
 
 class TestFloatView:
@@ -294,21 +303,29 @@ class TestAcceleratedSolves:
 
         monkeypatch.setattr(projections, "_AndersonHistory", History)
         seen = spy_on_engine_inputs(monkeypatch, projections)
-        report = synthesize_ppt_dilution(2, _named_target("noisy-phi-3"), seed=0)
+        report = synthesize_ppt_dilution(2, _named_target("noisy-phi-3").to_density(), seed=0)
         assert report.converged
         assert seen == {(np.dtype(np.float64), True)}
         assert history == {np.dtype(np.float64)}
 
+    @pytest.mark.parametrize("name, m", [("noisy-phi-2", 0), ("broadcast-phi-2", 1),
+                                         ("noisy-phi-3", 2)])
+    def test_twirled_search_keeps_diagonal_float64_iterates(self, monkeypatch, name, m):
+        seen = spy_on_engine_inputs(monkeypatch, projections)
+        synthesize_ppt_dilution(m, _named_target(name), seed=0)
+        # diagonal blocks: exactly Hermitian without any symmetrization
+        assert seen == {(np.dtype(np.float64), True)}
+
     def test_complex_search_keeps_complex_iterates(self, monkeypatch):
         seen = spy_on_engine_inputs(monkeypatch, projections)
         u = np.kron(np.eye(2), np.diag([1.0, 1j]))
-        rho = _named_target("noisy-phi-2").entries
+        rho = _named_target("noisy-phi-2").to_density().entries
         target = density_from_matrix(u @ rho @ u.conj().T, bipartite_shape(2, 2))
         assert synthesize_ppt_dilution(1, target, seed=0).converged
         assert seen == {(np.dtype(np.complex128), True)}
 
     def test_infeasible_solve_still_stalls(self):
-        target = _named_target("noisy-phi-2")
+        target = _named_target("noisy-phi-2").to_density()
         for seed, cycles in enumerate([510, 510, 510, 590, 510]):
             report = synthesize_ppt_dilution(0, target, seed=seed)
             assert report.stalled and not report.converged
@@ -369,7 +386,7 @@ class TestAcceleratedSolves:
     @pytest.mark.parametrize("name, m", [("noisy-phi-2", 0), ("noisy-phi-2", 1),
                                          ("broadcast-phi-2", 1), ("noisy-phi-3", 2)])
     def test_synthesis_makes_one_eigh_per_cycle(self, monkeypatch, name, m):
-        target = _named_target(name)
+        target = _named_target(name).to_density()
         target.partial_transpose_eigh  # the m = 0 witness, decomposed before the count
         n = target.dim
         seen = spectral_calls(monkeypatch)
