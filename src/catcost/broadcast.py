@@ -190,10 +190,10 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
 def _start_blocks(dim: int, n_starts: int, seed: int, dtype: np.dtype):
     """The seeded dim x dim starts, drawn in order from one generator, in stacks.
 
-    A stack holds at most MAX_ENTRIES entries (one start if a start alone
-    has more); drawing block by block keeps the order of one up-front draw.
+    A stack holds at most MAX_ENTRIES entries (the callers check that one
+    start fits); drawing block by block keeps the order of one up-front draw.
     """
-    block = max(1, MAX_ENTRIES // (dim * dim))
+    block = MAX_ENTRIES // (dim * dim)
     rng = np.random.default_rng(seed)
     for first in range(0, n_starts, block):
         yield np.stack([random_density_matrix(dim, rng, dtype)
