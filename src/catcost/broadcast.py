@@ -7,10 +7,11 @@ pure phi.  For phi = Phi_d, ``sample_twirled_two_copy_broadcasts`` runs
 the same test in the per-copy twirl algebra: (U x conj U) x (V x conj V)
 fixes phi, so it maps S into S, and twirling a start leaves four
 coefficients on span{Phi, 1 - Phi}^(x 2) (``IsotropicCopies``, k = 2).
-There the marginal equations and positivity leave only phi x phi, and
-since phi x phi is pure, a twirl average equal to it forces every point
-of S to equal it.  ``max_twirled_distance_to_product`` is that test as
-one number, for the ``rigidity`` scenario and the distillation check.
+There the marginal equations (a line) and positivity (a clip) leave
+only phi x phi, and since phi x phi is pure, a twirl average equal to it
+forces every point of S to equal it.  ``max_twirled_distance_to_product``
+is that test as one number, for the ``rigidity`` scenario and the
+distillation check.
 """
 from __future__ import annotations
 
@@ -18,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import IsotropicCopies, copy_ranks, twirl_coefficients
+from .measures import IsotropicCopies, copy_ranks
 from .operators import (
-    MAX_ENTRIES,
     DensityOperator,
     FactorShape,
-    check_entry_budget,
     density_from_matrix,
     partial_trace,
     require_pure,
@@ -32,11 +31,16 @@ from .operators import (
 )
 from .projections import (
     FeasibilityResult,
-    clip,
+    clipped_affine_product,
     project_psd,
-    random_density_matrix,
+    seeded_starts,
     solve_feasibility_batch,
 )
+
+# the settings of the dense and the twirled search
+FEASIBILITY_TOL = 1e-9
+MAX_CYCLES = 5000
+CHECK_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -136,48 +140,44 @@ def _marginal_projections(phi: np.ndarray):
     return proj, residual
 
 
-def _marginals_and_cone(proj_affine, proj_cone):
-    """Projection onto (marginal equations) x (cone), block by block of a stack."""
-    def project(z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        out[:, 0] = proj_affine(z[:, 0])
-        out[:, 1] = proj_cone(z[:, 1])
-        return out
-
-    return project
-
-
 def _project_starts(phi: DensityOperator, starts: np.ndarray, tol: float,
                     max_iter: int) -> list[FeasibilityResult]:
     proj_affine, residual = _marginal_projections(phi.entries)
-    return solve_feasibility_batch(_marginals_and_cone(proj_affine, project_psd), 2, starts,
-                                   residual, tol=tol, max_iter=max_iter, check_every=5)
+
+    def project(z: np.ndarray) -> np.ndarray:  # (marginal equations) x (PSD cone)
+        out = np.empty_like(z)
+        out[:, 0] = proj_affine(z[:, 0])
+        out[:, 1] = project_psd(z[:, 1])
+        return out
+
+    return solve_feasibility_batch(project, 2, starts, residual, tol=tol, max_iter=max_iter,
+                                   check_every=CHECK_EVERY)
 
 
 def project_to_two_copy_broadcast(phi: DensityOperator, start: np.ndarray,
-                                  tol: float = 1e-9, max_iter: int = 5000) -> FeasibilityResult:
+                                  tol: float = FEASIBILITY_TOL,
+                                  max_iter: int = MAX_CYCLES) -> FeasibilityResult:
     """Project a Hermitian start matrix onto the two-copy broadcast set of phi."""
     return _project_starts(phi, np.asarray(start)[None], tol, max_iter)[0]
 
 
 def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: int = 0,
-                               feasibility_tol: float = 1e-9,
-                               max_iter: int = 5000) -> list[DensityOperator]:
+                               feasibility_tol: float = FEASIBILITY_TOL,
+                               max_iter: int = MAX_CYCLES) -> list[DensityOperator]:
     """Random-start projections onto the broadcast set of phi.
 
     Each start is an independent Ginibre density matrix, drawn in order
-    from one generator, in the dtype of ``phi.entries``.  For a real phi
-    the set is closed under entrywise conjugation, so it is the single
-    point phi x phi exactly when its real symmetric part is, and the
-    search runs in float64.  The starts are solved in lockstep, in blocks
-    whose stack holds at most MAX_ENTRIES entries.  A run that fails to
-    reach the feasibility tolerance raises, since the set is nonempty.
+    from one generator (``seeded_starts``), in the dtype of
+    ``phi.entries``.  For a real phi the set is closed under entrywise
+    conjugation, so it is the single point phi x phi exactly when its
+    real symmetric part is, and the search runs in float64.  The starts
+    are solved in lockstep, in the generator's blocks.  A run that fails
+    to reach the feasibility tolerance raises, since the set is nonempty.
     """
-    dim = phi.dim ** 2
-    check_entry_budget(dim, "two-copy broadcast projection")
     shape = phi.shape.copies(2)
     points = []
-    for starts in _start_blocks(dim, n_starts, seed, phi.entries.dtype):
+    for starts in seeded_starts(phi.dim ** 2, n_starts, seed, "two-copy broadcast projection",
+                                phi.entries.dtype):
         for result in _project_starts(phi, starts, feasibility_tol, max_iter):
             if not result.converged:
                 raise RuntimeError(f"projection start {len(points)} did not reach "
@@ -187,90 +187,65 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
     return points
 
 
-def _start_blocks(dim: int, n_starts: int, seed: int, dtype: np.dtype):
-    """The seeded dim x dim starts, drawn in order from one generator, in stacks.
-
-    A stack holds at most MAX_ENTRIES entries (the callers check that one
-    start fits); drawing block by block keeps the order of one up-front draw.
-    """
-    block = MAX_ENTRIES // (dim * dim)
-    rng = np.random.default_rng(seed)
-    for first in range(0, n_starts, block):
-        yield np.stack([random_density_matrix(dim, rng, dtype)
-                        for _ in range(min(block, n_starts - first))])
-
-
 # ---------------------------------------------------------------------------
 # the same search in the per-copy twirl algebra of Phi_d
 
 
-def _twirled_marginal_projections(d: int):
-    """Projection onto the marginal equations of Phi_d's broadcast set, and residuals.
+def _twirled_broadcast_sets(d: int):
+    """Phi_d's broadcast set in twirl coefficients: two ``clipped_affine_product`` sets.
 
-    A point is a diagonal 4 x 4 matrix y = sqrt(r) c, with c the
-    coefficients (c00, c01, c10, c11) of ``IsotropicCopies`` and
-    r = (1, D) x (1, D) their ranks, D = d^2 - 1: in these coordinates
-    the Frobenius norm is the Hilbert-Schmidt norm of the state, and the
-    PSD projection clips the diagonal (``projections.clip``).  Tr_2 X = Phi and
-    Tr_1 X = Phi read c00 + D c01 = 1, c10 + D c11 = 0, c00 + D c10 = 1
-    (the fourth row follows), which in y is the line
-    e00 + t (D, -sqrt D, -sqrt D, 1).
-    A marginal residual is the largest deviation of the marginal's
-    coefficients from Phi's (1, 0): its operator-norm distance from Phi.
+    A point is the vector y = sqrt(r) c, with c the coefficients
+    (c00, c01, c10, c11) of ``IsotropicCopies`` and r = (1, D) x (1, D)
+    their ranks, D = d^2 - 1: in these coordinates the Euclidean norm is
+    the Hilbert-Schmidt norm of the state, and the PSD cone is y >= 0.
+    Tr_2 X = Phi and Tr_1 X = Phi read c00 + D c01 = 1, c10 + D c11 = 0,
+    c00 + D c10 = 1 (the fourth row follows), which in y is the line
+    e00 + t u, u = (D, -sqrt D, -sqrt D, 1) / (D + 1) a unit vector,
+    projected by y -> y u u^T + e00 - u_0 u.  Returns sqrt(r), the sets
+    (line, cone) and the residuals of a vector or a stack.  A marginal
+    residual is the largest deviation of the marginal's coefficients from
+    Phi's (1, 0): its operator-norm distance from Phi.
     """
     rank = d * d - 1.0  # D, the rank of 1 - Phi
     root = np.sqrt(copy_ranks(d, 2).ravel())
     unit = np.array([rank, -root[1], -root[1], 1.0]) / (rank + 1.0)
+    eye, none = np.eye(4), np.zeros(4)
+    line = (eye, np.outer(unit, unit), none, -np.inf, eye[0] - unit[0] * unit)
     phi = np.array([1.0, 0.0])  # the marginal's coefficients
 
-    def proj(x: np.ndarray) -> np.ndarray:
-        t = (np.diagonal(x, axis1=1, axis2=2) * unit).sum(axis=1) - unit[0]
-        out = np.zeros_like(x)
-        diagonal = np.einsum("sii->si", out)
-        diagonal[...] = t[:, None] * unit
-        diagonal[:, 0] += 1.0
-        return out
-
-    def residual(x: np.ndarray) -> dict[str, np.ndarray]:
-        y = np.diagonal(x, axis1=1, axis2=2)
-        c = (y / root).reshape(-1, 2, 2)
+    def residual(y: np.ndarray) -> dict[str, np.ndarray]:
+        c = (y / root).reshape(y.shape[:-1] + (2, 2))
         return {
-            "marginal_1": np.abs(c[:, :, 0] + rank * c[:, :, 1] - phi).max(axis=1),
-            "marginal_2": np.abs(c[:, 0] + rank * c[:, 1] - phi).max(axis=1),
-            "psd": np.maximum(0.0, -y.min(axis=1)),
+            "marginal_1": np.abs(c[..., :, 0] + rank * c[..., :, 1] - phi).max(axis=-1),
+            "marginal_2": np.abs(c[..., 0, :] + rank * c[..., 1, :] - phi).max(axis=-1),
+            "psd": np.maximum(0.0, -y.min(axis=-1)),
         }
 
-    return root, proj, residual
+    return root, (line, (eye, eye, none, 0.0, none)), residual
 
 
 def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
                                        seed: int = 0) -> list[IsotropicCopies]:
     """``sample_two_copy_broadcasts`` for phi = Phi_d, in 4 coefficients a start.
 
-    The starts are the dense search's, drawn in order from one generator
-    as real d^4 x d^4 density matrices (Phi_d is real) and twirled a
-    stack at a time (``twirl_coefficients``); the solve runs on diagonal
-    (s, 4, 4) ``float64`` stacks (see ``_twirled_marginal_projections``),
-    with no eigendecomposition.
-    The feasibility tolerance (1e-9) and cycle cap (5000) are the dense
-    search's defaults; a run that fails to reach the tolerance raises.
+    The starts are the dense search's, drawn as real matrices (Phi_d is
+    real) and twirled by ``seeded_starts``; the solve runs on (s, 2, 4)
+    ``float64`` vectors (see ``_twirled_broadcast_sets``), with no
+    eigendecomposition, at the dense search's settings.  A run that fails
+    to reach the tolerance raises.
     """
-    dim = d ** 4
-    check_entry_budget(dim, "two-copy broadcast start")
-    root, proj_affine, residual = _twirled_marginal_projections(d)
-    coeffs = np.concatenate([twirl_coefficients(d, starts).reshape(-1, 4)
-                             for starts in _start_blocks(dim, n_starts, seed, np.float64)])
-    starts = np.zeros((n_starts, 4, 4))
-    np.einsum("sii->si", starts)[...] = root * coeffs
-    results = solve_feasibility_batch(_marginals_and_cone(proj_affine, clip), 2, starts,
-                                      residual, readout=clip, tol=1e-9, max_iter=5000,
-                                      check_every=5)
+    root, (line, psd), residual = _twirled_broadcast_sets(d)
+    starts = np.concatenate(list(seeded_starts(d ** 4, n_starts, seed, "two-copy broadcast start",
+                                               twirl=d)))
+    results = solve_feasibility_batch(clipped_affine_product([line, psd]), 2, starts, residual,
+                                      readout=clipped_affine_product([psd]), tol=FEASIBILITY_TOL,
+                                      max_iter=MAX_CYCLES, check_every=CHECK_EVERY)
     points = []
     for trial, result in enumerate(results):
         if not result.converged:
             raise RuntimeError(
                 f"projection start {trial} did not reach feasibility: {result.residuals}")
-        y = np.diagonal(result.point)
+        y = result.point
         points.append(IsotropicCopies(d, (y / root / (y * root).sum()).reshape(2, 2)))
     return points
 

@@ -7,8 +7,8 @@ under the global B-side partial transpose, which covers the B indices of
 input and output factors alike.
 
 ``synthesize_ppt_dilution`` decides PPT dilution from m ebits with a
-target-sized search: D x D for a dense target, and 2^k twirl
-coefficients for an ``IsotropicCopies`` one.
+target-sized search: D x D matrices for a dense target, and vectors of
+2^k twirl coefficients for an ``IsotropicCopies`` one.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .operators import (
     FactorShape,
     LabeledOperator,
     bipartite_shape,
-    check_entry_budget,
     check_power_budget,
     density_from_matrix,
     hermitian_part,
@@ -39,10 +38,9 @@ from .measures import (
     largest_entry,
     partial_transpose_isometry,
     partial_transpose_spectrum,
-    twirl_coefficients,
 )
-from .projections import clip, project_psd, random_density_matrix, solve_feasibility
-from .states import max_entangled
+from .projections import clipped_affine_product, project_psd, seeded_starts, solve_feasibility
+from .states import max_entangled_matrix
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,8 @@ class TwirledChoi:
             in_shape, phi = FactorShape(((1, 1),)), np.ones((1, 1))
         else:
             in_shape = bipartite_shape(2, 2).copies(self.m)
-            phi = tensor_power(max_entangled(2).op, self.m).entries
+            phi = tensor_power(LabeledOperator(bipartite_shape(2, 2), max_entangled_matrix(2)),
+                               self.m).entries
         j = np.kron(phi, self.a) + np.kron(np.eye(len(phi)) - phi, self.b)
         shape = in_shape.concat(self.output_shape)
         k_in = in_shape.n_factors
@@ -284,7 +283,7 @@ def _dilution_projection(m: int, rho: np.ndarray, shape: FactorShape):
     return 3 if m == 0 else 4, project
 
 
-def _dense_dilution(m: int, target: DensityOperator, rng: np.random.Generator):
+def _dense_dilution(m: int, target: DensityOperator, seed: int):
     """The D x D search: its sets' count, P, readout, start, residuals and point.
 
     The input is real, so the search runs in the dtype of
@@ -298,45 +297,34 @@ def _dense_dilution(m: int, target: DensityOperator, rng: np.random.Generator):
 
     # real data: the feasible set is closed under complex conjugation, so its
     # real part is feasible, and a real start keeps the search real symmetric
-    start = random_density_matrix(target.dim, rng, rho.dtype)
+    [[start]] = seeded_starts(target.dim, 1, seed, "synthesis start", rho.dtype)
     return n_sets, project, project_psd, start, lambda x: point(x).residuals(rho), point
 
 
-def _block_diagonal(blocks) -> np.ndarray:
-    n = sum(len(b) for b in blocks)
-    out, first = np.zeros((n, n)), 0
-    for b in blocks:
-        out[first:first + len(b), first:first + len(b)] = b
-        first += len(b)
-    return out
-
-
-def _twirled_dilution(m: int, target: IsotropicCopies, rng: np.random.Generator):
+def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
     """``_dense_dilution`` in the twirl algebra of an ``IsotropicCopies`` target.
 
-    A block is a diagonal 2^k x 2^k ``float64`` matrix y = sqrt(r) c,
-    with c the coefficients of a twirl-invariant sigma and r their ranks,
-    so the Frobenius norm of y is the Hilbert-Schmidt norm of sigma.  The
+    A point is the ``float64`` vector y = sqrt(r) c of 2^k numbers, with c
+    the coefficients of a twirl-invariant sigma and r their ranks, so the
+    Euclidean norm of y is the Hilbert-Schmidt norm of sigma.  The
     target's twirl symmetry maps every set into itself, so P restricted to
-    these blocks is P of the dense search, and each set is a clip in an
-    orthonormal frame of the coefficients or an affine map:
+    these points is P of the dense search, and each set is a clip in an
+    orthonormal frame of the coefficients or an affine map, one set of
+    ``clipped_affine_product``:
 
-    - the PSD cone: ``clip``, y -> max(y, 0);
+    - the PSD cone: y -> max(y, 0);
     - unit trace: the hyperplane <sqrt(r), y> = 1;
     - each cone {x : x^Gamma >= shift}: y -> Q^T (s + max(Q y - s, 0)),
       with Q the orthogonal ``partial_transpose_isometry`` and
       s = Q sqrt(r) c_shift;
     - the target at m = 0: the fixed point sqrt(r) c_rho.
 
-    Over a start's row of diagonals, P is y -> max(y F - s, floor) B + o,
-    with F and B the sets' frames and back-maps as block-diagonal
-    matrices, floor 0 where a set clips and -inf where it is affine.  The
-    start is the twirl of the dense search's seeded start.  The residuals
-    are those of ``TwirledChoi.residuals`` on the dense blocks, in closed
-    form: cp and ppt the least coefficients of a, b and the two cone
-    operators, tp = |r.c - 1|, and the correctness at m = 0 the largest
-    entry of sigma - rho (``largest_entry``); at m >= 1, a = rho exactly.
-    ``point`` builds the dense blocks.
+    The start is the twirl of the dense search's seeded start.  The
+    residuals are those of ``TwirledChoi.residuals`` on the dense blocks,
+    in closed form: cp and ppt the least coefficients of a, b and the two
+    cone operators, tp = |r.c - 1|, and the correctness at m = 0 the
+    largest entry of sigma - rho (``largest_entry``); at m >= 1, a = rho
+    exactly.  ``point`` builds the dense blocks.
     """
     d, rho = target.d, target.coeffs
     ranks = copy_ranks(d, rho.ndim).ravel()
@@ -354,25 +342,12 @@ def _twirled_dilution(m: int, target: IsotropicCopies, rng: np.random.Generator)
         trace = (eye, eye - np.outer(root, root) / n, none, -np.inf, root / n)
         sets = [psd, trace, (gamma.T, gamma, -e / (1.0 - e) * s, 0.0, none),
                 (gamma.T, gamma, e / (1.0 + e) * s, 0.0, none)]
-    frames, backs, shifts, floors, offsets = zip(*sets)
-    forward, backward = _block_diagonal(frames), _block_diagonal(backs)
-    shift, floor = np.concatenate(shifts), np.repeat(floors, len(root))
-    offset = shift @ backward + np.concatenate(offsets)
-    stride = len(root) + 1  # of a block's diagonal, flattened
 
-    def project(z: np.ndarray) -> np.ndarray:
-        shape = (len(z), len(sets), -1)
-        y = z.reshape(shape)[..., ::stride].reshape(len(z), -1)
-        out = np.zeros_like(z)
-        out.reshape(shape)[..., ::stride] = (
-            clip(y @ forward - shift, floor) @ backward + offset).reshape(shape)
-        return out
+    def coeffs(y: np.ndarray) -> np.ndarray:
+        return (y / root).reshape(rho.shape)
 
-    def coeffs(x: np.ndarray) -> np.ndarray:
-        return (np.diagonal(x) / root).reshape(rho.shape)
-
-    def residuals(x: np.ndarray) -> dict[str, float]:
-        c = coeffs(x)
+    def residuals(y: np.ndarray) -> dict[str, float]:
+        c = coeffs(y)
         a = c if m == 0 else rho
         b_pt = partial_transpose_spectrum(d, c)
         a_pt = b_pt if m == 0 else target.partial_transpose_coeffs
@@ -381,14 +356,13 @@ def _twirled_dilution(m: int, target: IsotropicCopies, rng: np.random.Generator)
                 "tp": abs(float(c.ravel() @ ranks) - 1.0),
                 "correctness": largest_entry(d, c - rho) if m == 0 else 0.0}
 
-    def point(x: np.ndarray) -> TwirledChoi:
-        b = copies_matrix(d, coeffs(x))
+    def point(y: np.ndarray) -> TwirledChoi:
+        b = copies_matrix(d, coeffs(y))
         return TwirledChoi(m, target.shape, b if m == 0 else copies_matrix(d, rho), b)
 
-    check_entry_budget(target.shape.total_dim, "synthesis start")  # the seeded start is dense
-    drawn = random_density_matrix(target.shape.total_dim, rng, np.float64)
-    start = np.diag(root * twirl_coefficients(d, drawn).ravel())
-    return len(sets), project, clip, start, residuals, point
+    [[start]] = seeded_starts(target.shape.total_dim, 1, seed, "synthesis start", twirl=d)
+    return (len(sets), clipped_affine_product(sets), clipped_affine_product([psd]), start,
+            residuals, point)
 
 
 def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
@@ -404,14 +378,15 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
     stall; at m = 0 an NPT target's negative partial-transpose eigenvalue is
     attached as an analytic witness.  A ``DensityOperator`` target is
     searched as a D x D matrix (``_dense_dilution``), an ``IsotropicCopies``
-    one in its 2^k twirl coefficients (``_twirled_dilution``), with no
-    eigendecomposition; both draw the same seeded start.
+    one as a vector of its 2^k twirl coefficients (``_twirled_dilution``),
+    with no eigendecomposition; both draw the same seeded start
+    (``seeded_starts``).
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")
     twirled = isinstance(target, IsotropicCopies)
     n_sets, project, readout, start, residuals, point = (
-        _twirled_dilution if twirled else _dense_dilution)(m, target, np.random.default_rng(seed))
+        _twirled_dilution if twirled else _dense_dilution)(m, target, seed)
     result = solve_feasibility(project, n_sets, start, residuals, readout=readout,
                                tol=tol, max_iter=max_iter)
 

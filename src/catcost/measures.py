@@ -31,7 +31,7 @@ from .operators import (
     require_pure,
     trace_distance,
 )
-from .states import IsotropicParams, isotropic_twirl, max_entangled, max_entangled_fraction
+from .states import IsotropicParams, isotropic_twirl, max_entangled_fraction, max_entangled_matrix
 
 # Eigendirections of the reference below this threshold count as outside
 # its support, so that infinite divergences are decidable numerically.
@@ -204,7 +204,7 @@ def largest_entry(d: int, c: np.ndarray) -> float:
 
 def copies_matrix(d: int, c: np.ndarray) -> np.ndarray:
     """The dense d^(2k) x d^(2k) operator with (2,) * k coefficients c, unvalidated."""
-    phi = max_entangled(d).entries
+    phi = max_entangled_matrix(d)
     basis = (phi, np.eye(d * d) - phi)
     return sum(v * functools.reduce(np.kron, [basis[i] for i in idx])
                for idx, v in np.ndenumerate(c))

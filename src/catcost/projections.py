@@ -1,20 +1,21 @@
-"""Convex feasibility engine for intersections of matrix constraint sets.
+"""Convex feasibility engine for intersections of constraint sets.
 
 Product-space Douglas-Rachford splitting: the governing sequence holds
-one Hermitian matrix per constraint set C_1, ..., C_k, and each cycle
-reflects their average through the product set C_1 x ... x C_k with one
-call of its projection P on the whole ``(s, k, n, n)`` stack of starts
-and sets.  Iterates are kept exactly on the Hermitian subspace: the
-affine-projection formulas are only orthogonal there, and anti-Hermitian
-rounding noise is otherwise amplified by the reflections.
+one point, a Hermitian matrix or a coefficient vector, per constraint
+set C_1, ..., C_k, and each cycle reflects their average through the
+product set C_1 x ... x C_k with one call of its projection P on the
+whole ``(s, k, ...)`` array of starts and sets.  Matrices are kept
+exactly on the Hermitian subspace: the affine-projection formulas are
+only orthogonal there, and anti-Hermitian rounding noise is otherwise
+amplified by the reflections.
 
 The starts run in lockstep, so a P that sends every cone block through
 one ``project_psd`` call decomposes them all in one ``np.linalg.eigh``
 on a stack; LAPACK and ``matmul`` work matrix by matrix inside it, so
 stacking changes no bit.  Each start keeps its own stopping bookkeeping
 and leaves the stack at the cycle it would have stopped at if run alone.
-A P whose cone blocks are diagonal clips them with ``clip``, bit for bit
-``project_psd`` on a diagonal matrix, and makes no eigendecomposition.
+A search in twirl coefficients runs on vectors, with the P that
+``clipped_affine_product`` builds: no eigendecomposition.
 
 The Douglas-Rachford map T is accelerated by safeguarded type-II
 Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482; Zhang-O'Donoghue-Boyd,
@@ -34,7 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import hermitian_part
+from .measures import copy_ranks, twirl_coefficients
+from .operators import MAX_ENTRIES, check_entry_budget, hermitian_part
 
 Projection = Callable[[np.ndarray], np.ndarray]
 ResidualFn = Callable[[np.ndarray], dict[str, float]]
@@ -53,16 +55,6 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return hermitian_part(scaled @ v.swapaxes(-1, -2), out=scaled)
 
 
-def clip(y: np.ndarray, floor: float | np.ndarray = 0.0) -> np.ndarray:
-    """The nearest point entrywise at or above ``floor``, with no eigendecomposition.
-
-    At the default floor 0 it is ``project_psd`` of a stack of diagonal
-    matrices, bit for bit.  ``floor`` may vary along the last axis; an
-    entry with floor -inf is kept as it is.
-    """
-    return np.maximum(y, floor)
-
-
 def random_density_matrix(dim: int, rng: np.random.Generator,
                           dtype: np.dtype = np.complex128) -> np.ndarray:
     """Ginibre-ensemble density matrix in ``dtype``, the dtype of the search's data.
@@ -75,6 +67,52 @@ def random_density_matrix(dim: int, rng: np.random.Generator,
     m = g @ g.conj().T
     m = m / np.trace(m).real
     return m if np.issubdtype(dtype, np.complexfloating) else m.real.copy()
+
+
+def seeded_starts(dim: int, n_starts: int, seed: int, what: str,
+                  dtype: np.dtype = np.float64, twirl: int | None = None):
+    """The seeded dim x dim ``random_density_matrix`` starts, drawn in order from one generator.
+
+    They come in stacks of at most MAX_ENTRIES entries, which keeps the
+    order of one up-front draw; a start over the entry budget is refused
+    as ``what`` before any is drawn.  Given ``twirl`` = d, each stack of
+    k-copy starts comes twirled, as the (s, 2^k) ``float64`` vectors
+    y = sqrt(r) c of its ``twirl_coefficients`` c, r their ranks.
+    """
+    check_entry_budget(dim, what)
+    block = MAX_ENTRIES // (dim * dim)
+    rng = np.random.default_rng(seed)
+    for first in range(0, n_starts, block):
+        starts = np.stack([random_density_matrix(dim, rng, dtype)
+                           for _ in range(min(block, n_starts - first))])
+        if twirl is not None:
+            c = twirl_coefficients(twirl, starts)
+            starts = (np.sqrt(copy_ranks(twirl, c.ndim - 1)) * c).reshape(len(c), -1)
+        yield starts
+
+
+def clipped_affine_product(sets) -> Projection:
+    """P onto a product of sets of coefficient vectors, each y -> max(y F - s, floor) B + o.
+
+    ``sets`` holds one (F, B, s, floor, o) a set, for row vectors: a clip
+    at the shift s in an orthonormal frame F, with B = F^T and floor 0,
+    or an affine projection y -> y B + o, with F = 1, s = 0 and floor
+    -inf.  P acts on an (s, k, n) array, or on an (s, n) one when k = 1,
+    as two products with block-diagonal matrices, start by start.
+    """
+    frames, backs, shifts, floors, offsets = zip(*sets)
+    k, n = len(sets), len(shifts[0])
+    forward, backward = np.zeros((2, k, n, k, n))
+    forward[range(k), :, range(k)], backward[range(k), :, range(k)] = frames, backs
+    forward, backward = forward.reshape(k * n, -1), backward.reshape(k * n, -1)
+    shift, floor = np.concatenate(shifts), np.repeat(floors, n)
+    offset = shift @ backward + np.concatenate(offsets)
+
+    def project(z: np.ndarray) -> np.ndarray:
+        y = z.reshape(len(z), 1, -1)  # one product a start: its bits do not depend on the others
+        return (np.maximum(y @ forward - shift, floor) @ backward + offset).reshape(z.shape)
+
+    return project
 
 
 @dataclass
@@ -216,30 +254,34 @@ def solve_feasibility_batch(
 ) -> list[FeasibilityResult]:
     """Run product-space Douglas-Rachford on a stack of starts in lockstep.
 
-    The governing sequence y holds an ``(s, k, n, n)`` array, one matrix
-    per start and constraint set, k = ``n_sets``; ``project`` is the
-    projection onto the product of the k sets, block by block along axis
-    1, and the DR map T sends y to y + P(2 avg - y) - avg, avg the
-    average over the sets.  Each cycle evaluates T once, at the point
-    Anderson acceleration chose from T's last values (see
-    ``_AndersonHistory``), which runs on the array's float64 view and
-    whose output ``hermitian_part`` makes exactly Hermitian in y's own
-    buffer once per cycle.  ``readout`` maps the average of T at the
-    current points, an ``(s, n, n)`` stack, to the candidate points, and
-    ``residual_fn`` returns one ``(s,)`` array per residual name.  Every array handed to ``project`` or to
-    ``readout`` is exactly Hermitian when ``project`` returns exactly
-    Hermitian blocks.  A start stops when its best maximum residual
-    reaches ``tol``, on a stall (no relative improvement of it by
-    ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles; infeasible problems end
-    up here), or at ``max_iter``.  A stopped start leaves the stack, and
-    its rows of the Anderson buffers are compacted away in place.
-    Results come back in the order of the starts.
+    The governing sequence y holds an ``(s, k, ...)`` array, one point per
+    start and constraint set, k = ``n_sets``: a Hermitian matrix for
+    ``(s, n, n)`` starts, a coefficient vector for ``(s, n)`` ones.
+    ``project`` is the projection onto the product of the k sets, block
+    by block along axis 1, and the DR map T sends y to
+    y + P(2 avg - y) - avg, avg the average over the sets.  Each cycle
+    evaluates T once, at the point Anderson acceleration chose from T's
+    last values (see ``_AndersonHistory``), which runs on the array's
+    float64 view and whose matrix output ``hermitian_part`` makes exactly
+    Hermitian in y's own buffer once per cycle.  ``readout`` maps the
+    average of T at the current points, an ``(s, ...)`` stack, to the
+    candidate points, and ``residual_fn`` returns one ``(s,)`` array per
+    residual name.  Every matrix handed to ``project`` or to ``readout``
+    is exactly Hermitian when ``project`` returns exactly Hermitian
+    blocks.  A start stops when its best maximum residual reaches
+    ``tol``, on a stall (no relative improvement of it by ``_STALL_RTOL``
+    over ``STALL_WINDOW`` cycles; infeasible problems end up here), or at
+    ``max_iter``.  A stopped start leaves the stack, and its rows of the
+    Anderson buffers are compacted away in place.  Results come back in
+    the order of the starts.
 
     ``project`` returns an array of its argument's shape and dtype; the
     engine only reads it.  The stacks keep the dtype of ``starts``, so
     real symmetric starts with a real projection stay real.
     """
-    y = np.stack([hermitian_part(np.asarray(starts))] * n_sets, axis=1)
+    starts = np.asarray(starts)
+    matrices = starts.ndim == 3
+    y = np.stack([hermitian_part(starts) if matrices else starts] * n_sets, axis=1)
     anderson = _AndersonHistory(_floats(y))
     best_point = readout(y[:, 0])
     best_res = residual_fn(best_point)
@@ -261,8 +303,8 @@ def solve_feasibility_batch(
             # y holds T at the current points, which the last check read
             # out; the accelerated next points, made exactly Hermitian,
             # replace it
-            step = anderson.step(_floats(y))
-            hermitian_part(step.view(y.dtype).reshape(y.shape), out=y)
+            step = anderson.step(_floats(y)).view(y.dtype).reshape(y.shape)
+            y = hermitian_part(step, out=y) if matrices else step
         it += 1
         # y, avg and 2 avg - y are exactly Hermitian, and a projection
         # that keeps that keeps y so: entries (i, j) and (j, i) see the
@@ -278,7 +320,8 @@ def solve_feasibility_batch(
         res_max = np.max(list(res.values()), axis=0)
         last_improvement[res_max < best_max * (1.0 - _STALL_RTOL)] = it
         better = res_max < best_max
-        best_point = np.where(better[:, None, None], candidate, best_point)
+        best_point = np.where(better.reshape((-1,) + (1,) * (starts.ndim - 1)), candidate,
+                              best_point)
         best_res = {name: np.where(better, res[name], r) for name, r in best_res.items()}
         best_max = np.where(better, res_max, best_max)
         for h, b in zip(history, best_max):
@@ -307,8 +350,8 @@ def solve_feasibility(project: Projection, n_sets: int, start: np.ndarray,
     """Douglas-Rachford from one start; ``solve_feasibility_batch`` on a stack of one.
 
     ``project`` and ``readout`` act on that stack of one, as in the
-    batch; ``residual_fn`` takes the single ``(n, n)`` candidate and
-    returns floats.  ``options`` go to the batch, which declares them.
+    batch; ``residual_fn`` takes the single candidate point and returns
+    floats.  ``options`` go to the batch, which declares them.
     """
     def residuals(m: np.ndarray) -> dict[str, np.ndarray]:
         return {name: np.array([value]) for name, value in residual_fn(m[0]).items()}

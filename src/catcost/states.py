@@ -9,7 +9,6 @@ from .operators import (
     DensityOperator,
     bipartite_shape,
     density_from_matrix,
-    density_from_vector,
     plain_shape,
     tensor,
 )
@@ -40,13 +39,18 @@ class GibbsQubit:
             raise ValueError("excited population must lie in (0, 1/2)")
 
 
-def max_entangled(d: int) -> DensityOperator:
-    """Maximally entangled state sum_i |ii> / sqrt(d) on a single (d, d) factor."""
+def max_entangled_matrix(d: int) -> np.ndarray:
+    """The entries of ``max_entangled(d)``, built as ``density_from_vector`` does, unvalidated."""
     if d < 2:
         raise ValueError("local dimension must be >= 2")
     v = np.zeros(d * d)
     v[:: d + 1] = 1.0 / np.sqrt(d)
-    return density_from_vector(v, bipartite_shape(d, d))
+    return np.outer(v, v) / float(np.vdot(v, v))
+
+
+def max_entangled(d: int) -> DensityOperator:
+    """Maximally entangled state sum_i |ii> / sqrt(d) on a single (d, d) factor."""
+    return density_from_matrix(max_entangled_matrix(d), bipartite_shape(d, d))
 
 
 def max_entangled_fraction(x: DensityOperator) -> float:
@@ -54,15 +58,13 @@ def max_entangled_fraction(x: DensityOperator) -> float:
     (da, db), = x.shape.factors
     if da != db:
         raise ValueError("state does not live on a square (d, d) factor")
-    phi = max_entangled(da)
-    return float(np.trace(phi.entries @ x.entries).real)
+    return float(np.trace(max_entangled_matrix(da) @ x.entries).real)
 
 
 def isotropic(params: IsotropicParams) -> DensityOperator:
     """lam * Phi_d + (1 - lam) * identity / d^2."""
     d = params.d
-    phi = max_entangled(d)
-    m = params.lam * phi.entries + (1.0 - params.lam) * np.eye(d * d) / (d * d)
+    m = params.lam * max_entangled_matrix(d) + (1.0 - params.lam) * np.eye(d * d) / (d * d)
     return density_from_matrix(m, bipartite_shape(d, d))
 
 
@@ -70,7 +72,7 @@ def isotropic_from_fidelity(d: int, f: float) -> DensityOperator:
     """Isotropic state with maximally entangled fraction f in [0, 1]."""
     if not 0.0 <= f <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
-    phi = max_entangled(d).entries
+    phi = max_entangled_matrix(d)
     rest = (np.eye(d * d) - phi) / (d * d - 1)
     return density_from_matrix(f * phi + (1.0 - f) * rest, bipartite_shape(d, d))
 

@@ -6,7 +6,7 @@ import pytest
 
 from catcost.broadcast import (
     _marginal_projections,
-    _twirled_marginal_projections,
+    _twirled_broadcast_sets,
     project_to_two_copy_broadcast,
     pure_broadcast_uniqueness,
     sample_twirled_two_copy_broadcasts,
@@ -26,7 +26,7 @@ from catcost.operators import (
     tensor_power,
     trace_distance,
 )
-from catcost.projections import random_density_matrix
+from catcost.projections import clipped_affine_product, random_density_matrix
 from catcost.states import IsotropicParams, isotropic, max_entangled, symmetric_two_broadcast
 
 from conftest import random_density
@@ -197,18 +197,17 @@ class TestTwirledRigidity:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_marginal_projection_is_orthogonal_onto_the_marginal_line(self, d, rng):
-        _, proj, residual = _twirled_marginal_projections(d)
+        _, (line, _), residual = _twirled_broadcast_sets(d)
+        proj = clipped_affine_product([line])
         y = rng.standard_normal((3, 4))
-        stack = np.stack([np.diag(row) for row in y])
-        out = proj(stack)
-        assert np.array_equal(out, np.stack([np.diag(np.diag(m)) for m in out]))
+        out = proj(y)
+        assert out.shape == y.shape and out.dtype == np.float64
         res = residual(out)
         assert max(res["marginal_1"].max(), res["marginal_2"].max()) <= 1e-12
         assert np.abs(proj(out) - out).max() <= 1e-12
         # the product state e00 lies on the line, and each step is
         # orthogonal to the line, along which out - e00 runs
-        e00 = np.diag([1.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(proj(e00[None])[0], e00)
-        steps = np.diagonal(stack - out, axis1=1, axis2=2)
-        along = np.diagonal(out - e00, axis1=1, axis2=2)
+        e00 = np.eye(4)[:1]
+        assert np.array_equal(proj(e00), e00)
+        steps, along = y - out, out - e00
         assert np.abs((steps * along).sum(axis=1)).max() <= 1e-12

@@ -235,11 +235,11 @@ class TestSynthesis:
 
         monkeypatch.setattr(choi, "solve_feasibility", counting_solve)
         assert main(["synthesize", *argv, "--seed", "0"]) == code
-        # the twirl algebra clips its diagonal blocks: no spectral call in
-        # the Douglas-Rachford loop, and no eigh at all (building the dense
-        # feasible point validates Phi_d, one small eigvalsh)
+        # the twirl algebra clips coefficient vectors: no spectral call in
+        # the Douglas-Rachford loop, and none at all (the dense feasible
+        # point is built from Phi_d's entries, unvalidated)
         assert inside == [0]
-        assert [shape for kind, shape, _ in seen if kind == "eigh"] == []
+        assert seen == []
 
 
 NAMED = [(name, m) for name in ("noisy-phi-2", "noisy-phi-3", "broadcast-phi-2")
@@ -261,13 +261,13 @@ class TestTwirledSynthesis:
     def test_closed_form_residuals_match_the_dense_blocks(self, name, m, rng):
         target = _named_target(name)
         rho = target.to_density().entries
-        _, _, _, start, residuals, point = _twirled_dilution(m, target, rng)
+        _, _, _, start, residuals, point = _twirled_dilution(m, target, 0)
         root = np.sqrt(copy_ranks(target.d, target.coeffs.ndim).ravel())
         # the twirled seeded start, and coefficients of either sign, which
         # leave cp, ppt and tp (and at m = 0 the correctness) nonzero
         largest = dict.fromkeys(["cp", "ppt", "tp", "correctness"], 0.0)
-        for y in [np.diagonal(start)] + [root * rng.standard_normal(len(root)) for _ in range(6)]:
-            closed, dense = residuals(np.diag(y)), point(np.diag(y)).residuals(rho)
+        for y in [start] + [root * rng.standard_normal(len(root)) for _ in range(6)]:
+            closed, dense = residuals(y), point(y).residuals(rho)
             assert list(closed) == list(dense) == list(largest)
             assert all(abs(closed[k] - dense[k]) <= 1e-12 for k in closed), (closed, dense)
             largest = {k: max(v, closed[k]) for k, v in largest.items()}
@@ -319,12 +319,11 @@ class TestTwirledSynthesis:
 
     def test_start_is_the_twirled_dense_start(self):
         target = _named_target("broadcast-phi-2")
-        _, _, _, start, _, _ = _twirled_dilution(1, target, np.random.default_rng(3))
+        _, _, _, start, _, _ = _twirled_dilution(1, target, 3)
         drawn = random_density_matrix(16, np.random.default_rng(3), np.float64)
         root = np.sqrt(copy_ranks(2, 2).ravel())
-        assert np.array_equal(np.diagonal(start),
-                              root * IsotropicCopies.from_twirl(2, drawn).coeffs.ravel())
-        assert np.array_equal(start, np.diag(np.diagonal(start)))
+        assert start.shape == (4,) and start.dtype == np.float64
+        assert np.array_equal(start, root * IsotropicCopies.from_twirl(2, drawn).coeffs.ravel())
 
     def test_start_refused_over_the_entry_budget(self, request):
         request.getfixturevalue("forbid_dense_operators")

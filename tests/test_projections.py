@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from catcost import broadcast, projections
-from catcost.broadcast import _marginal_projections, sample_two_copy_broadcasts
+from catcost.broadcast import (
+    _marginal_projections,
+    _twirled_broadcast_sets,
+    sample_two_copy_broadcasts,
+)
 from catcost.choi import synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
 from catcost.operators import (
@@ -19,9 +23,10 @@ from catcost.projections import (
     _AndersonHistory,
     _floats,
     _row_dots,
-    clip,
+    clipped_affine_product,
     project_psd,
     random_density_matrix,
+    seeded_starts,
     solve_feasibility,
     solve_feasibility_batch,
 )
@@ -48,8 +53,12 @@ def product(*projections):
     return project
 
 
-def spy_on_engine_inputs(monkeypatch, module):
-    """Record (dtype, exactly Hermitian) of every array the engine hands on.
+def hermitian_signature(x):
+    return x.dtype, bool(np.array_equal(x, x.conj().swapaxes(-1, -2)))
+
+
+def spy_on_engine_inputs(monkeypatch, module, describe=hermitian_signature):
+    """Record ``describe`` of every array the engine hands on: (dtype, exactly Hermitian).
 
     Wraps ``module.solve_feasibility_batch`` so that the product
     projection, the readout and ``residual_fn`` record their argument
@@ -59,7 +68,7 @@ def spy_on_engine_inputs(monkeypatch, module):
     batch = projections.solve_feasibility_batch
 
     def record(x):
-        seen.add((x.dtype, bool(np.array_equal(x, x.conj().swapaxes(-1, -2)))))
+        seen.add(describe(x))
 
     def recording(fn, output=False):
         def spied(x):
@@ -91,17 +100,31 @@ def trace_minus_one(n):
     return proj, residual
 
 
+def twirled_rigidity_problem(n_starts):
+    """The twirled rigidity search at d = 2: product projection, readout, vector starts."""
+    _, (line, psd), residual = _twirled_broadcast_sets(2)
+    [starts] = seeded_starts(16, n_starts, 0, "start", twirl=2)
+    return (clipped_affine_product([line, psd]), clipped_affine_product([psd]), starts,
+            residual)
+
+
 class TestLockstepOracle:
-    def test_stack_matches_single_starts(self, rng):
-        proj, residual = _marginal_projections(max_entangled(2).entries)
-        starts = np.stack([random_density_matrix(16, rng) for _ in range(5)])
-        kwargs = dict(tol=1e-9, max_iter=5000, check_every=5)
-        project = product(proj, project_psd)
+    @pytest.mark.parametrize("points", ["matrices", "coefficient vectors"])
+    def test_stack_matches_single_starts(self, rng, points):
+        if points == "matrices":
+            proj, residual = _marginal_projections(max_entangled(2).entries)
+            starts = np.stack([random_density_matrix(16, rng) for _ in range(5)])
+            project, readout = product(proj, project_psd), project_psd
+        else:
+            project, readout, starts, residual = twirled_rigidity_problem(5)
+            assert starts.shape == (5, 4) and starts.dtype == np.float64
+        kwargs = dict(readout=readout, tol=1e-9, max_iter=5000, check_every=5)
         batched = solve_feasibility_batch(project, 2, starts, residual, **kwargs)
         assert len(batched) == 5
         for start, result in zip(starts, batched):
             alone = solve_feasibility(project, 2, start, scalar_residuals(residual), **kwargs)
             assert result.converged
+            assert result.point.shape == start.shape
             assert_same_outcome(result, alone)
             assert np.abs(result.point - alone.point).max() <= 1e-12
             hist = result.best_history
@@ -200,24 +223,18 @@ class TestInPlaceArithmetic:
         # a block of a larger stack, as the product projections pass them
         assert np.array_equal(stacked[2:4], project_psd(m[2:4]))
 
-    def test_clip_equals_project_psd_on_diagonal_stacks(self, rng):
-        diagonals = rng.standard_normal((7, 4))
-        diagonals[diagonals < -1.0] = 0.0
-        diagonals[0] = (-1.5, 0.0, 2.5, -0.0)
-        stack = np.zeros((7, 4, 4))
-        np.einsum("sii->si", stack)[...] = diagonals
-        assert (diagonals < 0).any() and (diagonals == 0).any() and (diagonals > 0).any()
-        clipped = clip(stack)
-        assert np.array_equal(clipped, project_psd(stack))
-        assert np.array_equal(np.einsum("sii->si", clipped), np.maximum(diagonals, 0.0))
-
-    def test_clip_with_a_floor_keeps_the_entries_it_does_not_clip(self, rng):
-        # the twirled synthesis clips its cone blocks and passes its affine ones
-        y = rng.standard_normal((5, 8))
-        floor = np.repeat([0.0, -np.inf], 4)
-        clipped = clip(y, floor)
-        assert np.array_equal(clipped[:, :4], clip(y[:, :4]))
-        assert np.array_equal(clipped[:, 4:], y[:, 4:])
+    def test_product_clips_its_cone_blocks_and_maps_its_affine_ones(self, rng):
+        # the twirled synthesis clips its cone blocks and passes its affine
+        # ones through their back-maps
+        eye, none = np.eye(4), np.zeros(4)
+        back, offset = rng.standard_normal((4, 4)), rng.standard_normal(4)
+        project = clipped_affine_product([(eye, eye, none, 0.0, none),
+                                          (eye, back, none, -np.inf, offset)])
+        z = rng.standard_normal((5, 2, 4))
+        out = project(z)
+        assert out.shape == z.shape
+        assert np.array_equal(out[:, 0], np.maximum(z[:, 0], 0.0))
+        assert np.abs(out[:, 1] - (z[:, 1] @ back + offset)).max() <= 1e-15
 
 
 class TestFloatView:
@@ -310,11 +327,17 @@ class TestAcceleratedSolves:
 
     @pytest.mark.parametrize("name, m", [("noisy-phi-2", 0), ("broadcast-phi-2", 1),
                                          ("noisy-phi-3", 2)])
-    def test_twirled_search_keeps_diagonal_float64_iterates(self, monkeypatch, name, m):
-        seen = spy_on_engine_inputs(monkeypatch, projections)
-        synthesize_ppt_dilution(m, _named_target(name), seed=0)
-        # diagonal blocks: exactly Hermitian without any symmetrization
-        assert seen == {(np.dtype(np.float64), True)}
+    def test_twirled_search_keeps_float64_vector_iterates(self, monkeypatch, name, m):
+        seen = spy_on_engine_inputs(monkeypatch, projections, lambda x: (x.dtype, x.shape[1:]))
+        symmetrized = []
+        monkeypatch.setattr(projections, "hermitian_part", symmetrized.append)
+        target = _named_target(name)
+        synthesize_ppt_dilution(m, target, seed=0)
+        # (s, sets, 2^k) iterates, (s, 2^k) read-outs and candidates, and
+        # no symmetrization: a vector has no anti-Hermitian part
+        n_sets, n = 3 if m == 0 else 4, 2 ** target.coeffs.ndim
+        assert seen == {(np.dtype(np.float64), (n_sets, n)), (np.dtype(np.float64), (n,))}
+        assert symmetrized == []
 
     def test_complex_search_keeps_complex_iterates(self, monkeypatch):
         seen = spy_on_engine_inputs(monkeypatch, projections)
@@ -380,7 +403,7 @@ class TestAcceleratedSolves:
     def test_rigidity_scenario_makes_no_eigendecomposition(self, monkeypatch):
         seen = spectral_calls(monkeypatch)
         assert scenario_rigidity(2, 50, 42).passed
-        # the twirled search clips its diagonal blocks
+        # the twirled search clips coefficient vectors
         assert seen == []
 
     @pytest.mark.parametrize("name, m", [("noisy-phi-2", 0), ("noisy-phi-2", 1),

@@ -21,6 +21,7 @@ from catcost.states import (
     isotropic_twirl,
     max_entangled,
     max_entangled_fraction,
+    max_entangled_matrix,
     symmetric_two_broadcast,
 )
 
@@ -33,6 +34,14 @@ class TestMaxEntangled:
         v = np.zeros(4)
         v[0] = v[3] = 1 / np.sqrt(2)
         assert np.allclose(phi.entries, np.outer(v, v), atol=1e-15)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_unvalidated_entries_are_the_states(self, d):
+        entries = max_entangled_matrix(d)
+        assert np.array_equal(entries, max_entangled(d).entries)
+        v = np.zeros(d * d)
+        v[:: d + 1] = 1.0 / np.sqrt(d)
+        assert np.array_equal(entries, np.outer(v, v) / np.vdot(v, v))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_marginals_maximally_mixed(self, d):
