@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -136,10 +137,15 @@ _NAMED_TARGETS = {"noisy": (_half_mixed, 2), "broadcast": (_broadcast_of_half_mi
 
 
 def _parse_named_target(name: str) -> tuple[str, int] | None:
-    """(family, D) for a ``noisy-phi-D`` or ``broadcast-phi-D`` name, else None."""
+    """(family, D) for a ``noisy-phi-D`` or ``broadcast-phi-D`` name, else None.
+
+    D is spelled as Python prints it, in ASCII digits with no leading
+    zero, so the report's target is the target searched; any other
+    spelling names a matrix file.
+    """
     parts = name.split("-")
     if (len(parts) == 3 and parts[0] in _NAMED_TARGETS and parts[1] == "phi"
-            and parts[2].isdecimal()):
+            and re.fullmatch("0|[1-9][0-9]*", parts[2])):
         return parts[0], int(parts[2])
     return None
 

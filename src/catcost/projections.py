@@ -1,32 +1,22 @@
 """Convex feasibility engine for intersections of constraint sets.
 
-Product-space Douglas-Rachford splitting: the governing sequence holds
-one point, a Hermitian matrix or a coefficient vector, per constraint
-set C_1, ..., C_k, and each cycle reflects their average through the
-product set C_1 x ... x C_k with one call of its projection P on the
-whole ``(s, k, ...)`` array of starts and sets.  Matrices are kept
-exactly on the Hermitian subspace: the affine-projection formulas are
-only orthogonal there, and anti-Hermitian rounding noise is otherwise
-amplified by the reflections.
+Product-space Douglas-Rachford (DR) splitting: the governing sequence
+holds one point per start and constraint set C_1, ..., C_k, and each
+cycle evaluates T(y) = y + P(2 avg - y) - avg once, P the projection onto
+C_1 x ... x C_k and avg the average over the sets.  On Hermitian
+matrices, kept exactly Hermitian (the affine-projection formulas are only
+orthogonal there), T calls P once on the whole stack, so a P that sends
+every cone block through one ``project_psd`` makes one stacked ``eigh``.
+On coefficient vectors (the twirl-algebra searches) T is one
+affine-clip-affine map folded from their ``clipped_affine_product`` P.
+LAPACK and ``matmul`` work start by start inside a stack, so each start
+keeps the bits, and leaves at the cycle, it would have alone.
 
-The starts run in lockstep, so a P that sends every cone block through
-one ``project_psd`` call decomposes them all in one ``np.linalg.eigh``
-on a stack; LAPACK and ``matmul`` work matrix by matrix inside it, so
-stacking changes no bit.  Each start keeps its own stopping bookkeeping
-and leaves the stack at the cycle it would have stopped at if run alone.
-A search in twirl coefficients runs on vectors, with the P that
-``clipped_affine_product`` builds: no eigendecomposition.
-
-The Douglas-Rachford map T is accelerated by safeguarded type-II
-Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482; Zhang-O'Donoghue-Boyd,
-arXiv:1808.03971) over the last ``ANDERSON_DEPTH`` differences.  The
-history is kept on the stacks' own float64 view, a complex entry as its
-(re, im) pair: the Euclidean inner product there is the Frobenius inner
-product Re tr(A^dagger B) of the Hermitian matrices.  T is evaluated
-once per cycle, and ``hermitian_part`` makes the extrapolated
-stack exactly Hermitian once per cycle, written into the stack's buffer.
-The Anderson depth and the stall rule are module constants; the per-call
-options are declared on ``solve_feasibility_batch`` alone.
+T is accelerated by safeguarded type-II Anderson mixing (Fu-Zhang-Boyd,
+arXiv:1908.11482; Zhang-O'Donoghue-Boyd, arXiv:1808.03971) on the
+stack's float64 rows, where the Euclidean inner product is the Frobenius
+one.  The Anderson depth and the stall rule are module constants; the
+per-call options are declared on ``solve_feasibility_batch`` alone.
 """
 from __future__ import annotations
 
@@ -34,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _gesv  # LAPACK gesv, without np.linalg's wrapper
 
 from .measures import copy_ranks, twirl_coefficients
 from .operators import MAX_ENTRIES, check_entry_budget, hermitian_part
@@ -92,27 +83,49 @@ def seeded_starts(dim: int, n_starts: int, seed: int, what: str,
 
 
 def clipped_affine_product(sets) -> Projection:
-    """P onto a product of sets of coefficient vectors, each y -> max(y F - s, floor) B + o.
+    """P onto a product of sets of coefficient vectors, each y -> max(y F, s + floor) B + o.
 
     ``sets`` holds one (F, B, s, floor, o) a set, for row vectors: a clip
     at the shift s in an orthonormal frame F, with B = F^T and floor 0,
     or an affine projection y -> y B + o, with F = 1, s = 0 and floor
     -inf.  P acts on an (s, k, n) array, or on an (s, n) one when k = 1,
-    as two products with block-diagonal matrices, start by start.
+    as two products with block-diagonal matrices, start by start; its
+    ``parts`` (F, B, clip, o) are those of the whole product.
     """
     frames, backs, shifts, floors, offsets = zip(*sets)
     k, n = len(sets), len(shifts[0])
     forward, backward = np.zeros((2, k, n, k, n))
     forward[range(k), :, range(k)], backward[range(k), :, range(k)] = frames, backs
     forward, backward = forward.reshape(k * n, -1), backward.reshape(k * n, -1)
-    shift, floor = np.concatenate(shifts), np.repeat(floors, n)
-    offset = shift @ backward + np.concatenate(offsets)
+    clip, offset = np.concatenate(shifts) + np.repeat(floors, n), np.concatenate(offsets)
 
     def project(z: np.ndarray) -> np.ndarray:
         y = z.reshape(len(z), 1, -1)  # one product a start: its bits do not depend on the others
-        return (np.maximum(y @ forward - shift, floor) @ backward + offset).reshape(z.shape)
+        return (np.maximum(y @ forward, clip) @ backward + offset).reshape(z.shape)
 
+    project.parts = forward, backward, clip, offset
     return project
+
+
+def _folded_dr_map(project: Projection, n_sets: int) -> Callable[[np.ndarray], np.ndarray]:
+    """T(y) = y + P(2 avg - y) - avg on (s, k n) rows, P from ``clipped_affine_product``.
+
+    With M the set-average matrix, T(y) = y (I - M) + max(y (2M - I) F, clip) B + o,
+    one affine-clip-affine map: y [I - M | (2M - I) F | 0], clipped at
+    [-inf | clip | 1], times [I; B; o].  Each row is its own product, as in P.
+    """
+    forward, backward, clip, offset = project.parts
+    eye = np.eye(len(clip))
+    avg = np.kron(np.full((n_sets, n_sets), 1.0 / n_sets), np.eye(len(clip) // n_sets))
+    fold = np.hstack([eye - avg, (2.0 * avg - eye) @ forward, np.zeros((len(clip), 1))])
+    floor = np.concatenate([np.full(len(clip), -np.inf), clip, [1.0]])
+    back = np.vstack([eye, backward, offset])
+
+    def dr_map(y: np.ndarray) -> np.ndarray:
+        z = y[:, None] @ fold
+        return (np.maximum(z, floor, out=z) @ back)[:, 0]
+
+    return dr_map
 
 
 @dataclass
@@ -143,8 +156,8 @@ _TINY = np.finfo(float).tiny
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products of matching rows; each row's value does not depend on the others."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    """Inner products of matching rows, each flattened; a row's value depends on no other row."""
+    return np.matmul(a.reshape(len(a), 1, -1), b.reshape(len(b), -1, 1))[:, 0, 0]
 
 
 def _compact_rows(a: np.ndarray, rows: np.ndarray) -> None:
@@ -157,84 +170,78 @@ def _compact_rows(a: np.ndarray, rows: np.ndarray) -> None:
 class _AndersonHistory:
     """Safeguarded type-II Anderson acceleration of a fixed-point map T, per start.
 
-    Rows are starts, as float64 vectors.  Each start keeps T and
-    g = T - id at its last accepted point, the last ``ANDERSON_DEPTH``
-    differences of both in rolling buffers, and the Gram matrix of the g
-    differences, updated by one row per step.  Its current point is
-    ``f - df @ gamma`` and is not stored.  The buffers are allocated once;
-    ``keep`` compacts them in place when starts retire.
+    Rows are starts, as float64 vectors.  Each keeps its current point
+    ``x`` (the last returned, never written), the pair ``fg`` = (f, g) of T
+    and g = T - id at its last accepted point, ``g_norm2`` = |g|^2, the
+    last ``ANDERSON_DEPTH`` differences ``dfg`` = (df, dg) of that pair,
+    ``gram`` = dg dg^T (one new row a step), ``scale`` = |df_j|^2 + |dg_j|^2
+    for the ridge, ``gamma`` and ``extrapolated``.  The buffers are
+    allocated once; ``keep`` compacts them in place when starts retire.
     """
 
     def __init__(self, x0: np.ndarray) -> None:
-        s, dim = x0.shape
-        depth = ANDERSON_DEPTH
-        self.eye = np.eye(depth)
+        (s, dim), depth = x0.shape, ANDERSON_DEPTH
+        self.eye, self.x = np.eye(depth), x0
         self.slot = -1  # ring slot of the newest difference; -1 before the first step
-        self._buffers = (
-            x0.copy(),                    # f: T at the last accepted point; at first x0
-            np.zeros((s, dim)),           # g at that point
-            np.zeros(s),                  # |g|^2 there
-            np.zeros((s, depth, dim)),    # df: differences of T
-            np.zeros((s, depth, dim)),    # dg: differences of g
-            np.zeros((s, depth, depth)),  # gram: dg dg^T
-            np.zeros((s, depth)),         # |df_j|^2 + |dg_j|^2, which scales the ridge
-            np.zeros((s, depth)),         # gamma
-            np.zeros(s, dtype=bool),      # the current point is an extrapolation
-        )
-        self._rows = self._buffers
+        self._buffers = (np.zeros((s, 2, dim)), np.zeros(s), np.zeros((s, depth, 2, dim)),
+                         np.zeros((s, depth, depth)), np.zeros((s, depth)), np.zeros((s, depth)),
+                         np.zeros(s, dtype=bool))
+        self.keep(np.ones(s, dtype=bool))  # names the rows, and makes x a copy of x0
+
+    @property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        return (self.x,) + tuple(a[:len(self.x)] for a in self._buffers)
 
     def step(self, t: np.ndarray) -> np.ndarray:
         """Take T at the current points; return the next points, in a new array.
 
-        A start whose current point is an extrapolation with a larger
-        ``|g|`` than the point it left from rejects it: it goes on from
-        the T it already holds and clears its history.
+        A start whose extrapolated point has a larger |g| than the point it
+        left from rejects it: it goes on from the T it holds, history cleared.
         """
-        f, g, g_norm2, df, dg, gram, scale, gamma, extrapolated = self._rows
-        # r = g at the current point x = f - df @ gamma
-        r = np.matmul(gamma[:, None, :], df)[:, 0]
-        r += t
-        r -= f
+        pair, fg = self.pair, self.fg
+        pair[:, 0] = t
+        r = np.subtract(t, self.x, out=pair[:, 1])
         r_norm2 = _row_dots(r, r)
         if self.slot < 0:  # the first step is a plain one
             self.slot = ANDERSON_DEPTH - 1
-            f[...], g[...], g_norm2[...] = t, r, r_norm2
-            return t.copy()
-        rejected = extrapolated & (r_norm2 > g_norm2)
+            fg[...], self.g_norm2[...] = pair, r_norm2
+            self.x = t.copy()
+            return self.x
+        rejected = self.extrapolated & (r_norm2 > self.g_norm2)
         self.slot = j = (self.slot + 1) % ANDERSON_DEPTH
-        df_j, dg_j = df[:, j], dg[:, j]
-        np.subtract(r, g, out=dg_j)
-        np.subtract(t, f, out=df_j)
-        row = np.matmul(dg, dg_j[..., None])[..., 0]
-        gram[:, j, :] = row
-        gram[:, :, j] = row
-        scale[:, j] = row[:, j] + _row_dots(df_j, df_j)
+        dfg_j = np.subtract(pair, fg, out=self.dfg[:, j])
+        row = np.matmul(self.dg, dfg_j[:, 1, :, None])[..., 0]
+        self.gram[:, j, :] = self.gram[:, :, j] = row
+        self.scale[:, j] = _row_dots(dfg_j, dfg_j)
         if np.count_nonzero(rejected):
-            for a in (df, dg, gram, scale):
+            for a in (self.dfg, self.gram, self.scale):
                 a[rejected] = 0.0
             accepted = ~rejected
-            np.copyto(f, t, where=accepted[:, None])
-            np.copyto(g, r, where=accepted[:, None])
-            np.copyto(g_norm2, r_norm2, where=accepted)
-            extrapolated[...] = accepted
+            np.copyto(fg, pair, where=accepted[:, None, None])
+            np.copyto(self.g_norm2, r_norm2, where=accepted)
+            self.extrapolated[...] = accepted
         else:
-            f[...], g[...], g_norm2[...], extrapolated[...] = t, r, r_norm2, True
+            fg[...], self.g_norm2[...], self.extrapolated[...] = pair, r_norm2, True
         # gamma = argmin |g - dg gamma|^2 + ridge |gamma|^2, the ridge scaled
         # by the sizes of both difference sets (Fu-Zhang-Boyd); a cleared
         # column gets gamma 0, and an all-clear history the plain step
-        ridge = _ANDERSON_REG * np.add.reduce(scale, 1) + _TINY
-        lhs = gram + ridge[:, None, None] * self.eye
-        gamma[...] = np.linalg.solve(lhs, np.matmul(dg, g[..., None]))[..., 0]
-        np.matmul(gamma[:, None, :], df, out=r[:, None, :])
-        np.subtract(f, r, out=r)
-        return r
+        ridge = _ANDERSON_REG * np.add.reduce(self.scale, 1) + _TINY
+        lhs = self.gram + np.multiply.outer(ridge, self.eye)
+        self.gamma[...] = _gesv(lhs, np.matmul(self.dg, self.g[..., None]))[..., 0]
+        self.x = self.f - np.matmul(self.gamma[:, None, :], self.df)[:, 0]
+        return self.x
 
     def keep(self, keep: np.ndarray) -> None:
-        """Keep the rows where ``keep`` holds, moved in place to the front."""
+        """Keep the rows where ``keep`` holds, moved in place to the front, and name them."""
         rows = np.flatnonzero(keep)
         for a in self._buffers:
             _compact_rows(a, rows)
-        self._rows = tuple(a[:len(rows)] for a in self._buffers)
+        self.x = self.x[rows]
+        (self.fg, self.g_norm2, self.dfg, self.gram, self.scale, self.gamma,
+         self.extrapolated) = (a[:len(rows)] for a in self._buffers)
+        self.f, self.g, self.df, self.dg = (self.fg[:, 0], self.fg[:, 1], self.dfg[:, :, 0],
+                                            self.dfg[:, :, 1])
+        self.pair = np.empty_like(self.fg)  # T and g at the current point
 
 
 def _floats(y: np.ndarray) -> np.ndarray:
@@ -254,36 +261,41 @@ def solve_feasibility_batch(
 ) -> list[FeasibilityResult]:
     """Run product-space Douglas-Rachford on a stack of starts in lockstep.
 
-    The governing sequence y holds an ``(s, k, ...)`` array, one point per
-    start and constraint set, k = ``n_sets``: a Hermitian matrix for
-    ``(s, n, n)`` starts, a coefficient vector for ``(s, n)`` ones.
-    ``project`` is the projection onto the product of the k sets, block
-    by block along axis 1, and the DR map T sends y to
-    y + P(2 avg - y) - avg, avg the average over the sets.  Each cycle
-    evaluates T once, at the point Anderson acceleration chose from T's
-    last values (see ``_AndersonHistory``), which runs on the array's
-    float64 view and whose matrix output ``hermitian_part`` makes exactly
-    Hermitian in y's own buffer once per cycle.  ``readout`` maps the
-    average of T at the current points, an ``(s, ...)`` stack, to the
-    candidate points, and ``residual_fn`` returns one ``(s,)`` array per
-    residual name.  Every matrix handed to ``project`` or to ``readout``
-    is exactly Hermitian when ``project`` returns exactly Hermitian
-    blocks.  A start stops when its best maximum residual reaches
-    ``tol``, on a stall (no relative improvement of it by ``_STALL_RTOL``
-    over ``STALL_WINDOW`` cycles; infeasible problems end up here), or at
-    ``max_iter``.  A stopped start leaves the stack, and its rows of the
-    Anderson buffers are compacted away in place.  Results come back in
+    y holds k = ``n_sets`` points a start: an ``(s, k, n, n)`` stack of
+    Hermitian matrices for ``(s, n, n)`` starts, or flat ``(s, k n)`` rows
+    of coefficient vectors for ``(s, n)`` ones, whose ``project`` must come
+    from ``clipped_affine_product``.  ``project`` is P onto the product of
+    the sets, block by block, in its argument's shape and dtype, so the
+    stacks keep the dtype of ``starts``.  Each cycle evaluates T once, at
+    the point ``_AndersonHistory`` chose.  ``readout`` maps the average of
+    T over the sets to the candidates, and ``residual_fn`` returns one
+    ``(s,)`` array per residual name.  A start stops when its best maximum
+    residual reaches ``tol``, on a stall (no relative improvement by
+    ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles: infeasible problems end
+    here), or at ``max_iter``, and leaves the stack.  Results come back in
     the order of the starts.
-
-    ``project`` returns an array of its argument's shape and dtype; the
-    engine only reads it.  The stacks keep the dtype of ``starts``, so
-    real symmetric starts with a real projection stay real.
     """
     starts = np.asarray(starts)
-    matrices = starts.ndim == 3
-    y = np.stack([hermitian_part(starts) if matrices else starts] * n_sets, axis=1)
-    anderson = _AndersonHistory(_floats(y))
-    best_point = readout(y[:, 0])
+    if starts.ndim == 3:
+        points = hermitian_part(starts)
+        y = np.stack([points] * n_sets, axis=1)
+        anderson = _AndersonHistory(_floats(y))
+
+        def dr_map(y: np.ndarray) -> np.ndarray:
+            # in y's buffer, kept exactly Hermitian by a P that keeps it so:
+            # entries (i, j) and (j, i) see the same additions, up to sign
+            avg = y.sum(axis=1, keepdims=True) / n_sets
+            y += project(2.0 * avg - y)
+            y -= avg
+            return y
+
+        def accelerate(y: np.ndarray) -> np.ndarray:
+            return hermitian_part(anderson.step(_floats(y)).view(y.dtype).reshape(y.shape), out=y)
+    else:
+        points, y = starts, np.tile(starts, n_sets)
+        anderson, dr_map = _AndersonHistory(y), _folded_dr_map(project, n_sets)
+        accelerate = anderson.step
+    best_point = readout(points)
     best_res = residual_fn(best_point)
     best_max = np.max(list(best_res.values()), axis=0)
     history = [[float(b)] for b in best_max]
@@ -299,29 +311,17 @@ def solve_feasibility_batch(
 
     it = 0
     while live.size and it < max_iter:
-        if it:
-            # y holds T at the current points, which the last check read
-            # out; the accelerated next points, made exactly Hermitian,
-            # replace it
-            step = anderson.step(_floats(y)).view(y.dtype).reshape(y.shape)
-            y = hermitian_part(step, out=y) if matrices else step
+        # y holds T at the current points, which the last check read out
+        y = dr_map(accelerate(y) if it else y)
         it += 1
-        # y, avg and 2 avg - y are exactly Hermitian, and a projection
-        # that keeps that keeps y so: entries (i, j) and (j, i) see the
-        # same additions, up to sign
-        avg = y.sum(axis=1, keepdims=True)
-        avg /= n_sets
-        y += project(2.0 * avg - y)
-        y -= avg
         if it % check_every and it != max_iter:
             continue
-        candidate = readout(y.sum(axis=1) / n_sets)
+        candidate = readout(y.reshape(len(y), n_sets, *points.shape[1:]).sum(axis=1) / n_sets)
         res = residual_fn(candidate)
         res_max = np.max(list(res.values()), axis=0)
         last_improvement[res_max < best_max * (1.0 - _STALL_RTOL)] = it
         better = res_max < best_max
-        best_point = np.where(better.reshape((-1,) + (1,) * (starts.ndim - 1)), candidate,
-                              best_point)
+        best_point = np.where(better.reshape(-1, *[1] * (starts.ndim - 1)), candidate, best_point)
         best_res = {name: np.where(better, res[name], r) for name, r in best_res.items()}
         best_max = np.where(better, res_max, best_max)
         for h, b in zip(history, best_max):

@@ -339,6 +339,19 @@ class TestCliScenarios:
     def test_missing_file_exits_io(self, capsys):
         assert main(["verify-broadcast", "/no/such/mu.json", "/no/such/rho.json"]) == 3
 
+    @pytest.mark.parametrize("name", ["noisy-phi-\u0663", "noisy-phi-02"])
+    def test_non_canonical_target_numbers_name_files(self, name, tmp_path, monkeypatch, capsys):
+        # read as numbers, an Arabic-Indic 3 and a leading zero ran as
+        # noisy-phi-3 and noisy-phi-2 under the name given
+        monkeypatch.chdir(tmp_path)
+        assert _named_target(name) is None
+        assert main(["synthesize", name, "--m", "2"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        save_operator(_named_target("noisy-phi-2").to_density().op, tmp_path / name)
+        assert main(["synthesize", name, "--m", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "overall: PASS" in out and name in out
+
     def test_verify_broadcast_files(self, tmp_path, capsys):
         mu_path, rho_path = _broadcast_files(tmp_path)
         assert main(["verify-broadcast", str(mu_path), str(rho_path), "--n", "2"]) == 0

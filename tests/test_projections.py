@@ -1,4 +1,5 @@
 """Lockstep Douglas-Rachford: a stack of starts against each start run alone."""
+import functools
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from catcost.broadcast import (
     _twirled_broadcast_sets,
     sample_two_copy_broadcasts,
 )
-from catcost.choi import synthesize_ppt_dilution
+from catcost.choi import _twirled_dilution, synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
 from catcost.operators import (
     bipartite_shape,
@@ -22,6 +23,8 @@ from catcost.operators import (
 from catcost.projections import (
     _AndersonHistory,
     _floats,
+    _folded_dr_map,
+    _gesv,
     _row_dots,
     clipped_affine_product,
     project_psd,
@@ -62,7 +65,9 @@ def spy_on_engine_inputs(monkeypatch, module, describe=hermitian_signature):
 
     Wraps ``module.solve_feasibility_batch`` so that the product
     projection, the readout and ``residual_fn`` record their argument
-    first, and the product projection its output too.
+    first, and the product projection its output too.  The spies keep
+    the attributes of what they wrap: a vector search's T is folded from
+    its projection's ``parts``, and calls no projection.
     """
     seen = set()
     batch = projections.solve_feasibility_batch
@@ -71,6 +76,7 @@ def spy_on_engine_inputs(monkeypatch, module, describe=hermitian_signature):
         seen.add(describe(x))
 
     def recording(fn, output=False):
+        @functools.wraps(fn)
         def spied(x):
             record(x)
             out = fn(x)
@@ -100,35 +106,85 @@ def trace_minus_one(n):
     return proj, residual
 
 
-def twirled_rigidity_problem(n_starts):
-    """The twirled rigidity search at d = 2: product projection, readout, vector starts."""
-    _, (line, psd), residual = _twirled_broadcast_sets(2)
-    [starts] = seeded_starts(16, n_starts, 0, "start", twirl=2)
-    return (clipped_affine_product([line, psd]), clipped_affine_product([psd]), starts,
-            residual)
+# every product the twirled searches build: synthesis of a k = 1 and a
+# k = 2 copy target at m = 0..3, and rigidity at d = 2..4
+TWIRLED_SEARCHES = ([f"{name} --m {m}" for name in ("noisy-phi-2", "broadcast-phi-2")
+                     for m in range(4)] + [f"rigidity --d {d}" for d in (2, 3, 4)])
+
+
+def twirled_search(case, n_starts):
+    """A twirled search: its sets' count, P, readout, seeded vector starts, batch residuals."""
+    name, _, value = case.split()
+    value = int(value)
+    if name == "rigidity":
+        _, (line, psd), residual = _twirled_broadcast_sets(value)
+        starts = np.concatenate(list(seeded_starts(value ** 4, n_starts, 0, "start",
+                                                   twirl=value)))
+        return (2, clipped_affine_product([line, psd]), clipped_affine_product([psd]), starts,
+                residual)
+    target = _named_target(name)
+    n_sets, project, readout, _, residual, _ = _twirled_dilution(value, target, 0)
+    [starts] = seeded_starts(target.shape.total_dim, n_starts, 0, "start", twirl=target.d)
+
+    def residuals(ys):  # of one vector, as the search passes it, or of a stack
+        if ys.ndim == 1:
+            return residual(ys)
+        rows = [residual(y) for y in ys]
+        return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+
+    return n_sets, project, readout, starts, residuals
 
 
 class TestLockstepOracle:
-    @pytest.mark.parametrize("points", ["matrices", "coefficient vectors"])
+    @pytest.mark.parametrize("points", ["matrices"] + TWIRLED_SEARCHES)
     def test_stack_matches_single_starts(self, rng, points):
         if points == "matrices":
             proj, residual = _marginal_projections(max_entangled(2).entries)
             starts = np.stack([random_density_matrix(16, rng) for _ in range(5)])
-            project, readout = product(proj, project_psd), project_psd
+            n_sets, project, readout = 2, product(proj, project_psd), project_psd
         else:
-            project, readout, starts, residual = twirled_rigidity_problem(5)
-            assert starts.shape == (5, 4) and starts.dtype == np.float64
+            n_sets, project, readout, starts, residual = twirled_search(points, 5)
+            assert starts.shape == (5, project.parts[2].size // n_sets)
+            assert starts.dtype == np.float64
+        # the twirled synthesis at m = 0 searches an NPT target, and stalls
+        feasible = not points.endswith("--m 0")
         kwargs = dict(readout=readout, tol=1e-9, max_iter=5000, check_every=5)
-        batched = solve_feasibility_batch(project, 2, starts, residual, **kwargs)
+        batched = solve_feasibility_batch(project, n_sets, starts, residual, **kwargs)
         assert len(batched) == 5
         for start, result in zip(starts, batched):
-            alone = solve_feasibility(project, 2, start, scalar_residuals(residual), **kwargs)
-            assert result.converged
+            alone = solve_feasibility(project, n_sets, start, scalar_residuals(residual),
+                                      **kwargs)
+            assert result.converged == feasible and result.stalled != feasible
             assert result.point.shape == start.shape
             assert_same_outcome(result, alone)
-            assert np.abs(result.point - alone.point).max() <= 1e-12
+            if points == "matrices":
+                assert np.abs(result.point - alone.point).max() <= 1e-12
+            else:  # each row's bits do not depend on the stack
+                assert np.array_equal(result.point, alone.point)
             hist = result.best_history
             assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
+class TestFoldedMap:
+    @pytest.mark.parametrize("case", TWIRLED_SEARCHES)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_folded_map_is_the_reflection(self, rng, case, scale):
+        n_sets, project, *_ = twirled_search(case, 1)
+        y = scale * rng.standard_normal((7, n_sets, project.parts[2].size // n_sets))
+        avg = y.sum(axis=1, keepdims=True) / n_sets
+        reflection = y + project(2.0 * avg - y) - avg
+        folded = _folded_dr_map(project, n_sets)(y.reshape(len(y), -1))
+        assert folded.shape == (7, y[0].size) and folded.dtype == np.float64
+        # a few ulps of the stack's scale: the fold sums in another order
+        size = max(np.abs(y).max(), np.abs(reflection).max())
+        assert np.abs(folded.reshape(y.shape) - reflection).max() <= 4 * np.finfo(float).eps * size
+
+    def test_direct_solve_is_numpys(self, rng):
+        for s in (1, 5, 50):
+            a = rng.standard_normal((s, 3, 3))
+            lhs = a @ a.swapaxes(1, 2) + 1e-10 * np.eye(3)
+            rhs = rng.standard_normal((s, 3, 1))
+            assert np.array_equal(_gesv(lhs, rhs), np.linalg.solve(lhs, rhs))
 
 
 class TestStarts:
@@ -266,7 +322,9 @@ class TestAnderson:
         t, _ = affine_contraction(rng, 8)
         x0 = rng.standard_normal((2, 8))
         history = _AndersonHistory(x0)
-        df, dg, gram, scale, gamma, extrapolated = history._rows[3:]
+        df, dg, gram, scale, gamma, extrapolated = (
+            history.df, history.dg, history.gram, history.scale, history.gamma,
+            history.extrapolated)
         x1 = history.step(t(x0))
         assert not extrapolated.any()  # the first step is a plain one
         t1 = t(x1)
@@ -315,7 +373,8 @@ class TestAcceleratedSolves:
 
         class History(_AndersonHistory):
             def step(self, t):
-                history.update({a.dtype for a in self._rows[:-1]} | {t.dtype})
+                rows = (self.x, self.fg, self.g_norm2, self.dfg, self.gram, self.scale, self.gamma)
+                history.update({a.dtype for a in rows} | {t.dtype})
                 return super().step(t)
 
         monkeypatch.setattr(projections, "_AndersonHistory", History)
@@ -329,14 +388,24 @@ class TestAcceleratedSolves:
                                          ("noisy-phi-3", 2)])
     def test_twirled_search_keeps_float64_vector_iterates(self, monkeypatch, name, m):
         seen = spy_on_engine_inputs(monkeypatch, projections, lambda x: (x.dtype, x.shape[1:]))
+        iterates = set()
+
+        class History(_AndersonHistory):
+            def step(self, t):
+                iterates.add((t.dtype, t.shape[1:]))
+                return super().step(t)
+
+        monkeypatch.setattr(projections, "_AndersonHistory", History)
         symmetrized = []
         monkeypatch.setattr(projections, "hermitian_part", symmetrized.append)
         target = _named_target(name)
         synthesize_ppt_dilution(m, target, seed=0)
-        # (s, sets, 2^k) iterates, (s, 2^k) read-outs and candidates, and
-        # no symmetrization: a vector has no anti-Hermitian part
+        # flat (s, sets * 2^k) iterates, whose folded T calls no projection,
+        # (s, 2^k) read-outs and candidates, and no symmetrization: a
+        # vector has no anti-Hermitian part
         n_sets, n = 3 if m == 0 else 4, 2 ** target.coeffs.ndim
-        assert seen == {(np.dtype(np.float64), (n_sets, n)), (np.dtype(np.float64), (n,))}
+        assert iterates == {(np.dtype(np.float64), (n_sets * n,))}
+        assert seen == {(np.dtype(np.float64), (n,))}
         assert symmetrized == []
 
     def test_complex_search_keeps_complex_iterates(self, monkeypatch):
