@@ -19,23 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import IsotropicCopies, copy_ranks
+from .measures import IsotropicCopies, copy_ranks, twirl_coefficients
 from .operators import (
+    MAX_ENTRIES,
     DensityOperator,
     FactorShape,
+    ResourceLimitError,
     density_from_matrix,
     partial_trace,
     require_pure,
     tensor,
     trace_distance,
 )
-from .projections import (
-    FeasibilityResult,
-    clipped_affine_product,
-    project_psd,
-    seeded_starts,
-    solve_feasibility_batch,
-)
+from .projections import Cone, FeasibilityResult, seeded_starts, solve_feasibility_batch
 
 # the settings of the dense and the twirled search
 FEASIBILITY_TOL = 1e-9
@@ -142,16 +138,9 @@ def _marginal_projections(phi: np.ndarray):
 
 def _project_starts(phi: DensityOperator, starts: np.ndarray, tol: float,
                     max_iter: int) -> list[FeasibilityResult]:
-    proj_affine, residual = _marginal_projections(phi.entries)
-
-    def project(z: np.ndarray) -> np.ndarray:  # (marginal equations) x (PSD cone)
-        out = np.empty_like(z)
-        out[:, 0] = proj_affine(z[:, 0])
-        out[:, 1] = project_psd(z[:, 1])
-        return out
-
-    return solve_feasibility_batch(project, 2, starts, residual, tol=tol, max_iter=max_iter,
-                                   check_every=CHECK_EVERY)
+    marginals, residual = _marginal_projections(phi.entries)
+    return solve_feasibility_batch([marginals, Cone()], starts, residual, tol=tol,
+                                   max_iter=max_iter, check_every=CHECK_EVERY)
 
 
 def project_to_two_copy_broadcast(phi: DensityOperator, start: np.ndarray,
@@ -192,7 +181,7 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
 
 
 def _twirled_broadcast_sets(d: int):
-    """Phi_d's broadcast set in twirl coefficients: two ``clipped_affine_product`` sets.
+    """Phi_d's broadcast set in twirl coefficients: the marginal line and the PSD cone.
 
     A point is the vector y = sqrt(r) c, with c the coefficients
     (c00, c01, c10, c11) of ``IsotropicCopies`` and r = (1, D) x (1, D)
@@ -202,15 +191,14 @@ def _twirled_broadcast_sets(d: int):
     c00 + D c10 = 1 (the fourth row follows), which in y is the line
     e00 + t u, u = (D, -sqrt D, -sqrt D, 1) / (D + 1) a unit vector,
     projected by y -> y u u^T + e00 - u_0 u.  Returns sqrt(r), the sets
-    (line, cone) and the residuals of a vector or a stack.  A marginal
+    [line, cone] and the residuals of a vector or a stack.  A marginal
     residual is the largest deviation of the marginal's coefficients from
     Phi's (1, 0): its operator-norm distance from Phi.
     """
     rank = d * d - 1.0  # D, the rank of 1 - Phi
     root = np.sqrt(copy_ranks(d, 2).ravel())
     unit = np.array([rank, -root[1], -root[1], 1.0]) / (rank + 1.0)
-    eye, none = np.eye(4), np.zeros(4)
-    line = (eye, np.outer(unit, unit), none, -np.inf, eye[0] - unit[0] * unit)
+    line = (np.outer(unit, unit), np.eye(4)[0] - unit[0] * unit)
     phi = np.array([1.0, 0.0])  # the marginal's coefficients
 
     def residual(y: np.ndarray) -> dict[str, np.ndarray]:
@@ -221,7 +209,7 @@ def _twirled_broadcast_sets(d: int):
             "psd": np.maximum(0.0, -y.min(axis=-1)),
         }
 
-    return root, (line, (eye, eye, none, 0.0, none)), residual
+    return root, [line, Cone()], residual
 
 
 def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
@@ -229,16 +217,20 @@ def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
     """``sample_two_copy_broadcasts`` for phi = Phi_d, in 4 coefficients a start.
 
     The starts are the dense search's, drawn as real matrices (Phi_d is
-    real) and twirled by ``seeded_starts``; the solve runs on (s, 2, 4)
+    real) and twirled a drawn stack at a time; the solve runs on (s, 2, 4)
     ``float64`` vectors (see ``_twirled_broadcast_sets``), with no
     eigendecomposition, at the dense search's settings.  A run that fails
-    to reach the tolerance raises.
+    to reach the tolerance raises; more starts than that iterate stack
+    holds within MAX_ENTRIES are refused before any is drawn.
     """
-    root, (line, psd), residual = _twirled_broadcast_sets(d)
-    starts = np.concatenate(list(seeded_starts(d ** 4, n_starts, seed, "two-copy broadcast start",
-                                               twirl=d)))
-    results = solve_feasibility_batch(clipped_affine_product([line, psd]), 2, starts, residual,
-                                      readout=clipped_affine_product([psd]), tol=FEASIBILITY_TOL,
+    if 8 * n_starts > MAX_ENTRIES:
+        raise ResourceLimitError(f"{n_starts} two-copy broadcast starts need {8 * n_starts} "
+                                 f"iterate entries, budget is {MAX_ENTRIES}")
+    root, sets, residual = _twirled_broadcast_sets(d)
+    starts = np.concatenate([root * twirl_coefficients(d, drawn).reshape(len(drawn), -1)
+                             for drawn in seeded_starts(d ** 4, n_starts, seed,
+                                                        "two-copy broadcast start")])
+    results = solve_feasibility_batch(sets, starts, residual, tol=FEASIBILITY_TOL,
                                       max_iter=MAX_CYCLES, check_every=CHECK_EVERY)
     points = []
     for trial, result in enumerate(results):

@@ -38,8 +38,9 @@ from .measures import (
     largest_entry,
     partial_transpose_isometry,
     partial_transpose_spectrum,
+    twirl_coefficients,
 )
-from .projections import clipped_affine_product, project_psd, seeded_starts, solve_feasibility
+from .projections import Cone, seeded_starts, solve_feasibility
 from .states import max_entangled_matrix
 
 
@@ -238,67 +239,39 @@ def verify_ppt_operation(choi: ChoiOperator, tol: float = 1e-9) -> SolveReport:
                        feasible_point=choi if ok else None)
 
 
-def _dilution_projection(m: int, rho: np.ndarray, shape: FactorShape):
-    """The search's sets for ``synthesize_ppt_dilution``: their count, and P onto their product.
-
-    Blocks in order: at m = 0, b over the PSD cone, the partial-transposed
-    PSD cone and the target; at m >= 1, b over the PSD cone, unit trace,
-    and the two shifted cones {x : x^Gamma >= shift}.  Gamma permutes
-    entries, so it is orthogonal, and it is an involution: one index
-    gathers every cone block of the stack into one ``project_psd`` call,
-    partially transposed and shifted, and scatters the results back.
-    """
-    dim = len(rho)
-    entries = np.arange(dim * dim).reshape(dim, dim)
-    gamma = partial_transpose_entries(entries, shape).ravel()
-    zero = np.zeros(dim * dim, rho.dtype)
-    if m == 0:
-        target = hermitian_part(rho)  # exactly Hermitian, as the engine's blocks must be
-        cone_blocks = (0, 1)
-        shifts = np.stack([zero, zero])
-    else:
-        e = math.ldexp(1.0, -m)  # 1/K
-        rho_pt = partial_transpose_entries(rho, shape).ravel()
-        cone_blocks = (0, 2, 3)
-        shifts = np.stack([zero, -e / (1.0 - e) * rho_pt, e / (1.0 + e) * rho_pt])
-    # entry j of cone c is entry gather[c, j] of a start's flattened blocks
-    gather = np.stack([i * dim * dim + (gamma if i else entries.ravel()) for i in cone_blocks])
-
-    def project(z: np.ndarray) -> np.ndarray:
-        s = len(z)
-        psd = z.reshape(s, -1)[:, gather]
-        psd -= shifts
-        psd = project_psd(psd.reshape(-1, dim, dim)).reshape(psd.shape)
-        psd[:, 1:] += shifts[1:]
-        out = np.empty_like(z)
-        out.reshape(s, -1)[:, gather] = psd
-        if m == 0:
-            out[:, 2] = target
-        else:
-            x = z[:, 1]
-            tr = np.trace(x, axis1=-2, axis2=-1).real
-            out[:, 1] = x - ((tr - 1.0) / dim)[:, None, None] * np.eye(dim)
-        return out
-
-    return 3 if m == 0 else 4, project
-
-
 def _dense_dilution(m: int, target: DensityOperator, seed: int):
-    """The D x D search: its sets' count, P, readout, start, residuals and point.
+    """The D x D search: its sets, start, residuals and point.
 
-    The input is real, so the search runs in the dtype of
+    The sets, in order: at m = 0, b over the PSD cone, the partially
+    transposed PSD cone and the target; at m >= 1, b over the PSD cone,
+    unit trace, and the two shifted cones {x : x^Gamma >= shift}.  Gamma
+    permutes entries and keeps matrices Hermitian, so it is the frame of
+    those cones.  The input is real, so the search runs in the dtype of
     ``target.entries``: float64 for a target stored real.
     """
-    rho = target.entries
-    n_sets, project = _dilution_projection(m, rho, target.shape)
+    rho, shape, dim = target.entries, target.shape, target.dim
+    gamma = partial_transpose_entries(np.arange(dim * dim).reshape(dim, dim), shape).ravel()
+    if m == 0:
+        fixed = hermitian_part(rho)  # exactly Hermitian, as the engine's blocks must be
+        sets = [Cone(), Cone(gamma), lambda x: fixed]
+    else:
+        e = math.ldexp(1.0, -m)  # 1/K
+        rho_pt = partial_transpose_entries(rho, shape)
+
+        def unit_trace(x: np.ndarray) -> np.ndarray:
+            tr = np.trace(x, axis1=-2, axis2=-1).real
+            return x - ((tr - 1.0) / dim)[:, None, None] * np.eye(dim)
+
+        sets = [Cone(), unit_trace, Cone(gamma, -e / (1.0 - e) * rho_pt),
+                Cone(gamma, e / (1.0 + e) * rho_pt)]
 
     def point(x: np.ndarray) -> TwirledChoi:
-        return TwirledChoi(m, target.shape, x if m == 0 else rho, x)
+        return TwirledChoi(m, shape, x if m == 0 else rho, x)
 
     # real data: the feasible set is closed under complex conjugation, so its
     # real part is feasible, and a real start keeps the search real symmetric
-    [[start]] = seeded_starts(target.dim, 1, seed, "synthesis start", rho.dtype)
-    return n_sets, project, project_psd, start, lambda x: point(x).residuals(rho), point
+    [[start]] = seeded_starts(dim, 1, seed, "synthesis start", rho.dtype)
+    return sets, start, lambda x: point(x).residuals(rho), point
 
 
 def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
@@ -308,9 +281,9 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
     the coefficients of a twirl-invariant sigma and r their ranks, so the
     Euclidean norm of y is the Hilbert-Schmidt norm of sigma.  The
     target's twirl symmetry maps every set into itself, so P restricted to
-    these points is P of the dense search, and each set is a clip in an
-    orthonormal frame of the coefficients or an affine map, one set of
-    ``clipped_affine_product``:
+    these points is P of the dense search, and each set is a ``Cone`` in an
+    orthonormal frame of the coefficients, where it is a clip, or an
+    affine map (B, o):
 
     - the PSD cone: y -> max(y, 0);
     - unit trace: the hyperplane <sqrt(r), y> = 1;
@@ -332,16 +305,12 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
     gamma = partial_transpose_isometry(d, rho.ndim)
     y_rho = root * rho.ravel()
     e = math.ldexp(1.0, -m)  # 1/K; at m = 0, a = b and both cones read sigma^Gamma >= 0
-    # per set, for row vectors: (frame, back-map, shift, floor, offset)
-    eye, none = np.eye(len(root)), np.zeros(len(root))
-    psd = (eye, eye, none, 0.0, none)
     if m == 0:
-        sets = [psd, (gamma.T, gamma, none, 0.0, none), (eye, 0.0 * eye, none, -np.inf, y_rho)]
+        sets = [Cone(), Cone(gamma), (np.zeros((len(root), len(root))), y_rho)]
     else:
         s, n = gamma @ y_rho, ranks.sum()
-        trace = (eye, eye - np.outer(root, root) / n, none, -np.inf, root / n)
-        sets = [psd, trace, (gamma.T, gamma, -e / (1.0 - e) * s, 0.0, none),
-                (gamma.T, gamma, e / (1.0 + e) * s, 0.0, none)]
+        sets = [Cone(), (np.eye(len(root)) - np.outer(root, root) / n, root / n),
+                Cone(gamma, -e / (1.0 - e) * s), Cone(gamma, e / (1.0 + e) * s)]
 
     def coeffs(y: np.ndarray) -> np.ndarray:
         return (y / root).reshape(rho.shape)
@@ -360,9 +329,9 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
         b = copies_matrix(d, coeffs(y))
         return TwirledChoi(m, target.shape, b if m == 0 else copies_matrix(d, rho), b)
 
-    [[start]] = seeded_starts(target.shape.total_dim, 1, seed, "synthesis start", twirl=d)
-    return (len(sets), clipped_affine_product(sets), clipped_affine_product([psd]), start,
-            residuals, point)
+    [drawn] = seeded_starts(target.shape.total_dim, 1, seed, "synthesis start")
+    start = root * twirl_coefficients(d, drawn)[0].ravel()
+    return sets, start, residuals, point
 
 
 def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
@@ -385,10 +354,9 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
     if m < 0:
         raise ValueError("ebit count must be >= 0")
     twirled = isinstance(target, IsotropicCopies)
-    n_sets, project, readout, start, residuals, point = (
+    sets, start, residuals, point = (
         _twirled_dilution if twirled else _dense_dilution)(m, target, seed)
-    result = solve_feasibility(project, n_sets, start, residuals, readout=readout,
-                               tol=tol, max_iter=max_iter)
+    result = solve_feasibility(sets, start, residuals, tol=tol, max_iter=max_iter)
 
     npt_witness = None
     if m == 0:

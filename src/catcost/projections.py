@@ -3,12 +3,13 @@
 Product-space Douglas-Rachford (DR) splitting: the governing sequence
 holds one point per start and constraint set C_1, ..., C_k, and each
 cycle evaluates T(y) = y + P(2 avg - y) - avg once, P the projection onto
-C_1 x ... x C_k and avg the average over the sets.  On Hermitian
-matrices, kept exactly Hermitian (the affine-projection formulas are only
-orthogonal there), T calls P once on the whole stack, so a P that sends
-every cone block through one ``project_psd`` makes one stacked ``eigh``.
-On coefficient vectors (the twirl-algebra searches) T is one
-affine-clip-affine map folded from their ``clipped_affine_product`` P.
+C_1 x ... x C_k and avg the average over the sets.  A search states its
+sets (``Cone``s and affine projections); the engine builds P, T and the
+readout, the PSD projection of the average, from them and the starts'
+shape.  On Hermitian matrices, kept exactly Hermitian (the affine
+formulas are only orthogonal there), P sends every cone block of the
+stack through one ``eigh`` (``product_projection``).  On coefficient
+vectors (the twirl-algebra searches) T is one affine-clip-affine map.
 LAPACK and ``matmul`` work start by start inside a stack, so each start
 keeps the bits, and leaves at the cycle, it would have alone.
 
@@ -21,12 +22,11 @@ per-call options are declared on ``solve_feasibility_batch`` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _gesv  # LAPACK gesv, without np.linalg's wrapper
 
-from .measures import copy_ranks, twirl_coefficients
 from .operators import MAX_ENTRIES, check_entry_budget, hermitian_part
 
 Projection = Callable[[np.ndarray], np.ndarray]
@@ -61,62 +61,89 @@ def random_density_matrix(dim: int, rng: np.random.Generator,
 
 
 def seeded_starts(dim: int, n_starts: int, seed: int, what: str,
-                  dtype: np.dtype = np.float64, twirl: int | None = None):
+                  dtype: np.dtype = np.float64):
     """The seeded dim x dim ``random_density_matrix`` starts, drawn in order from one generator.
 
     They come in stacks of at most MAX_ENTRIES entries, which keeps the
     order of one up-front draw; a start over the entry budget is refused
-    as ``what`` before any is drawn.  Given ``twirl`` = d, each stack of
-    k-copy starts comes twirled, as the (s, 2^k) ``float64`` vectors
-    y = sqrt(r) c of its ``twirl_coefficients`` c, r their ranks.
+    as ``what`` before any is drawn.
     """
     check_entry_budget(dim, what)
     block = MAX_ENTRIES // (dim * dim)
     rng = np.random.default_rng(seed)
     for first in range(0, n_starts, block):
-        starts = np.stack([random_density_matrix(dim, rng, dtype)
-                           for _ in range(min(block, n_starts - first))])
-        if twirl is not None:
-            c = twirl_coefficients(twirl, starts)
-            starts = (np.sqrt(copy_ranks(twirl, c.ndim - 1)) * c).reshape(len(c), -1)
-        yield starts
+        yield np.stack([random_density_matrix(dim, rng, dtype)
+                        for _ in range(min(block, n_starts - first))])
 
 
-def clipped_affine_product(sets) -> Projection:
-    """P onto a product of sets of coefficient vectors, each y -> max(y F, s + floor) B + o.
+class Cone(NamedTuple):
+    """The set {x : F x - shift is PSD} of a search, F an orthogonal ``frame``.
 
-    ``sets`` holds one (F, B, s, floor, o) a set, for row vectors: a clip
-    at the shift s in an orthonormal frame F, with B = F^T and floor 0,
-    or an affine projection y -> y B + o, with F = 1, s = 0 and floor
-    -inf.  P acts on an (s, k, n) array, or on an (s, n) one when k = 1,
-    as two products with block-diagonal matrices, start by start; its
-    ``parts`` (F, B, clip, o) are those of the whole product.
+    F is a matrix on coefficient vectors, where the cone is a clip, and an
+    index array permuting the n^2 entries of n x n matrices, keeping them
+    Hermitian, such as the partial transpose; None is the identity.  Any
+    other set is an affine projection: a pair (B, o), y -> y B + o, on
+    coefficient vectors, or a callable on (s, n, n) stacks of matrices.
     """
-    frames, backs, shifts, floors, offsets = zip(*sets)
-    k, n = len(sets), len(shifts[0])
-    forward, backward = np.zeros((2, k, n, k, n))
-    forward[range(k), :, range(k)], backward[range(k), :, range(k)] = frames, backs
-    forward, backward = forward.reshape(k * n, -1), backward.reshape(k * n, -1)
-    clip, offset = np.concatenate(shifts) + np.repeat(floors, n), np.concatenate(offsets)
+
+    frame: np.ndarray | None = None
+    shift: np.ndarray | float = 0.0
+
+
+def product_projection(sets, n: int) -> Projection:
+    """P onto a product of sets of n x n Hermitian matrices, on (s, k, n, n) stacks.
+
+    A cone maps its block x to F^-1 (s + P_psd(F x - s)), or to P_psd(x)
+    with neither frame nor shift.  One index gathers every cone block of
+    the stack, in its frame and shifted, into one ``project_psd`` call and
+    scatters the results back; each affine set's callable maps its block.
+    """
+    cones = [(i, c) for i, c in enumerate(sets) if isinstance(c, Cone)]
+    # entry j of cone c is entry gather[c, j] of a start's flattened blocks
+    gather = np.stack([i * n * n + (np.arange(n * n) if c.frame is None else c.frame)
+                       for i, c in cones])
+    shifts = np.stack([np.broadcast_to(np.ravel(c.shift), n * n) for _, c in cones])
+    restore = [j for j, (_, c) in enumerate(cones) if c.frame is not None or np.any(c.shift)]
 
     def project(z: np.ndarray) -> np.ndarray:
-        y = z.reshape(len(z), 1, -1)  # one product a start: its bits do not depend on the others
-        return (np.maximum(y @ forward, clip) @ backward + offset).reshape(z.shape)
+        s = len(z)
+        psd = z.reshape(s, -1)[:, gather]
+        psd -= shifts
+        psd = project_psd(psd.reshape(-1, n, n)).reshape(psd.shape)
+        psd[:, restore] += shifts[restore]
+        out = np.empty_like(z)
+        out.reshape(s, -1)[:, gather] = psd
+        for i, c in enumerate(sets):
+            if not isinstance(c, Cone):
+                out[:, i] = c(z[:, i])
+        return out
 
-    project.parts = forward, backward, clip, offset
     return project
 
 
-def _folded_dr_map(project: Projection, n_sets: int) -> Callable[[np.ndarray], np.ndarray]:
-    """T(y) = y + P(2 avg - y) - avg on (s, k n) rows, P from ``clipped_affine_product``.
+def _folded_dr_map(sets, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """T(y) = y + P(2 avg - y) - avg on (s, k n) rows, for k sets of n coefficients.
 
-    With M the set-average matrix, T(y) = y (I - M) + max(y (2M - I) F, clip) B + o,
+    For row vectors P(y) = max(y F, clip) B + o, block by block: a cone is
+    y -> max(y F^T, shift) F, an affine set y -> max(y, -inf) B + o.  With
+    M the set-average matrix, T(y) = y (I - M) + max(y (2M - I) F, clip) B + o,
     one affine-clip-affine map: y [I - M | (2M - I) F | 0], clipped at
-    [-inf | clip | 1], times [I; B; o].  Each row is its own product, as in P.
+    [-inf | clip | 1], times [I; B; o].  Each row is its own product.
     """
-    forward, backward, clip, offset = project.parts
-    eye = np.eye(len(clip))
-    avg = np.kron(np.full((n_sets, n_sets), 1.0 / n_sets), np.eye(len(clip) // n_sets))
+    identity, k = np.eye(n), len(sets)
+
+    def parts(c):  # (F, B, clip, o) of one set
+        if isinstance(c, Cone):
+            frame = identity if c.frame is None else c.frame
+            return frame.T, frame, c.shift + np.zeros(n), np.zeros(n)
+        return identity, c[0], np.full(n, -np.inf), c[1]
+
+    frames, backs, clips, offsets = zip(*map(parts, sets))
+    forward, backward = np.zeros((2, k, n, k, n))
+    forward[range(k), :, range(k)], backward[range(k), :, range(k)] = frames, backs
+    forward, backward = forward.reshape(k * n, -1), backward.reshape(k * n, -1)
+    clip, offset = np.concatenate(clips), np.concatenate(offsets)
+    eye, avg = np.eye(k * n), np.kron(np.full((k, k), 1.0 / k), identity)
     fold = np.hstack([eye - avg, (2.0 * avg - eye) @ forward, np.zeros((len(clip), 1))])
     floor = np.concatenate([np.full(len(clip), -np.inf), clip, [1.0]])
     back = np.vstack([eye, backward, offset])
@@ -250,34 +277,31 @@ def _floats(y: np.ndarray) -> np.ndarray:
 
 
 def solve_feasibility_batch(
-    project: Projection,
-    n_sets: int,
+    sets,
     starts: np.ndarray,
     residual_fn: BatchResidualFn,
-    readout: Projection = project_psd,
     tol: float = 1e-6,
     max_iter: int = 20000,
     check_every: int = 10,
 ) -> list[FeasibilityResult]:
     """Run product-space Douglas-Rachford on a stack of starts in lockstep.
 
-    y holds k = ``n_sets`` points a start: an ``(s, k, n, n)`` stack of
-    Hermitian matrices for ``(s, n, n)`` starts, or flat ``(s, k n)`` rows
-    of coefficient vectors for ``(s, n)`` ones, whose ``project`` must come
-    from ``clipped_affine_product``.  ``project`` is P onto the product of
-    the sets, block by block, in its argument's shape and dtype, so the
-    stacks keep the dtype of ``starts``.  Each cycle evaluates T once, at
-    the point ``_AndersonHistory`` chose.  ``readout`` maps the average of
-    T over the sets to the candidates, and ``residual_fn`` returns one
-    ``(s,)`` array per residual name.  A start stops when its best maximum
-    residual reaches ``tol``, on a stall (no relative improvement by
-    ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles: infeasible problems end
-    here), or at ``max_iter``, and leaves the stack.  Results come back in
-    the order of the starts.
+    y holds one point a start and set of ``sets``: an ``(s, k, n, n)``
+    stack of Hermitian matrices for ``(s, n, n)`` starts, in their dtype,
+    or flat ``(s, k n)`` rows of coefficient vectors for ``(s, n)`` ones.
+    Each cycle evaluates T once, at the point ``_AndersonHistory`` chose.
+    The candidates are the PSD projection of the average of T over the
+    sets, and ``residual_fn`` returns one ``(s,)`` array per residual name.  A start stops when its
+    best maximum residual reaches ``tol``, on a stall (no relative
+    improvement by ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles:
+    infeasible problems end here), or at ``max_iter``, and leaves the
+    stack.  Results come back in the order of the starts.
     """
     starts = np.asarray(starts)
+    n_sets, n = len(sets), starts.shape[-1]
     if starts.ndim == 3:
-        points = hermitian_part(starts)
+        points, readout = hermitian_part(starts), project_psd
+        project = product_projection(sets, n)
         y = np.stack([points] * n_sets, axis=1)
         anderson = _AndersonHistory(_floats(y))
 
@@ -293,8 +317,11 @@ def solve_feasibility_batch(
             return hermitian_part(anderson.step(_floats(y)).view(y.dtype).reshape(y.shape), out=y)
     else:
         points, y = starts, np.tile(starts, n_sets)
-        anderson, dr_map = _AndersonHistory(y), _folded_dr_map(project, n_sets)
+        anderson, dr_map = _AndersonHistory(y), _folded_dr_map(sets, n)
         accelerate = anderson.step
+
+        def readout(y: np.ndarray) -> np.ndarray:
+            return np.maximum(y, 0.0)
     best_point = readout(points)
     best_res = residual_fn(best_point)
     best_max = np.max(list(best_res.values()), axis=0)
@@ -345,17 +372,15 @@ def solve_feasibility_batch(
     return results
 
 
-def solve_feasibility(project: Projection, n_sets: int, start: np.ndarray,
-                      residual_fn: ResidualFn, **options) -> FeasibilityResult:
+def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn,
+                      **options) -> FeasibilityResult:
     """Douglas-Rachford from one start; ``solve_feasibility_batch`` on a stack of one.
 
-    ``project`` and ``readout`` act on that stack of one, as in the
-    batch; ``residual_fn`` takes the single candidate point and returns
-    floats.  ``options`` go to the batch, which declares them.
+    ``residual_fn`` takes the single candidate point and returns floats.
+    ``options`` go to the batch, which declares them.
     """
     def residuals(m: np.ndarray) -> dict[str, np.ndarray]:
         return {name: np.array([value]) for name, value in residual_fn(m[0]).items()}
 
-    [result] = solve_feasibility_batch(project, n_sets, np.asarray(start)[None], residuals,
-                                       **options)
+    [result] = solve_feasibility_batch(sets, np.asarray(start)[None], residuals, **options)
     return result

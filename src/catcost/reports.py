@@ -1,6 +1,8 @@
 """Machine-readable scenario reports with text, CSV, and key-value rendering."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -59,18 +61,16 @@ class ScenarioReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["section,name,value,tol"]
-        lines.append(f"scenario,{self.scenario},,")
-        lines.append(f"version,{self.version},,")
-        for name, value in self.parameters.items():
-            lines.append(f"param,{name},{value!r},")
-        for name, row in self.results.items():
-            tol = "" if row.tol is None else repr(row.tol)
-            lines.append(f"result,{name},{row.value!r},{tol}")
-        for name, ok in self.checks.items():
-            lines.append(f"check,{name},{'PASS' if ok else 'FAIL'},")
-        lines.append(f"overall,,{'PASS' if self.passed else 'FAIL'},")
-        return "\n".join(lines) + "\n"
+        rows = [("section", "name", "value", "tol"), ("scenario", self.scenario, "", ""),
+                ("version", self.version, "", "")]
+        rows += [("param", name, repr(value), "") for name, value in self.parameters.items()]
+        rows += [("result", name, repr(row.value), "" if row.tol is None else repr(row.tol))
+                 for name, row in self.results.items()]
+        rows += [("check", name, "PASS" if ok else "FAIL", "") for name, ok in self.checks.items()]
+        rows.append(("overall", "", "PASS" if self.passed else "FAIL", ""))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)  # quotes a field where it must
+        return out.getvalue()
 
     def to_keyvalue(self) -> str:
         doc = {

@@ -26,7 +26,7 @@ from catcost.operators import (
     tensor_power,
     trace_distance,
 )
-from catcost.projections import clipped_affine_product, random_density_matrix
+from catcost.projections import random_density_matrix
 from catcost.states import IsotropicParams, isotropic, max_entangled, symmetric_two_broadcast
 
 from conftest import random_density
@@ -197,8 +197,11 @@ class TestTwirledRigidity:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_marginal_projection_is_orthogonal_onto_the_marginal_line(self, d, rng):
-        _, (line, _), residual = _twirled_broadcast_sets(d)
-        proj = clipped_affine_product([line])
+        _, [(back, offset), _], residual = _twirled_broadcast_sets(d)
+
+        def proj(y):
+            return y @ back + offset
+
         y = rng.standard_normal((3, 4))
         out = proj(y)
         assert out.shape == y.shape and out.dtype == np.float64

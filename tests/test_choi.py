@@ -8,7 +8,7 @@ from catcost.choi import (
     ChoiOperator,
     TwirledChoi,
     _apply_matrix,
-    _dilution_projection,
+    _dense_dilution,
     _twirled_dilution,
     analytic_mixer_choi,
     apply_choi,
@@ -31,7 +31,7 @@ from catcost.operators import (
     tensor_power,
     trace_distance,
 )
-from catcost.projections import project_psd, random_density_matrix
+from catcost.projections import product_projection, project_psd, random_density_matrix
 from catcost.serialize import save_operator
 from catcost.states import IsotropicParams, isotropic, max_entangled, symmetric_two_broadcast
 
@@ -196,8 +196,11 @@ class TestSynthesis:
     def test_product_projection_repeats_the_per_set_projections(self, m, dtype, rng):
         target = random_density(rng, 2, 3)
         real = dtype is np.float64
-        rho = target.entries.real.copy() if real else target.entries
-        n_sets, project = _dilution_projection(m, rho, target.shape)
+        if real:
+            target = density_from_matrix(target.entries.real.copy(), target.shape)
+        rho = target.entries
+        sets, *_ = _dense_dilution(m, target, 0)
+        n_sets, project = len(sets), product_projection(sets, 6)
         z = np.stack([random_hermitian(rng, 6) for _ in range(3 * n_sets)]).reshape(3, n_sets, 6, 6)
         z = z.real.copy() if real else z
 
@@ -261,7 +264,7 @@ class TestTwirledSynthesis:
     def test_closed_form_residuals_match_the_dense_blocks(self, name, m, rng):
         target = _named_target(name)
         rho = target.to_density().entries
-        _, _, _, start, residuals, point = _twirled_dilution(m, target, 0)
+        _, start, residuals, point = _twirled_dilution(m, target, 0)
         root = np.sqrt(copy_ranks(target.d, target.coeffs.ndim).ravel())
         # the twirled seeded start, and coefficients of either sign, which
         # leave cp, ppt and tp (and at m = 0 the correctness) nonzero
@@ -319,7 +322,7 @@ class TestTwirledSynthesis:
 
     def test_start_is_the_twirled_dense_start(self):
         target = _named_target("broadcast-phi-2")
-        _, _, _, start, _, _ = _twirled_dilution(1, target, 3)
+        _, start, _, _ = _twirled_dilution(1, target, 3)
         drawn = random_density_matrix(16, np.random.default_rng(3), np.float64)
         root = np.sqrt(copy_ranks(2, 2).ravel())
         assert start.shape == (4,) and start.dtype == np.float64

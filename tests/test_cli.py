@@ -1,6 +1,7 @@
 """Interchange format round-trips and CLI scenario behaviour."""
 import argparse
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -210,9 +211,16 @@ class TestCliScenarios:
         ["synthesize", "broadcast-phi-100000", "--m", "0"],
         ["protocol", "--d", "4"],
         ["protocol", "--d", "1000", "--n", "1000000"],
+        # an (s, 2, 4) iterate stack over the entry budget: 8 * 8193 > 2^16
+        ["rigidity", "--starts", "8193"],
+        ["rigidity", "--starts", "10" * 50],
     ])
-    def test_oversized_requests_are_usage_errors(self, argv, capsys, forbid_dense_operators):
-        # refused on the arguments alone, before any state is built
+    def test_oversized_requests_are_usage_errors(self, argv, capsys, forbid_dense_operators,
+                                                 monkeypatch):
+        # refused on the arguments alone, before any state is built or start drawn
+        def refuse(*args, **kwargs):
+            raise AssertionError("a start was drawn")
+        monkeypatch.setattr("catcost.projections.random_density_matrix", refuse)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -419,6 +427,17 @@ class TestCliScenarios:
             assert doc["overall"] is True
         elif fmt == "csv":
             assert out.splitlines()[0] == "section,name,value,tol"
+
+    def test_csv_rows_keep_four_fields(self, tmp_path, capsys):
+        # a file name with a comma and a quote is one quoted field
+        rho = isotropic(IsotropicParams(2, 0.5))
+        path = tmp_path / "a,b\"c.json"
+        save_operator(rho.op, path)
+        assert main(["--format", "csv", "verify-broadcast", str(path), str(path), "--n", "1"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["section", "name", "value", "tol"]
+        assert all(len(row) == 4 for row in rows)
+        assert ["param", "mu", repr(str(path)), ""] in rows
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json-like-keyvalue"])
     def test_rendering_leaves_no_cyclic_garbage(self, fmt, capsys):

@@ -1,5 +1,4 @@
 """Lockstep Douglas-Rachford: a stack of starts against each start run alone."""
-import functools
 import tracemalloc
 
 import numpy as np
@@ -13,6 +12,7 @@ from catcost.broadcast import (
 )
 from catcost.choi import _twirled_dilution, synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
+from catcost.measures import copy_ranks, twirl_coefficients
 from catcost.operators import (
     bipartite_shape,
     density_from_matrix,
@@ -26,7 +26,8 @@ from catcost.projections import (
     _folded_dr_map,
     _gesv,
     _row_dots,
-    clipped_affine_product,
+    Cone,
+    product_projection,
     project_psd,
     random_density_matrix,
     seeded_starts,
@@ -49,13 +50,6 @@ def assert_same_outcome(batched, alone):
     assert batched.residuals == alone.residuals
 
 
-def product(*projections):
-    """The projection onto C_1 x ... x C_k from one projection per set, block by block."""
-    def project(z):
-        return np.stack([p(z[:, i]) for i, p in enumerate(projections)], axis=1)
-    return project
-
-
 def hermitian_signature(x):
     return x.dtype, bool(np.array_equal(x, x.conj().swapaxes(-1, -2)))
 
@@ -64,33 +58,46 @@ def spy_on_engine_inputs(monkeypatch, module, describe=hermitian_signature):
     """Record ``describe`` of every array the engine hands on: (dtype, exactly Hermitian).
 
     Wraps ``module.solve_feasibility_batch`` so that the product
-    projection, the readout and ``residual_fn`` record their argument
-    first, and the product projection its output too.  The spies keep
-    the attributes of what they wrap: a vector search's T is folded from
-    its projection's ``parts``, and calls no projection.
+    projection it builds for matrix starts and ``residual_fn`` record
+    their argument first, and the product projection its output too.  A
+    vector search's T is folded from its sets, and calls no projection.
     """
     seen = set()
-    batch = projections.solve_feasibility_batch
+    batch, build = projections.solve_feasibility_batch, projections.product_projection
 
     def record(x):
         seen.add(describe(x))
 
-    def recording(fn, output=False):
-        @functools.wraps(fn)
-        def spied(x):
-            record(x)
-            out = fn(x)
-            if output:
-                record(out)
+    def recording_build(sets, n):
+        project = build(sets, n)
+
+        def spied(z):
+            record(z)
+            out = project(z)
+            record(out)
             return out
         return spied
 
-    def spying_batch(project, n_sets, starts, residual_fn, readout=project_psd, **kwargs):
-        return batch(recording(project, output=True), n_sets, starts,
-                     recording(residual_fn), readout=recording(readout), **kwargs)
+    def spying_batch(sets, starts, residual_fn, **kwargs):
+        def residuals(x):
+            record(x)
+            return residual_fn(x)
+        return batch(sets, starts, residuals, **kwargs)
 
+    monkeypatch.setattr(projections, "product_projection", recording_build)
     monkeypatch.setattr(module, "solve_feasibility_batch", spying_batch)
     return seen
+
+
+def vector_product(sets):
+    """P onto a product of sets of coefficient vectors, block by block: each set's formula."""
+    def block(c, y):
+        if not isinstance(c, Cone):
+            return y @ c[0] + c[1]
+        frame = np.eye(y.shape[-1]) if c.frame is None else c.frame
+        return np.maximum(y @ frame.T, c.shift) @ frame  # frame^T max(frame x, shift), row-wise
+
+    return lambda z: np.stack([block(c, z[:, i]) for i, c in enumerate(sets)], axis=1)
 
 
 def trace_minus_one(n):
@@ -113,18 +120,19 @@ TWIRLED_SEARCHES = ([f"{name} --m {m}" for name in ("noisy-phi-2", "broadcast-ph
 
 
 def twirled_search(case, n_starts):
-    """A twirled search: its sets' count, P, readout, seeded vector starts, batch residuals."""
+    """A twirled search: its sets, seeded vector starts and batch residuals."""
     name, _, value = case.split()
     value = int(value)
     if name == "rigidity":
-        _, (line, psd), residual = _twirled_broadcast_sets(value)
-        starts = np.concatenate(list(seeded_starts(value ** 4, n_starts, 0, "start",
-                                                   twirl=value)))
-        return (2, clipped_affine_product([line, psd]), clipped_affine_product([psd]), starts,
-                residual)
+        root, sets, residual = _twirled_broadcast_sets(value)
+        starts = np.concatenate([root * twirl_coefficients(value, drawn).reshape(len(drawn), -1)
+                                 for drawn in seeded_starts(value ** 4, n_starts, 0, "start")])
+        return sets, starts, residual
     target = _named_target(name)
-    n_sets, project, readout, _, residual, _ = _twirled_dilution(value, target, 0)
-    [starts] = seeded_starts(target.shape.total_dim, n_starts, 0, "start", twirl=target.d)
+    sets, _, residual, _ = _twirled_dilution(value, target, 0)
+    [drawn] = seeded_starts(target.shape.total_dim, n_starts, 0, "start")
+    root = np.sqrt(copy_ranks(target.d, target.coeffs.ndim).ravel())
+    starts = root * twirl_coefficients(target.d, drawn).reshape(n_starts, -1)
 
     def residuals(ys):  # of one vector, as the search passes it, or of a stack
         if ys.ndim == 1:
@@ -132,7 +140,7 @@ def twirled_search(case, n_starts):
         rows = [residual(y) for y in ys]
         return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
-    return n_sets, project, readout, starts, residuals
+    return sets, starts, residuals
 
 
 class TestLockstepOracle:
@@ -141,19 +149,17 @@ class TestLockstepOracle:
         if points == "matrices":
             proj, residual = _marginal_projections(max_entangled(2).entries)
             starts = np.stack([random_density_matrix(16, rng) for _ in range(5)])
-            n_sets, project, readout = 2, product(proj, project_psd), project_psd
+            sets = [proj, Cone()]
         else:
-            n_sets, project, readout, starts, residual = twirled_search(points, 5)
-            assert starts.shape == (5, project.parts[2].size // n_sets)
+            sets, starts, residual = twirled_search(points, 5)
             assert starts.dtype == np.float64
         # the twirled synthesis at m = 0 searches an NPT target, and stalls
         feasible = not points.endswith("--m 0")
-        kwargs = dict(readout=readout, tol=1e-9, max_iter=5000, check_every=5)
-        batched = solve_feasibility_batch(project, n_sets, starts, residual, **kwargs)
+        kwargs = dict(tol=1e-9, max_iter=5000, check_every=5)
+        batched = solve_feasibility_batch(sets, starts, residual, **kwargs)
         assert len(batched) == 5
         for start, result in zip(starts, batched):
-            alone = solve_feasibility(project, n_sets, start, scalar_residuals(residual),
-                                      **kwargs)
+            alone = solve_feasibility(sets, start, scalar_residuals(residual), **kwargs)
             assert result.converged == feasible and result.stalled != feasible
             assert result.point.shape == start.shape
             assert_same_outcome(result, alone)
@@ -169,11 +175,12 @@ class TestFoldedMap:
     @pytest.mark.parametrize("case", TWIRLED_SEARCHES)
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_folded_map_is_the_reflection(self, rng, case, scale):
-        n_sets, project, *_ = twirled_search(case, 1)
-        y = scale * rng.standard_normal((7, n_sets, project.parts[2].size // n_sets))
+        sets, starts, _ = twirled_search(case, 1)
+        n_sets, n = len(sets), starts.shape[1]
+        y = scale * rng.standard_normal((7, n_sets, n))
         avg = y.sum(axis=1, keepdims=True) / n_sets
-        reflection = y + project(2.0 * avg - y) - avg
-        folded = _folded_dr_map(project, n_sets)(y.reshape(len(y), -1))
+        reflection = y + vector_product(sets)(2.0 * avg - y) - avg
+        folded = _folded_dr_map(sets, n)(y.reshape(len(y), -1))
         assert folded.shape == (7, y[0].size) and folded.dtype == np.float64
         # a few ulps of the stack's scale: the fold sums in another order
         size = max(np.abs(y).max(), np.abs(reflection).max())
@@ -208,12 +215,12 @@ class TestRetirement:
         proj, residual = trace_minus_one(3)
         scales = (1e-4, 1e-1, 1e2, 1e5, 1e8)
         starts = np.stack([random_density_matrix(3, rng) * s for s in scales])
-        return product(project_psd, proj), residual, starts
+        return [Cone(), proj], residual, starts
 
     def test_infeasible_starts_stall_at_their_own_cycle(self, problem, monkeypatch):
         monkeypatch.setattr(projections, "STALL_WINDOW", 50)
-        project, residual, starts = problem
-        batched = solve_feasibility_batch(project, 2, starts, residual)
+        sets, residual, starts = problem
+        batched = solve_feasibility_batch(sets, starts, residual)
         assert all(r.stalled and not r.converged for r in batched)
         # starts leave the stack at different cycles
         assert len({r.iterations for r in batched}) > 1
@@ -223,13 +230,13 @@ class TestRetirement:
             hist = result.best_history
             last = max(i for i in range(1, len(hist)) if hist[i] < hist[i - 1] * (1 - 1e-9))
             assert result.iterations == 10 * last + 50
-            alone = solve_feasibility(project, 2, start, scalar_residuals(residual))
+            alone = solve_feasibility(sets, start, scalar_residuals(residual))
             assert_same_outcome(result, alone)
             assert np.array_equal(result.point, alone.point)
 
     def test_iteration_cap(self, problem):
-        project, residual, starts = problem
-        batched = solve_feasibility_batch(project, 2, starts, residual, max_iter=15)
+        sets, residual, starts = problem
+        batched = solve_feasibility_batch(sets, starts, residual, max_iter=15)
         assert [(r.converged, r.stalled, r.iterations) for r in batched] == [
             (False, False, 15)] * len(starts)
         # the cap forces a final check off the check_every grid
@@ -279,18 +286,27 @@ class TestInPlaceArithmetic:
         # a block of a larger stack, as the product projections pass them
         assert np.array_equal(stacked[2:4], project_psd(m[2:4]))
 
-    def test_product_clips_its_cone_blocks_and_maps_its_affine_ones(self, rng):
-        # the twirled synthesis clips its cone blocks and passes its affine
-        # ones through their back-maps
-        eye, none = np.eye(4), np.zeros(4)
-        back, offset = rng.standard_normal((4, 4)), rng.standard_normal(4)
-        project = clipped_affine_product([(eye, eye, none, 0.0, none),
-                                          (eye, back, none, -np.inf, offset)])
-        z = rng.standard_normal((5, 2, 4))
-        out = project(z)
-        assert out.shape == z.shape
-        assert np.array_equal(out[:, 0], np.maximum(z[:, 0], 0.0))
-        assert np.abs(out[:, 1] - (z[:, 1] @ back + offset)).max() <= 1e-15
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_product_projection_repeats_the_per_set_formulas(self, rng, dtype):
+        # a shifted cone, a cone in a frame that permutes rows and columns
+        # alike (no involution), and an affine set, on one stack
+        n = 5
+        g = rng.standard_normal((3, 3, n, n)) + 1j * rng.standard_normal((3, 3, n, n))
+        z = hermitian_part(g).real.copy() if dtype is np.float64 else hermitian_part(g)
+        shift = z[0, 0] / 3.0
+        p = rng.permutation(n)
+        frame = (p[:, None] * n + p[None, :]).ravel()
+
+        def trace_free(x):
+            return x - (np.trace(x, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
+
+        project = product_projection([Cone(None, shift), Cone(frame), trace_free], n)
+        q = np.argsort(p)
+        framed = project_psd(z[:, 1][:, p][:, :, p])[:, q][:, :, q]
+        blocks = [shift + project_psd(z[:, 0] - shift), framed, trace_free(z[:, 2])]
+        got = project(z)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.stack(blocks, axis=1))
 
 
 class TestFloatView:
