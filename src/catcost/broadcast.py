@@ -33,10 +33,12 @@ from .operators import (
 )
 from .projections import Cone, FeasibilityResult, seeded_starts, solve_feasibility_batch
 
-# the settings of the dense and the twirled search
+# the settings of both searches, verify_broadcast's default and the rigidity bound
 FEASIBILITY_TOL = 1e-9
 MAX_CYCLES = 5000
 CHECK_EVERY = 5
+BROADCAST_TOL = 1e-9
+RIGIDITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ def _copy_factor_indices(rho_shape: FactorShape, i: int) -> set[int]:
 
 def verify_broadcast(mu: DensityOperator | IsotropicCopies,
                      rho: DensityOperator | IsotropicCopies, n: int,
-                     tol: float = 1e-9) -> BroadcastReport:
+                     tol: float = BROADCAST_TOL) -> BroadcastReport:
     """Check that every single-copy marginal of mu equals rho.
 
     mu and rho are both dense, or both ``IsotropicCopies``, whose
@@ -82,14 +84,14 @@ def verify_broadcast(mu: DensityOperator | IsotropicCopies,
 
 
 def pure_broadcast_uniqueness(mu: DensityOperator, phi: DensityOperator,
-                              tol: float = 1e-9, purity_tol: float = 1e-9) -> bool:
+                              tol: float = BROADCAST_TOL) -> bool:
     """For pure phi the two-copy broadcast set is the single point phi x phi.
 
     Returns whether a verified broadcast mu coincides with it; a False
     return flags a numerical violation of the purity argument.
     """
-    require_pure(phi, purity_tol, "reference state")
-    report = verify_broadcast(mu, phi, 2, tol=max(tol, 1e-9))
+    require_pure(phi, "reference state")
+    report = verify_broadcast(mu, phi, 2, tol=max(tol, BROADCAST_TOL))
     if not report.is_broadcast:
         raise ValueError(f"candidate is not a 2-copy broadcast: residuals {report.residuals}")
     return trace_distance(mu.op, tensor(phi.op, phi.op)) <= tol
@@ -136,23 +138,19 @@ def _marginal_projections(phi: np.ndarray):
     return proj, residual
 
 
-def _project_starts(phi: DensityOperator, starts: np.ndarray, tol: float,
-                    max_iter: int) -> list[FeasibilityResult]:
-    marginals, residual = _marginal_projections(phi.entries)
-    return solve_feasibility_batch([marginals, Cone()], starts, residual, tol=tol,
-                                   max_iter=max_iter, check_every=CHECK_EVERY)
+def _project_starts(sets, starts: np.ndarray, residual) -> list[FeasibilityResult]:
+    return solve_feasibility_batch(sets, starts, residual, tol=FEASIBILITY_TOL,
+                                   max_iter=MAX_CYCLES, check_every=CHECK_EVERY)
 
 
-def project_to_two_copy_broadcast(phi: DensityOperator, start: np.ndarray,
-                                  tol: float = FEASIBILITY_TOL,
-                                  max_iter: int = MAX_CYCLES) -> FeasibilityResult:
+def project_to_two_copy_broadcast(phi: DensityOperator, start: np.ndarray) -> FeasibilityResult:
     """Project a Hermitian start matrix onto the two-copy broadcast set of phi."""
-    return _project_starts(phi, np.asarray(start)[None], tol, max_iter)[0]
+    marginals, residual = _marginal_projections(phi.entries)
+    return _project_starts([marginals, Cone()], np.asarray(start)[None], residual)[0]
 
 
-def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: int = 0,
-                               feasibility_tol: float = FEASIBILITY_TOL,
-                               max_iter: int = MAX_CYCLES) -> list[DensityOperator]:
+def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,
+                               seed: int = 0) -> list[DensityOperator]:
     """Random-start projections onto the broadcast set of phi.
 
     Each start is an independent Ginibre density matrix, drawn in order
@@ -164,10 +162,11 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50, seed: i
     to reach the feasibility tolerance raises, since the set is nonempty.
     """
     shape = phi.shape.copies(2)
+    marginals, residual = _marginal_projections(phi.entries)
     points = []
     for starts in seeded_starts(phi.dim ** 2, n_starts, seed, "two-copy broadcast projection",
                                 phi.entries.dtype):
-        for result in _project_starts(phi, starts, feasibility_tol, max_iter):
+        for result in _project_starts([marginals, Cone()], starts, residual):
             if not result.converged:
                 raise RuntimeError(f"projection start {len(points)} did not reach "
                                    f"feasibility: {result.residuals}")
@@ -230,8 +229,7 @@ def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
     starts = np.concatenate([root * twirl_coefficients(d, drawn).reshape(len(drawn), -1)
                              for drawn in seeded_starts(d ** 4, n_starts, seed,
                                                         "two-copy broadcast start")])
-    results = solve_feasibility_batch(sets, starts, residual, tol=FEASIBILITY_TOL,
-                                      max_iter=MAX_CYCLES, check_every=CHECK_EVERY)
+    results = _project_starts(sets, starts, residual)
     points = []
     for trial, result in enumerate(results):
         if not result.converged:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .broadcast import max_twirled_distance_to_product, verify_broadcast
+from .broadcast import RIGIDITY_TOL, max_twirled_distance_to_product, verify_broadcast
 from .measures import (
     Applicability,
     BinegativityReport,
@@ -37,6 +37,8 @@ from .states import (
     gibbs_qubit,
     symmetric_two_broadcast,
 )
+
+PROTOCOL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,7 @@ class NonconvexityWitness:
     chain_ok: bool | None
 
 
-def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
-                       marginal_tol: float = 1e-10,
-                       broadcast_tol: float = 1e-9) -> ProtocolTrace:
+def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1) -> ProtocolTrace:
     """Execute the two-stage catalytic dilution protocol at the state level.
 
     Stage one places n copies of the broadcast state on the system pair
@@ -129,7 +129,7 @@ def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
     system marginal against rho^n x rho^n.
     """
     check_power_budget(mu.dim * rho.dim, n, "protocol instance")
-    report = verify_broadcast(mu, rho, 2, tol=broadcast_tol)
+    report = verify_broadcast(mu, rho, 2)
     if not report.is_broadcast:
         raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
 
@@ -159,18 +159,17 @@ def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1,
         final_catalyst=DensityOperator(catalyst_out),
         final_system=DensityOperator(system_out),
         residuals=residuals,
-        tol=marginal_tol,
+        tol=PROTOCOL_TOL,
     )
 
 
 def catalytic_cost_upper_bound(rho: DensityOperator | IsotropicCopies,
-                               mu: DensityOperator | IsotropicCopies,
-                               broadcast_tol: float = 1e-9) -> AdvantageCertificate:
+                               mu: DensityOperator | IsotropicCopies) -> AdvantageCertificate:
     """Certificate for: catalytic exact cost <= half the exact cost of a broadcast.
 
     rho and mu are both dense or both ``IsotropicCopies``.
     """
-    report = verify_broadcast(mu, rho, 2, tol=broadcast_tol)
+    report = verify_broadcast(mu, rho, 2)
     if not report.is_broadcast:
         raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
     gate_rho, cost_rho = gated_ppt_cost(rho)
@@ -230,14 +229,13 @@ def nonconvexity_witness(s0: DensityOperator, s1: DensityOperator,
 
 
 def superadditivity_violation(rho: DensityOperator | IsotropicCopies,
-                              mu: DensityOperator | IsotropicCopies,
-                              broadcast_tol: float = 1e-9) -> float:
+                              mu: DensityOperator | IsotropicCopies) -> float:
     """cost(rho) + cost(rho) - cost(mu) for a verified broadcast mu.
 
     A strictly positive return exhibits the failure of strong
     superadditivity with the broadcast as the joint state.
     """
-    return catalytic_cost_upper_bound(rho, mu, broadcast_tol).superadditivity_violation()
+    return catalytic_cost_upper_bound(rho, mu).superadditivity_violation()
 
 
 def thermo_advantage(p: float) -> AdvantageCertificate:
@@ -274,16 +272,15 @@ def pure_additivity_check(psi: DensityOperator, phi: DensityOperator) -> float:
     return abs(total - exact_locc_cost_pure(psi) - exact_locc_cost_pure(phi))
 
 
-def distillation_no_advantage_check(d: int, n_starts: int = 10, seed: int = 7,
-                                    tol: float = 1e-6) -> bool:
+def distillation_no_advantage_check(d: int, n_starts: int = 10, seed: int = 7) -> bool:
     """Confirm the broadcast set of the maximally entangled state is a single point.
 
     Projects random states onto the two-copy broadcast constraints of the
     rank-one target, in the per-copy twirl algebra (the path of the
-    ``rigidity`` scenario); every landing point must lie within ``tol`` of
+    ``rigidity`` scenario); every landing point must lie within RIGIDITY_TOL of
     its double tensor power, which collapses the distillation bound to the
     trivial one.
     """
     if d < 2:
         raise ValueError("local dimension must be >= 2")
-    return max_twirled_distance_to_product(d, n_starts=n_starts, seed=seed) <= tol
+    return max_twirled_distance_to_product(d, n_starts=n_starts, seed=seed) <= RIGIDITY_TOL

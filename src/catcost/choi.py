@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    DEFAULT_PSD_TOL,
+    DEFAULT_TRACE_TOL,
     DensityOperator,
     FactorShape,
     LabeledOperator,
@@ -36,12 +38,16 @@ from .measures import (
     copies_matrix,
     copy_ranks,
     largest_entry,
+    log_negativity,
     partial_transpose_isometry,
     partial_transpose_spectrum,
     twirl_coefficients,
 )
 from .projections import Cone, seeded_starts, solve_feasibility
 from .states import max_entangled_matrix
+
+SYNTHESIS_TOL = 1e-6
+SYNTHESIS_MAX_CYCLES = 20000
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,7 @@ class SolveReport:
     feasible_point: ChoiOperator | TwirledChoi | None
     stalled: bool = False
     npt_witness: float | None = None
+    log_negativity: float | None = None
     best_history: tuple[float, ...] = field(default_factory=tuple)
 
 
@@ -148,7 +155,7 @@ def _apply_matrix(j: np.ndarray, din: int, dout: int, x: np.ndarray) -> np.ndarr
 
 
 def apply_choi(choi: ChoiOperator, x: DensityOperator,
-               validate_tol: float | None = None) -> DensityOperator:
+               validate_tol: float = 0.0) -> DensityOperator:
     """Channel action on a state through the Choi operator.
 
     ``validate_tol`` relaxes the output-state validation, for channels
@@ -158,10 +165,8 @@ def apply_choi(choi: ChoiOperator, x: DensityOperator,
         raise ValueError(
             f"input shape {x.shape.factors} does not match {choi.input_shape.factors}")
     out = _apply_matrix(choi.op.entries, choi.input_dim, choi.output_dim, x.entries)
-    tols = {}
-    if validate_tol is not None:
-        tols = {"trace_tol": max(1e-12, validate_tol), "psd_tol": max(1e-10, validate_tol)}
-    return density_from_matrix(hermitian_part(out), choi.output_shape, **tols)
+    return DensityOperator(LabeledOperator(choi.output_shape, hermitian_part(out)),
+                           max(DEFAULT_TRACE_TOL, validate_tol), max(DEFAULT_PSD_TOL, validate_tol))
 
 
 def identity_choi(shape: FactorShape) -> ChoiOperator:
@@ -335,7 +340,7 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
 
 
 def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
-                            max_iter: int = 20000, tol: float = 1e-6,
+                            max_iter: int = SYNTHESIS_MAX_CYCLES, tol: float = SYNTHESIS_TOL,
                             seed: int = 0) -> SolveReport:
     """Search for a PPT operation taking m maximally entangled pairs to the target.
 
@@ -344,12 +349,12 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
     the PPT condition, b^Gamma >= -rho^Gamma e/(1-e) and >= rho^Gamma e/(1+e)
     with e = 2^-m; at m = 0, a = b over the PSD cone, the partial-transposed
     PSD cone and the target.  Infeasible instances surface as a residual
-    stall; at m = 0 an NPT target's negative partial-transpose eigenvalue is
-    attached as an analytic witness.  A ``DensityOperator`` target is
+    stall, with a certificate where one applies: an NPT target's negative
+    partial-transpose eigenvalue at m = 0, its E_N (a PPT monotone, m on m
+    ebits) above m + ``tol`` at m >= 1.  A ``DensityOperator`` target is
     searched as a D x D matrix (``_dense_dilution``), an ``IsotropicCopies``
     one as a vector of its 2^k twirl coefficients (``_twirled_dilution``),
-    with no eigendecomposition; both draw the same seeded start
-    (``seeded_starts``).
+    with no eigendecomposition, from one seeded start (``seeded_starts``).
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")
@@ -358,12 +363,14 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
         _twirled_dilution if twirled else _dense_dilution)(m, target, seed)
     result = solve_feasibility(sets, start, residuals, tol=tol, max_iter=max_iter)
 
-    npt_witness = None
+    npt_witness = ln = None
     if m == 0:
         lo = float(target.partial_transpose_coeffs.min() if twirled
                    else target.partial_transpose_eigh[0][0])
-        if lo < 0:
-            npt_witness = lo
+        npt_witness = lo if lo < 0 else None
+    elif not result.converged:
+        e_n = log_negativity(target)
+        ln = e_n if m < e_n and e_n - m > tol else None  # m < e_n: no float(m) of a huge m
     return SolveReport(
         converged=result.converged,
         iterations=result.iterations,
@@ -371,5 +378,6 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
         feasible_point=point(result.point) if result.converged else None,
         stalled=result.stalled,
         npt_witness=npt_witness,
+        log_negativity=ln,
         best_history=tuple(result.best_history),
     )

@@ -14,14 +14,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .broadcast import max_twirled_distance_to_product, verify_broadcast
+from .broadcast import (BROADCAST_TOL, RIGIDITY_TOL, max_twirled_distance_to_product,
+                        verify_broadcast)
 from .catalysis import (
     catalytic_cost_upper_bound,
     nonconvexity_witness,
     run_prop1_protocol,
     thermo_advantage,
 )
-from .choi import synthesize_ppt_dilution
+from .choi import SYNTHESIS_MAX_CYCLES, SYNTHESIS_TOL, synthesize_ppt_dilution
 from .measures import (
     IsotropicCopies,
     d_max_to_ppt_isotropic,
@@ -162,8 +163,8 @@ def _named_target(name: str):
     return build(d)
 
 
-def scenario_synthesize(m: int, target_name: str, tol: float = 1e-6,
-                        max_iter: int = 20000, seed: int = 0) -> ScenarioReport:
+def scenario_synthesize(m: int, target_name: str, tol: float, max_iter: int,
+                        seed: int) -> ScenarioReport:
     target = _named_target(target_name)
     if target is None:
         target = load_density(target_name)
@@ -175,22 +176,15 @@ def scenario_synthesize(m: int, target_name: str, tol: float = 1e-6,
         report.add_result(f"residual_{name}", value, tol)
     report.parameters["iterations"] = solve.iterations
     report.parameters["stalled"] = solve.stalled
-    if solve.npt_witness is not None:
-        report.add_result("npt_witness", solve.npt_witness, None)
-        report.parameters["infeasible"] = True
-    elif m >= 1 and not solve.converged:
-        # E_N is a PPT monotone and E_N(Phi_2^(x m)) = m, so E_N(target) > m
-        # rules out every PPT map from m ebits
-        ln = log_negativity(target)
-        if ln - m > tol:
-            report.add_result("log_negativity", ln, None)
+    for certificate in ("npt_witness", "log_negativity"):
+        if getattr(solve, certificate) is not None:
+            report.add_result(certificate, getattr(solve, certificate), None)
             report.parameters["infeasible"] = True
     report.add_check("converged", solve.converged)
     return report
 
 
-def scenario_verify_broadcast(mu_path: str, rho_path: str, n: int,
-                              tol: float = 1e-9) -> ScenarioReport:
+def scenario_verify_broadcast(mu_path: str, rho_path: str, n: int, tol: float) -> ScenarioReport:
     mu = load_density(mu_path)
     rho = load_density(rho_path)
     report = ScenarioReport("verify-broadcast", __version__,
@@ -202,22 +196,22 @@ def scenario_verify_broadcast(mu_path: str, rho_path: str, n: int,
     return report
 
 
-def scenario_protocol(d: int, n: int, tol: float = 1e-10) -> ScenarioReport:
+def scenario_protocol(d: int, n: int) -> ScenarioReport:
     # rho is d^2- and its broadcast d^4-dimensional: the instance is refused
     # on d^(6n) before either is built
     check_power_budget(d ** 6, n, "protocol instance")
     report = ScenarioReport("protocol", __version__, parameters={"d": d, "n": n})
     rho = isotropic(IsotropicParams(d, 0.5))
     mu = symmetric_two_broadcast(max_entangled(d), isotropic(IsotropicParams(d, 0.0)))
-    trace = run_prop1_protocol(mu, rho, n=n, marginal_tol=tol)
-    report.add_result("catalyst_residual", trace.residuals["catalyst"], tol)
-    report.add_result("system_residual", trace.residuals["system"], tol)
-    report.add_check("catalyst_returned", trace.residuals["catalyst"] <= tol)
-    report.add_check("system_prepared", trace.residuals["system"] <= tol)
+    trace = run_prop1_protocol(mu, rho, n=n)
+    report.add_result("catalyst_residual", trace.residuals["catalyst"], trace.tol)
+    report.add_result("system_residual", trace.residuals["system"], trace.tol)
+    report.add_check("catalyst_returned", trace.residuals["catalyst"] <= trace.tol)
+    report.add_check("system_prepared", trace.residuals["system"] <= trace.tol)
     return report
 
 
-def scenario_rigidity(d: int, starts: int, seed: int, tol: float = 1e-6) -> ScenarioReport:
+def scenario_rigidity(d: int, starts: int, seed: int, tol: float = RIGIDITY_TOL) -> ScenarioReport:
     check_entry_budget(d ** 4, "rigidity two-copy state")
     report = ScenarioReport("rigidity", __version__,
                             parameters={"d": d, "starts": starts, "seed": seed})
@@ -301,8 +295,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("target_name", metavar="target", type=_target,
                    help="named target (noisy-phi-D, broadcast-phi-D) or a matrix file")
     p.add_argument("--m", type=_int_in(0), default=1)
-    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
-    p.add_argument("--max-iter", type=_int_in(1), default=20000)
+    p.add_argument("--tol", type=_POSITIVE, default=SYNTHESIS_TOL)
+    p.add_argument("--max-iter", type=_int_in(1), default=SYNTHESIS_MAX_CYCLES)
     p.add_argument("--seed", type=_int_in(0), default=0)
 
     p = scenario("verify-broadcast", "scenario_verify_broadcast",
@@ -310,7 +304,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("mu_path", metavar="mu_file")
     p.add_argument("rho_path", metavar="rho_file")
     p.add_argument("--n", type=_int_in(1), default=2)
-    p.add_argument("--tol", type=_POSITIVE, default=1e-9)
+    p.add_argument("--tol", type=_POSITIVE, default=BROADCAST_TOL)
 
     p = scenario("protocol", "scenario_protocol", "run the catalytic dilution protocol")
     p.add_argument("--d", type=_int_in(2), default=2)
@@ -321,7 +315,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_int_in(2), default=2)
     p.add_argument("--starts", type=_int_in(1), default=50)
     p.add_argument("--seed", type=_int_in(0), default=0)
-    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=RIGIDITY_TOL)
     return parser
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .operators import (
     DEFAULT_PSD_TOL,
+    DEFAULT_TRACE_TOL,
     DensityOperator,
     FactorShape,
     bipartite_shape,
@@ -33,9 +34,12 @@ from .operators import (
 )
 from .states import IsotropicParams, isotropic_twirl, max_entangled_fraction, max_entangled_matrix
 
-# Eigendirections of the reference below this threshold count as outside
-# its support, so that infinite divergences are decidable numerically.
+# the bounds of d_max's support test (which makes infinite divergences
+# decidable), the isotropic symmetry test, the Schmidt rank and diagonality
 SUPPORT_TOL = 1e-11
+SYMMETRY_TOL = 1e-10
+SCHMIDT_TOL = 1e-9
+DIAGONAL_TOL = 1e-10
 
 
 class Applicability(enum.Enum):
@@ -68,46 +72,44 @@ def log_negativity(rho: DensityOperator | IsotropicCopies) -> float:
     return max(0.0, math.log2(rho.partial_transpose_trace_norm))
 
 
-def binegativity(rho: DensityOperator | IsotropicCopies,
-                 tol: float = 1e-10) -> BinegativityReport:
-    """Min eigenvalue of the twice partially transposed absolute value."""
-    lo = rho.binegativity_min_eigenvalue
+def binegativity(rho: DensityOperator | IsotropicCopies) -> BinegativityReport:
+    """Min eigenvalue of the twice partially transposed absolute value, a PSD test."""
+    lo, tol = rho.binegativity_min_eigenvalue, DEFAULT_PSD_TOL
     return BinegativityReport(min_eigenvalue=lo, positive=lo >= -tol, tol=tol)
 
 
-def gated_ppt_cost(rho: DensityOperator | IsotropicCopies,
-                   gate_tol: float = 1e-10) -> tuple[BinegativityReport, CostValue]:
+def gated_ppt_cost(rho: DensityOperator | IsotropicCopies) -> tuple[BinegativityReport, CostValue]:
     """Binegativity gate together with the exact PPT cost it scopes.
 
     The cost equals the logarithmic negativity whenever the gate passes;
     outside that regime no formula is claimed and the cost is reported
     as undefined.
     """
-    gate = binegativity(rho, tol=gate_tol)
+    gate = binegativity(rho)
     if gate.positive:
         return gate, CostValue(log_negativity(rho), Applicability.EXACT_FORMULA)
     return gate, CostValue(math.nan, Applicability.UNDEFINED)
 
 
-def exact_ppt_cost(rho: DensityOperator | IsotropicCopies, gate_tol: float = 1e-10) -> CostValue:
+def exact_ppt_cost(rho: DensityOperator | IsotropicCopies) -> CostValue:
     """Exact preparation cost under PPT operations; see ``gated_ppt_cost``."""
-    return gated_ppt_cost(rho, gate_tol)[1]
+    return gated_ppt_cost(rho)[1]
 
 
-def d_max(rho: DensityOperator, sigma: DensityOperator, support_tol: float = SUPPORT_TOL) -> float:
+def d_max(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Max-relative entropy log2 inf{s : rho <= s * sigma}.
 
     Returns +inf when the support of rho leaks outside the support of
-    sigma by more than ``support_tol``.
+    sigma by more than SUPPORT_TOL.
     """
     if rho.shape != sigma.shape:
         raise ValueError("states must share a shape")
     w, v = hermitian_spectrum(sigma.entries, vectors=True)
-    inside = w > support_tol
+    inside = w > SUPPORT_TOL
     if not inside.all():
         v_out = v[:, ~inside]
         leak = float(np.einsum("ij,jk,ki->", v_out.conj().T, rho.entries, v_out).real)
-        if leak > support_tol:
+        if leak > SUPPORT_TOL:
             return math.inf
     v_in = v[:, inside]
     core = (v_in / np.sqrt(w[inside])).conj().T @ rho.entries @ (v_in / np.sqrt(w[inside]))
@@ -115,7 +117,7 @@ def d_max(rho: DensityOperator, sigma: DensityOperator, support_tol: float = SUP
     return math.log2(max(top, 1e-300))
 
 
-def d_max_to_ppt_isotropic(rho: DensityOperator, symmetry_tol: float = 1e-10) -> float:
+def d_max_to_ppt_isotropic(rho: DensityOperator) -> float:
     """Max-relative entropy to the PPT set for isotropic-symmetric states.
 
     Twirling reduces the feasible set to the isotropic PPT segment with
@@ -123,7 +125,7 @@ def d_max_to_ppt_isotropic(rho: DensityOperator, symmetry_tol: float = 1e-10) ->
     rho_f commutes with every sigma_g, so D_max = log2 max(f/g, (1-f)/(1-g)),
     whose minimum over the segment is max(0, log2(d f)).
     """
-    if trace_distance(rho.op, isotropic_twirl(rho).op) > symmetry_tol:
+    if trace_distance(rho.op, isotropic_twirl(rho).op) > SYMMETRY_TOL:
         raise ValueError("state is not isotropic-symmetric within tolerance")
     (d, _), = rho.shape.factors
     f = max_entangled_fraction(rho)
@@ -259,8 +261,8 @@ class IsotropicCopies:
     and no eigendecomposition is made.  ``to_density`` builds the dense
     state, for checks against the dense path.
 
-    Validated as ``DensityOperator`` is: trace within 1e-12 of one and
-    least coefficient >= -``DEFAULT_PSD_TOL``.
+    Validated as ``DensityOperator`` is: trace within ``DEFAULT_TRACE_TOL``
+    of one and least coefficient >= -``DEFAULT_PSD_TOL``.
     """
 
     d: int
@@ -275,8 +277,8 @@ class IsotropicCopies:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         tr = float((c * copy_ranks(self.d, c.ndim)).sum())
-        if not abs(tr - 1.0) <= 1e-12:
-            raise ValueError(f"trace {tr} is not 1 within 1.0e-12")
+        if not abs(tr - 1.0) <= DEFAULT_TRACE_TOL:
+            raise ValueError(f"trace {tr} is not 1 within {DEFAULT_TRACE_TOL:.1e}")
         if c.min() < -DEFAULT_PSD_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {c.min():.3e}")
 
@@ -360,34 +362,33 @@ class IsotropicCopies:
         return density_from_matrix(copies_matrix(self.d, self.coeffs), self.shape)
 
 
-def _pure_state_marginal(psi: DensityOperator, purity_tol: float = 1e-9) -> np.ndarray:
+def _pure_state_marginal(psi: DensityOperator) -> np.ndarray:
     if psi.shape.n_factors != 1:
         raise ValueError("expected a single bipartite factor; merge factors first")
-    require_pure(psi, purity_tol)
+    require_pure(psi)
     (da, db), = psi.shape.factors
     split = relabel(psi.op, FactorShape(((da, 1), (1, db))))
     marginal = partial_trace(split, keep={0})
     return hermitian_spectrum(marginal.entries)
 
 
-def schmidt_rank(psi: DensityOperator, tol: float = 1e-9) -> int:
-    """Number of marginal eigenvalues above tol for a bipartite pure state."""
-    return int((_pure_state_marginal(psi) > tol).sum())
+def schmidt_rank(psi: DensityOperator) -> int:
+    """Number of marginal eigenvalues above SCHMIDT_TOL for a bipartite pure state."""
+    return int((_pure_state_marginal(psi) > SCHMIDT_TOL).sum())
 
 
-def exact_locc_cost_pure(psi: DensityOperator, tol: float = 1e-9) -> float:
+def exact_locc_cost_pure(psi: DensityOperator) -> float:
     """log2 of the Schmidt rank: the exact LOCC preparation cost of a pure state."""
-    return math.log2(schmidt_rank(psi, tol))
+    return math.log2(schmidt_rank(psi))
 
 
-def work_cost_semiclassical(rho: DensityOperator, gamma: DensityOperator,
-                            diag_tol: float = 1e-10) -> float:
+def work_cost_semiclassical(rho: DensityOperator, gamma: DensityOperator) -> float:
     """Exact work cost D_max(rho || gamma) for commuting (diagonal) states."""
     if rho.shape != gamma.shape:
         raise ValueError("states must share a shape")
     for name, s in (("state", rho), ("reference", gamma)):
         off = s.entries - np.diag(np.diag(s.entries))
-        if np.abs(off).max() > diag_tol:
+        if np.abs(off).max() > DIAGONAL_TOL:
             raise ValueError(f"{name} is not diagonal in the supplied basis")
     p = np.diag(rho.entries).real
     g = np.diag(gamma.entries).real

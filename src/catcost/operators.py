@@ -30,6 +30,8 @@ MAX_ENTRIES = 2 ** 16
 
 DEFAULT_HERM_TOL = 1e-9
 DEFAULT_PSD_TOL = 1e-10
+DEFAULT_TRACE_TOL = 1e-12
+PURITY_TOL = 1e-9
 
 
 class ResourceLimitError(RuntimeError):
@@ -199,8 +201,8 @@ def _require_same_shape(a: LabeledOperator, b: LabeledOperator) -> None:
         raise ValueError(f"shape mismatch: {a.shape.factors} vs {b.shape.factors}")
 
 
-def _require_hermitian(x: LabeledOperator, tol: float = DEFAULT_HERM_TOL) -> None:
-    defect = x.hermiticity_defect()
+def _require_hermitian(x: LabeledOperator) -> None:
+    defect, tol = x.hermiticity_defect(), DEFAULT_HERM_TOL
     if defect > tol:
         raise ValueError(f"operator is not Hermitian (defect {defect:.3e} > {tol:.1e})")
 
@@ -214,7 +216,7 @@ class DensityOperator:
     """
 
     op: LabeledOperator
-    trace_tol: float = 1e-12
+    trace_tol: float = DEFAULT_TRACE_TOL
     psd_tol: float = DEFAULT_PSD_TOL
 
     def __post_init__(self) -> None:
@@ -273,8 +275,8 @@ class DensityOperator:
         return float(hermitian_spectrum(b).min())
 
 
-def density_from_matrix(entries: np.ndarray, shape: FactorShape, **tols) -> DensityOperator:
-    return DensityOperator(LabeledOperator(shape, entries), **tols)
+def density_from_matrix(entries: np.ndarray, shape: FactorShape) -> DensityOperator:
+    return DensityOperator(LabeledOperator(shape, entries))
 
 
 def density_from_vector(psi: np.ndarray, shape: FactorShape) -> DensityOperator:
@@ -286,10 +288,10 @@ def density_from_vector(psi: np.ndarray, shape: FactorShape) -> DensityOperator:
     return density_from_matrix(np.outer(v, v.conj()) / norm2, shape)
 
 
-def require_pure(rho: DensityOperator, purity_tol: float, what: str = "state") -> None:
-    """Refuse ``rho`` unless its largest eigenvalue is >= 1 - ``purity_tol``."""
+def require_pure(rho: DensityOperator, what: str = "state") -> None:
+    """Refuse ``rho`` unless its largest eigenvalue is >= 1 - PURITY_TOL."""
     top = float(hermitian_spectrum(rho.entries).max())
-    if top < 1.0 - purity_tol:
+    if top < 1.0 - PURITY_TOL:
         raise ValueError(f"{what} is not pure: largest eigenvalue {top}")
 
 
@@ -438,14 +440,14 @@ def relabel(x: LabeledOperator, new_shape: FactorShape) -> LabeledOperator:
     return LabeledOperator(new_shape, x.entries)
 
 
-def eig_hermitian(x: LabeledOperator, tol: float = DEFAULT_HERM_TOL) -> tuple[Spectrum, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
+def eig_hermitian(x: LabeledOperator) -> tuple[Spectrum, np.ndarray]:
+    """Eigendecomposition of an operator Hermitian within DEFAULT_HERM_TOL.
 
     Returns the spectrum sorted descending and the matrix of matching
     eigenvector columns, in the dtype of ``x.entries``: float64 for an
     operator stored real.
     """
-    _require_hermitian(x, tol)
+    _require_hermitian(x)
     w, v = hermitian_spectrum(x.entries, vectors=True)
     order = np.argsort(w)[::-1]
     return Spectrum(tuple(float(t) for t in w[order])), v[:, order]
@@ -468,9 +470,9 @@ def trace_distance(a: LabeledOperator, b: LabeledOperator) -> float:
     return 0.5 * trace_norm(a - b)
 
 
-def is_psd(x: LabeledOperator, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
-    """Test min eigenvalue >= -tol * max(1, |trace|); reports the witness."""
+def is_psd(x: LabeledOperator) -> PsdReport:
+    """Test min eigenvalue >= -DEFAULT_PSD_TOL * max(1, |trace|); reports the witness."""
     _require_hermitian(x)
     lo = float(hermitian_spectrum(x.entries).min())
     scale = max(1.0, abs(x.trace()))
-    return PsdReport(ok=lo >= -tol * scale, min_eigenvalue=lo, tol=tol)
+    return PsdReport(ok=lo >= -DEFAULT_PSD_TOL * scale, min_eigenvalue=lo, tol=DEFAULT_PSD_TOL)

@@ -104,8 +104,8 @@ def load_operator(path: str | Path) -> LabeledOperator:
     return operator_from_document(_read_document(path, "operator"))
 
 
-def load_density(path: str | Path, **tols) -> DensityOperator:
-    return DensityOperator(load_operator(path), **tols)
+def load_density(path: str | Path) -> DensityOperator:
+    return DensityOperator(load_operator(path))
 
 
 def save_choi(choi: ChoiOperator, path: str | Path) -> None:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import catcost.broadcast
 from catcost.broadcast import (
     _marginal_projections,
     _twirled_broadcast_sets,
@@ -107,7 +108,7 @@ class TestProjectionRigidity:
         phi = max_entangled(2)
         target = tensor(phi.op, phi.op)
         start = random_density_matrix(16, rng)
-        result = project_to_two_copy_broadcast(phi, start, tol=1e-9)
+        result = project_to_two_copy_broadcast(phi, start)
         assert result.converged
         assert 0.5 * np.abs(np.linalg.eigvalsh(result.point - target.entries)).sum() <= 1e-6
 
@@ -153,8 +154,8 @@ class TestProjectionRigidity:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         # the block rule does not depend on convergence: a loose tolerance
         # lets every start finish at its first check
-        points = sample_two_copy_broadcasts(max_entangled(3), n_starts=20,
-                                            feasibility_tol=1.0)
+        monkeypatch.setattr(catcost.broadcast, "FEASIBILITY_TOL", 1.0)
+        points = sample_two_copy_broadcasts(max_entangled(3), n_starts=20)
         assert len(points) == 20
         assert all(math.prod(shape) <= MAX_ENTRIES for shape in shapes)
         assert {shape[0] for shape in shapes} == {MAX_ENTRIES // 81 ** 2, 20 % 9}

@@ -1,4 +1,6 @@
 """Choi-operator machinery: named channels, PPT verification, dilution synthesis."""
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from catcost.choi import (
     transpose_map_choi,
     verify_ppt_operation,
 )
-from catcost.measures import IsotropicCopies, copy_ranks
+from catcost.measures import IsotropicCopies, copy_ranks, log_negativity
 from catcost.operators import (
     FactorShape,
     ResourceLimitError,
@@ -138,6 +140,23 @@ class TestSynthesis:
         # residual floor certified by the witness: ppt + sqrt(dim) * correctness
         res = report.residuals
         assert res["ppt"] + 2.0 * res["correctness"] >= 1 / 8 - 1e-9
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["twirled", "dense"])
+    @pytest.mark.parametrize("name", ["noisy-phi-4", "broadcast-phi-4"])
+    def test_target_above_m_ebits_carries_its_log_negativity(self, name, dense):
+        # E_N = log2(17/4) - 1 > 1 = E_N of one ebit, and E_N is a PPT monotone
+        target = _named_target(name)
+        if dense:
+            target = target.to_density()
+        report = synthesize_ppt_dilution(1, target)
+        assert report.stalled and report.npt_witness is None
+        assert report.log_negativity == log_negativity(target)
+        assert abs(report.log_negativity - (math.log2(17 / 4) - 1)) <= 1e-12
+
+    def test_feasible_target_carries_no_certificate(self):
+        report = synthesize_ppt_dilution(1, _named_target("noisy-phi-2"))
+        assert report.converged
+        assert report.log_negativity is None and report.npt_witness is None
 
     def test_ppt_target_without_input_is_feasible(self, rng):
         a = random_density(rng, 2, 1)

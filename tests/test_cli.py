@@ -323,9 +323,12 @@ class TestCliScenarios:
         assert "npt_witness" not in doc["results"] and doc["checks"] == {"converged": False}
 
     @pytest.mark.parametrize("argv", [["noisy-phi-4", "--m", "2"],
-                                      ["broadcast-phi-2", "--m", "1", "--max-iter", "1"]])
+                                      ["broadcast-phi-2", "--m", "1", "--max-iter", "1"],
+                                      ["noisy-phi-3", "--m", "9" * 400, "--max-iter", "1",
+                                       "--tol", "1e-300"]])
     def test_no_certificate_when_log_negativity_allows_the_ebits(self, argv, capsys):
-        # feasible, and cut off before convergence: E_N <= m either way
+        # feasible, and cut off before convergence: E_N <= m either way, also
+        # for an m that no float holds
         code = main(["--format", "json-like-keyvalue", "synthesize", *argv])
         doc = json.loads(capsys.readouterr().out)
         assert code == (0 if doc["parameters"]["iterations"] > 1 else 4)
@@ -514,12 +517,13 @@ class TestCliScenarios:
 
 
 # Argument values for the fuzz below.  Sizes (--d, --n, --m, a target's D)
-# are drawn up to 10**30: the entry budget must refuse the large ones before
-# any work.  Arguments that add work but no size (--starts, --max-iter,
+# are drawn up to 10**30, and one has 200 digits, past the 10**154 or so at
+# which d**2 overflows a float: the entry budget must refuse the large ones
+# before any work.  Arguments that add work but no size (--starts, --max-iter,
 # --q-grid) stay small.
 _JUNK = st.sampled_from(["nan", "-inf", "inf", "1e400", "", "two", "0x10", "1.5"])
 _SIZE = st.one_of(st.integers(-2, 12).map(str), st.integers(0, 10 ** 30).map(str),
-                  st.sampled_from([str(10 ** 9), str(10 ** 20)]), _JUNK)
+                  st.sampled_from([str(10 ** 9), str(10 ** 20), "9" * 200]), _JUNK)
 _SMALL = st.one_of(st.integers(-2, 3).map(str), _JUNK)
 _REAL = st.one_of(st.floats().map(repr), st.floats(0.0, 1.0).map(repr), _JUNK)
 _VALUES = {

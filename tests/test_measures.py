@@ -31,6 +31,7 @@ from catcost.measures import (
     work_cost_semiclassical,
 )
 from catcost.operators import (
+    DEFAULT_PSD_TOL,
     FactorShape,
     abs_operator,
     bipartite_shape,
@@ -287,7 +288,7 @@ class TestSchmidtRank:
         v = np.zeros(4)
         v[0], v[3] = math.sqrt(1 - eps ** 2), eps
         psi = density_from_vector(v, bipartite_shape(2, 2))
-        assert schmidt_rank(psi, tol=1e-9) == 2
+        assert schmidt_rank(psi) == 2
         assert exact_locc_cost_pure(psi) == 1.0
 
     def test_mixed_input_rejected(self):
@@ -363,9 +364,9 @@ class TestPartialTransposeSpectrum:
 
     def test_gated_cost_shares_the_gate(self):
         rho = half_mixed(3)
-        gate, cost = gated_ppt_cost(rho, gate_tol=1e-9)
-        assert gate == binegativity(rho, tol=1e-9)
-        assert cost == exact_ppt_cost(rho, gate_tol=1e-9)
+        gate, cost = gated_ppt_cost(rho)
+        assert gate == binegativity(rho) and gate.tol == DEFAULT_PSD_TOL
+        assert cost == exact_ppt_cost(rho)
         assert cost.bits == log_negativity(rho)
         gate, cost = gated_ppt_cost(sample_negative_binegativity_state())
         assert not gate.positive and cost.applicability is Applicability.UNDEFINED

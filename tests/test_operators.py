@@ -364,9 +364,9 @@ class TestSpectralDtype:
         assert x.entries[0, 1] == off
 
     def test_require_pure(self):
-        require_pure(bell_pair(), 1e-9)
+        require_pure(bell_pair())
         with pytest.raises(ValueError, match="reference state is not pure"):
-            require_pure(half_mixed(), 1e-9, "reference state")
+            require_pure(half_mixed(), "reference state")
 
 
 class TestRegrouping:
