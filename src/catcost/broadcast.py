@@ -3,14 +3,15 @@
 The two-copy broadcast set S = {X >= 0 : Tr_1 X = Tr_2 X = phi} of a pure
 phi is the single point phi x phi.  ``sample_two_copy_broadcasts`` tests
 this by dense Douglas-Rachford from random d^4 x d^4 starts, for any
-pure phi.  For phi = Phi_d, ``sample_twirled_two_copy_broadcasts`` runs
-the same test in the per-copy twirl algebra: (U x conj U) x (V x conj V)
-fixes phi, so it maps S into S, and twirling a start leaves four
-coefficients on span{Phi, 1 - Phi}^(x 2) (``IsotropicCopies``, k = 2).
-There the marginal equations (a line) and positivity (a clip) leave
-only phi x phi, and since phi x phi is pure, a twirl average equal to it
-forces every point of S to equal it.  ``max_twirled_distance_to_product``
-is that test as one number, for the ``rigidity`` scenario and the
+pure phi.  For phi = Phi_d, ``sample_twirled_two_copy_broadcasts``
+decides it exactly in the per-copy twirl algebra: (U x conj U) x
+(V x conj V) fixes phi, so it maps S into S, and twirling a start leaves
+four coefficients on span{Phi, 1 - Phi}^(x 2) (``IsotropicCopies``,
+k = 2).  There the marginal equations are a line and positivity cuts it
+to a segment, computed in closed form, which is the single point
+phi x phi; since phi x phi is pure, a twirl average equal to it forces
+every point of S to equal it.  ``max_twirled_distance_to_product`` is
+that test as one number, for the ``rigidity`` scenario and the
 distillation check.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .operators import (
 )
 from .projections import Cone, FeasibilityResult, seeded_starts, solve_feasibility_batch
 
-# the settings of both searches, verify_broadcast's default and the rigidity bound
+# the settings of the dense search, verify_broadcast's default and the rigidity bound
 FEASIBILITY_TOL = 1e-9
 MAX_CYCLES = 5000
 CHECK_EVERY = 5
@@ -161,6 +162,8 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,
     are solved in lockstep, in the generator's blocks.  A run that fails
     to reach the feasibility tolerance raises, since the set is nonempty.
     """
+    if n_starts < 1:
+        raise ValueError("start count must be >= 1")
     shape = phi.shape.copies(2)
     marginals, residual = _marginal_projections(phi.entries)
     points = []
@@ -176,11 +179,11 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,
 
 
 # ---------------------------------------------------------------------------
-# the same search in the per-copy twirl algebra of Phi_d
+# the same set in the per-copy twirl algebra of Phi_d, exactly
 
 
-def _twirled_broadcast_sets(d: int):
-    """Phi_d's broadcast set in twirl coefficients: the marginal line and the PSD cone.
+def _twirled_broadcast_segment(d: int):
+    """Phi_d's broadcast set in twirl coefficients: the segment e00 + [lo, hi] u.
 
     A point is the vector y = sqrt(r) c, with c the coefficients
     (c00, c01, c10, c11) of ``IsotropicCopies`` and r = (1, D) x (1, D)
@@ -188,27 +191,22 @@ def _twirled_broadcast_sets(d: int):
     the Hilbert-Schmidt norm of the state, and the PSD cone is y >= 0.
     Tr_2 X = Phi and Tr_1 X = Phi read c00 + D c01 = 1, c10 + D c11 = 0,
     c00 + D c10 = 1 (the fourth row follows), which in y is the line
-    e00 + t u, u = (D, -sqrt D, -sqrt D, 1) / (D + 1) a unit vector,
-    projected by y -> y u u^T + e00 - u_0 u.  Returns sqrt(r), the sets
-    [line, cone] and the residuals of a vector or a stack.  A marginal
-    residual is the largest deviation of the marginal's coefficients from
-    Phi's (1, 0): its operator-norm distance from Phi.
+    e00 + t u, u = (D, -sqrt D, -sqrt D, 1) / (D + 1) a unit vector.
+    Coordinate i of y >= 0 bounds t by -e00_i / u_i, from below where
+    u_i > 0 and from above where u_i < 0.  Returns sqrt(r), u, lo and hi;
+    lo = hi = 0 at every d, so the set is the single point e00.
     """
     rank = d * d - 1.0  # D, the rank of 1 - Phi
     root = np.sqrt(copy_ranks(d, 2).ravel())
     unit = np.array([rank, -root[1], -root[1], 1.0]) / (rank + 1.0)
-    line = (np.outer(unit, unit), np.eye(4)[0] - unit[0] * unit)
-    phi = np.array([1.0, 0.0])  # the marginal's coefficients
+    bounds = -np.eye(4)[0] / unit  # u has no zero coordinate
+    return root, unit, float(bounds[unit > 0].max()), float(bounds[unit < 0].min())
 
-    def residual(y: np.ndarray) -> dict[str, np.ndarray]:
-        c = (y / root).reshape(y.shape[:-1] + (2, 2))
-        return {
-            "marginal_1": np.abs(c[..., :, 0] + rank * c[..., :, 1] - phi).max(axis=-1),
-            "marginal_2": np.abs(c[..., 0, :] + rank * c[..., 1, :] - phi).max(axis=-1),
-            "psd": np.maximum(0.0, -y.min(axis=-1)),
-        }
 
-    return root, [line, Cone()], residual
+def _nearest_on_segment(ys: np.ndarray, unit: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The nearest point of e00 + [lo, hi] u, u a unit vector, to each row of ys."""
+    e00 = np.eye(4)[0]
+    return e00 + np.clip((ys - e00) @ unit, lo, hi)[:, None] * unit
 
 
 def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
@@ -216,35 +214,32 @@ def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
     """``sample_two_copy_broadcasts`` for phi = Phi_d, in 4 coefficients a start.
 
     The starts are the dense search's, drawn as real matrices (Phi_d is
-    real) and twirled a drawn stack at a time; the solve runs on (s, 2, 4)
-    ``float64`` vectors (see ``_twirled_broadcast_sets``), with no
-    eigendecomposition, at the dense search's settings.  A run that fails
-    to reach the tolerance raises; more starts than that iterate stack
-    holds within MAX_ENTRIES are refused before any is drawn.
+    real) and twirled a drawn stack at a time; each twirled start goes to
+    its nearest point of the exact set (``_twirled_broadcast_segment``),
+    with no search and no eigendecomposition.  More starts than their
+    (s, 4) coefficients and (s, 4) projections hold within MAX_ENTRIES are
+    refused before any is drawn.
     """
+    if n_starts < 1:
+        raise ValueError("start count must be >= 1")
     if 8 * n_starts > MAX_ENTRIES:
         raise ResourceLimitError(f"{n_starts} two-copy broadcast starts need {8 * n_starts} "
                                  f"iterate entries, budget is {MAX_ENTRIES}")
-    root, sets, residual = _twirled_broadcast_sets(d)
+    root, unit, lo, hi = _twirled_broadcast_segment(d)
     starts = np.concatenate([root * twirl_coefficients(d, drawn).reshape(len(drawn), -1)
                              for drawn in seeded_starts(d ** 4, n_starts, seed,
                                                         "two-copy broadcast start")])
-    results = _project_starts(sets, starts, residual)
-    points = []
-    for trial, result in enumerate(results):
-        if not result.converged:
-            raise RuntimeError(
-                f"projection start {trial} did not reach feasibility: {result.residuals}")
-        y = result.point
-        points.append(IsotropicCopies(d, (y / root / (y * root).sum()).reshape(2, 2)))
-    return points
+    # the segment lies in the trace-one plane, so each point is a state
+    return [IsotropicCopies(d, (y / root).reshape(2, 2))
+            for y in _nearest_on_segment(starts, unit, lo, hi)]
 
 
 def max_twirled_distance_to_product(d: int, n_starts: int = 50, seed: int = 0) -> float:
-    """Largest trace distance from phi x phi, phi = Phi_d, of the twirled search's points.
+    """Largest trace distance from phi x phi, phi = Phi_d, of the twirled starts' projections.
 
     The rigidity claim in one number: every sampled point of Phi_d's
     two-copy broadcast set lies within this distance of Phi_d x Phi_d.
+    The set is computed exactly, so the number is 0.0.
     """
     phi = IsotropicCopies.isotropic(d, 1.0)
     product = IsotropicCopies.symmetric_two_broadcast(phi, phi)

@@ -275,8 +275,8 @@ def pure_additivity_check(psi: DensityOperator, phi: DensityOperator) -> float:
 def distillation_no_advantage_check(d: int, n_starts: int = 10, seed: int = 7) -> bool:
     """Confirm the broadcast set of the maximally entangled state is a single point.
 
-    Projects random states onto the two-copy broadcast constraints of the
-    rank-one target, in the per-copy twirl algebra (the path of the
+    Projects random states onto the two-copy broadcast set of the rank-one
+    target, computed exactly in the per-copy twirl algebra (the path of the
     ``rigidity`` scenario); every landing point must lie within RIGIDITY_TOL of
     its double tensor power, which collapses the distillation bound to the
     trivial one.

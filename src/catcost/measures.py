@@ -6,7 +6,7 @@ The PPT measures take a dense ``DensityOperator`` or an ``IsotropicCopies``
 state, which gives the same partial-transpose quantities in closed form.
 The algebra's maps are also module functions on raw coefficient arrays
 (``copy_ranks``, ``partial_transpose_spectrum``, ``largest_entry``,
-``copies_matrix``, ``twirl_coefficients``): the twirled searches' iterates
+``copies_matrix``, ``twirl_coefficients``): the twirled search's iterates
 have any sign and trace, and ``IsotropicCopies`` validates a state.
 """
 from __future__ import annotations

@@ -9,8 +9,8 @@ readout, the PSD projection of the average, from them and the starts'
 shape.  On Hermitian matrices, kept exactly Hermitian (the affine
 formulas are only orthogonal there), P sends every cone block of the
 stack through one ``eigh`` (``product_projection``).  On coefficient
-vectors (the twirl-algebra searches) T is one affine-clip-affine map.
-LAPACK and ``matmul`` work start by start inside a stack, so each start
+vectors (the twirl-algebra synthesis search) T is one
+affine-clip-affine map.  LAPACK and ``matmul`` work start by start inside a stack, so each start
 keeps the bits, and leaves at the cycle, it would have alone.
 
 T is accelerated by safeguarded type-II Anderson mixing (Fu-Zhang-Boyd,
@@ -280,8 +280,8 @@ def solve_feasibility_batch(
     sets,
     starts: np.ndarray,
     residual_fn: BatchResidualFn,
-    tol: float = 1e-6,
-    max_iter: int = 20000,
+    tol: float,
+    max_iter: int,
     check_every: int = 10,
 ) -> list[FeasibilityResult]:
     """Run product-space Douglas-Rachford on a stack of starts in lockstep.

@@ -7,7 +7,9 @@ import pytest
 import catcost.broadcast
 from catcost.broadcast import (
     _marginal_projections,
-    _twirled_broadcast_sets,
+    _nearest_on_segment,
+    _twirled_broadcast_segment,
+    max_twirled_distance_to_product,
     project_to_two_copy_broadcast,
     pure_broadcast_uniqueness,
     sample_twirled_two_copy_broadcasts,
@@ -162,7 +164,7 @@ class TestProjectionRigidity:
 
 
 class TestTwirledRigidity:
-    """The four-coefficient search of ``rigidity`` against the dense path."""
+    """The exact four-coefficient set of ``rigidity`` against the dense path."""
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_readout_is_the_projector_traces(self, d):
@@ -177,7 +179,7 @@ class TestTwirledRigidity:
             projector = IsotropicCopies(d, unit).to_density().entries
             assert abs(np.trace(x @ projector) - coeffs[i, j]) <= 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_points_are_the_dense_product(self, d):
         phi = max_entangled(d)
         product = tensor(phi.op, phi.op)
@@ -196,22 +198,45 @@ class TestTwirledRigidity:
         assert report.passed
         assert report.results["max_distance_to_product"].value <= 1e-6
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_segment_is_the_product_point(self, d):
+        root, unit, lo, hi = _twirled_broadcast_segment(d)
+        assert lo == hi == 0
+        assert abs(unit @ unit - 1.0) <= 1e-15
+        # the whole line meets both marginal equations: each marginal's
+        # coefficients are Phi's (1, 0)
+        rank = d * d - 1.0
+        e00 = np.eye(4)[0]
+        for t in (-1.0, -1e-3, 0.0, 0.5):
+            c = ((e00 + t * unit) / root).reshape(2, 2)
+            assert np.abs(c[:, 0] + rank * c[:, 1] - [1.0, 0.0]).max() <= 1e-12
+            assert np.abs(c[0, :] + rank * c[1, :] - [1.0, 0.0]).max() <= 1e-12
+        # and any step off the point along it leaves the PSD cone
+        for t in (-1e-9, 1e-9):
+            assert (e00 + t * unit).min() < 0.0
+
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_marginal_projection_is_orthogonal_onto_the_marginal_line(self, d, rng):
-        _, [(back, offset), _], residual = _twirled_broadcast_sets(d)
+    def test_clamp_is_the_nearest_point_of_the_segment(self, d, rng):
+        _, unit, lo, hi = _twirled_broadcast_segment(d)
+        e00 = np.eye(4)[0]
+        ys = np.concatenate([rng.standard_normal((20, 4)) * scale for scale in (1e-2, 1.0, 10.0)])
+        # the exact segment, and wider ones cut from the same line
+        for a, b in [(lo, hi), (-0.3, 0.0), (0.0, 0.7), (-1.0, 2.0)]:
+            grid = e00 + np.linspace(a, b, 30001)[:, None] * unit
+            nearest = _nearest_on_segment(ys, unit, a, b)
+            for y, point in zip(ys, nearest):
+                t = (point - e00) @ unit
+                assert a - 1e-15 <= t <= b + 1e-15
+                assert np.abs(e00 + t * unit - point).max() <= 1e-12
+                on_grid = np.linalg.norm(grid - y, axis=1).min()
+                assert np.linalg.norm(point - y) <= on_grid + 1e-12
 
-        def proj(y):
-            return y @ back + offset
-
-        y = rng.standard_normal((3, 4))
-        out = proj(y)
-        assert out.shape == y.shape and out.dtype == np.float64
-        res = residual(out)
-        assert max(res["marginal_1"].max(), res["marginal_2"].max()) <= 1e-12
-        assert np.abs(proj(out) - out).max() <= 1e-12
-        # the product state e00 lies on the line, and each step is
-        # orthogonal to the line, along which out - e00 runs
-        e00 = np.eye(4)[:1]
-        assert np.array_equal(proj(e00), e00)
-        steps, along = y - out, out - e00
-        assert np.abs((steps * along).sum(axis=1)).max() <= 1e-12
+    @pytest.mark.parametrize("sample", [
+        lambda n: sample_twirled_two_copy_broadcasts(2, n),
+        lambda n: max_twirled_distance_to_product(2, n),
+        lambda n: sample_two_copy_broadcasts(max_entangled(2), n),
+    ])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_start_is_refused(self, sample, n):
+        with pytest.raises(ValueError, match="start count must be >= 1"):
+            sample(n)

@@ -249,3 +249,7 @@ class TestDistillationNoAdvantage:
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
             distillation_no_advantage_check(1)
+
+    def test_no_start_is_refused(self):
+        with pytest.raises(ValueError, match="start count must be >= 1"):
+            distillation_no_advantage_check(2, n_starts=0)

@@ -211,7 +211,7 @@ class TestCliScenarios:
         ["synthesize", "broadcast-phi-100000", "--m", "0"],
         ["protocol", "--d", "4"],
         ["protocol", "--d", "1000", "--n", "1000000"],
-        # an (s, 2, 4) iterate stack over the entry budget: 8 * 8193 > 2^16
+        # (s, 4) starts and their (s, 4) projections over the entry budget: 8 * 8193 > 2^16
         ["rigidity", "--starts", "8193"],
         ["rigidity", "--starts", "10" * 50],
     ])
@@ -495,9 +495,9 @@ class TestCliScenarios:
         assert runs[0] == runs[1]
 
     def test_rigidity_is_byte_identical_across_blas_threads(self):
-        # the search runs on 4 x 4 stacks from starts twirled by einsum; the
-        # BLAS calls left act on 16 x 16 or smaller matrices, which OpenBLAS
-        # runs on one thread
+        # the starts are twirled by einsum and clamped onto the exact set;
+        # the BLAS calls left act on 16 x 16 or smaller matrices, which
+        # OpenBLAS runs on one thread
         runs = self.reports_at_one_and_two_blas_threads(
             "rigidity", "--d", "2", "--starts", "50", "--seed", "42")
         assert b"overall: PASS" in runs[0]
