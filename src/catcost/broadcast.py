@@ -12,7 +12,9 @@ to a segment, computed in closed form, which is the single point
 phi x phi; since phi x phi is pure, a twirl average equal to it forces
 every point of S to equal it.  ``max_twirled_distance_to_product`` is
 that test as one number, for the ``rigidity`` scenario and the
-distillation check.
+distillation check: the seeded starts are drawn a stack at a time, and
+their projections are checked and measured as one (s, 4) array, with no
+object built for a start.
 """
 from __future__ import annotations
 
@@ -20,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import IsotropicCopies, copy_ranks, twirl_coefficients
+from .measures import (
+    IsotropicCopies,
+    copies_trace_distances,
+    copy_ranks,
+    require_copy_states,
+    twirl_coefficients,
+)
 from .operators import (
     MAX_ENTRIES,
     DensityOperator,
@@ -209,16 +217,17 @@ def _nearest_on_segment(ys: np.ndarray, unit: np.ndarray, lo: float, hi: float) 
     return e00 + np.clip((ys - e00) @ unit, lo, hi)[:, None] * unit
 
 
-def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
-                                       seed: int = 0) -> list[IsotropicCopies]:
-    """``sample_two_copy_broadcasts`` for phi = Phi_d, in 4 coefficients a start.
+def _twirled_projections(d: int, n_starts: int, seed: int) -> np.ndarray:
+    """The twirled starts' nearest points of Phi_d's broadcast set, as (s, 2, 2) coefficients.
 
     The starts are the dense search's, drawn as real matrices (Phi_d is
-    real) and twirled a drawn stack at a time; each twirled start goes to
-    its nearest point of the exact set (``_twirled_broadcast_segment``),
-    with no search and no eigendecomposition.  More starts than their
-    (s, 4) coefficients and (s, 4) projections hold within MAX_ENTRIES are
-    refused before any is drawn.
+    real) a stack at a time and twirled a stack at a time; each twirled
+    start goes to its nearest point of the exact set
+    (``_twirled_broadcast_segment``), with no search and no
+    eigendecomposition, all starts in one array operation.  More starts
+    than their (s, 4) coefficients and (s, 4) projections hold within
+    MAX_ENTRIES are refused before any is drawn.  The rows are checked
+    as states once, as a stack (``require_copy_states``).
     """
     if n_starts < 1:
         raise ValueError("start count must be >= 1")
@@ -229,9 +238,18 @@ def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
     starts = np.concatenate([root * twirl_coefficients(d, drawn).reshape(len(drawn), -1)
                              for drawn in seeded_starts(d ** 4, n_starts, seed,
                                                         "two-copy broadcast start")])
-    # the segment lies in the trace-one plane, so each point is a state
-    return [IsotropicCopies(d, (y / root).reshape(2, 2))
-            for y in _nearest_on_segment(starts, unit, lo, hi)]
+    coeffs = (_nearest_on_segment(starts, unit, lo, hi) / root).reshape(-1, 2, 2)
+    require_copy_states(d, coeffs)
+    return coeffs
+
+
+def sample_twirled_two_copy_broadcasts(d: int, n_starts: int = 50,
+                                       seed: int = 0) -> list[IsotropicCopies]:
+    """``sample_two_copy_broadcasts`` for phi = Phi_d, in 4 coefficients a start.
+
+    Each row of ``_twirled_projections`` as an ``IsotropicCopies``.
+    """
+    return [IsotropicCopies(d, c) for c in _twirled_projections(d, n_starts, seed)]
 
 
 def max_twirled_distance_to_product(d: int, n_starts: int = 50, seed: int = 0) -> float:
@@ -239,9 +257,10 @@ def max_twirled_distance_to_product(d: int, n_starts: int = 50, seed: int = 0) -
 
     The rigidity claim in one number: every sampled point of Phi_d's
     two-copy broadcast set lies within this distance of Phi_d x Phi_d.
-    The set is computed exactly, so the number is 0.0.
+    The set is computed exactly, so the number is 0.0.  The distances
+    are one expression on all the projections, with no object built for a start.
     """
     phi = IsotropicCopies.isotropic(d, 1.0)
     product = IsotropicCopies.symmetric_two_broadcast(phi, phi)
-    points = sample_twirled_two_copy_broadcasts(d, n_starts=n_starts, seed=seed)
-    return max(point.trace_distance(product) for point in points)
+    points = _twirled_projections(d, n_starts, seed)
+    return float(copies_trace_distances(d, points, product.coeffs).max())

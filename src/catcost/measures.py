@@ -170,9 +170,16 @@ def _outer_power(w: tuple[float, float], k: int) -> np.ndarray:
     return functools.reduce(np.multiply.outer, [np.array(w)] * k)
 
 
+@functools.lru_cache(maxsize=128)
 def copy_ranks(d: int, k: int) -> np.ndarray:
-    """The (2,) * k ranks of the projectors that ``IsotropicCopies`` coefficients weigh."""
-    return _outer_power(_ranks(d), k)
+    """The (2,) * k ranks of the projectors that ``IsotropicCopies`` coefficients weigh.
+
+    Read-only and built once per (d, k): every state check and trace
+    distance reads them.
+    """
+    ranks = _outer_power(_ranks(d), k)
+    ranks.setflags(write=False)
+    return ranks
 
 
 def partial_transpose_spectrum(d: int, c: np.ndarray) -> np.ndarray:
@@ -240,6 +247,32 @@ def twirl_coefficients(d: int, x: np.ndarray) -> np.ndarray:
     return _per_copy(((1.0, 0.0), (-1.0 / (n - 1), 1.0 / (n - 1))), traces, x.ndim - 2)
 
 
+def require_copy_states(d: int, c: np.ndarray) -> None:
+    """Refuse an (s,) + (2,) * k stack of ``IsotropicCopies`` coefficients unless each is a state.
+
+    As ``DensityOperator`` is validated: every trace within
+    ``DEFAULT_TRACE_TOL`` of one and least coefficient >= -``DEFAULT_PSD_TOL``;
+    the message names the trace farthest from one.
+    """
+    traces = (c * copy_ranks(d, c.ndim - 1)).reshape(len(c), -1).sum(axis=1)
+    off = abs(traces - 1.0)
+    if not off.max() <= DEFAULT_TRACE_TOL:
+        tr = float(traces[off.argmax()])
+        raise ValueError(f"trace {tr} is not 1 within {DEFAULT_TRACE_TOL:.1e}")
+    if c.min() < -DEFAULT_PSD_TOL:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {c.min():.3e}")
+
+
+def copies_trace_distances(d: int, c: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Trace distance of each state of an (s,) + (2,) * k coefficient stack from ``other``.
+
+    The coefficients are the spectrum on orthogonal projectors, so each is
+    half the sum of |coefficient differences| times their ranks.
+    """
+    diff = np.abs(c - other)
+    return 0.5 * (diff * copy_ranks(d, other.ndim)).reshape(len(c), -1).sum(axis=1)
+
+
 # eq=False: a field-wise == would compare the coefficient arrays and raise
 @dataclass(frozen=True, eq=False)
 class IsotropicCopies:
@@ -276,11 +309,7 @@ class IsotropicCopies:
             raise ValueError(f"coefficients have shape {c.shape}, expected (2,) * k")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        tr = float((c * copy_ranks(self.d, c.ndim)).sum())
-        if not abs(tr - 1.0) <= DEFAULT_TRACE_TOL:
-            raise ValueError(f"trace {tr} is not 1 within {DEFAULT_TRACE_TOL:.1e}")
-        if c.min() < -DEFAULT_PSD_TOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {c.min():.3e}")
+        require_copy_states(self.d, c[None])
 
     @classmethod
     def isotropic(cls, d: int, lam: float) -> IsotropicCopies:
@@ -293,7 +322,7 @@ class IsotropicCopies:
     def symmetric_two_broadcast(cls, s0: IsotropicCopies,
                                 s1: IsotropicCopies) -> IsotropicCopies:
         """(s0 x s1 + s1 x s0) / 2 (``states.symmetric_two_broadcast``)."""
-        if s0.shape != s1.shape:
+        if (s0.d, s0.coeffs.ndim) != (s1.d, s1.coeffs.ndim):  # (d, k) fixes the shape
             raise ValueError("broadcast halves must share a shape")
         outer = np.multiply.outer
         return cls(s0.d, (outer(s0.coeffs, s1.coeffs) + outer(s1.coeffs, s0.coeffs)) / 2)
@@ -352,10 +381,11 @@ class IsotropicCopies:
 
     def trace_distance(self, other: IsotropicCopies) -> float:
         """Half the sum of |coefficient differences| times their ranks."""
-        if not isinstance(other, IsotropicCopies) or other.shape != self.shape:
+        # (d, k) fixes the shape: one (d, d) factor per copy
+        if (not isinstance(other, IsotropicCopies)
+                or (other.d, other.coeffs.ndim) != (self.d, self.coeffs.ndim)):
             raise ValueError("trace distance needs two IsotropicCopies of one shape")
-        diff = np.abs(self.coeffs - other.coeffs)
-        return 0.5 * float((diff * copy_ranks(self.d, diff.ndim)).sum())
+        return float(copies_trace_distances(self.d, self.coeffs[None], other.coeffs)[0])
 
     def to_density(self) -> DensityOperator:
         """The dense state, with d^(2k) x d^(2k) entries."""

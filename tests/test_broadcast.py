@@ -17,7 +17,7 @@ from catcost.broadcast import (
     verify_broadcast,
 )
 from catcost.cli import scenario_rigidity
-from catcost.measures import IsotropicCopies
+from catcost.measures import IsotropicCopies, copy_ranks
 from catcost.operators import (
     MAX_ENTRIES,
     FactorShape,
@@ -230,6 +230,34 @@ class TestTwirledRigidity:
                 assert np.abs(e00 + t * unit - point).max() <= 1e-12
                 on_grid = np.linalg.norm(grid - y, axis=1).min()
                 assert np.linalg.norm(point - y) <= on_grid + 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_stacked_distance_is_the_largest_point_distance(self, d, seed):
+        n = 20 if d == 4 else 60
+        phi = IsotropicCopies.isotropic(d, 1.0)
+        product = IsotropicCopies.symmetric_two_broadcast(phi, phi)
+        points = sample_twirled_two_copy_broadcasts(d, n, seed)
+        assert len(points) == n
+        worst = max_twirled_distance_to_product(d, n, seed)
+        assert type(worst) is float
+        assert worst == max(point.trace_distance(product) for point in points)
+
+    @pytest.mark.parametrize("row", [[0.5, 0.0, 0.0, 0.0], [1.2, -0.1, 0.0, 0.1 / 3.0],
+                                     [float("nan"), 0.0, 0.0, 0.0]])
+    def test_a_projection_that_is_no_state_is_refused(self, row, monkeypatch):
+        # the stacked state check, once on all (s, 4) projections, as
+        # IsotropicCopies checks one
+        def one_bad_row(ys, unit, lo, hi):
+            points = nearest(ys, unit, lo, hi)
+            points[3] = row * np.sqrt(copy_ranks(2, 2).ravel())
+            return points
+
+        nearest = _nearest_on_segment
+        monkeypatch.setattr(catcost.broadcast, "_nearest_on_segment", one_bad_row)
+        for sample in (sample_twirled_two_copy_broadcasts, max_twirled_distance_to_product):
+            with pytest.raises(ValueError, match="trace|positive semidefinite"):
+                sample(2, 5, 0)
 
     @pytest.mark.parametrize("sample", [
         lambda n: sample_twirled_two_copy_broadcasts(2, n),

@@ -220,7 +220,7 @@ class TestCliScenarios:
         # refused on the arguments alone, before any state is built or start drawn
         def refuse(*args, **kwargs):
             raise AssertionError("a start was drawn")
-        monkeypatch.setattr("catcost.projections.random_density_matrix", refuse)
+        monkeypatch.setattr("catcost.projections.random_density_matrices", refuse)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

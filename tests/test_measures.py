@@ -16,6 +16,7 @@ from catcost.measures import (
     IsotropicCopies,
     binegativity,
     copies_matrix,
+    copies_trace_distances,
     copy_ranks,
     d_max,
     d_max_to_ppt_isotropic,
@@ -26,6 +27,7 @@ from catcost.measures import (
     log_negativity,
     partial_transpose_isometry,
     partial_transpose_spectrum,
+    require_copy_states,
     schmidt_rank,
     twirl_coefficients,
     work_cost_semiclassical,
@@ -499,6 +501,33 @@ class TestIsotropicCopies:
     def test_invalid_coefficients_are_refused(self, d, coeffs):
         with pytest.raises(ValueError):
             IsotropicCopies(d, np.array(coeffs))
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0.5, 0.5], "trace 2.0 is not 1"),
+        ([1.3, -0.1], "min eigenvalue -1.000e-01"),
+        ([float("nan"), 0.0], "trace nan"),
+    ])
+    def test_a_stack_with_one_non_state_is_refused(self, bad, message):
+        ok = [IsotropicCopies.isotropic(2, lam).coeffs for lam in (0.0, 0.5, 1.0)]
+        require_copy_states(2, np.array(ok))
+        with pytest.raises(ValueError, match=message):
+            require_copy_states(2, np.array(ok[:2] + [bad] + ok[2:]))
+        with pytest.raises(ValueError, match=message):
+            IsotropicCopies(2, np.array(bad))
+
+    def test_pairs_need_one_shape(self):
+        one = IsotropicCopies.isotropic(2, 0.5)
+        two = IsotropicCopies.symmetric_two_broadcast(one, one)
+        assert one.trace_distance(IsotropicCopies.isotropic(2, 0.5)) == 0.0
+        for other in (IsotropicCopies.isotropic(3, 0.5), two, one.to_density()):
+            with pytest.raises(ValueError, match="one shape"):
+                one.trace_distance(other)
+        for other in (IsotropicCopies.isotropic(3, 0.5), two):
+            with pytest.raises(ValueError, match="share a shape"):
+                IsotropicCopies.symmetric_two_broadcast(one, other)
+        rows = np.stack([one.coeffs, IsotropicCopies.isotropic(2, 0.2).coeffs])
+        assert list(copies_trace_distances(2, rows, one.coeffs)) == [
+            0.0, IsotropicCopies.isotropic(2, 0.2).trace_distance(one)]
 
     def test_mixed_types_and_bad_marginals_are_refused(self):
         rho, mu, rho_dense, mu_dense = self.pairs(2)

@@ -13,6 +13,7 @@ from catcost.choi import _twirled_dilution, synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
 from catcost.measures import copy_ranks, twirl_coefficients
 from catcost.operators import (
+    MAX_ENTRIES,
     bipartite_shape,
     density_from_matrix,
     hermitian_part,
@@ -20,6 +21,7 @@ from catcost.operators import (
     trace_distance,
 )
 from catcost.projections import (
+    DRAW_ENTRIES,
     _AndersonHistory,
     _floats,
     _folded_dr_map,
@@ -200,6 +202,32 @@ class TestStarts:
         # both generators advanced alike: the next draws agree too
         assert np.array_equal(random_density_matrix(dim, real_rng, np.float64),
                               random_density_matrix(dim, complex_rng).real)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    @pytest.mark.parametrize("dim, n_starts", [
+        (4, 3),
+        (16, 7),    # within one draw part: DRAW_ENTRIES // 256 = 8 starts
+        (16, 20),   # across draw parts
+        (16, 300),  # across a MAX_ENTRIES block of 256 starts
+        (256, 2),   # one start a block, over a draw part on its own
+    ])
+    def test_stacked_draw_is_the_sequential_draw(self, dtype, dim, n_starts):
+        # every seeded search start, every pinned cycle count, rests on these bits
+        assert (DRAW_ENTRIES // dim ** 2, MAX_ENTRIES // dim ** 2) in {(128, 4096), (8, 256), (0, 1)}
+        drawn = list(seeded_starts(dim, n_starts, 5, "start", dtype))
+        assert [len(stack) for stack in drawn[:-1]] == [MAX_ENTRIES // dim ** 2] * (len(drawn) - 1)
+        stacked = np.concatenate(drawn)
+        assert stacked.dtype == dtype and stacked.shape == (n_starts, dim, dim)
+        one_by_one = np.random.default_rng(5)
+        assert np.array_equal(stacked, np.stack([random_density_matrix(dim, one_by_one, dtype)
+                                                 for _ in range(n_starts)]))
+        # and the per-start formula, two draws a start, gives the same bits
+        rng = np.random.default_rng(5)
+        for start in stacked:
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            m = g @ g.conj().T
+            m = m / np.trace(m).real
+            assert np.array_equal(start, m if dtype == np.complex128 else m.real)
 
 
 class TestRetirement:
