@@ -12,9 +12,10 @@ to a segment, computed in closed form, which is the single point
 phi x phi; since phi x phi is pure, a twirl average equal to it forces
 every point of S to equal it.  ``max_twirled_distance_to_product`` is
 that test as one number, for the ``rigidity`` scenario and the
-distillation check: the seeded starts are drawn a stack at a time, and
-their projections are checked and measured as one (s, 4) array, with no
-object built for a start.
+distillation check: the twirled starts are drawn from their exact law
+(``random_twirled_states``), with no matrix built, and their projections
+are checked and measured as one (s, 4) array, with no object built for a
+start.
 """
 from __future__ import annotations
 
@@ -26,14 +27,14 @@ from .measures import (
     IsotropicCopies,
     copies_trace_distances,
     copy_ranks,
+    random_twirled_states,
     require_copy_states,
-    twirl_coefficients,
 )
 from .operators import (
     MAX_ENTRIES,
     DensityOperator,
-    FactorShape,
     ResourceLimitError,
+    check_entry_budget,
     density_from_matrix,
     partial_trace,
     require_pure,
@@ -60,11 +61,6 @@ class BroadcastReport:
     tol: float
 
 
-def _copy_factor_indices(rho_shape: FactorShape, i: int) -> set[int]:
-    k = rho_shape.n_factors
-    return set(range(i * k, (i + 1) * k))
-
-
 def verify_broadcast(mu: DensityOperator | IsotropicCopies,
                      rho: DensityOperator | IsotropicCopies, n: int,
                      tol: float = BROADCAST_TOL) -> BroadcastReport:
@@ -77,13 +73,20 @@ def verify_broadcast(mu: DensityOperator | IsotropicCopies,
         raise ValueError("copy count must be >= 1")
     if type(mu) is not type(rho):
         raise ValueError("broadcast and target must be both dense or both IsotropicCopies")
-    # n_factors first: a huge n is a mismatch, which rho.shape.copies(n) would refuse
-    if mu.shape.n_factors != n * rho.shape.n_factors or mu.shape != rho.shape.copies(n):
+    if isinstance(rho, IsotropicCopies):
+        # (d, k) fixes the shape: one (d, d) factor per copy
+        k = rho.coeffs.ndim
+        matches = (mu.d, mu.coeffs.ndim) == (rho.d, n * k)
+    else:
+        # n_factors first: a huge n is a mismatch, which rho.shape.copies(n) would refuse
+        k = rho.shape.n_factors
+        matches = mu.shape.n_factors == n * k and mu.shape == rho.shape.copies(n)
+    if not matches:
         raise ValueError(
             f"broadcast shape {mu.shape.factors} is not {n} copies of {rho.shape.factors}")
     residuals = []
     for i in range(n):
-        keep = _copy_factor_indices(rho.shape, i)
+        keep = set(range(i * k, (i + 1) * k))
         if isinstance(mu, IsotropicCopies):
             residuals.append(mu.marginal(keep).trace_distance(rho))
         else:
@@ -212,22 +215,28 @@ def _twirled_broadcast_segment(d: int):
 
 
 def _nearest_on_segment(ys: np.ndarray, unit: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The nearest point of e00 + [lo, hi] u, u a unit vector, to each row of ys."""
+    """The nearest point of e00 + [lo, hi] u, u a unit vector, to each row of ys.
+
+    Elementwise arithmetic, no BLAS call.
+    """
     e00 = np.eye(4)[0]
-    return e00 + np.clip((ys - e00) @ unit, lo, hi)[:, None] * unit
+    return e00 + np.clip(((ys - e00) * unit).sum(axis=1), lo, hi)[:, None] * unit
 
 
 def _twirled_projections(d: int, n_starts: int, seed: int) -> np.ndarray:
     """The twirled starts' nearest points of Phi_d's broadcast set, as (s, 2, 2) coefficients.
 
-    The starts are the dense search's, drawn as real matrices (Phi_d is
-    real) a stack at a time and twirled a stack at a time; each twirled
-    start goes to its nearest point of the exact set
-    (``_twirled_broadcast_segment``), with no search and no
-    eigendecomposition, all starts in one array operation.  More starts
-    than their (s, 4) coefficients and (s, 4) projections hold within
-    MAX_ENTRIES are refused before any is drawn.  The rows are checked
-    as states once, as a stack (``require_copy_states``).
+    The starts are the twirls of the dense search's Ginibre starts, drawn
+    from their exact law in 4 Gamma variates a start
+    (``random_twirled_states``), with no d^4 x d^4 matrix built; each goes
+    to its nearest point of the exact set (``_twirled_broadcast_segment``),
+    with no search and no BLAS or LAPACK call, all starts in one array
+    operation.  More starts than their (s, 4) coefficients and (s, 4)
+    projections hold within MAX_ENTRIES are refused before any is drawn,
+    and so is a d whose d^4 x d^4 start would exceed MAX_ENTRIES: no such
+    matrix is built, but the dense starts' budget is kept, so that the
+    same requests are refused.  The rows are checked as states once, as a
+    stack (``require_copy_states``).
     """
     if n_starts < 1:
         raise ValueError("start count must be >= 1")
@@ -235,9 +244,8 @@ def _twirled_projections(d: int, n_starts: int, seed: int) -> np.ndarray:
         raise ResourceLimitError(f"{n_starts} two-copy broadcast starts need {8 * n_starts} "
                                  f"iterate entries, budget is {MAX_ENTRIES}")
     root, unit, lo, hi = _twirled_broadcast_segment(d)
-    starts = np.concatenate([root * twirl_coefficients(d, drawn).reshape(len(drawn), -1)
-                             for drawn in seeded_starts(d ** 4, n_starts, seed,
-                                                        "two-copy broadcast start")])
+    check_entry_budget(d ** 4, "two-copy broadcast start")
+    starts = root * random_twirled_states(d, 2, n_starts, seed).reshape(n_starts, -1)
     coeffs = (_nearest_on_segment(starts, unit, lo, hi) / root).reshape(-1, 2, 2)
     require_copy_states(d, coeffs)
     return coeffs

@@ -1,5 +1,6 @@
 """Broadcast verification and the purity-rigidity projection machinery."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,8 +169,8 @@ class TestTwirledRigidity:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_readout_is_the_projector_traces(self, d):
-        # the first seeded start of the search, and P_i x P_j / rank as the
-        # dense state of the coefficient tensor with one entry 1 / rank
+        # a seeded dense start, and P_i x P_j / rank as the dense state of
+        # the coefficient tensor with one entry 1 / rank
         x = random_density_matrix(d ** 4, np.random.default_rng(0), np.float64)
         coeffs = IsotropicCopies.from_twirl(d, x).coeffs
         ranks = np.multiply.outer([1.0, d * d - 1.0], [1.0, d * d - 1.0])
@@ -242,6 +243,37 @@ class TestTwirledRigidity:
         worst = max_twirled_distance_to_product(d, n, seed)
         assert type(worst) is float
         assert worst == max(point.trace_distance(product) for point in points)
+
+    def test_largest_request_builds_no_matrix(self, forbid_dense_operators, monkeypatch):
+        # 8 192 starts at d = 4 from their law: no dense start, no dense
+        # twirl and no linear algebra, and a heap of a few (s, 4) arrays
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense start was drawn or twirled")
+
+        class NoLinalg:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.linalg.{name} was called")
+
+        monkeypatch.setattr("catcost.projections.random_density_matrices", refuse)
+        monkeypatch.setattr("catcost.measures.twirl_coefficients", refuse)
+        monkeypatch.setattr(np, "linalg", NoLinalg())
+        scenario_rigidity(4, 1, 0)  # first-use allocations outside the run
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = scenario_rigidity(4, 8192, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert report.passed
+        assert report.results["max_distance_to_product"].value == 0.0
+        # eight (8192, 4) float64 arrays; one dense 256 x 256 complex start
+        # alone holds 1 MiB, and its draw three times that
+        assert peak <= 8 * 8192 * 4 * 8
 
     @pytest.mark.parametrize("row", [[0.5, 0.0, 0.0, 0.0], [1.2, -0.1, 0.0, 0.1 / 3.0],
                                      [float("nan"), 0.0, 0.0, 0.0]])

@@ -217,10 +217,12 @@ class TestCliScenarios:
     ])
     def test_oversized_requests_are_usage_errors(self, argv, capsys, forbid_dense_operators,
                                                  monkeypatch):
-        # refused on the arguments alone, before any state is built or start drawn
+        # refused on the arguments alone, before any state is built or start
+        # drawn: dense starts, and rigidity's starts drawn from their law
         def refuse(*args, **kwargs):
             raise AssertionError("a start was drawn")
         monkeypatch.setattr("catcost.projections.random_density_matrices", refuse)
+        monkeypatch.setattr("catcost.broadcast.random_twirled_states", refuse)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -494,12 +496,12 @@ class TestCliScenarios:
         assert b"overall: PASS" in runs[0]
         assert runs[0] == runs[1]
 
-    def test_rigidity_is_byte_identical_across_blas_threads(self):
-        # the starts are twirled by einsum and clamped onto the exact set;
-        # the BLAS calls left act on 16 x 16 or smaller matrices, which
-        # OpenBLAS runs on one thread
-        runs = self.reports_at_one_and_two_blas_threads(
-            "rigidity", "--d", "2", "--starts", "50", "--seed", "42")
+    @pytest.mark.parametrize("args", [("--d", "2", "--starts", "50", "--seed", "42"),
+                                      ("--d", "4", "--starts", "5", "--seed", "1")])
+    def test_rigidity_is_byte_identical_across_blas_threads(self, args):
+        # the twirled starts are drawn from their law and clamped onto the
+        # exact set by elementwise arithmetic: rigidity makes no BLAS call
+        runs = self.reports_at_one_and_two_blas_threads("rigidity", *args)
         assert b"overall: PASS" in runs[0]
         assert runs[0] == runs[1]
 
