@@ -236,8 +236,11 @@ def _twirled_projections(d: int, n_starts: int, seed: int) -> np.ndarray:
     and so is a d whose d^4 x d^4 start would exceed MAX_ENTRIES: no such
     matrix is built, but the dense starts' budget is kept, so that the
     same requests are refused.  The rows are checked as states once, as a
-    stack (``require_copy_states``).
+    stack (``require_copy_states``).  A d < 2, which has no segment, is
+    refused first.
     """
+    if d < 2:
+        raise ValueError("local dimension must be >= 2")
     if n_starts < 1:
         raise ValueError("start count must be >= 1")
     if 8 * n_starts > MAX_ENTRIES:

@@ -320,13 +320,20 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
     def coeffs(y: np.ndarray) -> np.ndarray:
         return (y / root).reshape(rho.shape)
 
+    # at m >= 1 the least coefficient of a and e a^Gamma are constants, and
+    # a check reuses them; at m = 0 a = b, and a check computes each once
+    least = np.minimum.reduce  # ``ndarray.min`` without its Python wrapper
+    a_least, e_a_pt = (None, None) if m == 0 else (least(rho, None),
+                                                   e * target.partial_transpose_coeffs)
+
     def residuals(y: np.ndarray) -> dict[str, float]:
         c = coeffs(y)
-        a = c if m == 0 else rho
+        c_least = least(c, None)
         b_pt = partial_transpose_spectrum(d, c)
-        a_pt = b_pt if m == 0 else target.partial_transpose_coeffs
-        ppt = min((e * a_pt + (1.0 - e) * b_pt).min(), ((1.0 + e) * b_pt - e * a_pt).min())
-        return {"cp": max(0.0, -float(min(c.min(), a.min()))), "ppt": max(0.0, -float(ppt)),
+        ea_pt = e * b_pt if m == 0 else e_a_pt
+        ppt = min(least(ea_pt + (1.0 - e) * b_pt, None), least((1.0 + e) * b_pt - ea_pt, None))
+        cp = c_least if m == 0 else min(c_least, a_least)
+        return {"cp": max(0.0, -float(cp)), "ppt": max(0.0, -float(ppt)),
                 "tp": abs(float(c.ravel() @ ranks) - 1.0),
                 "correctness": largest_entry(d, c - rho) if m == 0 else 0.0}
 

@@ -21,6 +21,7 @@ per-call options are declared on ``solve_feasibility_batch`` alone.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -204,7 +205,11 @@ _TINY = np.finfo(float).tiny
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products of matching rows, each flattened; a row's value depends on no other row."""
+    """Inner products of matching rows, each flattened; a row's value depends on no other row.
+
+    The formula of the Anderson step's sizes |g|^2 and |df_j|^2 + |dg_j|^2,
+    which the step computes through views of the same shapes.
+    """
     return np.matmul(a.reshape(len(a), 1, -1), b.reshape(len(b), -1, 1))[:, 0, 0]
 
 
@@ -225,15 +230,24 @@ class _AndersonHistory:
     ``gram`` = dg dg^T (one new row a step), ``scale`` = |df_j|^2 + |dg_j|^2
     for the ridge, ``gamma`` and ``extrapolated``.  The buffers are
     allocated once; ``keep`` compacts them in place when starts retire.
+    Each step's products go into scratch buffers allocated once too, and
+    ``keep`` names every view a step reads or writes, so a step makes no
+    index, reshape or temporary beyond the new point.
     """
 
     def __init__(self, x0: np.ndarray) -> None:
         (s, dim), depth = x0.shape, ANDERSON_DEPTH
-        self.eye, self.x = np.eye(depth), x0
+        self.x = x0
         self.slot = -1  # ring slot of the newest difference; -1 before the first step
         self._buffers = (np.zeros((s, 2, dim)), np.zeros(s), np.zeros((s, depth, 2, dim)),
-                         np.zeros((s, depth, depth)), np.zeros((s, depth)), np.zeros((s, depth)),
-                         np.zeros(s, dtype=bool))
+                         np.zeros((s, depth, depth)), np.zeros((s, depth)),
+                         np.zeros((s, depth, 1)), np.zeros(s, dtype=bool))
+        # every step overwrites these before it reads them: (T, g) at the
+        # current point, |g|^2, the ridge, the ridged Gram system, dg g and
+        # gamma df; ``keep`` shortens them and moves nothing
+        self._scratch = (np.empty((s, 2, dim)), np.empty((s, 1, 1)), np.empty(s),
+                         np.empty((s, depth, depth)), np.empty((s, depth, 1)),
+                         np.empty((s, 1, dim)))
         self.keep(np.ones(s, dtype=bool))  # names the rows, and makes x a copy of x0
 
     @property
@@ -246,50 +260,86 @@ class _AndersonHistory:
         A start whose extrapolated point has a larger |g| than the point it
         left from rejects it: it goes on from the T it holds, history cleared.
         """
-        pair, fg = self.pair, self.fg
-        pair[:, 0] = t
-        r = np.subtract(t, self.x, out=pair[:, 1])
-        r_norm2 = _row_dots(r, r)
+        fg, g_norm2 = self.fg, self.g_norm2
+        self.t[...] = t
+        np.subtract(t, self.x, self.r)
+        np.matmul(self.r_row, self.r_col, self.r_dot)  # |r|^2 in self.r_norm2
         if self.slot < 0:  # the first step is a plain one
             self.slot = ANDERSON_DEPTH - 1
-            fg[...], self.g_norm2[...] = pair, r_norm2
+            fg[...], g_norm2[...] = self.pair, self.r_norm2
             self.x = t.copy()
             return self.x
-        rejected = self.extrapolated & (r_norm2 > self.g_norm2)
+        rejected = self.extrapolated & (self.r_norm2 > g_norm2)
         self.slot = j = (self.slot + 1) % ANDERSON_DEPTH
-        dfg_j = np.subtract(pair, fg, out=self.dfg[:, j])
-        row = np.matmul(self.dg, dfg_j[:, 1, :, None])[..., 0]
-        self.gram[:, j, :] = self.gram[:, :, j] = row
-        self.scale[:, j] = _row_dots(dfg_j, dfg_j)
+        # the new difference, its Gram row (and column), and its size
+        dfg_j, dfg_row, dfg_col, dg_col, gram_row, gram_col, scale_j = self.slots[j]
+        np.subtract(self.pair, fg, dfg_j)
+        np.matmul(self.dg, dg_col, gram_row)
+        gram_col[...] = gram_row
+        np.matmul(dfg_row, dfg_col, scale_j)
         if np.count_nonzero(rejected):
             for a in (self.dfg, self.gram, self.scale):
                 a[rejected] = 0.0
             accepted = ~rejected
-            np.copyto(fg, pair, where=accepted[:, None, None])
-            np.copyto(self.g_norm2, r_norm2, where=accepted)
+            np.copyto(fg, self.pair, where=accepted[:, None, None])
+            np.copyto(g_norm2, self.r_norm2, where=accepted)
             self.extrapolated[...] = accepted
         else:
-            fg[...], self.g_norm2[...], self.extrapolated[...] = pair, r_norm2, True
+            fg[...], g_norm2[...], self.extrapolated[...] = self.pair, self.r_norm2, True
         # gamma = argmin |g - dg gamma|^2 + ridge |gamma|^2, the ridge scaled
-        # by the sizes of both difference sets (Fu-Zhang-Boyd); a cleared
-        # column gets gamma 0, and an all-clear history the plain step
-        ridge = _ANDERSON_REG * np.add.reduce(self.scale, 1) + _TINY
-        lhs = self.gram + np.multiply.outer(ridge, self.eye)
-        self.gamma[...] = _gesv(lhs, np.matmul(self.dg, self.g[..., None]))[..., 0]
-        self.x = self.f - np.matmul(self.gamma[:, None, :], self.df)[:, 0]
+        # by the sizes of both difference sets (Fu-Zhang-Boyd) and added
+        # onto the diagonal of a copy of the Gram matrix; a cleared column
+        # gets gamma 0, and an all-clear history the plain step
+        ridge = self.ridge
+        np.add.reduce(self.scale, 1, None, ridge)
+        np.multiply(_ANDERSON_REG, ridge, ridge)
+        np.add(ridge, _TINY, ridge)
+        self.lhs[...] = self.gram
+        np.add(self.lhs_diag, self.ridge_col, self.lhs_diag)
+        np.matmul(self.dg, self.g_col, self.rhs)
+        _gesv(self.lhs, self.rhs, self.gamma_col)
+        np.matmul(self.gamma_row, self.df, self.step_row)
+        self.x = self.f - self.step_flat
         return self.x
 
     def keep(self, keep: np.ndarray) -> None:
-        """Keep the rows where ``keep`` holds, moved in place to the front, and name them."""
+        """Keep the rows where ``keep`` holds, moved in place to the front, and name them.
+
+        Every view a step uses is named here, on the kept rows, in the
+        shapes and strides of the formulas it stands for, so each product
+        runs the kernel it would on a fresh array.
+        """
         rows = np.flatnonzero(keep)
+        s, dim = len(rows), self.x.shape[1]
         for a in self._buffers:
             _compact_rows(a, rows)
         self.x = self.x[rows]
-        (self.fg, self.g_norm2, self.dfg, self.gram, self.scale, self.gamma,
-         self.extrapolated) = (a[:len(rows)] for a in self._buffers)
+        (self.fg, self.g_norm2, self.dfg, self.gram, self.scale, self.gamma_col,
+         self.extrapolated) = (a[:s] for a in self._buffers)
+        self.pair, self.r_dot, self.ridge, self.lhs, self.rhs, self.step_row = (
+            a[:s] for a in self._scratch)
         self.f, self.g, self.df, self.dg = (self.fg[:, 0], self.fg[:, 1], self.dfg[:, :, 0],
                                             self.dfg[:, :, 1])
-        self.pair = np.empty_like(self.fg)  # T and g at the current point
+        self.t, self.r = self.pair[:, 0], self.pair[:, 1]  # T and g at the current point
+        self.r_row, self.r_col = self.r.reshape(s, 1, dim), self.r.reshape(s, dim, 1)
+        self.r_norm2 = self.r_dot[:, 0, 0]
+        # per ring slot j: (df, dg)_j, flat as a row and as a column, dg_j as
+        # a column, row and column j of the Gram matrix, and scale_j
+        dfg = [self.dfg[:, j] for j in range(ANDERSON_DEPTH)]
+        self.slots = [(a, a.reshape(s, 1, 2 * dim), a.reshape(s, 2 * dim, 1), a[:, 1, :, None],
+                       self.gram[:, j, :, None], self.gram[:, :, j, None],
+                       self.scale[:, j, None, None]) for j, a in enumerate(dfg)]
+        self.ridge_col = self.ridge[:, None]
+        self.lhs_diag = np.einsum("sii->si", self.lhs)  # a writable view
+        self.g_col = self.g[..., None]
+        self.gamma = self.gamma_col[..., 0]
+        self.gamma_row = self.gamma[:, None, :]
+        self.step_flat = self.step_row[:, 0]
+
+
+def _largest(res: dict[str, np.ndarray]) -> np.ndarray:
+    """Each start's largest residual: an ``np.maximum`` over the names, in their order."""
+    return functools.reduce(np.maximum, res.values())
 
 
 def _floats(y: np.ndarray) -> np.ndarray:
@@ -345,7 +395,7 @@ def solve_feasibility_batch(
             return np.maximum(y, 0.0)
     best_point = readout(points)
     best_res = residual_fn(best_point)
-    best_max = np.max(list(best_res.values()), axis=0)
+    best_max = _largest(best_res)
     history = [[float(b)] for b in best_max]
     last_improvement = np.zeros(len(best_point), dtype=int)
     live = np.arange(len(best_point))  # input position of each start left in the stack
@@ -366,12 +416,17 @@ def solve_feasibility_batch(
             continue
         candidate = readout(y.reshape(len(y), n_sets, *points.shape[1:]).sum(axis=1) / n_sets)
         res = residual_fn(candidate)
-        res_max = np.max(list(res.values()), axis=0)
+        res_max = _largest(res)
         last_improvement[res_max < best_max * (1.0 - _STALL_RTOL)] = it
+        # a start keeps its point and residuals from the first check that
+        # reached its best: a tie does not replace them, and a check where
+        # no start improved rebuilds nothing
         better = res_max < best_max
-        best_point = np.where(better.reshape(-1, *[1] * (starts.ndim - 1)), candidate, best_point)
-        best_res = {name: np.where(better, res[name], r) for name, r in best_res.items()}
-        best_max = np.where(better, res_max, best_max)
+        if np.count_nonzero(better):
+            best_point = np.where(better.reshape(-1, *[1] * (starts.ndim - 1)), candidate,
+                                  best_point)
+            best_res = {name: np.where(better, res[name], r) for name, r in best_res.items()}
+            best_max = np.where(better, res_max, best_max)
         for h, b in zip(history, best_max):
             h.append(float(b))
         converged = best_max <= tol

@@ -291,6 +291,15 @@ class TestTwirledRigidity:
             with pytest.raises(ValueError, match="trace|positive semidefinite"):
                 sample(2, 5, 0)
 
+    # refused before Phi_d's segment is computed, where d = 1 divides by zero
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sample", [sample_twirled_two_copy_broadcasts,
+                                        max_twirled_distance_to_product])
+    @pytest.mark.parametrize("d", [1, 0, -2])
+    def test_local_dimension_below_two_is_refused(self, sample, d):
+        with pytest.raises(ValueError, match="local dimension must be >= 2"):
+            sample(d, 3)
+
     @pytest.mark.parametrize("sample", [
         lambda n: sample_twirled_two_copy_broadcasts(2, n),
         lambda n: max_twirled_distance_to_product(2, n),

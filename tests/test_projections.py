@@ -21,7 +21,10 @@ from catcost.operators import (
     trace_distance,
 )
 from catcost.projections import (
+    ANDERSON_DEPTH,
     DRAW_ENTRIES,
+    _ANDERSON_REG,
+    _TINY,
     _AndersonHistory,
     _floats,
     _folded_dr_map,
@@ -403,6 +406,146 @@ class TestAnderson:
                 x = x[2:]
         assert np.array_equal(x, y)
         assert all(np.array_equal(a, b) for a, b in zip(stacked._rows, alone._rows))
+
+
+class AndersonOracle:
+    """The Anderson step in its plain formulas, on fresh arrays: the engine's reference.
+
+    The rows and every product are the engine's: (T, g) pairs side by
+    side, the differences in a ring of ANDERSON_DEPTH slots, ``_row_dots``
+    for the sizes, the ridged system built as gram + ridge (x) eye, and
+    ``np.count_nonzero`` deciding a rejection.  ``rejections`` counts the
+    rows that rejected a step.
+    """
+
+    def __init__(self, x0):
+        (s, dim), depth = x0.shape, ANDERSON_DEPTH
+        self.x, self.slot, self.rejections = x0.copy(), -1, 0
+        self.fg, self.g_norm2 = np.zeros((s, 2, dim)), np.zeros(s)
+        self.dfg, self.gram = np.zeros((s, depth, 2, dim)), np.zeros((s, depth, depth))
+        self.scale, self.extrapolated = np.zeros((s, depth)), np.zeros(s, dtype=bool)
+
+    def step(self, t):
+        pair = np.stack([t, t - self.x], axis=1)
+        r_norm2 = _row_dots(pair[:, 1], pair[:, 1])
+        if self.slot < 0:
+            self.slot, self.fg, self.g_norm2 = ANDERSON_DEPTH - 1, pair, r_norm2
+            self.x = t.copy()
+            return self.x
+        rejected = self.extrapolated & (r_norm2 > self.g_norm2)
+        self.slot = j = (self.slot + 1) % ANDERSON_DEPTH
+        self.dfg[:, j] = pair - self.fg
+        dg = self.dfg[:, :, 1]
+        row = np.matmul(dg, self.dfg[:, j, 1, :, None])[..., 0]
+        self.gram[:, j, :] = self.gram[:, :, j] = row
+        self.scale[:, j] = _row_dots(self.dfg[:, j], self.dfg[:, j])
+        if np.count_nonzero(rejected):
+            self.rejections += np.count_nonzero(rejected)
+            self.dfg[rejected] = self.gram[rejected] = self.scale[rejected] = 0.0
+            self.fg = np.where(rejected[:, None, None], self.fg, pair)
+            self.g_norm2 = np.where(rejected, self.g_norm2, r_norm2)
+            self.extrapolated = ~rejected
+        else:
+            self.fg, self.g_norm2 = pair, r_norm2
+            self.extrapolated = np.ones(len(t), dtype=bool)
+        ridge = _ANDERSON_REG * np.add.reduce(self.scale, 1) + _TINY
+        lhs = self.gram + np.multiply.outer(ridge, np.eye(ANDERSON_DEPTH))
+        gamma = _gesv(lhs, np.matmul(dg, self.fg[:, 1, :, None]))[..., 0]
+        self.x = self.fg[:, 0] - np.matmul(gamma[:, None, :], self.dfg[:, :, 0])[:, 0]
+        return self.x
+
+    def keep(self, keep):
+        (self.x, self.fg, self.g_norm2, self.dfg, self.gram, self.scale,
+         self.extrapolated) = (a[keep] for a in (self.x, self.fg, self.g_norm2, self.dfg,
+                                                 self.gram, self.scale, self.extrapolated))
+
+
+def stalled_synthesis_map():
+    """T of the infeasible twirled ``synthesize noisy-phi-2 --m 0`` and four starts, as rows."""
+    sets, starts, _ = twirled_search("noisy-phi-2 --m 0", 4)
+    return _folded_dr_map(sets, starts.shape[1]), np.tile(starts, len(sets))
+
+
+def infeasible_complex_map(rng):
+    """T of PSD cone against {tr X = -1} on 3x3 complex matrices, on float rows; four starts."""
+    proj, _ = trace_minus_one(3)
+    project = product_projection([Cone(), proj], 3)
+    shape = (4, 2, 3, 3)  # (starts, sets, n, n)
+
+    def dr_map(rows):
+        y = hermitian_part(rows.view(np.complex128).reshape(-1, *shape[1:]))
+        avg = y.sum(axis=1, keepdims=True) / 2
+        return _floats(y + project(2.0 * avg - y) - avg)
+
+    starts = np.stack([[random_density_matrix(3, rng) * scale] * 2
+                       for scale in (1e-2, 1.0, 3.0, 1e2)])
+    return dr_map, _floats(starts).copy()
+
+
+class TestAndersonOracle:
+    """The engine's Anderson step repeats the plain formulas bit for bit."""
+
+    @pytest.mark.parametrize("case", ["float64 vectors", "complex matrices"])
+    def test_iterates_equal_the_oracles(self, rng, case):
+        if case == "float64 vectors":
+            dr_map, x0 = stalled_synthesis_map()
+        else:
+            dr_map, x0 = infeasible_complex_map(rng)
+        engine, oracle = _AndersonHistory(x0), AndersonOracle(x0)
+        x = x0
+        for i in range(320):
+            if i == 160:  # rows 0 and 2 retire, and the others move to the front
+                keep = np.array([False, True, False, True])
+                engine.keep(keep)
+                oracle.keep(keep)
+                x = x[keep]
+            t = dr_map(x)
+            if i % 37 == 36:  # row 0 reports ten times its residual: a rejection
+                t[0] = x[0] + 10.0 * (t[0] - x[0])
+            x = engine.step(t)
+            expected = oracle.step(t)
+            assert x.dtype == np.float64 and x.shape == expected.shape
+            assert x.tobytes() == expected.tobytes(), f"step {i}"
+        # the safeguard fired at least as often as a rejection was forced
+        assert oracle.rejections >= 320 // 37
+
+
+class TestCheckTies:
+    def test_a_tie_keeps_the_first_check_that_reached_the_best(self, monkeypatch):
+        # (r, q) of starts 0 and 1 at the starts and at checks 1-3: start 0
+        # improves at checks 1 and 2, start 1 at check 1 and ties its best
+        # at check 2 with other residuals; at check 3 both tie, and nothing
+        # is rebuilt
+        script = [((1.0, 0.5), (1.0, 0.2)), ((0.5, 0.1), (0.5, 0.1)),
+                  ((0.25, 0.1), (0.5, 0.3)), ((0.25, 0.2), (0.5, 0.4))]
+        candidates, rebuilt = [], []
+        where = np.where
+
+        def residuals(x):
+            candidates.append(x.copy())
+            (r0, q0), (r1, q1) = script[len(candidates) - 1]
+            return {"r": np.array([r0, r1]), "q": np.array([q0, q1])}
+
+        def spy(*args):
+            rebuilt.append(len(candidates) - 1)
+            return where(*args)
+
+        monkeypatch.setattr(np, "where", spy)
+        sets = [Cone(), (np.zeros((2, 2)), np.array([1.0, -1.0]))]  # they do not meet
+        starts = np.array([[0.3, 0.7], [2.0, 0.5]])
+        first, second = solve_feasibility_batch(sets, starts, residuals, tol=1e-9, max_iter=3,
+                                                check_every=1)
+        # the candidates move from check to check, so a kept point is told apart
+        assert not np.array_equal(candidates[1], candidates[2])
+        assert not np.array_equal(candidates[2], candidates[3])
+        assert np.array_equal(first.point, candidates[2][0])
+        assert first.residuals == {"r": 0.25, "q": 0.1}
+        assert first.best_history == [1.0, 0.5, 0.25, 0.25]
+        assert np.array_equal(second.point, candidates[1][1])
+        assert second.residuals == {"r": 0.5, "q": 0.1}
+        assert second.best_history == [1.0, 0.5, 0.5, 0.5]
+        # checks 1 and 2 rebuilt the bests with np.where; check 3 did not
+        assert set(rebuilt) == {1, 2}
 
 
 class TestAcceleratedSolves:
