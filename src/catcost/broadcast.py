@@ -233,11 +233,12 @@ def _twirled_projections(d: int, n_starts: int, seed: int) -> np.ndarray:
     with no search and no BLAS or LAPACK call, all starts in one array
     operation.  More starts than their (s, 4) coefficients and (s, 4)
     projections hold within MAX_ENTRIES are refused before any is drawn,
-    and so is a d whose d^4 x d^4 start would exceed MAX_ENTRIES: no such
-    matrix is built, but the dense starts' budget is kept, so that the
-    same requests are refused.  The rows are checked as states once, as a
-    stack (``require_copy_states``).  A d < 2, which has no segment, is
-    refused first.
+    and so is a d whose d^4 x d^4 start would exceed MAX_ENTRIES, on the
+    integer d before any float arithmetic on it: no such matrix is built,
+    but the dense starts' budget is kept, so that the same requests are
+    refused.  The rows are checked as states once, as a stack
+    (``require_copy_states``).  A d < 2, which has no segment, is refused
+    first.
     """
     if d < 2:
         raise ValueError("local dimension must be >= 2")
@@ -246,8 +247,8 @@ def _twirled_projections(d: int, n_starts: int, seed: int) -> np.ndarray:
     if 8 * n_starts > MAX_ENTRIES:
         raise ResourceLimitError(f"{n_starts} two-copy broadcast starts need {8 * n_starts} "
                                  f"iterate entries, budget is {MAX_ENTRIES}")
-    root, unit, lo, hi = _twirled_broadcast_segment(d)
     check_entry_budget(d ** 4, "two-copy broadcast start")
+    root, unit, lo, hi = _twirled_broadcast_segment(d)
     starts = root * random_twirled_states(d, 2, n_starts, seed).reshape(n_starts, -1)
     coeffs = (_nearest_on_segment(starts, unit, lo, hi) / root).reshape(-1, 2, 2)
     require_copy_states(d, coeffs)
@@ -271,7 +272,7 @@ def max_twirled_distance_to_product(d: int, n_starts: int = 50, seed: int = 0) -
     The set is computed exactly, so the number is 0.0.  The distances
     are one expression on all the projections, with no object built for a start.
     """
+    points = _twirled_projections(d, n_starts, seed)  # refuses a d over the budget first
     phi = IsotropicCopies.isotropic(d, 1.0)
     product = IsotropicCopies.symmetric_two_broadcast(phi, phi)
-    points = _twirled_projections(d, n_starts, seed)
     return float(copies_trace_distances(d, points, product.coeffs).max())

@@ -24,6 +24,7 @@ from .operators import (
     FactorShape,
     LabeledOperator,
     bipartite_shape,
+    check_entry_budget,
     check_power_budget,
     density_from_matrix,
     hermitian_part,
@@ -41,7 +42,7 @@ from .measures import (
     log_negativity,
     partial_transpose_isometry,
     partial_transpose_spectrum,
-    twirl_coefficients,
+    random_twirled_states,
 )
 from .projections import Cone, seeded_starts, solve_feasibility
 from .states import max_entangled_matrix
@@ -297,13 +298,18 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
       s = Q sqrt(r) c_shift;
     - the target at m = 0: the fixed point sqrt(r) c_rho.
 
-    The start is the twirl of the dense search's seeded start.  The
-    residuals are those of ``TwirledChoi.residuals`` on the dense blocks,
-    in closed form: cp and ppt the least coefficients of a, b and the two
-    cone operators, tp = |r.c - 1|, and the correctness at m = 0 the
-    largest entry of sigma - rho (``largest_entry``); at m >= 1, a = rho
-    exactly.  ``point`` builds the dense blocks.
+    The start is the twirl of a seeded Ginibre state, drawn from its exact
+    law in 2^k Gamma variates (``random_twirled_states``), with no D x D
+    matrix built.  A target whose D x D blocks exceed the entry budget is
+    refused first, as the dense search refuses its start: a converged
+    point's ``TwirledChoi`` holds such blocks.  The residuals are those of
+    ``TwirledChoi.residuals`` on the dense blocks, in closed form: cp and
+    ppt the least coefficients of a, b and the two cone operators,
+    tp = |r.c - 1|, and the correctness at m = 0 the largest entry of
+    sigma - rho (``largest_entry``); at m >= 1, a = rho exactly.
+    ``point`` builds the dense blocks.
     """
+    check_entry_budget(target.shape.total_dim, "synthesis start")
     d, rho = target.d, target.coeffs
     ranks = copy_ranks(d, rho.ndim).ravel()
     root = np.sqrt(ranks)
@@ -341,8 +347,7 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
         b = copies_matrix(d, coeffs(y))
         return TwirledChoi(m, target.shape, b if m == 0 else copies_matrix(d, rho), b)
 
-    [drawn] = seeded_starts(target.shape.total_dim, 1, seed, "synthesis start")
-    start = root * twirl_coefficients(d, drawn)[0].ravel()
+    start = root * random_twirled_states(d, rho.ndim, 1, seed)[0].ravel()
     return sets, start, residuals, point
 
 
@@ -361,7 +366,9 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
     ebits) above m + ``tol`` at m >= 1.  A ``DensityOperator`` target is
     searched as a D x D matrix (``_dense_dilution``), an ``IsotropicCopies``
     one as a vector of its 2^k twirl coefficients (``_twirled_dilution``),
-    with no eigendecomposition, from one seeded start (``seeded_starts``).
+    with no eigendecomposition.  Each search runs from one seeded start: a
+    dense Ginibre state (``seeded_starts``), or the twirl of one, drawn from
+    its exact law with no dense matrix built (``random_twirled_states``).
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")

@@ -152,7 +152,7 @@ def _parse_named_target(name: str) -> tuple[str, int] | None:
 def _named_target(name: str):
     """The named target as ``IsotropicCopies``, None for a matrix file.
 
-    Refused over the entry budget of its dense D x D start.
+    Refused over the entry budget of its dense D x D blocks.
     """
     parsed = _parse_named_target(name)
     if parsed is None:
@@ -212,7 +212,6 @@ def scenario_protocol(d: int, n: int) -> ScenarioReport:
 
 
 def scenario_rigidity(d: int, starts: int, seed: int, tol: float = RIGIDITY_TOL) -> ScenarioReport:
-    check_entry_budget(d ** 4, "rigidity two-copy state")
     report = ScenarioReport("rigidity", __version__,
                             parameters={"d": d, "starts": starts, "seed": seed})
     worst = max_twirled_distance_to_product(d, n_starts=starts, seed=seed)

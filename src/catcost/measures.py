@@ -6,9 +6,10 @@ The PPT measures take a dense ``DensityOperator`` or an ``IsotropicCopies``
 state, which gives the same partial-transpose quantities in closed form.
 The algebra's maps are also module functions on raw coefficient arrays
 (``copy_ranks``, ``partial_transpose_spectrum``, ``largest_entry``,
-``copies_matrix``, ``twirl_coefficients``, ``random_twirled_states``): the
-twirled search's iterates have any sign and trace, and ``IsotropicCopies``
-validates a state.
+``copies_matrix``): the twirled search's iterates have any sign and trace,
+and ``IsotropicCopies`` validates a state.  ``twirl_coefficients`` maps one
+dense matrix into the algebra, and ``random_twirled_states`` draws the
+twirled searches' seeded starts from their exact law, with no dense matrix.
 """
 from __future__ import annotations
 
@@ -135,13 +136,13 @@ def d_max_to_ppt_isotropic(rho: DensityOperator) -> float:
     return math.log2(d * f)
 
 
-def _per_copy(m, c: np.ndarray, first: int = 0) -> np.ndarray:
-    """Apply the matrix m, one (2,) row per output index, to every axis of c from ``first`` on.
+def _per_copy(m, c: np.ndarray) -> np.ndarray:
+    """Apply the matrix m, one (2,) row per output index, to every axis of c.
 
     Elementwise arithmetic, no BLAS call: the result does not depend on
-    the BLAS configuration.  Axes before ``first`` index a stack.
+    the BLAS configuration.
     """
-    for axis in range(first, c.ndim):
+    for axis in range(c.ndim):
         head = (slice(None),) * axis
         c0, c1 = c[head + (0,)], c[head + (1,)]
         out = np.empty(c.shape[:axis] + (len(m),) + c.shape[axis + 1:])
@@ -221,31 +222,30 @@ def copies_matrix(d: int, c: np.ndarray) -> np.ndarray:
 
 
 def twirl_coefficients(d: int, x: np.ndarray) -> np.ndarray:
-    """The U x conj(U) twirl, on every copy, of a dense k-copy matrix or an (s, N, N) stack.
+    """The U x conj(U) twirl, on every copy, of a dense k-copy matrix.
 
     Contracting each copy with Phi and with the identity gives the
     traces Tr x (A_1 x ... x A_k), A_j in {Phi, 1}: for k = 2,
     Tr x (Phi x Phi), Tr x (Phi x 1), Tr x (1 x Phi) and Tr x.  Per copy,
     (Phi, 1) -> (Phi, 1 - Phi) turns them into the masses of the
     projectors, and dividing by the ranks (1, d^2 - 1) into their
-    coefficients, of shape (s,) + (2,) * k for a stack.  One ``einsum``
-    and elementwise arithmetic, no BLAS call; each matrix of a stack
-    gets the bits it gets alone.
+    (2,) * k coefficients.  One ``einsum`` and elementwise arithmetic, no
+    BLAS call.
     """
     if d < 2:
         raise ValueError("local dimension must be >= 2")
     n = d * d
     x = np.asarray(x)
-    k = max(1, round(math.log(max(x.shape[-1], 1), n))) if x.ndim else 1
-    if x.ndim not in (2, 3) or x.shape[-2:] != (n ** k, n ** k):
+    k = max(1, round(math.log(max(x.shape[-1], 1), n))) if x.ndim == 2 else 1
+    if x.shape != (n ** k, n ** k):
         raise ValueError(f"matrix of shape {x.shape} is not k copies of a ({d}, {d}) system")
     diagonal = np.eye(d).ravel()  # sqrt(d) times the vector of Phi
     pair = np.stack([np.outer(diagonal, diagonal) / d, np.eye(n)])
-    operands = [x.reshape(x.shape[:-2] + (n,) * (2 * k)), [...] + list(range(2 * k))]
+    operands = [x.reshape((n,) * (2 * k)), list(range(2 * k))]
     for j in range(k):
         operands += [pair, [2 * k + j, j, k + j]]
-    traces = np.einsum(*operands, [...] + list(range(2 * k, 3 * k))).real
-    return _per_copy(((1.0, 0.0), (-1.0 / (n - 1), 1.0 / (n - 1))), traces, x.ndim - 2)
+    traces = np.einsum(*operands, list(range(2 * k, 3 * k))).real
+    return _per_copy(((1.0, 0.0), (-1.0 / (n - 1), 1.0 / (n - 1))), traces)
 
 
 def random_twirled_states(d: int, k: int, count: int, seed: int) -> np.ndarray:
@@ -354,10 +354,8 @@ class IsotropicCopies:
     def from_twirl(cls, d: int, x: np.ndarray) -> IsotropicCopies:
         """The U x conj(U) twirl, on every copy, of one dense k-copy state x.
 
-        ``twirl_coefficients`` computes it; a stack of states is refused.
+        ``twirl_coefficients`` computes it, and refuses a stack of states.
         """
-        if np.ndim(x) != 2:
-            raise ValueError(f"matrix of shape {np.shape(x)} is not one k-copy state")
         return cls(d, twirl_coefficients(d, x))
 
     @property

@@ -18,6 +18,10 @@ arXiv:1908.11482; Zhang-O'Donoghue-Boyd, arXiv:1808.03971) on the
 stack's float64 rows, where the Euclidean inner product is the Frobenius
 one.  The Anderson depth and the stall rule are module constants; the
 per-call options are declared on ``solve_feasibility_batch`` alone.
+
+A dense search's seeded starts are Ginibre density matrices drawn here
+(``seeded_starts``); a twirl-algebra search draws the twirls of such
+starts from their exact law (``measures.random_twirled_states``).
 """
 from __future__ import annotations
 
@@ -34,9 +38,6 @@ Projection = Callable[[np.ndarray], np.ndarray]
 ResidualFn = Callable[[np.ndarray], dict[str, float]]
 BatchResidualFn = Callable[[np.ndarray], dict[str, np.ndarray]]
 
-# matrix entries a Ginibre draw holds at once: a start block draws in 32 parts
-DRAW_ENTRIES = MAX_ENTRIES // 32
-
 
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm, per matrix of a stack.
@@ -50,52 +51,35 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return hermitian_part(scaled @ v.swapaxes(-1, -2), out=scaled)
 
 
-def random_density_matrices(dim: int, count: int, rng: np.random.Generator,
-                            dtype: np.dtype = np.complex128) -> np.ndarray:
-    """``count`` Ginibre-ensemble density matrices in ``dtype``, the dtype of the search's data.
-
-    Each is g g^H / Tr(g g^H), g = a + i b with a and b standard normal.
-    They are drawn DRAW_ENTRIES matrix entries at a time (at least one
-    start), which bounds the transient arrays and keeps them in cache:
-    one ``standard_normal`` call a part draws its (a, b) pairs, in C order
-    the stream of drawing a then b start by start, and one stacked
-    ``matmul`` and one trace normalisation give each start the bits it
-    gets alone.  A real one is the real part of the complex draw from the
-    same generator state: Re rho = (rho + conj rho) / 2 is still PSD with
-    unit trace, and the generator advances as for a complex draw.
-    """
-    real = not np.issubdtype(dtype, np.complexfloating)
-    step = max(1, DRAW_ENTRIES // (dim * dim))
-    parts = []
-    for first in range(0, count, step):
-        ab = rng.standard_normal((min(step, count - first), 2, dim, dim))
-        g = ab[:, 0] + 1j * ab[:, 1]
-        m = g @ g.conj().swapaxes(-1, -2)
-        m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-        parts.append(m.real.copy() if real else m)
-    return np.concatenate(parts)
-
-
 def random_density_matrix(dim: int, rng: np.random.Generator,
                           dtype: np.dtype = np.complex128) -> np.ndarray:
-    """One ``random_density_matrices`` draw."""
-    return random_density_matrices(dim, 1, rng, dtype)[0]
+    """A Ginibre-ensemble density matrix in ``dtype``, the dtype of the search's data.
+
+    It is g g^H / Tr(g g^H), g = a + i b with a and b standard normal,
+    drawn a then b.  A real one is the real part of the complex draw from
+    the same generator state: Re rho = (rho + conj rho) / 2 is still PSD
+    with unit trace, and the generator advances as for a complex draw.
+    """
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return m if np.issubdtype(dtype, np.complexfloating) else m.real.copy()
 
 
 def seeded_starts(dim: int, n_starts: int, seed: int, what: str,
                   dtype: np.dtype = np.float64):
-    """The seeded dim x dim ``random_density_matrices`` starts, drawn in order from one generator.
+    """The seeded dim x dim ``random_density_matrix`` starts, drawn in order from one generator.
 
-    They come in stacks of at most MAX_ENTRIES entries, each drawn by one
-    ``random_density_matrices`` call, not start by start; the stacks keep
-    the order, and the bits, of drawing the starts one by one.
-    A start over the entry budget is refused as ``what`` before any is drawn.
+    They come in stacks of at most MAX_ENTRIES entries, drawn one start at
+    a time.  A start over the entry budget is refused as ``what`` before
+    any is drawn.
     """
     check_entry_budget(dim, what)
     block = MAX_ENTRIES // (dim * dim)
     rng = np.random.default_rng(seed)
     for first in range(0, n_starts, block):
-        yield random_density_matrices(dim, min(block, n_starts - first), rng, dtype)
+        yield np.stack([random_density_matrix(dim, rng, dtype)
+                        for _ in range(min(block, n_starts - first))])
 
 
 class Cone(NamedTuple):

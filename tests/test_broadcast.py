@@ -17,11 +17,13 @@ from catcost.broadcast import (
     sample_two_copy_broadcasts,
     verify_broadcast,
 )
+from catcost.catalysis import distillation_no_advantage_check
 from catcost.cli import scenario_rigidity
 from catcost.measures import IsotropicCopies, copy_ranks
 from catcost.operators import (
     MAX_ENTRIES,
     FactorShape,
+    ResourceLimitError,
     density_from_matrix,
     density_from_vector,
     permute_factors,
@@ -254,7 +256,7 @@ class TestTwirledRigidity:
             def __getattr__(self, name):
                 raise AssertionError(f"np.linalg.{name} was called")
 
-        monkeypatch.setattr("catcost.projections.random_density_matrices", refuse)
+        monkeypatch.setattr("catcost.projections.random_density_matrix", refuse)
         monkeypatch.setattr("catcost.measures.twirl_coefficients", refuse)
         monkeypatch.setattr(np, "linalg", NoLinalg())
         scenario_rigidity(4, 1, 0)  # first-use allocations outside the run
@@ -298,6 +300,19 @@ class TestTwirledRigidity:
     @pytest.mark.parametrize("d", [1, 0, -2])
     def test_local_dimension_below_two_is_refused(self, sample, d):
         with pytest.raises(ValueError, match="local dimension must be >= 2"):
+            sample(d, 3)
+
+    # refused on the integer d, before Phi_d's segment or the product state
+    # takes a float of it, which overflows at d = 10^200
+    @pytest.mark.parametrize("sample", [sample_twirled_two_copy_broadcasts,
+                                        max_twirled_distance_to_product,
+                                        lambda d, n: distillation_no_advantage_check(d, n)])
+    @pytest.mark.parametrize("d", [5, 10 ** 200], ids=["5", "10^200"])
+    def test_local_dimension_over_the_budget_is_refused(self, sample, d, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a start was drawn")
+        monkeypatch.setattr(catcost.broadcast, "random_twirled_states", refuse)
+        with pytest.raises(ResourceLimitError, match="budget"):
             sample(d, 3)
 
     @pytest.mark.parametrize("sample", [

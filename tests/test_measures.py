@@ -51,7 +51,7 @@ from catcost.operators import (
     trace_distance,
     trace_norm,
 )
-from catcost.projections import random_density_matrices
+from catcost.projections import random_density_matrix
 from catcost.states import (
     IsotropicParams,
     classical_mix,
@@ -563,18 +563,10 @@ class TestIsotropicCopies:
         with pytest.raises(ValueError):
             IsotropicCopies.from_twirl(d, np.eye(dim) / dim)
 
-    @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 1), (3, 2)])
-    def test_stacked_twirl_repeats_each_start_bit_for_bit(self, d, k, rng):
-        # a stack of dense starts is twirled in one call, as the twirled
-        # synthesis start (a stack of one) and the dense law check below are
-        dim = d ** (2 * k)
-        stack = np.stack([random_state_matrix(rng, dim).real for _ in range(7)])
-        stacked = twirl_coefficients(d, stack)
-        assert stacked.shape == (7,) + (2,) * k
-        for x, coeffs in zip(stack, stacked):
-            assert np.array_equal(coeffs, IsotropicCopies.from_twirl(d, x).coeffs)
-        with pytest.raises(ValueError):
-            IsotropicCopies.from_twirl(d, stack)
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 16, 16), (1, 16, 16)])
+    def test_twirl_refuses_anything_but_one_matrix(self, shape):
+        with pytest.raises(ValueError, match="is not k copies"):
+            twirl_coefficients(2, np.full(shape, 1.0 / 16))
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("k", [1, 2])
@@ -632,13 +624,12 @@ class TestRandomTwirledStates:
 
     @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_moments_are_the_dense_twirls_ones(self, d, k):
-        # the twirls of the dense Ginibre starts, real as the rigidity starts
-        # were drawn, a part at a time to keep the stack small
+        # the twirls of the dense Ginibre starts, real as a real search draws
+        # them, one start at a time
         n = d ** (2 * k)
         rng = np.random.default_rng(12)
-        dense = np.concatenate([twirl_coefficients(d, random_density_matrices(n, 100, rng,
-                                                                              np.float64))
-                                for _ in range(20 if n < 81 else 5)])
+        dense = np.stack([twirl_coefficients(d, random_density_matrix(n, rng, np.float64))
+                          for _ in range(2000 if n < 81 else 500)])
         law = moments(random_twirled_states(d, k, 20000, 13))
         drawn = moments(dense)
         for i in (0, 1):

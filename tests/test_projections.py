@@ -11,7 +11,7 @@ from catcost.broadcast import (
 )
 from catcost.choi import _twirled_dilution, synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
-from catcost.measures import copy_ranks, twirl_coefficients
+from catcost.measures import copy_ranks, random_twirled_states
 from catcost.operators import (
     MAX_ENTRIES,
     bipartite_shape,
@@ -22,7 +22,6 @@ from catcost.operators import (
 )
 from catcost.projections import (
     ANDERSON_DEPTH,
-    DRAW_ENTRIES,
     _ANDERSON_REG,
     _TINY,
     _AndersonHistory,
@@ -128,9 +127,9 @@ def twirled_search(case, n_starts):
     name, _, m = case.split()
     target = _named_target(name)
     sets, _, residual, _ = _twirled_dilution(int(m), target, 0)
-    [drawn] = seeded_starts(target.shape.total_dim, n_starts, 0, "start")
-    root = np.sqrt(copy_ranks(target.d, target.coeffs.ndim).ravel())
-    starts = root * twirl_coefficients(target.d, drawn).reshape(n_starts, -1)
+    k = target.coeffs.ndim
+    root = np.sqrt(copy_ranks(target.d, k).ravel())
+    starts = root * random_twirled_states(target.d, k, n_starts, 0).reshape(n_starts, -1)
 
     def residuals(ys):  # of one vector, as the search passes it, or of a stack
         if ys.ndim == 1:
@@ -209,14 +208,14 @@ class TestStarts:
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     @pytest.mark.parametrize("dim, n_starts", [
         (4, 3),
-        (16, 7),    # within one draw part: DRAW_ENTRIES // 256 = 8 starts
-        (16, 20),   # across draw parts
+        (16, 7),
+        (16, 20),
         (16, 300),  # across a MAX_ENTRIES block of 256 starts
-        (256, 2),   # one start a block, over a draw part on its own
+        (256, 2),   # one start a block
     ])
     def test_stacked_draw_is_the_sequential_draw(self, dtype, dim, n_starts):
-        # every seeded search start, every pinned cycle count, rests on these bits
-        assert (DRAW_ENTRIES // dim ** 2, MAX_ENTRIES // dim ** 2) in {(128, 4096), (8, 256), (0, 1)}
+        # every seeded dense search start, every pinned cycle count, rests on these bits
+        assert MAX_ENTRIES // dim ** 2 in {4096, 256, 1}
         drawn = list(seeded_starts(dim, n_starts, 5, "start", dtype))
         assert [len(stack) for stack in drawn[:-1]] == [MAX_ENTRIES // dim ** 2] * (len(drawn) - 1)
         stacked = np.concatenate(drawn)
