@@ -13,11 +13,11 @@ vectors (the twirl-algebra synthesis search) T is one
 affine-clip-affine map.  LAPACK and ``matmul`` work start by start inside a stack, so each start
 keeps the bits, and leaves at the cycle, it would have alone.
 
-T is accelerated by safeguarded type-II Anderson mixing (Fu-Zhang-Boyd,
-arXiv:1908.11482; Zhang-O'Donoghue-Boyd, arXiv:1808.03971) on the
-stack's float64 rows, where the Euclidean inner product is the Frobenius
-one.  The Anderson depth and the stall rule are module constants; the
-per-call options are declared on ``solve_feasibility_batch`` alone.
+Safeguarded type-II Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482;
+Zhang-O'Donoghue-Boyd, arXiv:1808.03971) accelerates T on matrix stacks alone, on
+their float64 rows (a Frobenius inner product): there T costs an ``eigh``, and a
+folded vector T a quarter of a step.  The Anderson depth and the stall rule are
+module constants; the per-call options are declared on ``solve_feasibility_batch``.
 
 A dense search's seeded starts are Ginibre density matrices drawn here
 (``seeded_starts``); the twirl-algebra synthesis search draws the twirl
@@ -197,13 +197,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.reshape(len(a), 1, -1), b.reshape(len(b), -1, 1))[:, 0, 0]
 
 
-def _compact_rows(a: np.ndarray, rows: np.ndarray) -> None:
-    """Move rows ``rows`` (increasing) of ``a`` to its front, one row at a time."""
-    for new, old in enumerate(rows):
-        if new != old:
-            a[new] = a[old]
-
-
 class _AndersonHistory:
     """Safeguarded type-II Anderson acceleration of a fixed-point map T, per start.
 
@@ -212,11 +205,9 @@ class _AndersonHistory:
     and g = T - id at its last accepted point, ``g_norm2`` = |g|^2, the
     last ``ANDERSON_DEPTH`` differences ``dfg`` = (df, dg) of that pair,
     ``gram`` = dg dg^T (one new row a step), ``scale`` = |df_j|^2 + |dg_j|^2
-    for the ridge, ``gamma`` and ``extrapolated``.  The buffers are
-    allocated once; ``keep`` compacts them in place when starts retire.
-    Each step's products go into scratch buffers allocated once too, and
-    ``keep`` names every view a step reads or writes, so a step makes no
-    index, reshape or temporary beyond the new point.
+    for the ridge, ``gamma`` and ``extrapolated``.  These buffers, and the
+    scratch of a step's products, are allocated once; ``keep`` compacts
+    them in place when starts retire.
     """
 
     def __init__(self, x0: np.ndarray) -> None:
@@ -295,8 +286,10 @@ class _AndersonHistory:
         """
         rows = np.flatnonzero(keep)
         s, dim = len(rows), self.x.shape[1]
-        for a in self._buffers:
-            _compact_rows(a, rows)
+        for a in self._buffers:  # rows move to the front one at a time, in increasing order
+            for new, old in enumerate(rows):
+                if new != old:
+                    a[new] = a[old]
         self.x = self.x[rows]
         (self.fg, self.g_norm2, self.dfg, self.gram, self.scale, self.gamma_col,
          self.extrapolated) = (a[:s] for a in self._buffers)
@@ -344,13 +337,14 @@ def solve_feasibility_batch(
     y holds one point a start and set of ``sets``: an ``(s, k, n, n)``
     stack of Hermitian matrices for ``(s, n, n)`` starts, in their dtype,
     or flat ``(s, k n)`` rows of coefficient vectors for ``(s, n)`` ones.
-    Each cycle evaluates T once, at the point ``_AndersonHistory`` chose.
-    The candidates are the PSD projection of the average of T over the
-    sets, and ``residual_fn`` returns one ``(s,)`` array per residual name.  A start stops when its
-    best maximum residual reaches ``tol``, on a stall (no relative
-    improvement by ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles:
-    infeasible problems end here), or at ``max_iter``, and leaves the
-    stack.  Results come back in the order of the starts.
+    Each cycle evaluates T once: on matrices, where T costs an ``eigh``, at the point
+    ``_AndersonHistory`` chose; on vectors, where T costs a fraction of an Anderson
+    step, at the last T (plain DR).  The candidates are the PSD projection of the
+    average of T over the sets, and ``residual_fn`` returns one ``(s,)`` array per
+    residual name.  A start stops when its best maximum residual reaches ``tol``, on a
+    stall (no relative improvement by ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles:
+    infeasible problems end here), or at ``max_iter``, and leaves the stack.  Results
+    come back in the order of the starts.
     """
     starts = np.asarray(starts)
     n_sets, n = len(sets), starts.shape[-1]
@@ -368,12 +362,12 @@ def solve_feasibility_batch(
             y -= avg
             return y
 
-        def accelerate(y: np.ndarray) -> np.ndarray:
-            return hermitian_part(anderson.step(_floats(y)).view(y.dtype).reshape(y.shape), out=y)
+        def advance(y: np.ndarray) -> np.ndarray:  # T at the point Anderson takes from T
+            y = hermitian_part(anderson.step(_floats(y)).view(y.dtype).reshape(y.shape), out=y)
+            return dr_map(y)
     else:
-        points, y = starts, np.tile(starts, n_sets)
-        anderson, dr_map = _AndersonHistory(y), _folded_dr_map(sets, n)
-        accelerate = anderson.step
+        points, y, anderson = starts, np.tile(starts, n_sets), None
+        dr_map = advance = _folded_dr_map(sets, n)
 
         def readout(y: np.ndarray) -> np.ndarray:
             return np.maximum(y, 0.0)
@@ -394,7 +388,7 @@ def solve_feasibility_batch(
     it = 0
     while live.size and it < max_iter:
         # y holds T at the current points, which the last check read out
-        y = dr_map(accelerate(y) if it else y)
+        y = advance(y) if it else dr_map(y)
         it += 1
         if it % check_every and it != max_iter:
             continue
@@ -420,9 +414,9 @@ def solve_feasibility_batch(
             continue
         retire(done, converged, stalled, it)
         keep = ~done
-        y = y[keep]
-        anderson.keep(keep)
-        best_point, best_max = best_point[keep], best_max[keep]
+        y, best_point, best_max = y[keep], best_point[keep], best_max[keep]
+        if anderson is not None:
+            anderson.keep(keep)
         best_res = {name: r[keep] for name, r in best_res.items()}
         last_improvement, live = last_improvement[keep], live[keep]
         history = [h for h, kept in zip(history, keep) if kept]

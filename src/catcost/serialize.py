@@ -6,6 +6,7 @@ documents add ``input_factors``, the list of input factor indices.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 from pathlib import Path
@@ -92,16 +93,21 @@ def save_operator(x: LabeledOperator, path: str | Path) -> None:
     Path(path).write_text(json.dumps(operator_to_document(x)))
 
 
-def _read_document(path: str | Path, what: str):
+def _load(path: str | Path, what: str, build):
     text = Path(path).read_text()
+    collecting = gc.isenabled()
+    gc.disable()  # the decoded lists hold no cycles, but each collection walks them all
     try:  # a nesting deeper than the parser's recursion limit is malformed too
-        return json.loads(text)
+        return build(json.loads(text))
     except RecursionError as exc:
         raise ValueError(f"malformed {what} document: nested too deeply") from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load_operator(path: str | Path) -> LabeledOperator:
-    return operator_from_document(_read_document(path, "operator"))
+    return _load(path, "operator", operator_from_document)
 
 
 def load_density(path: str | Path) -> DensityOperator:
@@ -113,4 +119,4 @@ def save_choi(choi: ChoiOperator, path: str | Path) -> None:
 
 
 def load_choi(path: str | Path) -> ChoiOperator:
-    return choi_from_document(_read_document(path, "Choi"))
+    return _load(path, "Choi", choi_from_document)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catcost import serialize
 from catcost.cli import _named_target, _parser, main
 from catcost.choi import analytic_mixer_choi
 from catcost.operators import bipartite_shape, density_from_matrix
@@ -104,6 +105,49 @@ class TestSerialize:
         path.write_text("[" * 200000 + "]" * 200000)
         with pytest.raises(ValueError, match=f"malformed {what} document"):
             load(path)
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])
+    def test_load_pauses_the_collector_and_restores_it(self, collecting, rng, tmp_path,
+                                                        monkeypatch):
+        x = random_density(rng, 2, 3)
+        good, bad = tmp_path / "rho.json", tmp_path / "bad.json"
+        save_operator(x.op, good)
+        save_choi(analytic_mixer_choi(2), tmp_path / "choi.json")
+        states = []
+        decode, convert = json.loads, serialize._entries_from_pairs
+
+        def decoding(text):
+            states.append(gc.isenabled())
+            return decode(text)
+
+        def converting(pairs, n):
+            states.append(gc.isenabled())
+            return convert(pairs, n)
+
+        monkeypatch.setattr(serialize.json, "loads", decoding)
+        monkeypatch.setattr(serialize, "_entries_from_pairs", converting)
+        refused = ['{"shape": [[2, 1]], "entries": [[0.5, 0], [0, 0], [0, 0], [0.5]]}',
+                   '{"shape": [[2, 1]], "entries": ', "[" * 200000 + "]" * 200000]
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            back = load_operator(good)
+            after = [gc.isenabled()]
+            assert load_choi(tmp_path / "choi.json").input_factors == (0,)
+            after.append(gc.isenabled())
+            for text in refused:
+                bad.write_text(text)
+                for load in (load_operator, load_choi):
+                    with pytest.raises(ValueError):
+                        load(bad)
+                    after.append(gc.isenabled())
+        finally:
+            (gc.enable if was else gc.disable)()
+        # paused while a document is decoded and its pairs converted, and
+        # left as it was found after every load, refused or not
+        assert states and set(states) == {False}
+        assert after == [collecting] * (2 + 2 * len(refused))
+        assert back.shape == x.shape and np.array_equal(back.entries, x.entries)
 
     def test_entries_keep_their_values(self):
         op = operator_from_document(

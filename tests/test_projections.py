@@ -568,21 +568,29 @@ class TestAcceleratedSolves:
                                          ("noisy-phi-3", 2)])
     def test_twirled_search_keeps_float64_vector_iterates(self, monkeypatch, name, m):
         seen = spy_on_engine_inputs(monkeypatch, projections, lambda x: (x.dtype, x.shape[1:]))
-        iterates = set()
+        iterates, fold = set(), projections._folded_dr_map
 
-        class History(_AndersonHistory):
-            def step(self, t):
-                iterates.add((t.dtype, t.shape[1:]))
-                return super().step(t)
+        def spied_fold(sets, n):
+            dr_map = fold(sets, n)
 
-        monkeypatch.setattr(projections, "_AndersonHistory", History)
+            def spied(y):
+                out = dr_map(y)
+                iterates.update({(y.dtype, y.shape[1:]), (out.dtype, out.shape[1:])})
+                return out
+            return spied
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a vector search built an Anderson history")
+
+        monkeypatch.setattr(projections, "_folded_dr_map", spied_fold)
+        monkeypatch.setattr(projections, "_AndersonHistory", refuse)
         symmetrized = []
         monkeypatch.setattr(projections, "hermitian_part", symmetrized.append)
         target = _named_target(name)
-        synthesize_ppt_dilution(m, target, seed=0)
-        # flat (s, sets * 2^k) iterates, whose folded T calls no projection,
-        # (s, 2^k) read-outs and candidates, and no symmetrization: a
-        # vector has no anti-Hermitian part
+        assert synthesize_ppt_dilution(m, target, seed=0).iterations > 1
+        # plain DR on flat (s, sets * 2^k) iterates, whose folded T calls no
+        # projection, (s, 2^k) read-outs and candidates, and no
+        # symmetrization: a vector has no anti-Hermitian part
         n_sets, n = 3 if m == 0 else 4, 2 ** target.coeffs.ndim
         assert iterates == {(np.dtype(np.float64), (n_sets * n,))}
         assert seen == {(np.dtype(np.float64), (n,))}
