@@ -29,7 +29,7 @@ from .operators import (
     tensor,
     trace_distance,
 )
-from .projections import Cone, FeasibilityResult, seeded_starts, solve_feasibility_batch
+from .projections import Cone, FeasibilityResult, seeded_starts, solve_feasibility
 
 # the settings of the dense search, verify_broadcast's default and the rigidity bound
 FEASIBILITY_TOL = 1e-9
@@ -138,15 +138,11 @@ def _marginal_projections(phi: np.ndarray):
     return proj, residual
 
 
-def _project_starts(sets, starts: np.ndarray, residual) -> list[FeasibilityResult]:
-    return solve_feasibility_batch(sets, starts, residual, tol=FEASIBILITY_TOL,
-                                   max_iter=MAX_CYCLES, check_every=CHECK_EVERY)
-
-
 def project_to_two_copy_broadcast(phi: DensityOperator, start: np.ndarray) -> FeasibilityResult:
     """Project a Hermitian start matrix onto the two-copy broadcast set of phi."""
     marginals, residual = _marginal_projections(phi.entries)
-    return _project_starts([marginals, Cone()], np.asarray(start)[None], residual)[0]
+    return solve_feasibility([marginals, Cone()], start, residual, tol=FEASIBILITY_TOL,
+                             max_iter=MAX_CYCLES, check_every=CHECK_EVERY)
 
 
 def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,
@@ -157,23 +153,23 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,
     from one generator (``seeded_starts``), in the dtype of
     ``phi.entries``.  For a real phi the set is closed under entrywise
     conjugation, so it is the single point phi x phi exactly when its
-    real symmetric part is, and the search runs in float64.  The starts
-    are solved in lockstep, in the generator's blocks.  A run that fails
-    to reach the feasibility tolerance raises, since the set is nonempty.
+    real symmetric part is, and the search runs in float64.  Each start is
+    projected on its own (``project_to_two_copy_broadcast``).  A run that
+    fails to reach the feasibility tolerance raises, since the set is
+    nonempty.
     """
     if n_starts < 1:
         raise ValueError("start count must be >= 1")
     shape = phi.shape.copies(2)
-    marginals, residual = _marginal_projections(phi.entries)
     points = []
-    for starts in seeded_starts(phi.dim ** 2, n_starts, seed, "two-copy broadcast projection",
-                                phi.entries.dtype):
-        for result in _project_starts([marginals, Cone()], starts, residual):
-            if not result.converged:
-                raise RuntimeError(f"projection start {len(points)} did not reach "
-                                   f"feasibility: {result.residuals}")
-            m = result.point
-            points.append(density_from_matrix(m / np.trace(m).real, shape))
+    for start in seeded_starts(phi.dim ** 2, n_starts, seed, "two-copy broadcast projection",
+                               phi.entries.dtype):
+        result = project_to_two_copy_broadcast(phi, start)
+        if not result.converged:
+            raise RuntimeError(f"projection start {len(points)} did not reach "
+                               f"feasibility: {result.residuals}")
+        m = result.point
+        points.append(density_from_matrix(m / np.trace(m).real, shape))
     return points
 
 

@@ -276,7 +276,7 @@ def _dense_dilution(m: int, target: DensityOperator, seed: int):
 
     # real data: the feasible set is closed under complex conjugation, so its
     # real part is feasible, and a real start keeps the search real symmetric
-    [[start]] = seeded_starts(dim, 1, seed, "synthesis start", rho.dtype)
+    [start] = seeded_starts(dim, 1, seed, "synthesis start", rho.dtype)
     return sets, start, lambda x: point(x).residuals(rho), point
 
 

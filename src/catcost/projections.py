@@ -1,23 +1,21 @@
 """Convex feasibility engine for intersections of constraint sets.
 
-Product-space Douglas-Rachford (DR) splitting: the governing sequence
-holds one point per start and constraint set C_1, ..., C_k, and each
-cycle evaluates T(y) = y + P(2 avg - y) - avg once, P the projection onto
-C_1 x ... x C_k and avg the average over the sets.  A search states its
-sets (``Cone``s and affine projections); the engine builds P, T and the
-readout, the PSD projection of the average, from them and the starts'
-shape.  On Hermitian matrices, kept exactly Hermitian (the affine
-formulas are only orthogonal there), P sends every cone block of the
-stack through one ``eigh`` (``product_projection``).  On coefficient
-vectors (the twirl-algebra synthesis search) T is one
-affine-clip-affine map.  LAPACK and ``matmul`` work start by start inside a stack, so each start
-keeps the bits, and leaves at the cycle, it would have alone.
+Product-space Douglas-Rachford (DR) splitting from one start: the
+governing sequence holds one point per constraint set C_1, ..., C_k, and
+each cycle evaluates T(y) = y + P(2 avg - y) - avg once, P the projection
+onto C_1 x ... x C_k and avg the average over the sets.  A search states
+its sets (``Cone``s and affine projections); the engine builds P, T and
+the readout, the PSD projection of the average, from them and the
+start's shape.  On Hermitian matrices, kept exactly Hermitian (the affine
+formulas are only orthogonal there), P sends every cone block through
+one ``eigh`` (``product_projection``).  On coefficient vectors (the
+twirl-algebra synthesis search) T is one affine-clip-affine map.
 
 Safeguarded type-II Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482;
-Zhang-O'Donoghue-Boyd, arXiv:1808.03971) accelerates T on matrix stacks alone, on
-their float64 rows (a Frobenius inner product): there T costs an ``eigh``, and a
+Zhang-O'Donoghue-Boyd, arXiv:1808.03971) accelerates T on matrices alone, on
+their float64 entries (a Frobenius inner product): there T costs an ``eigh``, and a
 folded vector T a quarter of a step.  The Anderson depth and the stall rule are
-module constants; the per-call options are declared on ``solve_feasibility_batch``.
+module constants; the per-call options are declared on ``solve_feasibility``.
 
 A dense search's seeded starts are Ginibre density matrices drawn here
 (``seeded_starts``); the twirl-algebra synthesis search draws the twirl
@@ -32,11 +30,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _gesv  # LAPACK gesv, without np.linalg's wrapper
 
-from .operators import MAX_ENTRIES, check_entry_budget, hermitian_part
+from .operators import check_entry_budget, hermitian_part
 
 Projection = Callable[[np.ndarray], np.ndarray]
 ResidualFn = Callable[[np.ndarray], dict[str, float]]
-BatchResidualFn = Callable[[np.ndarray], dict[str, np.ndarray]]
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
@@ -70,16 +67,12 @@ def seeded_starts(dim: int, n_starts: int, seed: int, what: str,
                   dtype: np.dtype = np.float64):
     """The seeded dim x dim ``random_density_matrix`` starts, drawn in order from one generator.
 
-    They come in stacks of at most MAX_ENTRIES entries, drawn one start at
-    a time.  A start over the entry budget is refused as ``what`` before
-    any is drawn.
+    A start over the entry budget is refused as ``what`` before any is drawn.
     """
     check_entry_budget(dim, what)
-    block = MAX_ENTRIES // (dim * dim)
     rng = np.random.default_rng(seed)
-    for first in range(0, n_starts, block):
-        yield np.stack([random_density_matrix(dim, rng, dtype)
-                        for _ in range(min(block, n_starts - first))])
+    for _ in range(n_starts):
+        yield random_density_matrix(dim, rng, dtype)
 
 
 class Cone(NamedTuple):
@@ -177,9 +170,9 @@ class FeasibilityResult:
     best_history: list[float] = field(default_factory=list)
 
 
-# Anderson acceleration: differences kept per start, and the ridge weight
-# of its least-squares problem relative to the squared sizes of those
-# differences.  The stall rule: a start stops after STALL_WINDOW cycles in
+# Anderson acceleration: differences kept, and the ridge weight of its
+# least-squares problem relative to the squared sizes of those
+# differences.  The stall rule: a solve stops after STALL_WINDOW cycles in
 # which its best maximum residual did not fall by a relative _STALL_RTOL.
 ANDERSON_DEPTH = 3
 _ANDERSON_REG = 1e-10
@@ -198,41 +191,56 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _AndersonHistory:
-    """Safeguarded type-II Anderson acceleration of a fixed-point map T, per start.
+    """Safeguarded type-II Anderson acceleration of a fixed-point map T, row by row.
 
-    Rows are starts, as float64 vectors.  Each keeps its current point
-    ``x`` (the last returned, never written), the pair ``fg`` = (f, g) of T
-    and g = T - id at its last accepted point, ``g_norm2`` = |g|^2, the
-    last ``ANDERSON_DEPTH`` differences ``dfg`` = (df, dg) of that pair,
-    ``gram`` = dg dg^T (one new row a step), ``scale`` = |df_j|^2 + |dg_j|^2
-    for the ridge, ``gamma`` and ``extrapolated``.  These buffers, and the
-    scratch of a step's products, are allocated once; ``keep`` compacts
-    them in place when starts retire.
+    Each row is a point, a float64 vector; a solve has one.  Each keeps its
+    current point ``x`` (the last returned, never written), the pair ``fg``
+    = (f, g) of T and g = T - id at its last accepted point, ``g_norm2`` =
+    |g|^2, the last ``ANDERSON_DEPTH`` differences ``dfg`` = (df, dg) of
+    that pair, ``gram`` = dg dg^T (one new row a step), ``scale`` =
+    |df_j|^2 + |dg_j|^2 for the ridge, ``gamma`` and ``extrapolated``.
+    These buffers, and the scratch of a step's products, are allocated
+    once, and every view a step uses is named here, in the shapes and
+    strides of the formulas it stands for, so each product runs the kernel
+    it would on a fresh array.
     """
 
     def __init__(self, x0: np.ndarray) -> None:
         (s, dim), depth = x0.shape, ANDERSON_DEPTH
-        self.x = x0
+        self.x = x0.copy()
         self.slot = -1  # ring slot of the newest difference; -1 before the first step
-        self._buffers = (np.zeros((s, 2, dim)), np.zeros(s), np.zeros((s, depth, 2, dim)),
-                         np.zeros((s, depth, depth)), np.zeros((s, depth)),
-                         np.zeros((s, depth, 1)), np.zeros(s, dtype=bool))
+        self.fg, self.g_norm2 = np.zeros((s, 2, dim)), np.zeros(s)
+        self.dfg, self.gram = np.zeros((s, depth, 2, dim)), np.zeros((s, depth, depth))
+        self.scale, self.gamma_col = np.zeros((s, depth)), np.zeros((s, depth, 1))
+        self.extrapolated = np.zeros(s, dtype=bool)
         # every step overwrites these before it reads them: (T, g) at the
         # current point, |g|^2, the ridge, the ridged Gram system, dg g and
-        # gamma df; ``keep`` shortens them and moves nothing
-        self._scratch = (np.empty((s, 2, dim)), np.empty((s, 1, 1)), np.empty(s),
-                         np.empty((s, depth, depth)), np.empty((s, depth, 1)),
-                         np.empty((s, 1, dim)))
-        self.keep(np.ones(s, dtype=bool))  # names the rows, and makes x a copy of x0
-
-    @property
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        return (self.x,) + tuple(a[:len(self.x)] for a in self._buffers)
+        # gamma df
+        self.pair, self.r_dot, self.ridge = np.empty((s, 2, dim)), np.empty((s, 1, 1)), np.empty(s)
+        self.lhs, self.rhs = np.empty((s, depth, depth)), np.empty((s, depth, 1))
+        self.step_row = np.empty((s, 1, dim))
+        self.f, self.g, self.df, self.dg = (self.fg[:, 0], self.fg[:, 1], self.dfg[:, :, 0],
+                                            self.dfg[:, :, 1])
+        self.t, self.r = self.pair[:, 0], self.pair[:, 1]  # T and g at the current point
+        self.r_row, self.r_col = self.r.reshape(s, 1, dim), self.r.reshape(s, dim, 1)
+        self.r_norm2 = self.r_dot[:, 0, 0]
+        # per ring slot j: (df, dg)_j, flat as a row and as a column, dg_j as
+        # a column, row and column j of the Gram matrix, and scale_j
+        dfg = [self.dfg[:, j] for j in range(depth)]
+        self.slots = [(a, a.reshape(s, 1, 2 * dim), a.reshape(s, 2 * dim, 1), a[:, 1, :, None],
+                       self.gram[:, j, :, None], self.gram[:, :, j, None],
+                       self.scale[:, j, None, None]) for j, a in enumerate(dfg)]
+        self.ridge_col = self.ridge[:, None]
+        self.lhs_diag = np.einsum("sii->si", self.lhs)  # a writable view
+        self.g_col = self.g[..., None]
+        self.gamma = self.gamma_col[..., 0]
+        self.gamma_row = self.gamma[:, None, :]
+        self.step_flat = self.step_row[:, 0]
 
     def step(self, t: np.ndarray) -> np.ndarray:
         """Take T at the current points; return the next points, in a new array.
 
-        A start whose extrapolated point has a larger |g| than the point it
+        A row whose extrapolated point has a larger |g| than the point it
         left from rejects it: it goes on from the T it holds, history cleared.
         """
         fg, g_norm2 = self.fg, self.g_norm2
@@ -277,79 +285,40 @@ class _AndersonHistory:
         self.x = self.f - self.step_flat
         return self.x
 
-    def keep(self, keep: np.ndarray) -> None:
-        """Keep the rows where ``keep`` holds, moved in place to the front, and name them.
 
-        Every view a step uses is named here, on the kept rows, in the
-        shapes and strides of the formulas it stands for, so each product
-        runs the kernel it would on a fresh array.
-        """
-        rows = np.flatnonzero(keep)
-        s, dim = len(rows), self.x.shape[1]
-        for a in self._buffers:  # rows move to the front one at a time, in increasing order
-            for new, old in enumerate(rows):
-                if new != old:
-                    a[new] = a[old]
-        self.x = self.x[rows]
-        (self.fg, self.g_norm2, self.dfg, self.gram, self.scale, self.gamma_col,
-         self.extrapolated) = (a[:s] for a in self._buffers)
-        self.pair, self.r_dot, self.ridge, self.lhs, self.rhs, self.step_row = (
-            a[:s] for a in self._scratch)
-        self.f, self.g, self.df, self.dg = (self.fg[:, 0], self.fg[:, 1], self.dfg[:, :, 0],
-                                            self.dfg[:, :, 1])
-        self.t, self.r = self.pair[:, 0], self.pair[:, 1]  # T and g at the current point
-        self.r_row, self.r_col = self.r.reshape(s, 1, dim), self.r.reshape(s, dim, 1)
-        self.r_norm2 = self.r_dot[:, 0, 0]
-        # per ring slot j: (df, dg)_j, flat as a row and as a column, dg_j as
-        # a column, row and column j of the Gram matrix, and scale_j
-        dfg = [self.dfg[:, j] for j in range(ANDERSON_DEPTH)]
-        self.slots = [(a, a.reshape(s, 1, 2 * dim), a.reshape(s, 2 * dim, 1), a[:, 1, :, None],
-                       self.gram[:, j, :, None], self.gram[:, :, j, None],
-                       self.scale[:, j, None, None]) for j, a in enumerate(dfg)]
-        self.ridge_col = self.ridge[:, None]
-        self.lhs_diag = np.einsum("sii->si", self.lhs)  # a writable view
-        self.g_col = self.g[..., None]
-        self.gamma = self.gamma_col[..., 0]
-        self.gamma_row = self.gamma[:, None, :]
-        self.step_flat = self.step_row[:, 0]
-
-
-def _largest(res: dict[str, np.ndarray]) -> np.ndarray:
-    """Each start's largest residual: an ``np.maximum`` over the names, in their order."""
+def _largest(res: dict[str, float]) -> float:
+    """The largest residual: an ``np.maximum`` over the names, in their order, so a NaN wins."""
     return functools.reduce(np.maximum, res.values())
 
 
 def _floats(y: np.ndarray) -> np.ndarray:
-    """A C-contiguous stack as one float64 row per start, a view; complex entries as (re, im)."""
+    """A C-contiguous stack as one float64 row per leading entry, a view; complex as (re, im)."""
     return y.view(np.float64).reshape(len(y), -1)
 
 
-def solve_feasibility_batch(
-    sets,
-    starts: np.ndarray,
-    residual_fn: BatchResidualFn,
-    tol: float,
-    max_iter: int,
-    check_every: int = 10,
-) -> list[FeasibilityResult]:
-    """Run product-space Douglas-Rachford on a stack of starts in lockstep.
+def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: float,
+                      max_iter: int, check_every: int = 10) -> FeasibilityResult:
+    """Run product-space Douglas-Rachford from one start.
 
-    y holds one point a start and set of ``sets``: an ``(s, k, n, n)``
-    stack of Hermitian matrices for ``(s, n, n)`` starts, in their dtype,
-    or flat ``(s, k n)`` rows of coefficient vectors for ``(s, n)`` ones.
-    Each cycle evaluates T once: on matrices, where T costs an ``eigh``, at the point
-    ``_AndersonHistory`` chose; on vectors, where T costs a fraction of an Anderson
-    step, at the last T (plain DR).  The candidates are the PSD projection of the
-    average of T over the sets, and ``residual_fn`` returns one ``(s,)`` array per
-    residual name.  A start stops when its best maximum residual reaches ``tol``, on a
-    stall (no relative improvement by ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles:
-    infeasible problems end here), or at ``max_iter``, and leaves the stack.  Results
-    come back in the order of the starts.
+    y holds one point a set of ``sets``, behind a leading axis of length
+    one: a ``(1, k, n, n)`` stack of Hermitian matrices for an ``(n, n)``
+    start, in its dtype, or a flat ``(1, k n)`` row of coefficient vectors
+    for an ``(n,)`` one.  Each cycle evaluates T once: on matrices, where T
+    costs an ``eigh``, at the point ``_AndersonHistory`` chose; on vectors,
+    where T costs a fraction of an Anderson step, at the last T (plain DR).
+    A check, every ``check_every`` cycles and at ``max_iter``, reads out the
+    PSD projection of the average of T over the sets, and ``residual_fn``
+    maps that candidate to one float per residual name.  The solve stops
+    when its best maximum residual reaches ``tol``, on a stall (no relative
+    improvement by ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles: infeasible
+    problems end here), or at ``max_iter``, which must be at least 1.
     """
-    starts = np.asarray(starts)
-    n_sets, n = len(sets), starts.shape[-1]
-    if starts.ndim == 3:
-        points, readout = hermitian_part(starts), project_psd
+    if max_iter < 1:
+        raise ValueError("cycle cap must be >= 1")
+    x0 = np.asarray(start)[None]
+    n_sets, n = len(sets), x0.shape[-1]
+    if x0.ndim == 3:
+        points, readout = hermitian_part(x0), project_psd
         project = product_projection(sets, n)
         y = np.stack([points] * n_sets, axis=1)
         anderson = _AndersonHistory(_floats(y))
@@ -366,75 +335,32 @@ def solve_feasibility_batch(
             y = hermitian_part(anderson.step(_floats(y)).view(y.dtype).reshape(y.shape), out=y)
             return dr_map(y)
     else:
-        points, y, anderson = starts, np.tile(starts, n_sets), None
+        points, y = x0, np.tile(x0, n_sets)
         dr_map = advance = _folded_dr_map(sets, n)
 
         def readout(y: np.ndarray) -> np.ndarray:
             return np.maximum(y, 0.0)
     best_point = readout(points)
-    best_res = residual_fn(best_point)
+    best_res = residual_fn(best_point[0])
     best_max = _largest(best_res)
-    history = [[float(b)] for b in best_max]
-    last_improvement = np.zeros(len(best_point), dtype=int)
-    live = np.arange(len(best_point))  # input position of each start left in the stack
-    results: list[FeasibilityResult | None] = [None] * len(best_point)
-
-    def retire(done, converged, stalled, it) -> None:
-        for j in np.flatnonzero(done):
-            results[live[j]] = FeasibilityResult(
-                best_point[j].copy(), bool(converged[j]), bool(stalled[j]), it,
-                {name: float(r[j]) for name, r in best_res.items()}, history[j])
-
-    it = 0
-    while live.size and it < max_iter:
-        # y holds T at the current points, which the last check read out
-        y = advance(y) if it else dr_map(y)
-        it += 1
+    history = [float(best_max)]
+    last_improvement = 0
+    for it in range(1, max_iter + 1):
+        # y holds T at the current point, which the last check read out
+        y = advance(y) if it > 1 else dr_map(y)
         if it % check_every and it != max_iter:
             continue
-        candidate = readout(y.reshape(len(y), n_sets, *points.shape[1:]).sum(axis=1) / n_sets)
-        res = residual_fn(candidate)
+        candidate = readout(y.reshape(1, n_sets, *points.shape[1:]).sum(axis=1) / n_sets)
+        res = residual_fn(candidate[0])
         res_max = _largest(res)
-        last_improvement[res_max < best_max * (1.0 - _STALL_RTOL)] = it
-        # a start keeps its point and residuals from the first check that
-        # reached its best: a tie does not replace them, and a check where
-        # no start improved rebuilds nothing
-        better = res_max < best_max
-        if np.count_nonzero(better):
-            best_point = np.where(better.reshape(-1, *[1] * (starts.ndim - 1)), candidate,
-                                  best_point)
-            best_res = {name: np.where(better, res[name], r) for name, r in best_res.items()}
-            best_max = np.where(better, res_max, best_max)
-        for h, b in zip(history, best_max):
-            h.append(float(b))
-        converged = best_max <= tol
-        stalled = ~converged & (it - last_improvement >= STALL_WINDOW)
-        done = converged | stalled | (it == max_iter)
-        if not done.any():
-            continue
-        retire(done, converged, stalled, it)
-        keep = ~done
-        y, best_point, best_max = y[keep], best_point[keep], best_max[keep]
-        if anderson is not None:
-            anderson.keep(keep)
-        best_res = {name: r[keep] for name, r in best_res.items()}
-        last_improvement, live = last_improvement[keep], live[keep]
-        history = [h for h, kept in zip(history, keep) if kept]
-    if live.size:  # max_iter < 1: no cycle ran
-        idle = np.zeros(live.size, dtype=bool)
-        retire(~idle, idle, idle, max_iter)
-    return results
-
-
-def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn,
-                      **options) -> FeasibilityResult:
-    """Douglas-Rachford from one start; ``solve_feasibility_batch`` on a stack of one.
-
-    ``residual_fn`` takes the single candidate point and returns floats.
-    ``options`` go to the batch, which declares them.
-    """
-    def residuals(m: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: np.array([value]) for name, value in residual_fn(m[0]).items()}
-
-    [result] = solve_feasibility_batch(sets, np.asarray(start)[None], residuals, **options)
-    return result
+        if res_max < best_max * (1.0 - _STALL_RTOL):
+            last_improvement = it
+        # a tie keeps the point and residuals of the first check that reached the best
+        if res_max < best_max:
+            best_point, best_res, best_max = candidate, res, res_max
+        history.append(float(best_max))
+        converged = bool(best_max <= tol)
+        stalled = not converged and it - last_improvement >= STALL_WINDOW
+        if converged or stalled or it == max_iter:
+            return FeasibilityResult(best_point[0], converged, stalled, it,
+                                     {name: float(r) for name, r in best_res.items()}, history)

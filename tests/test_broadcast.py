@@ -19,9 +19,9 @@ from catcost.catalysis import distillation_no_advantage_check
 from catcost.cli import main, scenario_rigidity
 from catcost.measures import IsotropicCopies
 from catcost.operators import (
-    MAX_ENTRIES,
     FactorShape,
     ResourceLimitError,
+    bipartite_shape,
     density_from_matrix,
     density_from_vector,
     permute_factors,
@@ -146,22 +146,21 @@ class TestProjectionRigidity:
         stack = g + g.conj().swapaxes(-1, -2)
         assert np.array_equal(proj(stack), np.stack([reference(x) for x in stack]))
 
-    def test_blocks_respect_the_entry_budget(self, monkeypatch):
-        shapes = []
-        eigh = np.linalg.eigh
-
-        def recording_eigh(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        # the block rule does not depend on convergence: a loose tolerance
-        # lets every start finish at its first check
-        monkeypatch.setattr(catcost.broadcast, "FEASIBILITY_TOL", 1.0)
-        points = sample_two_copy_broadcasts(max_entangled(3), n_starts=20)
-        assert len(points) == 20
-        assert all(math.prod(shape) <= MAX_ENTRIES for shape in shapes)
-        assert {shape[0] for shape in shapes} == {MAX_ENTRIES // 81 ** 2, 20 % 9}
+    @pytest.mark.parametrize("phase", [1.0, 1j])
+    def test_samples_are_the_projections_of_the_seeded_draws_in_order(self, phase):
+        # a local phase on B makes phi complex, and its starts complex128
+        u = np.kron(np.eye(2), np.diag([1.0, phase]))
+        phi = density_from_matrix(u @ max_entangled(2).entries @ u.conj().T,
+                                  bipartite_shape(2, 2))
+        rng = np.random.default_rng(11)
+        expected = []
+        for _ in range(3):
+            m = project_to_two_copy_broadcast(
+                phi, random_density_matrix(16, rng, phi.entries.dtype)).point
+            expected.append(m / np.trace(m).real)
+        points = sample_two_copy_broadcasts(phi, n_starts=3, seed=11)
+        assert [p.entries.dtype for p in points] == [phi.entries.dtype] * 3
+        assert all(np.array_equal(p.entries, m) for p, m in zip(points, expected))
 
 
 class TestTwirledRigidity:
