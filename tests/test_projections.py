@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from catcost import broadcast, choi, projections
-from catcost.broadcast import sample_two_copy_broadcasts
+from catcost.broadcast import _marginal_projections, sample_two_copy_broadcasts
 from catcost.choi import _twirled_dilution, synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
 from catcost.measures import IsotropicCopies, copy_ranks, random_twirled_states
@@ -112,20 +112,56 @@ TWIRLED_SEARCHES = [f"{name} --m {m}" for name in ("noisy-phi-2", "broadcast-phi
 
 
 def twirled_search(case, n_starts):
-    """A twirled search's sets and seeded vector starts."""
+    """A twirled search's sets, seeded vector starts and residuals."""
     name, _, m = case.split()
     target = _named_target(name)
-    sets, _, _, _ = _twirled_dilution(int(m), target, 0)
+    sets, _, residual, _ = _twirled_dilution(int(m), target, 0)
     k = target.coeffs.ndim
     root = np.sqrt(copy_ranks(target.d, k).ravel())
-    return sets, root * random_twirled_states(target.d, k, n_starts, 0).reshape(n_starts, -1)
+    starts = root * random_twirled_states(target.d, k, n_starts, 0).reshape(n_starts, -1)
+    return sets, starts, residual
+
+
+def assert_same_outcome(first, second):
+    assert (first.iterations, first.converged, first.stalled) == (
+        second.iterations, second.converged, second.stalled)
+    assert first.best_history == second.best_history
+    assert first.residuals == second.residuals
+    assert np.array_equal(first.point, second.point)
+
+
+class TestOneStartSolves:
+    @pytest.mark.parametrize("points", ["matrices"] + TWIRLED_SEARCHES)
+    def test_each_start_reaches_its_verdict_whatever_ran_before(self, rng, points):
+        if points == "matrices":
+            proj, residual = _marginal_projections(max_entangled(2).entries)
+            starts = [random_density_matrix(16, rng) for _ in range(5)]
+            sets = [proj, Cone()]
+        else:
+            sets, stack, residual = twirled_search(points, 5)
+            assert stack.dtype == np.float64
+            starts = list(stack)
+        # the twirled synthesis at m = 0 searches an NPT target, and stalls
+        feasible = not points.endswith("--m 0")
+        kwargs = dict(tol=1e-9, max_iter=5000, check_every=5)
+        forward = [solve_feasibility(sets, start, residual, **kwargs) for start in starts]
+        backward = [solve_feasibility(sets, start, residual, **kwargs)
+                    for start in reversed(starts)][::-1]
+        for start, result, again in zip(starts, forward, backward):
+            assert result.converged == feasible and result.stalled != feasible
+            assert result.point.shape == start.shape
+            assert set(result.residuals) == set(residual(result.point))
+            # a solve carries nothing over from the solves before it
+            assert_same_outcome(result, again)
+            hist = result.best_history
+            assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
 class TestFoldedMap:
     @pytest.mark.parametrize("case", TWIRLED_SEARCHES)
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_folded_map_is_the_reflection(self, rng, case, scale):
-        sets, starts = twirled_search(case, 1)
+        sets, starts, _ = twirled_search(case, 1)
         n_sets, n = len(sets), starts.shape[1]
         y = scale * rng.standard_normal((7, n_sets, n))
         avg = y.sum(axis=1, keepdims=True) / n_sets
@@ -159,10 +195,15 @@ class TestStarts:
                               random_density_matrix(dim, complex_rng).real)
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
-    @pytest.mark.parametrize("dim", [4, 16])
-    def test_seeded_starts_are_the_per_start_formula_in_order(self, dtype, dim):
+    @pytest.mark.parametrize("dim, n_starts", [(4, 3), (16, 7), (16, 20), (16, 300), (256, 2)])
+    def test_seeded_starts_are_the_per_start_formula_in_order(self, dtype, dim, n_starts):
         # every seeded dense search start, every pinned cycle count, rests on these bits
-        drawn = list(seeded_starts(dim, 3, 5, "start", dtype))
+        drawn = list(seeded_starts(dim, n_starts, 5, "start", dtype))
+        assert len(drawn) == n_starts
+        one_by_one = np.random.default_rng(5)
+        assert all(np.array_equal(start, random_density_matrix(dim, one_by_one, dtype))
+                   for start in drawn)
+        # and the per-start formula, two draws a start, gives the same bits
         rng = np.random.default_rng(5)
         for start in drawn:
             assert start.dtype == dtype and start.shape == (dim, dim)
@@ -388,7 +429,7 @@ class AndersonOracle:
 
 def stalled_synthesis_map():
     """T of the infeasible twirled ``synthesize noisy-phi-2 --m 0`` and four starts, as rows."""
-    sets, starts = twirled_search("noisy-phi-2 --m 0", 4)
+    sets, starts, _ = twirled_search("noisy-phi-2 --m 0", 4)
     return _folded_dr_map(sets, starts.shape[1]), np.tile(starts, len(sets))
 
 
