@@ -265,8 +265,7 @@ def _dense_dilution(m: int, target: DensityOperator, seed: int):
         rho_pt = partial_transpose_entries(rho, shape)
 
         def unit_trace(x: np.ndarray) -> np.ndarray:
-            tr = np.trace(x, axis1=-2, axis2=-1).real
-            return x - ((tr - 1.0) / dim)[:, None, None] * np.eye(dim)
+            return x - (np.trace(x).real - 1.0) / dim * np.eye(dim)
 
         sets = [Cone(), unit_trace, Cone(gamma, -e / (1.0 - e) * rho_pt),
                 Cone(gamma, e / (1.0 + e) * rho_pt)]

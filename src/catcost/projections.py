@@ -13,9 +13,10 @@ twirl-algebra synthesis search) T is one affine-clip-affine map.
 
 Safeguarded type-II Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482;
 Zhang-O'Donoghue-Boyd, arXiv:1808.03971) accelerates T on matrices alone, on
-their float64 entries (a Frobenius inner product): there T costs an ``eigh``, and a
-folded vector T a quarter of a step.  The Anderson depth and the stall rule are
-module constants; the per-call options are declared on ``solve_feasibility``.
+the point's float64 entries as one vector (a Frobenius inner product): there
+T costs an ``eigh``, and a folded vector T a quarter of a step.  The Anderson
+depth and the stall rule are module constants; the per-call options are
+declared on ``solve_feasibility``.
 
 A dense search's seeded starts are Ginibre density matrices drawn here
 (``seeded_starts``); the twirl-algebra synthesis search draws the twirl
@@ -82,7 +83,7 @@ class Cone(NamedTuple):
     index array permuting the n^2 entries of n x n matrices, keeping them
     Hermitian, such as the partial transpose; None is the identity.  Any
     other set is an affine projection: a pair (B, o), y -> y B + o, on
-    coefficient vectors, or a callable on (s, n, n) stacks of matrices.
+    coefficient vectors, or a callable on one n x n matrix.
     """
 
     frame: np.ndarray | None = None
@@ -90,44 +91,43 @@ class Cone(NamedTuple):
 
 
 def product_projection(sets, n: int) -> Projection:
-    """P onto a product of sets of n x n Hermitian matrices, on (s, k, n, n) stacks.
+    """P onto a product of sets of n x n Hermitian matrices, on (k, n, n) arrays.
 
     A cone maps its block x to F^-1 (s + P_psd(F x - s)), or to P_psd(x)
-    with neither frame nor shift.  One index gathers every cone block of
-    the stack, in its frame and shifted, into one ``project_psd`` call and
-    scatters the results back; each affine set's callable maps its block.
+    with neither frame nor shift.  One index gathers every cone block, in
+    its frame and shifted, into one ``project_psd`` call and scatters the
+    results back; each affine set's callable maps its block.
     """
     cones = [(i, c) for i, c in enumerate(sets) if isinstance(c, Cone)]
-    # entry j of cone c is entry gather[c, j] of a start's flattened blocks
+    # entry j of cone c is entry gather[c, j] of the flattened blocks
     gather = np.stack([i * n * n + (np.arange(n * n) if c.frame is None else c.frame)
                        for i, c in cones])
     shifts = np.stack([np.broadcast_to(np.ravel(c.shift), n * n) for _, c in cones])
     restore = [j for j, (_, c) in enumerate(cones) if c.frame is not None or np.any(c.shift)]
 
     def project(z: np.ndarray) -> np.ndarray:
-        s = len(z)
-        psd = z.reshape(s, -1)[:, gather]
+        psd = z.reshape(-1)[gather]
         psd -= shifts
         psd = project_psd(psd.reshape(-1, n, n)).reshape(psd.shape)
-        psd[:, restore] += shifts[restore]
+        psd[restore] += shifts[restore]
         out = np.empty_like(z)
-        out.reshape(s, -1)[:, gather] = psd
+        out.reshape(-1)[gather] = psd
         for i, c in enumerate(sets):
             if not isinstance(c, Cone):
-                out[:, i] = c(z[:, i])
+                out[i] = c(z[i])
         return out
 
     return project
 
 
 def _folded_dr_map(sets, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """T(y) = y + P(2 avg - y) - avg on (s, k n) rows, for k sets of n coefficients.
+    """T(y) = y + P(2 avg - y) - avg on the k n vector y of k sets of n coefficients.
 
     For row vectors P(y) = max(y F, clip) B + o, block by block: a cone is
     y -> max(y F^T, shift) F, an affine set y -> max(y, -inf) B + o.  With
     M the set-average matrix, T(y) = y (I - M) + max(y (2M - I) F, clip) B + o,
     one affine-clip-affine map: y [I - M | (2M - I) F | 0], clipped at
-    [-inf | clip | 1], times [I; B; o].  Each row is its own product.
+    [-inf | clip | 1], times [I; B; o].
     """
     identity, k = np.eye(n), len(sets)
 
@@ -148,8 +148,8 @@ def _folded_dr_map(sets, n: int) -> Callable[[np.ndarray], np.ndarray]:
     back = np.vstack([eye, backward, offset])
 
     def dr_map(y: np.ndarray) -> np.ndarray:
-        z = y[:, None] @ fold
-        return (np.maximum(z, floor, out=z) @ back)[:, 0]
+        z = y @ fold
+        return np.maximum(z, floor, out=z) @ back
 
     return dr_map
 
@@ -181,108 +181,57 @@ _STALL_RTOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products of matching rows, each flattened; a row's value depends on no other row.
-
-    The formula of the Anderson step's sizes |g|^2 and |df_j|^2 + |dg_j|^2,
-    which the step computes through views of the same shapes.
-    """
-    return np.matmul(a.reshape(len(a), 1, -1), b.reshape(len(b), -1, 1))[:, 0, 0]
-
-
 class _AndersonHistory:
-    """Safeguarded type-II Anderson acceleration of a fixed-point map T, row by row.
+    """Safeguarded type-II Anderson acceleration of a fixed-point map T on one float64 vector.
 
-    Each row is a point, a float64 vector; a solve has one.  Each keeps its
-    current point ``x`` (the last returned, never written), the pair ``fg``
-    = (f, g) of T and g = T - id at its last accepted point, ``g_norm2`` =
-    |g|^2, the last ``ANDERSON_DEPTH`` differences ``dfg`` = (df, dg) of
-    that pair, ``gram`` = dg dg^T (one new row a step), ``scale`` =
-    |df_j|^2 + |dg_j|^2 for the ridge, ``gamma`` and ``extrapolated``.
-    These buffers, and the scratch of a step's products, are allocated
-    once, and every view a step uses is named here, in the shapes and
-    strides of the formulas it stands for, so each product runs the kernel
-    it would on a fresh array.
+    It keeps the current point ``x`` (the last returned, never written),
+    the pair ``fg`` = (f, g) of T and g = T - id at its last accepted
+    point, ``g_norm2`` = |g|^2, the last ``ANDERSON_DEPTH`` differences
+    ``dfg`` = (df, dg) of that pair in a ring, ``gram`` = dg dg^T (one new
+    row a step), ``scale`` = |df_j|^2 + |dg_j|^2 for the ridge, and whether
+    the current point was ``extrapolated``.  Each inner product is a dot or
+    a matrix-vector product of the plain formula, so no sum is reordered.
     """
 
     def __init__(self, x0: np.ndarray) -> None:
-        (s, dim), depth = x0.shape, ANDERSON_DEPTH
+        depth = ANDERSON_DEPTH
         self.x = x0.copy()
         self.slot = -1  # ring slot of the newest difference; -1 before the first step
-        self.fg, self.g_norm2 = np.zeros((s, 2, dim)), np.zeros(s)
-        self.dfg, self.gram = np.zeros((s, depth, 2, dim)), np.zeros((s, depth, depth))
-        self.scale, self.gamma_col = np.zeros((s, depth)), np.zeros((s, depth, 1))
-        self.extrapolated = np.zeros(s, dtype=bool)
-        # every step overwrites these before it reads them: (T, g) at the
-        # current point, |g|^2, the ridge, the ridged Gram system, dg g and
-        # gamma df
-        self.pair, self.r_dot, self.ridge = np.empty((s, 2, dim)), np.empty((s, 1, 1)), np.empty(s)
-        self.lhs, self.rhs = np.empty((s, depth, depth)), np.empty((s, depth, 1))
-        self.step_row = np.empty((s, 1, dim))
-        self.f, self.g, self.df, self.dg = (self.fg[:, 0], self.fg[:, 1], self.dfg[:, :, 0],
-                                            self.dfg[:, :, 1])
-        self.t, self.r = self.pair[:, 0], self.pair[:, 1]  # T and g at the current point
-        self.r_row, self.r_col = self.r.reshape(s, 1, dim), self.r.reshape(s, dim, 1)
-        self.r_norm2 = self.r_dot[:, 0, 0]
-        # per ring slot j: (df, dg)_j, flat as a row and as a column, dg_j as
-        # a column, row and column j of the Gram matrix, and scale_j
-        dfg = [self.dfg[:, j] for j in range(depth)]
-        self.slots = [(a, a.reshape(s, 1, 2 * dim), a.reshape(s, 2 * dim, 1), a[:, 1, :, None],
-                       self.gram[:, j, :, None], self.gram[:, :, j, None],
-                       self.scale[:, j, None, None]) for j, a in enumerate(dfg)]
-        self.ridge_col = self.ridge[:, None]
-        self.lhs_diag = np.einsum("sii->si", self.lhs)  # a writable view
-        self.g_col = self.g[..., None]
-        self.gamma = self.gamma_col[..., 0]
-        self.gamma_row = self.gamma[:, None, :]
-        self.step_flat = self.step_row[:, 0]
+        self.fg, self.g_norm2 = np.zeros((2, len(x0))), 0.0
+        self.dfg, self.gram = np.zeros((depth, 2, len(x0))), np.zeros((depth, depth))
+        self.scale, self.extrapolated = np.zeros(depth), False
 
     def step(self, t: np.ndarray) -> np.ndarray:
-        """Take T at the current points; return the next points, in a new array.
+        """Take T at the current point; return the next point, in a new array.
 
-        A row whose extrapolated point has a larger |g| than the point it
-        left from rejects it: it goes on from the T it holds, history cleared.
+        An extrapolated point with a larger |g| than the point it left from
+        is rejected: the solve goes on from the T it holds, history cleared.
         """
-        fg, g_norm2 = self.fg, self.g_norm2
-        self.t[...] = t
-        np.subtract(t, self.x, self.r)
-        np.matmul(self.r_row, self.r_col, self.r_dot)  # |r|^2 in self.r_norm2
+        g = t - self.x
+        g_norm2 = g @ g
+        pair = np.stack((t, g))
         if self.slot < 0:  # the first step is a plain one
             self.slot = ANDERSON_DEPTH - 1
-            fg[...], g_norm2[...] = self.pair, self.r_norm2
-            self.x = t.copy()
+            self.fg, self.g_norm2, self.x = pair, g_norm2, t.copy()
             return self.x
-        rejected = self.extrapolated & (self.r_norm2 > g_norm2)
         self.slot = j = (self.slot + 1) % ANDERSON_DEPTH
-        # the new difference, its Gram row (and column), and its size
-        dfg_j, dfg_row, dfg_col, dg_col, gram_row, gram_col, scale_j = self.slots[j]
-        np.subtract(self.pair, fg, dfg_j)
-        np.matmul(self.dg, dg_col, gram_row)
-        gram_col[...] = gram_row
-        np.matmul(dfg_row, dfg_col, scale_j)
-        if np.count_nonzero(rejected):
-            for a in (self.dfg, self.gram, self.scale):
-                a[rejected] = 0.0
-            accepted = ~rejected
-            np.copyto(fg, self.pair, where=accepted[:, None, None])
-            np.copyto(g_norm2, self.r_norm2, where=accepted)
-            self.extrapolated[...] = accepted
-        else:
-            fg[...], g_norm2[...], self.extrapolated[...] = self.pair, self.r_norm2, True
+        dfg, gram, scale = self.dfg, self.gram, self.scale
+        if self.extrapolated and g_norm2 > self.g_norm2:
+            dfg[...] = gram[...] = scale[...] = 0.0
+            self.extrapolated = False
+        else:  # the new difference, its Gram row (and column), and its size
+            dfg[j] = pair - self.fg
+            gram[j] = gram[:, j] = dfg[:, 1] @ dfg[j, 1]
+            scale[j] = dfg[j].ravel() @ dfg[j].ravel()
+            self.fg, self.g_norm2, self.extrapolated = pair, g_norm2, True
         # gamma = argmin |g - dg gamma|^2 + ridge |gamma|^2, the ridge scaled
         # by the sizes of both difference sets (Fu-Zhang-Boyd) and added
         # onto the diagonal of a copy of the Gram matrix; a cleared column
         # gets gamma 0, and an all-clear history the plain step
-        ridge = self.ridge
-        np.add.reduce(self.scale, 1, None, ridge)
-        np.multiply(_ANDERSON_REG, ridge, ridge)
-        np.add(ridge, _TINY, ridge)
-        self.lhs[...] = self.gram
-        np.add(self.lhs_diag, self.ridge_col, self.lhs_diag)
-        np.matmul(self.dg, self.g_col, self.rhs)
-        _gesv(self.lhs, self.rhs, self.gamma_col)
-        np.matmul(self.gamma_row, self.df, self.step_row)
-        self.x = self.f - self.step_flat
+        lhs = gram.copy()
+        lhs.flat[::ANDERSON_DEPTH + 1] += _ANDERSON_REG * scale.sum() + _TINY
+        gamma = _gesv(lhs, (dfg[:, 1] @ self.fg[1])[:, None])[:, 0]
+        self.x = self.fg[0] - gamma @ dfg[:, 0]
         return self.x
 
 
@@ -291,57 +240,55 @@ def _largest(res: dict[str, float]) -> float:
     return functools.reduce(np.maximum, res.values())
 
 
-def _floats(y: np.ndarray) -> np.ndarray:
-    """A C-contiguous stack as one float64 row per leading entry, a view; complex as (re, im)."""
-    return y.view(np.float64).reshape(len(y), -1)
-
-
 def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: float,
                       max_iter: int, check_every: int = 10) -> FeasibilityResult:
     """Run product-space Douglas-Rachford from one start.
 
-    y holds one point a set of ``sets``, behind a leading axis of length
-    one: a ``(1, k, n, n)`` stack of Hermitian matrices for an ``(n, n)``
-    start, in its dtype, or a flat ``(1, k n)`` row of coefficient vectors
-    for an ``(n,)`` one.  Each cycle evaluates T once: on matrices, where T
-    costs an ``eigh``, at the point ``_AndersonHistory`` chose; on vectors,
-    where T costs a fraction of an Anderson step, at the last T (plain DR).
-    A check, every ``check_every`` cycles and at ``max_iter``, reads out the
-    PSD projection of the average of T over the sets, and ``residual_fn``
-    maps that candidate to one float per residual name.  The solve stops
-    when its best maximum residual reaches ``tol``, on a stall (no relative
-    improvement by ``_STALL_RTOL`` over ``STALL_WINDOW`` cycles: infeasible
-    problems end here), or at ``max_iter``, which must be at least 1.
+    y holds one point a set of ``sets``: a ``(k, n, n)`` array of Hermitian
+    matrices for an ``(n, n)`` start, in its dtype, or a flat ``(k n,)``
+    vector of coefficients for an ``(n,)`` one.  Each cycle evaluates T
+    once: on matrices, where T costs an ``eigh``, at the point
+    ``_AndersonHistory`` chose from y's float64 view; on vectors, where T
+    costs a fraction of an Anderson step, at the last T (plain DR).  A
+    check, every ``check_every`` cycles and at ``max_iter``, reads out the
+    PSD projection of the average of T over the sets, an ``(n, n)`` or
+    ``(n,)`` candidate, and ``residual_fn`` maps it to one float per
+    residual name.  The solve stops when its best maximum residual reaches
+    ``tol``, on a stall (no relative improvement by ``_STALL_RTOL`` over
+    ``STALL_WINDOW`` cycles: infeasible problems end here), or at
+    ``max_iter``.  ``max_iter`` and ``check_every`` must be at least 1.
     """
     if max_iter < 1:
         raise ValueError("cycle cap must be >= 1")
-    x0 = np.asarray(start)[None]
-    n_sets, n = len(sets), x0.shape[-1]
-    if x0.ndim == 3:
-        points, readout = hermitian_part(x0), project_psd
+    if check_every < 1:
+        raise ValueError("check interval must be >= 1")
+    start = np.asarray(start)
+    n_sets, n = len(sets), start.shape[-1]
+    if start.ndim == 2:
+        points, readout = hermitian_part(start), project_psd
         project = product_projection(sets, n)
-        y = np.stack([points] * n_sets, axis=1)
-        anderson = _AndersonHistory(_floats(y))
+        y = np.stack([points] * n_sets)
+        anderson = _AndersonHistory(y.view(np.float64).ravel())
 
         def dr_map(y: np.ndarray) -> np.ndarray:
             # in y's buffer, kept exactly Hermitian by a P that keeps it so:
             # entries (i, j) and (j, i) see the same additions, up to sign
-            avg = y.sum(axis=1, keepdims=True) / n_sets
+            avg = y.sum(axis=0) / n_sets
             y += project(2.0 * avg - y)
             y -= avg
             return y
 
         def advance(y: np.ndarray) -> np.ndarray:  # T at the point Anderson takes from T
-            y = hermitian_part(anderson.step(_floats(y)).view(y.dtype).reshape(y.shape), out=y)
-            return dr_map(y)
+            x = anderson.step(y.view(np.float64).ravel())
+            return dr_map(hermitian_part(x.view(y.dtype).reshape(y.shape), out=y))
     else:
-        points, y = x0, np.tile(x0, n_sets)
+        points, y = start, np.tile(start, n_sets)
         dr_map = advance = _folded_dr_map(sets, n)
 
         def readout(y: np.ndarray) -> np.ndarray:
             return np.maximum(y, 0.0)
     best_point = readout(points)
-    best_res = residual_fn(best_point[0])
+    best_res = residual_fn(best_point)
     best_max = _largest(best_res)
     history = [float(best_max)]
     last_improvement = 0
@@ -350,8 +297,8 @@ def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: flo
         y = advance(y) if it > 1 else dr_map(y)
         if it % check_every and it != max_iter:
             continue
-        candidate = readout(y.reshape(1, n_sets, *points.shape[1:]).sum(axis=1) / n_sets)
-        res = residual_fn(candidate[0])
+        candidate = readout(y.reshape(n_sets, *points.shape).sum(axis=0) / n_sets)
+        res = residual_fn(candidate)
         res_max = _largest(res)
         if res_max < best_max * (1.0 - _STALL_RTOL):
             last_improvement = it
@@ -362,5 +309,5 @@ def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: flo
         converged = bool(best_max <= tol)
         stalled = not converged and it - last_improvement >= STALL_WINDOW
         if converged or stalled or it == max_iter:
-            return FeasibilityResult(best_point[0], converged, stalled, it,
+            return FeasibilityResult(best_point, converged, stalled, it,
                                      {name: float(r) for name, r in best_res.items()}, history)

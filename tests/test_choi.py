@@ -222,27 +222,26 @@ class TestSynthesis:
         rho = target.entries
         sets, *_ = _dense_dilution(m, target, 0)
         n_sets, project = len(sets), product_projection(sets, 6)
-        z = np.stack([random_hermitian(rng, 6) for _ in range(3 * n_sets)]).reshape(3, n_sets, 6, 6)
-        z = z.real.copy() if real else z
 
         def pt(x):
             return partial_transpose_entries(x, target.shape)
 
         def cone(x, shift):
-            return np.stack([pt(shift + project_psd(pt(block) - shift)) for block in x])
+            return pt(shift + project_psd(pt(x) - shift))
 
-        if m == 0:
-            blocks = [project_psd(z[:, 0]), cone(z[:, 1], 0.0),
-                      np.broadcast_to(hermitian_part(rho), (3, 6, 6))]
-        else:
-            e, rho_pt = 2.0 ** -m, pt(rho)
-            tr = np.trace(z[:, 1], axis1=-2, axis2=-1).real
-            blocks = [project_psd(z[:, 0]), z[:, 1] - ((tr - 1.0) / 6)[:, None, None] * np.eye(6),
-                      cone(z[:, 2], -e / (1.0 - e) * rho_pt), cone(z[:, 3], e / (1.0 + e) * rho_pt)]
-        # one gathered project_psd call and one scatter, bit for bit the per-set formulas
-        got = project(z)
-        assert got.dtype == dtype and n_sets == len(blocks)
-        assert np.array_equal(got, np.stack(blocks, axis=1))
+        for _ in range(3):
+            z = np.stack([random_hermitian(rng, 6) for _ in range(n_sets)])
+            z = z.real.copy() if real else z
+            if m == 0:
+                blocks = [project_psd(z[0]), cone(z[1], 0.0), hermitian_part(rho)]
+            else:
+                e, rho_pt = 2.0 ** -m, pt(rho)
+                blocks = [project_psd(z[0]), z[1] - (np.trace(z[1]).real - 1.0) / 6 * np.eye(6),
+                          cone(z[2], -e / (1.0 - e) * rho_pt), cone(z[3], e / (1.0 + e) * rho_pt)]
+            # one gathered project_psd call and one scatter, bit for bit the per-set formulas
+            got = project(z)
+            assert got.dtype == dtype and got.shape == z.shape and n_sets == len(blocks)
+            assert np.array_equal(got, np.stack(blocks))
 
     @pytest.mark.parametrize("argv, code", [(["noisy-phi-3", "--m", "2"], 0),
                                             (["broadcast-phi-2", "--m", "1"], 0),
