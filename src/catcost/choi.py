@@ -12,6 +12,7 @@ target-sized search: D x D matrices for a dense target, and vectors of
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,10 +39,8 @@ from .measures import (
     IsotropicCopies,
     copies_matrix,
     copy_ranks,
-    largest_entry,
     log_negativity,
     partial_transpose_isometry,
-    partial_transpose_spectrum,
     random_twirled_states,
 )
 from .projections import Cone, seeded_starts, solve_feasibility
@@ -305,8 +304,12 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
     ``TwirledChoi.residuals`` on the dense blocks, in closed form: cp and
     ppt the least coefficients of a, b and the two cone operators,
     tp = |r.c - 1|, and the correctness at m = 0 the largest entry of
-    sigma - rho (``largest_entry``); at m >= 1, a = rho exactly.
-    ``point`` builds the dense blocks.
+    sigma - rho; at m >= 1, a = rho exactly.  Each is affine in the
+    candidate x: a check is one v = x R + o, built once, and the least
+    entry of each section of v.  Per copy, c0 Phi + c1 (1 - Phi) has the
+    entries c0/d + c1 (1 - 1/d) at |ii><ii|, (c0 - c1)/d at |ii><jj|, c1 at
+    |ij><ij| (i != j) and 0 elsewhere, and an entry of k copies is a
+    product of one class a copy.  ``point`` builds the dense blocks.
     """
     check_entry_budget(target.shape.total_dim, "synthesis start")
     d, rho = target.d, target.coeffs
@@ -322,28 +325,31 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
         sets = [Cone(), (np.eye(len(root)) - np.outer(root, root) / n, root / n),
                 Cone(gamma, -e / (1.0 - e) * s), Cone(gamma, e / (1.0 + e) * s)]
 
-    def coeffs(y: np.ndarray) -> np.ndarray:
-        return (y / root).reshape(rho.shape)
+    # (R, o) of cp (c = x / sqrt(r)), ppt (b's Gamma coefficients: Q sqrt(r)
+    # = sqrt(q), since Gamma fixes the identity), tp and correctness
+    b_pt, zeros = gamma.T / (gamma @ root), np.zeros(len(root))
+    if m == 0:  # each entry class of sigma - rho, with both signs
+        per_copy = np.array(((1.0 / d, 1.0 / d, 0.0), (1.0 - 1.0 / d, -1.0 / d, 1.0)))
+        entries = functools.reduce(np.kron, [per_copy] * rho.ndim)
+        entries = np.hstack([entries, -entries])
+        pt_rows, entry_rows = (b_pt, zeros), (entries / root[:, None], -(rho.ravel() @ entries))
+    else:  # a = rho: its cone operators' terms are constants, and a - rho is 0
+        e_a_pt = e * target.partial_transpose_coeffs.ravel()
+        pt_rows = np.hstack([(1 - e) * b_pt, (1 + e) * b_pt]), np.concatenate([e_a_pt, -e_a_pt])
+        entry_rows = zeros[:, None], [0.0]
+    sections = [(np.diag(1.0 / root), zeros), pt_rows, (root[:, None], [-1.0]), entry_rows]
+    rows = np.hstack([r for r, _ in sections])
+    offset = np.concatenate([o for _, o in sections])
+    starts = np.cumsum([0] + [len(o) for _, o in sections[:-1]])
+    a_least = math.inf if m == 0 else float(rho.min())
 
-    # at m >= 1 the least coefficient of a and e a^Gamma are constants, and
-    # a check reuses them; at m = 0 a = b, and a check computes each once
-    least = np.minimum.reduce  # ``ndarray.min`` without its Python wrapper
-    a_least, e_a_pt = (None, None) if m == 0 else (least(rho, None),
-                                                   e * target.partial_transpose_coeffs)
-
-    def residuals(y: np.ndarray) -> dict[str, float]:
-        c = coeffs(y)
-        c_least = least(c, None)
-        b_pt = partial_transpose_spectrum(d, c)
-        ea_pt = e * b_pt if m == 0 else e_a_pt
-        ppt = min(least(ea_pt + (1.0 - e) * b_pt, None), least((1.0 + e) * b_pt - ea_pt, None))
-        cp = c_least if m == 0 else min(c_least, a_least)
-        return {"cp": max(0.0, -float(cp)), "ppt": max(0.0, -float(ppt)),
-                "tp": abs(float(c.ravel() @ ranks) - 1.0),
-                "correctness": largest_entry(d, c - rho) if m == 0 else 0.0}
+    def residuals(x: np.ndarray) -> dict[str, float]:
+        cp, ppt, tp, correctness = np.minimum.reduceat(x @ rows + offset, starts).tolist()
+        return {"cp": max(0.0, -min(cp, a_least)), "ppt": max(0.0, -ppt),
+                "tp": abs(tp), "correctness": abs(correctness)}
 
     def point(y: np.ndarray) -> TwirledChoi:
-        b = copies_matrix(d, coeffs(y))
+        b = copies_matrix(d, (y / root).reshape(rho.shape))
         return TwirledChoi(m, target.shape, b if m == 0 else copies_matrix(d, rho), b)
 
     start = root * random_twirled_states(d, rho.ndim, 1, seed)[0].ravel()

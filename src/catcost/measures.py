@@ -5,7 +5,7 @@ work cost.
 The PPT measures take a dense ``DensityOperator`` or an ``IsotropicCopies``
 state, which gives the same partial-transpose quantities in closed form.
 The algebra's maps are also module functions on raw coefficient arrays
-(``copy_ranks``, ``partial_transpose_spectrum``, ``largest_entry``,
+(``copy_ranks``, ``partial_transpose_spectrum``, ``partial_transpose_isometry``,
 ``copies_matrix``): the twirled search's iterates have any sign and trace,
 and ``IsotropicCopies`` validates a state.  ``twirl_coefficients`` maps one
 dense matrix into the algebra, and ``random_twirled_states`` draws the
@@ -201,17 +201,6 @@ def partial_transpose_isometry(d: int, k: int) -> np.ndarray:
     per_copy = (np.sqrt(_partial_transpose_ranks(d))[:, None]
                 * np.array(_partial_transpose_map(d)) / np.sqrt(_ranks(d)))
     return functools.reduce(np.kron, [per_copy] * k)
-
-
-def largest_entry(d: int, c: np.ndarray) -> float:
-    """The largest |entry| of the dense operator with (2,) * k coefficients c.
-
-    Per copy, c0 Phi + c1 (1 - Phi) has the entries c0/d + c1 (1 - 1/d)
-    at |ii><ii|, (c0 - c1)/d at |ii><jj| and c1 at |ij><ij| (i != j), and
-    0 elsewhere; an entry of k copies is a product of one class a copy.
-    """
-    classes = (1.0 / d, 1.0 - 1.0 / d), (1.0 / d, -1.0 / d), (0.0, 1.0)
-    return float(np.abs(_per_copy(classes, c)).max())
 
 
 def copies_matrix(d: int, c: np.ndarray) -> np.ndarray:

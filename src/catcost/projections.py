@@ -9,12 +9,13 @@ the readout, the PSD projection of the average, from them and the
 start's shape.  On Hermitian matrices, kept exactly Hermitian (the affine
 formulas are only orthogonal there), P sends every cone block through
 one ``eigh`` (``product_projection``).  On coefficient vectors (the
-twirl-algebra synthesis search) T is one affine-clip-affine map.
+twirl-algebra synthesis search) T is one affine-clip-affine map, and a
+cycle one product and one clip.
 
 Safeguarded type-II Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482;
 Zhang-O'Donoghue-Boyd, arXiv:1808.03971) accelerates T on matrices alone, on
 the point's float64 entries as one vector (a Frobenius inner product): there
-T costs an ``eigh``, and a folded vector T a quarter of a step.  The Anderson
+T costs an ``eigh``, and a fused vector cycle a tenth of a step.  The Anderson
 depth and the stall rule are module constants; the per-call options are
 declared on ``solve_feasibility``.
 
@@ -120,14 +121,15 @@ def product_projection(sets, n: int) -> Projection:
     return project
 
 
-def _folded_dr_map(sets, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """T(y) = y + P(2 avg - y) - avg on the k n vector y of k sets of n coefficients.
+def _folded_dr_map(sets, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, floor, B) of T(y) = y + P(2 avg - y) - avg = max(y F, floor) B, y of k sets of n.
 
     For row vectors P(y) = max(y F, clip) B + o, block by block: a cone is
     y -> max(y F^T, shift) F, an affine set y -> max(y, -inf) B + o.  With
     M the set-average matrix, T(y) = y (I - M) + max(y (2M - I) F, clip) B + o,
-    one affine-clip-affine map: y [I - M | (2M - I) F | 0], clipped at
-    [-inf | clip | 1], times [I; B; o].
+    one affine-clip-affine map: F = [I - M | (2M - I) F | 0], floor
+    [-inf | clip | 1] and B = [I; B; o].  A solve iterates w = max(y F, floor):
+    T^j(y) = w_j B, and a cycle is w -> max(w B F, floor).
     """
     identity, k = np.eye(n), len(sets)
 
@@ -145,13 +147,7 @@ def _folded_dr_map(sets, n: int) -> Callable[[np.ndarray], np.ndarray]:
     eye, avg = np.eye(k * n), np.kron(np.full((k, k), 1.0 / k), identity)
     fold = np.hstack([eye - avg, (2.0 * avg - eye) @ forward, np.zeros((len(clip), 1))])
     floor = np.concatenate([np.full(len(clip), -np.inf), clip, [1.0]])
-    back = np.vstack([eye, backward, offset])
-
-    def dr_map(y: np.ndarray) -> np.ndarray:
-        z = y @ fold
-        return np.maximum(z, floor, out=z) @ back
-
-    return dr_map
+    return fold, floor, np.vstack([eye, backward, offset])
 
 
 @dataclass
@@ -265,8 +261,8 @@ def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: flo
     start = np.asarray(start)
     n_sets, n = len(sets), start.shape[-1]
     if start.ndim == 2:
-        points, readout = hermitian_part(start), project_psd
-        project = product_projection(sets, n)
+        points = hermitian_part(start)
+        project, best_point = product_projection(sets, n), project_psd(points)
         y = np.stack([points] * n_sets)
         anderson = _AndersonHistory(y.view(np.float64).ravel())
 
@@ -281,13 +277,22 @@ def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: flo
         def advance(y: np.ndarray) -> np.ndarray:  # T at the point Anderson takes from T
             x = anderson.step(y.view(np.float64).ravel())
             return dr_map(hermitian_part(x.view(y.dtype).reshape(y.shape), out=y))
-    else:
-        points, y = start, np.tile(start, n_sets)
-        dr_map = advance = _folded_dr_map(sets, n)
 
         def readout(y: np.ndarray) -> np.ndarray:
-            return np.maximum(y, 0.0)
-    best_point = readout(points)
+            return project_psd(y.sum(axis=0) / n_sets)
+    else:  # y holds w, T = w B (``_folded_dr_map``), from a w with w B = the tiled start
+        fold, floor, back = _folded_dr_map(sets, n)
+        cycle, average = back @ fold, back.reshape(-1, n_sets, n).sum(axis=1) / n_sets
+        y = np.concatenate([np.tile(start, n_sets), np.zeros(len(floor) - n_sets * n)])
+        best_point = np.maximum(start, 0.0)
+
+        def dr_map(w: np.ndarray) -> np.ndarray:
+            z = w @ cycle
+            return np.maximum(z, floor, out=z)
+        advance = dr_map
+
+        def readout(w: np.ndarray) -> np.ndarray:
+            return np.maximum(w @ average, 0.0)
     best_res = residual_fn(best_point)
     best_max = _largest(best_res)
     history = [float(best_max)]
@@ -297,7 +302,7 @@ def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: flo
         y = advance(y) if it > 1 else dr_map(y)
         if it % check_every and it != max_iter:
             continue
-        candidate = readout(y.reshape(n_sets, *points.shape).sum(axis=0) / n_sets)
+        candidate = readout(y)
         res = residual_fn(candidate)
         res_max = _largest(res)
         if res_max < best_max * (1.0 - _STALL_RTOL):

@@ -23,7 +23,15 @@ from catcost.choi import (
     transpose_map_choi,
     verify_ppt_operation,
 )
-from catcost.measures import IsotropicCopies, copy_ranks, log_negativity, random_twirled_states
+from catcost.measures import (
+    IsotropicCopies,
+    _per_copy,
+    copies_matrix,
+    copy_ranks,
+    log_negativity,
+    partial_transpose_spectrum,
+    random_twirled_states,
+)
 from catcost.operators import (
     FactorShape,
     ResourceLimitError,
@@ -269,6 +277,35 @@ NAMED = [(name, m) for name in ("noisy-phi-2", "noisy-phi-3", "broadcast-phi-2")
          for m in (0, 1, 2)]
 
 
+ALL_NAMED = [(name, m) for name in ("noisy-phi-2", "noisy-phi-3", "noisy-phi-4", "noisy-phi-5",
+                                     "noisy-phi-9", "broadcast-phi-2", "broadcast-phi-3",
+                                     "broadcast-phi-4") for m in range(4)]
+
+
+def per_copy_residuals(target, m, y):
+    """The twirled residuals from per-copy maps of c = y / sqrt(r), and c.
+
+    cp and ppt the least coefficients of a, b and the two cone operators
+    (``partial_transpose_spectrum``), tp = |r.c - 1|, and at m = 0 the
+    correctness the largest entry of sigma - rho: per copy,
+    c0 Phi + c1 (1 - Phi) has the entries c0/d + c1 (1 - 1/d) at |ii><ii|,
+    (c0 - c1)/d at |ii><jj| and c1 at |ij><ij| (i != j), and 0 elsewhere.
+    """
+    d, rho = target.d, target.coeffs
+    ranks = copy_ranks(d, rho.ndim)
+    c = y.reshape(rho.shape) / np.sqrt(ranks)
+    e = math.ldexp(1.0, -m)
+    b_pt = partial_transpose_spectrum(d, c)
+    a_pt = b_pt if m == 0 else target.partial_transpose_coeffs
+    ppt = min((e * a_pt + (1.0 - e) * b_pt).min(), ((1.0 + e) * b_pt - e * a_pt).min())
+    cp = c.min() if m == 0 else min(c.min(), rho.min())
+    classes = (1.0 / d, 1.0 - 1.0 / d), (1.0 / d, -1.0 / d), (0.0, 1.0)
+    largest_entry = float(np.abs(_per_copy(classes, c - rho)).max())
+    return {"cp": max(0.0, -float(cp)), "ppt": max(0.0, -float(ppt)),
+            "tp": abs(float((c * ranks).sum()) - 1.0),
+            "correctness": largest_entry if m == 0 else 0.0}, c
+
+
 def ebits(m):
     """Phi_2^(x m) as the Choi input; at m = 0 the one-dimensional state."""
     if m == 0:
@@ -296,6 +333,49 @@ class TestTwirledSynthesis:
             largest = {k: max(v, closed[k]) for k, v in largest.items()}
         assert min(largest[k] for k in ("cp", "ppt", "tp")) > 0
         assert (largest["correctness"] > 0) == (m == 0)
+
+    @pytest.mark.parametrize("name, m", ALL_NAMED)
+    def test_affine_residuals_are_the_per_copy_forms(self, name, m, rng):
+        target = _named_target(name)
+        _, start, residuals, point = _twirled_dilution(m, target, 0)
+        ranks = copy_ranks(target.d, target.coeffs.ndim).ravel()
+        candidates = [start] + [scale * np.sqrt(ranks) * rng.standard_normal(len(ranks))
+                                for scale in (1e-3, 1.0, 1e3) for _ in range(3)]
+        rho = target.to_density().entries
+        for y in candidates:
+            affine = residuals(y)
+            expected, c = per_copy_residuals(target, m, y)
+            assert list(affine) == list(expected)
+            # a few ulps of the terms r |c| that the sums add
+            scale = max(1.0, float(np.abs(c).ravel() @ ranks))
+            assert all(abs(affine[k] - expected[k]) <= 4 * np.finfo(float).eps * scale
+                       for k in affine), (affine, expected)
+            # and 1e-12 of that scale from the dense blocks' spectra
+            dense = point(y).residuals(rho)
+            assert all(abs(affine[k] - dense[k]) <= 1e-12 * scale for k in affine), (affine, dense)
+
+    def test_cp_reads_a_target_coefficient_below_zero(self):
+        # a state within DEFAULT_PSD_TOL of PSD: at m >= 1 the block a = rho
+        # is part of the Choi operator, and its least coefficient part of cp
+        target = IsotropicCopies(2, np.array([1.0 + 1.5e-10, -5e-11]))
+        for m in range(3):
+            _, start, residuals, _ = _twirled_dilution(m, target, 0)
+            assert start.min() > 0
+            assert residuals(start)["cp"] == (0.0 if m == 0 else 5e-11)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_correctness_rows_read_the_largest_dense_entry(self, d, k, rng):
+        # at m = 0 the correctness of sigma = rho + c is the largest |entry|
+        # of the dense operator with coefficients c, of either sign
+        weights = rng.random((2,) * k)
+        target = IsotropicCopies(d, weights / (weights * copy_ranks(d, k)).sum())
+        _, _, residuals, _ = _twirled_dilution(0, target, 0)
+        root = np.sqrt(copy_ranks(d, k).ravel())
+        for _ in range(5):
+            c = rng.standard_normal((2,) * k)
+            correctness = residuals(root * (target.coeffs + c).ravel())["correctness"]
+            assert correctness == pytest.approx(np.abs(copies_matrix(d, c)).max(), abs=1e-15)
 
     @pytest.mark.parametrize("target, m", [
         (_named_target(name), m) for name, m in NAMED if m] + [

@@ -22,7 +22,6 @@ from catcost.measures import (
     exact_locc_cost_pure,
     exact_ppt_cost,
     gated_ppt_cost,
-    largest_entry,
     log_negativity,
     partial_transpose_isometry,
     partial_transpose_spectrum,
@@ -571,7 +570,6 @@ class TestIsotropicCopies:
         q = functools.reduce(np.multiply.outer, [np.array([d * (d + 1) / 2, d * (d - 1) / 2])] * k)
         expected = np.sort(np.repeat(s.ravel(), q.ravel().astype(int)))
         assert np.abs(spectrum - expected).max() <= 1e-12
-        assert largest_entry(d, c) == pytest.approx(np.abs(dense).max(), abs=1e-15)
         assert float((c * copy_ranks(d, k)).sum()) == pytest.approx(np.trace(dense), abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -161,17 +161,35 @@ class TestFoldedMap:
     def test_folded_map_is_the_reflection(self, rng, case, scale):
         sets, starts, _ = twirled_search(case, 1)
         n_sets, n = len(sets), starts.shape[1]
-        dr_map = _folded_dr_map(sets, n)
+        fold, floor, back = _folded_dr_map(sets, n)
         for _ in range(7):
             y = scale * rng.standard_normal((n_sets, n))
             avg = y.sum(axis=0) / n_sets
             reflection = y + vector_product(sets)(2.0 * avg - y) - avg
-            folded = dr_map(y.ravel())
+            folded = np.maximum(y.ravel() @ fold, floor) @ back
             assert folded.shape == (y.size,) and folded.dtype == np.float64
             # a few ulps of the point's scale: the fold sums in another order
             size = max(np.abs(y).max(), np.abs(reflection).max())
             assert np.abs(folded.reshape(y.shape) - reflection).max() <= (
                 4 * np.finfo(float).eps * size)
+
+    @pytest.mark.parametrize("case", TWIRLED_SEARCHES)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_fused_cycles_are_the_unfused_map(self, rng, case, scale):
+        # the engine iterates w = max(y F, floor), one cycle w -> max(w B F, floor),
+        # and T^j(y) = w_j B
+        sets, starts, _ = twirled_search(case, 1)
+        fold, floor, back = _folded_dr_map(sets, starts.shape[1])
+        cycle = back @ fold
+        for _ in range(3):
+            y = scale * rng.standard_normal(len(fold))
+            w, size = np.maximum(y @ fold, floor), np.abs(y).max()
+            for j in range(1, 61):
+                y = np.maximum(y @ fold, floor) @ back
+                size = max(size, np.abs(y).max())
+                # a few ulps of the point's scale per cycle: T is nonexpansive
+                assert np.abs(w @ back - y).max() <= 4 * j * np.finfo(float).eps * size, j
+                w = np.maximum(w @ cycle, floor)
 
     def test_direct_solve_is_numpys(self, rng):
         for s in (1, 5, 50):
@@ -436,7 +454,12 @@ class AndersonOracle:
 def stalled_synthesis_map():
     """T of the infeasible twirled ``synthesize noisy-phi-2 --m 0``, and four starts."""
     sets, starts, _ = twirled_search("noisy-phi-2 --m 0", 4)
-    return _folded_dr_map(sets, starts.shape[1]), [np.tile(x, len(sets)) for x in starts]
+    fold, floor, back = _folded_dr_map(sets, starts.shape[1])
+
+    def dr_map(y):
+        return np.maximum(y @ fold, floor) @ back
+
+    return dr_map, [np.tile(x, len(sets)) for x in starts]
 
 
 def infeasible_complex_map(rng):
@@ -529,16 +552,19 @@ class TestAcceleratedSolves:
                                          ("noisy-phi-3", 2)])
     def test_twirled_search_keeps_float64_vector_iterates(self, monkeypatch, name, m):
         seen = spy_on_engine_inputs(monkeypatch, choi, lambda x: (x.dtype, x.shape))
-        iterates, fold = set(), projections._folded_dr_map
+        products, fold = [], projections._folded_dr_map
+
+        class Factor(np.ndarray):
+            """F, B or a matrix made of them: records each vector multiplied into it."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                products.extend((x.dtype, x.shape) for x in inputs
+                                if ufunc is np.matmul and not isinstance(x, Factor))
+                out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+                return out.view(Factor) if out.ndim == 2 else out
 
         def spied_fold(sets, n):
-            dr_map = fold(sets, n)
-
-            def spied(y):
-                out = dr_map(y)
-                iterates.update({(y.dtype, y.shape), (out.dtype, out.shape)})
-                return out
-            return spied
+            return tuple(f.view(Factor) if f.ndim == 2 else f for f in fold(sets, n))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a vector search built an Anderson history")
@@ -548,12 +574,15 @@ class TestAcceleratedSolves:
         symmetrized = []
         monkeypatch.setattr(projections, "hermitian_part", symmetrized.append)
         target = _named_target(name)
-        assert synthesize_ppt_dilution(m, target, seed=0).iterations > 1
-        # plain DR on flat (sets * 2^k,) iterates, whose folded T calls no
-        # projection, 2^k candidates, and no symmetrization: a vector has no
-        # anti-Hermitian part
+        report = synthesize_ppt_dilution(m, target, seed=0)
+        assert report.iterations > 1
+        # plain DR, one product a cycle and one a check, each of the
+        # (2 sets * 2^k + 1,) point w, by B F in a cycle and by B A at a check;
+        # 2^k candidates, and no symmetrization: a vector has no anti-Hermitian part
         n_sets, n = 3 if m == 0 else 4, 2 ** target.coeffs.ndim
-        assert iterates == {(np.dtype(np.float64), (n_sets * n,))}
+        checks = len(report.best_history) - 1
+        assert products == [(np.dtype(np.float64), (2 * n_sets * n + 1,))] * (
+            report.iterations + checks)
         assert seen == {(np.dtype(np.float64), (n,))}
         assert symmetrized == []
 
