@@ -228,6 +228,19 @@ class DensityOperator:
 
     Validation: finite entries, trace within ``trace_tol`` of one,
     Hermitian within ``trace_tol``, minimum eigenvalue >= -``psd_tol`` * trace.
+
+    With eps = ``psd_tol`` * |trace|, a state is accepted when the Cholesky
+    factorisation of H + (eps/2) I succeeds, H being the Hermitian part of
+    the entries.  Success proves lambda_min(H) >= -eps/2 - O(n u ||H||)
+    (Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy and Stability
+    of Numerical Algorithms, section 10.1); at n <= 256, ||H|| ~ 1 and
+    eps >= DEFAULT_PSD_TOL, the smallest ``psd_tol`` any caller passes, the
+    rounding term is some 500 times smaller than the eps/2 margin, so the
+    spectral rule accepts too.  Only when the factorisation fails is the
+    spectrum of H computed, and the state refused, with its least
+    eigenvalue, unless that is >= -eps.  A ``psd_tol`` far below
+    DEFAULT_PSD_TOL puts eps/2 at rounding level, where a successful
+    factorisation no longer proves the -eps bound.
     """
 
     op: LabeledOperator
@@ -244,9 +257,15 @@ class DensityOperator:
         defect = self.op.hermiticity_defect()
         if defect > self.trace_tol:
             raise ValueError(f"not Hermitian: defect {defect:.3e}")
-        lo = float(hermitian_spectrum(self.op.entries).min())
-        if lo < -self.psd_tol * abs(tr):
-            raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+        eps = self.psd_tol * abs(tr)
+        h = hermitian_part(self.op.entries)
+        h[np.diag_indices_from(h)] += eps / 2
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            lo = float(hermitian_spectrum(self.op.entries).min())
+            if lo < -eps:
+                raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}") from None
 
     @property
     def shape(self) -> FactorShape:

@@ -60,12 +60,12 @@ def _entries_from_pairs(pairs, n: int) -> np.ndarray:
     try:
         if len(pairs) != n * n or set(map(len, pairs)) != {2}:
             raise ValueError(expected)
-        flat = itertools.chain.from_iterable
+        flat = list(itertools.chain.from_iterable(pairs))
         # by exact type: JSON numbers read as int or float, and true/false,
         # whose bool is an int, are refused with strings, nulls and containers
-        if not set(map(type, flat(pairs))) <= {int, float}:
+        if not set(map(type, flat)) <= {int, float}:
             raise ValueError(expected)
-        parts = np.fromiter(flat(pairs), np.float64, count=2 * n * n)
+        parts = np.fromiter(flat, np.float64, count=2 * n * n)
     except (TypeError, OverflowError) as exc:
         raise ValueError(expected) from exc
     if not np.isfinite(parts).all():

@@ -35,6 +35,22 @@ def random_state_matrix(rng, dim, rank=None):
     return m / np.trace(m).real
 
 
+def matrix_with_spectrum(rng, lam, complex_=True):
+    """U diag(lam) U^dagger for a random unitary (orthogonal unless ``complex_``) U."""
+    n = len(lam)
+    g = rng.standard_normal((n, n))
+    if complex_:
+        g = g + 1j * rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(g)
+    return hermitian_part((u * np.asarray(lam)) @ u.conj().T)
+
+
+def unit_trace_spectrum(rng, n, least):
+    """n eigenvalues summing to one with least value ``least``, the others spread above it."""
+    rest = rng.uniform(0.5, 1.5, n - 1)
+    return np.concatenate([[least], rest * (1.0 - least) / rest.sum()])
+
+
 def random_density(rng, d_a, d_b, rank=None):
     return density_from_matrix(random_state_matrix(rng, d_a * d_b, rank),
                                bipartite_shape(d_a, d_b))
@@ -46,9 +62,9 @@ def hermitian_operator(rng, factors):
 
 
 def spectral_calls(monkeypatch):
-    """Record (name, shape, dtype) of every ``eigh``/``eigvalsh`` call from here on."""
+    """Record (name, shape, dtype) of every ``eigh``/``eigvalsh``/``cholesky`` call from here on."""
     seen = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         original = getattr(np.linalg, name)
 
         def spy(m, *args, _name=name, _original=original, **kwargs):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from catcost import serialize
 from catcost.cli import _named_target, _parser, main
 from catcost.choi import analytic_mixer_choi
-from catcost.operators import bipartite_shape, density_from_matrix
+from catcost.operators import LabeledOperator, bipartite_shape, density_from_matrix
 from catcost.serialize import (
     choi_from_document,
     choi_to_document,
@@ -33,7 +33,13 @@ from catcost.serialize import (
 )
 from catcost.states import IsotropicParams, isotropic, max_entangled, symmetric_two_broadcast
 
-from conftest import random_density
+from conftest import (
+    matrix_with_spectrum,
+    random_density,
+    random_state_matrix,
+    spectral_calls,
+    unit_trace_spectrum,
+)
 
 
 class TestSerialize:
@@ -65,7 +71,7 @@ class TestSerialize:
         [[0.5, 0.0], 0.0, [0.0, 0.0], [0.5, 0.0]],
         5,
         [["0.5", "0"], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
-        [[0.5, 0.0, 0.0], [0.0], [0.0, 0.0], [0.5, 0.0]],
+        [[0.5, 0.0, 0.0], [0.0], [0.0, 0.0], [0.5, 0.0]],  # ragged, 2n^2 numbers in all
         [[0.5, None], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
         [[10 ** 400, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
         [[0.5, 0.0]] * 5,
@@ -160,6 +166,22 @@ class TestSerialize:
         save_operator(2.0 * x.op, path)
         with pytest.raises(ValueError):
             load_density(path)
+
+    def test_a_state_at_the_entry_cap_loads_with_one_factorisation(self, rng, tmp_path,
+                                                                  monkeypatch):
+        # accepted by one Cholesky factorisation; only a refusal computes the spectrum
+        shape = bipartite_shape(16, 16)
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        save_operator(LabeledOperator(shape, random_state_matrix(rng, 256)), good)
+        negative = matrix_with_spectrum(rng, unit_trace_spectrum(rng, 256, -1e-3))
+        save_operator(LabeledOperator(shape, negative), bad)
+        seen = spectral_calls(monkeypatch)
+        load_density(good)
+        assert [name for name, _, _ in seen] == ["cholesky"]
+        seen.clear()
+        with pytest.raises(ValueError, match="not positive semidefinite: min eigenvalue -1.000e-03"):
+            load_density(bad)
+        assert sorted(name for name, _, _ in seen) == ["cholesky", "eigvalsh"]
 
     def test_round_trip_keeps_the_dtype(self, tmp_path):
         real = isotropic(IsotropicParams(2, 0.5))

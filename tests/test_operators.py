@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catcost.operators import (
+    DEFAULT_PSD_TOL,
     MAX_ENTRIES,
     FactorShape,
     LabeledOperator,
@@ -15,6 +16,7 @@ from catcost.operators import (
     check_power_budget,
     density_from_matrix,
     eig_hermitian,
+    hermitian_part,
     identity_operator,
     is_psd,
     merge_factors,
@@ -32,7 +34,13 @@ from catcost.operators import (
 )
 from catcost.states import max_entangled, isotropic, IsotropicParams
 
-from conftest import hermitian_operator, random_state_matrix
+from conftest import (
+    hermitian_operator,
+    matrix_with_spectrum,
+    random_state_matrix,
+    spectral_calls,
+    unit_trace_spectrum,
+)
 
 
 def bell_pair():
@@ -352,6 +360,46 @@ class TestPermuteFactors:
         x = hermitian_operator(rng, [(2, 1), (3, 1)])
         with pytest.raises(ValueError):
             permute_factors(x, [0, 0])
+
+
+class TestDensityAcceptance:
+    """The Cholesky acceptance returns the verdicts of the spectral rule it replaces."""
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 16, 81, 256])
+    @pytest.mark.parametrize("least", [-2.0, -1.001, -0.999, -0.75, -0.501, -0.499, 0.0, None],
+                             ids=lambda x: "definite" if x is None else f"{x}eps")
+    def test_verdict_and_message_match_the_least_eigenvalue_rule(self, least, n, complex_,
+                                                                  rng, monkeypatch):
+        if least == 0.0:  # pure
+            lam = np.eye(n)[0]
+        elif least is None:  # definite: least eigenvalue 0.1 at n = 2, 0.2/n at every n
+            lam = unit_trace_spectrum(rng, n, 0.2 / n)
+        else:  # least times eps, eps = DEFAULT_PSD_TOL at unit trace
+            lam = unit_trace_spectrum(rng, n, least * DEFAULT_PSD_TOL)
+        m = matrix_with_spectrum(rng, lam, complex_)
+        assert (m.dtype.kind == "c") == complex_
+        # the spectral rule: least eigenvalue of the Hermitian part
+        # against -DEFAULT_PSD_TOL times the trace
+        lo = float(np.linalg.eigvalsh(hermitian_part(m)).min())
+        refused = lo < -DEFAULT_PSD_TOL * abs(np.trace(m))
+        assert refused == (least is not None and least < -1.0)
+        seen = spectral_calls(monkeypatch)
+        if refused:
+            with pytest.raises(ValueError) as info:
+                density_from_matrix(m, plain_shape(n))
+            assert str(info.value) == f"not positive semidefinite: min eigenvalue {lo:.3e}"
+        else:
+            density_from_matrix(m, plain_shape(n))
+        monkeypatch.undo()
+        names = [name for name, _, _ in seen]
+        assert names.count("cholesky") == 1
+        # the factorisation fails well inside its eps/2 margin and succeeds
+        # on every state at least 0: only then is no spectrum computed
+        if least is not None and least <= -0.75:
+            assert names.count("eigvalsh") == 1
+        elif least is None or least >= 0.0:
+            assert names.count("eigvalsh") == 0
 
 
 class TestIsPsd:

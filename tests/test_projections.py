@@ -635,8 +635,10 @@ class TestAcceleratedSolves:
     def test_sample_two_copy_broadcasts_is_float64(self, monkeypatch):
         seen = spectral_calls(monkeypatch)
         assert len(sample_two_copy_broadcasts(max_entangled(2), n_starts=5, seed=0)) == 5
+        # the Cholesky factorisation accepts the states the search builds
         assert {(name, dtype) for name, _, dtype in seen} == {
-            ("eigh", np.dtype(np.float64)), ("eigvalsh", np.dtype(np.float64))}
+            ("eigh", np.dtype(np.float64)), ("eigvalsh", np.dtype(np.float64)),
+            ("cholesky", np.dtype(np.float64))}
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rigidity_scenario_makes_no_solve_and_no_eigendecomposition(self, monkeypatch, d):
