@@ -13,8 +13,10 @@ target-sized search: D x D matrices for a dense target, and vectors of
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .operators import (
 )
 from .measures import (
     IsotropicCopies,
+    _kron_power,
     copies_matrix,
     copy_ranks,
     log_negativity,
@@ -137,17 +140,25 @@ class SolveReport:
     cp and ppt residuals are negative-eigenvalue magnitudes; tp and
     correctness are largest absolute entry deviations from the affine
     targets.  ``best_history`` is the best-so-far maximum residual per
-    check, non-increasing by construction.
+    check, non-increasing by construction.  ``feasible_point`` is built
+    on its first read, by ``_build_point`` (None: no feasible point), and
+    kept: a named target's ``TwirledChoi`` holds dense blocks that a
+    caller reading the verdict alone never pays for.
     """
 
     converged: bool
     iterations: int
     residuals: dict[str, float]
-    feasible_point: ChoiOperator | TwirledChoi | None
+    _build_point: Callable[[], ChoiOperator | TwirledChoi] | None = field(
+        default=None, repr=False, compare=False)
     stalled: bool = False
     npt_witness: float | None = None
     log_negativity: float | None = None
     best_history: tuple[float, ...] = field(default_factory=tuple)
+
+    @functools.cached_property
+    def feasible_point(self) -> ChoiOperator | TwirledChoi | None:
+        return None if self._build_point is None else self._build_point()
 
 
 def _apply_matrix(j: np.ndarray, din: int, dout: int, x: np.ndarray) -> np.ndarray:
@@ -241,7 +252,7 @@ def verify_ppt_operation(choi: ChoiOperator, tol: float = 1e-9) -> SolveReport:
     res = {"cp": cp, "ppt": ppt, "tp": float(np.abs(tr_out - np.eye(din)).max())}
     ok = max(res.values()) <= tol
     return SolveReport(converged=ok, iterations=0, residuals=res,
-                       feasible_point=choi if ok else None)
+                       _build_point=(lambda: choi) if ok else None)
 
 
 def _dense_dilution(m: int, target: DensityOperator, seed: int):
@@ -322,7 +333,7 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
         sets = [Cone(), Cone(gamma), (np.zeros((len(root), len(root))), y_rho)]
     else:
         s, n = gamma @ y_rho, ranks.sum()
-        sets = [Cone(), (np.eye(len(root)) - np.outer(root, root) / n, root / n),
+        sets = [Cone(), (np.eye(len(root)) - root[:, None] * root / n, root / n),
                 Cone(gamma, -e / (1.0 - e) * s), Cone(gamma, e / (1.0 + e) * s)]
 
     # (R, o) of cp (c = x / sqrt(r)), ppt (b's Gamma coefficients: Q sqrt(r)
@@ -330,17 +341,18 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
     b_pt, zeros = gamma.T / (gamma @ root), np.zeros(len(root))
     if m == 0:  # each entry class of sigma - rho, with both signs
         per_copy = np.array(((1.0 / d, 1.0 / d, 0.0), (1.0 - 1.0 / d, -1.0 / d, 1.0)))
-        entries = functools.reduce(np.kron, [per_copy] * rho.ndim)
-        entries = np.hstack([entries, -entries])
+        entries = _kron_power(per_copy, rho.ndim)
+        entries = np.concatenate([entries, -entries], axis=1)
         pt_rows, entry_rows = (b_pt, zeros), (entries / root[:, None], -(rho.ravel() @ entries))
     else:  # a = rho: its cone operators' terms are constants, and a - rho is 0
         e_a_pt = e * target.partial_transpose_coeffs.ravel()
-        pt_rows = np.hstack([(1 - e) * b_pt, (1 + e) * b_pt]), np.concatenate([e_a_pt, -e_a_pt])
+        pt_rows = (np.concatenate([(1 - e) * b_pt, (1 + e) * b_pt], axis=1),
+                   np.concatenate([e_a_pt, -e_a_pt]))
         entry_rows = zeros[:, None], [0.0]
     sections = [(np.diag(1.0 / root), zeros), pt_rows, (root[:, None], [-1.0]), entry_rows]
-    rows = np.hstack([r for r, _ in sections])
+    rows = np.concatenate([r for r, _ in sections], axis=1)
     offset = np.concatenate([o for _, o in sections])
-    starts = np.cumsum([0] + [len(o) for _, o in sections[:-1]])
+    starts = np.array([0, *itertools.accumulate(len(o) for _, o in sections[:-1])])
     a_least = math.inf if m == 0 else float(rho.min())
 
     def residuals(x: np.ndarray) -> dict[str, float]:
@@ -394,7 +406,7 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
         converged=result.converged,
         iterations=result.iterations,
         residuals=result.residuals,
-        feasible_point=point(result.point) if result.converged else None,
+        _build_point=functools.partial(point, result.point) if result.converged else None,
         stalled=result.stalled,
         npt_witness=npt_witness,
         log_negativity=ln,

@@ -173,6 +173,14 @@ def _outer_power(w: tuple[float, float], k: int) -> np.ndarray:
     return functools.reduce(np.multiply.outer, [np.array(w)] * k)
 
 
+def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
+    """m (x) ... (x) m, k >= 1 factors: ``np.kron``'s products, in its order, without its wrapper."""
+    out = m
+    for _ in range(k - 1):
+        out = (out[:, None, :, None] * m[:, None, :]).reshape(len(out) * len(m), -1)
+    return out
+
+
 @functools.lru_cache(maxsize=128)
 def copy_ranks(d: int, k: int) -> np.ndarray:
     """The (2,) * k ranks of the projectors that ``IsotropicCopies`` coefficients weigh.
@@ -200,7 +208,7 @@ def partial_transpose_isometry(d: int, k: int) -> np.ndarray:
     """
     per_copy = (np.sqrt(_partial_transpose_ranks(d))[:, None]
                 * np.array(_partial_transpose_map(d)) / np.sqrt(_ranks(d)))
-    return functools.reduce(np.kron, [per_copy] * k)
+    return _kron_power(per_copy, k)
 
 
 def copies_matrix(d: int, c: np.ndarray) -> np.ndarray:

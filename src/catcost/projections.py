@@ -25,7 +25,7 @@ of such a start from its exact law (``measures.random_twirled_states``).
 """
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -131,23 +131,28 @@ def _folded_dr_map(sets, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     [-inf | clip | 1] and B = [I; B; o].  A solve iterates w = max(y F, floor):
     T^j(y) = w_j B, and a cycle is w -> max(w B F, floor).
     """
-    identity, k = np.eye(n), len(sets)
-
-    def parts(c):  # (F, B, clip, o) of one set
+    k = len(sets)
+    size = k * n
+    eye = np.eye(size)
+    identity = eye[:n, :n]
+    avg = np.tile(identity / k, (k, k))
+    # F's frames and B's rows [I; B; o], and the floor [-inf | clip | 1],
+    # written block by block into zeros and -infs
+    forward, back = np.zeros((size, size)), np.zeros((2 * size + 1, size))
+    floor = np.full(2 * size + 1, -np.inf)
+    back[:size], floor[-1] = eye, 1.0
+    backward, clip, offset = back[size:-1], floor[size:-1], back[-1]
+    for i, c in enumerate(sets):
+        block = slice(i * n, (i + 1) * n)
         if isinstance(c, Cone):
             frame = identity if c.frame is None else c.frame
-            return frame.T, frame, c.shift + np.zeros(n), np.zeros(n)
-        return identity, c[0], np.full(n, -np.inf), c[1]
-
-    frames, backs, clips, offsets = zip(*map(parts, sets))
-    forward, backward = np.zeros((2, k, n, k, n))
-    forward[range(k), :, range(k)], backward[range(k), :, range(k)] = frames, backs
-    forward, backward = forward.reshape(k * n, -1), backward.reshape(k * n, -1)
-    clip, offset = np.concatenate(clips), np.concatenate(offsets)
-    eye, avg = np.eye(k * n), np.kron(np.full((k, k), 1.0 / k), identity)
-    fold = np.hstack([eye - avg, (2.0 * avg - eye) @ forward, np.zeros((len(clip), 1))])
-    floor = np.concatenate([np.full(len(clip), -np.inf), clip, [1.0]])
-    return fold, floor, np.vstack([eye, backward, offset])
+            forward[block, block], backward[block, block] = frame.T, frame
+            clip[block] = c.shift + 0.0  # a clip at zero is +0.0
+        else:
+            forward[block, block], backward[block, block], offset[block] = identity, c[0], c[1]
+    fold = np.empty((size, len(floor)))
+    fold[:, :size], fold[:, size:-1], fold[:, -1] = eye - avg, (2.0 * avg - eye) @ forward, 0.0
+    return fold, floor, back
 
 
 @dataclass
@@ -232,8 +237,15 @@ class _AndersonHistory:
 
 
 def _largest(res: dict[str, float]) -> float:
-    """The largest residual: an ``np.maximum`` over the names, in their order, so a NaN wins."""
-    return functools.reduce(np.maximum, res.values())
+    """The largest residual, over the names in their order, in plain Python.
+
+    As a reduction with ``np.maximum``: a NaN wins, and a tie takes the later name.
+    """
+    largest = -math.inf
+    for r in res.values():
+        if r >= largest or r != r:
+            largest = r
+    return largest
 
 
 def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: float,
@@ -274,34 +286,41 @@ def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: flo
             y -= avg
             return y
 
-        def advance(y: np.ndarray) -> np.ndarray:  # T at the point Anderson takes from T
-            x = anderson.step(y.view(np.float64).ravel())
-            return dr_map(hermitian_part(x.view(y.dtype).reshape(y.shape), out=y))
+        def run(y: np.ndarray, done: int, stop: int) -> np.ndarray:
+            """Cycles done + 1 to stop: T at the start, then T at the point Anderson takes from T."""
+            if done == 0:
+                y, done = dr_map(y), 1
+            for _ in range(done, stop):
+                x = anderson.step(y.view(np.float64).ravel())
+                y = dr_map(hermitian_part(x.view(y.dtype).reshape(y.shape), out=y))
+            return y
 
         def readout(y: np.ndarray) -> np.ndarray:
             return project_psd(y.sum(axis=0) / n_sets)
     else:  # y holds w, T = w B (``_folded_dr_map``), from a w with w B = the tiled start
         fold, floor, back = _folded_dr_map(sets, n)
         cycle, average = back @ fold, back.reshape(-1, n_sets, n).sum(axis=1) / n_sets
-        y = np.concatenate([np.tile(start, n_sets), np.zeros(len(floor) - n_sets * n)])
-        best_point = np.maximum(start, 0.0)
+        y = np.zeros(len(floor))
+        y[:n_sets * n].reshape(n_sets, n)[...] = start
+        z, best_point = np.empty_like(y), np.maximum(start, 0.0)
 
-        def dr_map(w: np.ndarray) -> np.ndarray:
-            z = w @ cycle
-            return np.maximum(z, floor, out=z)
-        advance = dr_map
+        def run(w: np.ndarray, done: int, stop: int) -> np.ndarray:
+            """Cycles done + 1 to stop, in w's buffer: w <- max(w BF, floor)."""
+            for _ in range(done, stop):
+                np.dot(w, cycle, out=z)
+                np.maximum(z, floor, out=w)
+            return w
 
         def readout(w: np.ndarray) -> np.ndarray:
-            return np.maximum(w @ average, 0.0)
+            return np.maximum(np.dot(w, average), 0.0)
     best_res = residual_fn(best_point)
     best_max = _largest(best_res)
     history = [float(best_max)]
-    last_improvement = 0
-    for it in range(1, max_iter + 1):
-        # y holds T at the current point, which the last check read out
-        y = advance(y) if it > 1 else dr_map(y)
-        if it % check_every and it != max_iter:
-            continue
+    last_improvement = it = 0
+    while True:
+        # the cycles up to the next check; y then holds T at the current point
+        stop = min(it + check_every, max_iter)
+        y, it = run(y, it, stop), stop
         candidate = readout(y)
         res = residual_fn(candidate)
         res_max = _largest(res)

@@ -4,20 +4,43 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+
+
+def _encoded(value) -> str:
+    """``json.dumps(value)`` for a key or scalar, with no encoder call for a plain one.
+
+    Strings, ints and finite floats are encoded as the C encoder encodes
+    them; NaN, the infinities and anything else go through ``json.dumps``.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def _indented_json(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for nested dicts of scalars.
 
     With ``indent`` set, ``json.dumps`` runs the pure-Python encoder, whose
-    closures leave a reference cycle per call; keys and leaves rendered
-    one at a time go through the C encoder and leave none.
+    closures leave a reference cycle per call; keys and leaves encoded
+    one at a time (``_encoded``) leave none.
     """
     if not isinstance(value, dict) or not value:
-        return json.dumps(value)
+        return _encoded(value)
     inner = indent + "  "
-    items = [f"{inner}{json.dumps(key)}: {_indented_json(value[key], inner)}"
+    items = [f"{inner}{_encoded(key)}: {_indented_json(value[key], inner)}"
              for key in sorted(value)]
     return "{\n" + ",\n".join(items) + "\n" + indent + "}"
 

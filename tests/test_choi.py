@@ -8,6 +8,7 @@ import pytest
 from catcost import choi
 from catcost.cli import _named_target, main
 from catcost.choi import (
+    SYNTHESIS_MAX_CYCLES,
     SYNTHESIS_TOL,
     ChoiOperator,
     TwirledChoi,
@@ -43,7 +44,7 @@ from catcost.operators import (
     tensor_power,
     trace_distance,
 )
-from catcost.projections import product_projection, project_psd
+from catcost.projections import product_projection, project_psd, solve_feasibility
 from catcost.serialize import save_operator
 from catcost.states import IsotropicParams, isotropic, max_entangled, symmetric_two_broadcast
 
@@ -542,3 +543,59 @@ class TestRealSubspace:
         assert main(["synthesize", str(path), "--m", "1", "--seed", "0"]) == 0
         assert set(seen) == {np.dtype(np.complex128)}
         assert "overall: PASS" in capsys.readouterr().out
+
+
+class TestFeasiblePointOnRead:
+    """A converged report builds its ``TwirledChoi`` on the first read of ``feasible_point``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, copies = [], choi.copies_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return copies(*args)
+
+        monkeypatch.setattr(choi, "copies_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json-like-keyvalue"])
+    def test_converged_cli_run_builds_no_dense_block(self, fmt, built, capsys):
+        assert main(["--format", fmt, "synthesize", "noisy-phi-3", "--m", "2"]) == 0
+        assert capsys.readouterr().out
+        assert built == []
+
+    @pytest.mark.parametrize("target, m", [
+        ("noisy-phi-3", 2), ("broadcast-phi-2", 1), ("noisy-phi-2", 1),
+        (IsotropicCopies.isotropic(2, 0.2), 0), ("dense noisy-phi-2", 1)],
+        ids=["noisy-phi-3-2", "broadcast-phi-2-1", "noisy-phi-2-1", "ppt-0", "dense-1"])
+    def test_point_is_the_eager_one_built_once(self, target, m, built):
+        if isinstance(target, str):
+            *dense, name = target.split()
+            target = _named_target(name).to_density() if dense else _named_target(name)
+        search = _twirled_dilution if isinstance(target, IsotropicCopies) else _dense_dilution
+        sets, start, residuals, point = search(m, target, 0)
+        result = solve_feasibility(sets, start, residuals, tol=SYNTHESIS_TOL,
+                                   max_iter=SYNTHESIS_MAX_CYCLES)
+        eager = point(result.point)
+        del built[:]
+        report = synthesize_ppt_dilution(m, target, seed=0)
+        assert report.converged and built == []
+        lazy = report.feasible_point
+        # the named search's dense blocks: b, and a = rho at m >= 1
+        dense_blocks = 0 if search is _dense_dilution else 1 if m == 0 else 2
+        assert len(built) == dense_blocks
+        assert type(lazy) is TwirledChoi
+        assert (lazy.m, lazy.output_shape) == (eager.m, eager.output_shape)
+        for got, want in ((lazy.a, eager.a), (lazy.b, eager.b)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert report.feasible_point is lazy and len(built) == dense_blocks
+
+    def test_unconverged_and_verified_points(self, built):
+        report = synthesize_ppt_dilution(0, _named_target("noisy-phi-2"), seed=0)
+        assert report.stalled and report.feasible_point is None
+        mixer = analytic_mixer_choi(2)
+        assert verify_ppt_operation(mixer).feasible_point is mixer
+        assert verify_ppt_operation(transpose_map_choi(2)).feasible_point is None
+        assert built == []

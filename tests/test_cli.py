@@ -20,6 +20,7 @@ from catcost import serialize
 from catcost.cli import _named_target, _parser, main
 from catcost.choi import analytic_mixer_choi
 from catcost.operators import LabeledOperator, bipartite_shape, density_from_matrix
+from catcost.reports import ScenarioReport
 from catcost.serialize import (
     choi_from_document,
     choi_to_document,
@@ -682,3 +683,64 @@ def test_drawn_argv_exits_with_a_documented_code(tmp_path_factory):
             json.loads(out.getvalue(), parse_constant=_not_json)
 
     run()
+
+
+def _keyvalue_reference(report):
+    """``to_keyvalue`` through ``json.dumps`` of the whole document: the render's reference."""
+    doc = {"scenario": report.scenario, "version": report.version,
+           "parameters": dict(report.parameters),
+           "results": {name: {"value": row.value, "tol": row.tol}
+                       for name, row in report.results.items()},
+           "checks": dict(report.checks), "overall": report.passed}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+
+
+class TestKeyValueRender:
+    """The key-value render is ``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+
+    @pytest.mark.parametrize("parameters", [
+        {},
+        {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0, "tiny": 5e-324},
+        {"none": None, "true": True, "false": False, "big": 10 ** 40, "-big": -(10 ** 30),
+         "zero": 0},
+        {"np": np.float64(0.1), "np-nan": np.float64(math.nan), "np-inf": np.float64(-math.inf)},
+        {"text": "ρ⊗σ ≥ 0 🙂", "control": "a\x00b\tc\nd\x1fe\x7ff\"g\\h/", "": ""},
+        {"ключ\n\"": "é", "nested": {"b": 1.5, "a": {}, "c": {"x": None}}},
+    ], ids=["empty", "floats", "literals-ints", "numpy", "strings", "keys-nested"])
+    def test_render_is_the_indented_dump(self, parameters):
+        report = ScenarioReport("render", "1.0", parameters=parameters)
+        report.add_result("nan", math.nan, None)
+        report.add_result("-inf", -math.inf, 1e-9)
+        report.add_result("-0", -0.0, 0.0)
+        report.add_result("np", np.float64(1.0) / 3.0, 1e300)
+        report.add_check("ok", True)
+        assert report.to_keyvalue() == _keyvalue_reference(report)
+
+    def test_empty_report(self):
+        report = ScenarioReport("", "")
+        assert report.to_keyvalue() == _keyvalue_reference(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(), st.recursive(
+        _SCALARS, lambda inner: st.dictionaries(st.text(), inner, max_size=4), max_leaves=12),
+        max_size=6),
+        st.dictionaries(st.text(), st.floats(allow_nan=True, allow_infinity=True), max_size=4))
+    def test_drawn_reports_render_as_the_dump(self, parameters, results):
+        report = ScenarioReport("drawn", "0", parameters=parameters)
+        for name, value in results.items():
+            report.add_result(name, value, None if value != value else abs(value))
+        assert report.to_keyvalue() == _keyvalue_reference(report)
+
+    @pytest.mark.parametrize("argv", [["werner-example"], ["rigidity"], ["dmax-ppt"],
+                                      ["protocol"], ["thermo-example"],
+                                      ["synthesize", "noisy-phi-2", "--m", "0"],
+                                      ["synthesize", "noisy-phi-2", "--m", "1"]])
+    def test_scenario_output_is_the_dump_of_its_parse(self, argv, capsys):
+        main(["--format", "json-like-keyvalue", *argv])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

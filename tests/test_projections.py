@@ -4,6 +4,8 @@ Its product projection, folded vector map and Anderson step against their
 plain formulas, its stop rules, and the work of the synthesis solves and
 of the dense two-copy broadcast sampler (``sample_two_copy_broadcasts``).
 """
+import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from catcost import broadcast, choi, projections
 from catcost.broadcast import _marginal_projections, sample_two_copy_broadcasts
-from catcost.choi import _twirled_dilution, synthesize_ppt_dilution
+from catcost.choi import _dense_dilution, _twirled_dilution, synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
 from catcost.measures import IsotropicCopies, copy_ranks, random_twirled_states
 from catcost.operators import (
@@ -23,12 +25,15 @@ from catcost.operators import (
 )
 from catcost.projections import (
     ANDERSON_DEPTH,
+    STALL_WINDOW,
     _ANDERSON_REG,
+    _STALL_RTOL,
     _TINY,
     _AndersonHistory,
     _folded_dr_map,
     _gesv,
     Cone,
+    FeasibilityResult,
     product_projection,
     project_psd,
     random_density_matrix,
@@ -531,6 +536,111 @@ class TestCheckTies:
         assert result.best_history == history
 
 
+def per_cycle_solve(sets, start, residual_fn, tol, max_iter, check_every):
+    """The solve with a check test after every cycle, on fresh arrays: the engine's reference.
+
+    Cycle 1 is T at the start; on matrices each later cycle is T at the
+    point Anderson takes from the last T, on vectors the fused cycle
+    w -> max(w BF, floor).  A check falls at each multiple of
+    ``check_every`` and at ``max_iter``, and its largest residual is an
+    ``np.maximum`` over the names.
+    """
+    n_sets, n = len(sets), start.shape[-1]
+    if start.ndim == 2:
+        points = hermitian_part(start)
+        project, best_point = product_projection(sets, n), project_psd(points)
+        y = np.stack([points] * n_sets)
+        anderson = _AndersonHistory(y.view(np.float64).ravel())
+
+        def dr_map(y):
+            avg = y.sum(axis=0) / n_sets
+            return y + project(2.0 * avg - y) - avg
+
+        def advance(y):
+            x = anderson.step(y.view(np.float64).ravel())
+            return dr_map(hermitian_part(x.view(y.dtype).reshape(y.shape)))
+
+        def readout(y):
+            return project_psd(y.sum(axis=0) / n_sets)
+    else:
+        fold, floor, back = _folded_dr_map(sets, n)
+        cycle, average = back @ fold, back.reshape(-1, n_sets, n).sum(axis=1) / n_sets
+        y = np.concatenate([np.tile(start, n_sets), np.zeros(len(floor) - n_sets * n)])
+        best_point = np.maximum(start, 0.0)
+
+        def dr_map(w):
+            return np.maximum(w @ cycle, floor)
+        advance = dr_map
+
+        def readout(w):
+            return np.maximum(w @ average, 0.0)
+    best_res = residual_fn(best_point)
+    best_max = functools.reduce(np.maximum, best_res.values())
+    history, last_improvement = [float(best_max)], 0
+    for it in range(1, max_iter + 1):
+        y = advance(y) if it > 1 else dr_map(y)
+        if it % check_every and it != max_iter:
+            continue
+        candidate = readout(y)
+        res = residual_fn(candidate)
+        res_max = functools.reduce(np.maximum, res.values())
+        if res_max < best_max * (1.0 - _STALL_RTOL):
+            last_improvement = it
+        if res_max < best_max:
+            best_point, best_res, best_max = candidate, res, res_max
+        history.append(float(best_max))
+        converged = bool(best_max <= tol)
+        stalled = not converged and it - last_improvement >= STALL_WINDOW
+        if converged or stalled or it == max_iter:
+            return FeasibilityResult(best_point, converged, stalled, it,
+                                     {name: float(r) for name, r in best_res.items()}, history)
+
+
+def reference_case(case):
+    """(sets, start, residuals) of a named synthesis search: twirled, or dense on its D x D matrix."""
+    kind, name, m = case.split()
+    target = _named_target(name)
+    if kind == "dense":
+        sets, start, residual, _ = _dense_dilution(int(m), target.to_density(), 0)
+    else:
+        sets, start, residual, _ = _twirled_dilution(int(m), target, 0)
+    return sets, start, residual
+
+
+class TestBlockedCycles:
+    """The cycles between two checks run as one block: every outcome is the per-cycle loop's."""
+
+    @pytest.mark.parametrize("case", ["twirled noisy-phi-2 0", "twirled broadcast-phi-2 1",
+                                      "twirled noisy-phi-3 2", "dense noisy-phi-2 0",
+                                      "dense noisy-phi-2 1"])
+    @pytest.mark.parametrize("max_iter", [1, 7, 25, 20000])
+    @pytest.mark.parametrize("check_every", [1, 3, 10])
+    def test_outcome_is_the_per_cycle_loops(self, case, max_iter, check_every):
+        sets, start, residual = reference_case(case)
+        kwargs = dict(tol=1e-6, max_iter=max_iter, check_every=check_every)
+        result = solve_feasibility(sets, start, residual, **kwargs)
+        expected = per_cycle_solve(sets, start, residual, **kwargs)
+        assert_same_outcome(result, expected)
+        assert result.point.tobytes() == expected.point.tobytes()
+        assert [x.hex() for x in result.best_history] == [x.hex() for x in expected.best_history]
+        # a check at each multiple of check_every up to the stop, and one at the stop
+        assert len(result.best_history) == 1 + -(-result.iterations // check_every)
+
+    @pytest.mark.parametrize("res", [
+        {"a": 0.5, "b": 2.0, "c": 1.0}, {"a": 2.0, "b": 2.0}, {"a": -0.0, "b": 0.0},
+        {"a": 0.0, "b": -0.0}, {"a": math.nan, "b": 1.0}, {"a": 1.0, "b": math.nan, "c": 3.0},
+        {"a": math.inf, "b": 1.0}, {"a": -math.inf}, {"a": 1.0, "b": np.float64(1.5)},
+        {"a": np.float64(math.nan), "b": 0.0}])
+    def test_largest_is_the_maximum_reduction(self, res):
+        largest, reduced = projections._largest(res), functools.reduce(np.maximum, res.values())
+        # the sign np.maximum gives a tie of zeros is the platform's; any other value is one float
+        if largest != 0.0:
+            assert repr(float(largest)) == repr(float(reduced))
+        for other in (-math.inf, -1.0, 0.0, 1.5, 2.0, 3.0, math.inf, math.nan):
+            assert (largest < other, other < largest, largest <= other) == (
+                reduced < other, other < reduced, reduced <= other)
+
+
 class TestAcceleratedSolves:
     def test_real_search_keeps_iterates_and_history_float64(self, monkeypatch):
         history = set()
@@ -555,12 +665,22 @@ class TestAcceleratedSolves:
         products, fold = [], projections._folded_dr_map
 
         class Factor(np.ndarray):
-            """F, B or a matrix made of them: records each vector multiplied into it."""
+            """F, B or a matrix made of them: records each vector multiplied into it.
+
+            A product is an ``np.matmul`` (``@``) or an ``np.dot``.
+            """
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 products.extend((x.dtype, x.shape) for x in inputs
                                 if ufunc is np.matmul and not isinstance(x, Factor))
                 out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+                return out.view(Factor) if out.ndim == 2 else out
+
+            def __array_function__(self, func, types, args, kwargs):
+                if func is not np.dot:
+                    return super().__array_function__(func, types, args, kwargs)
+                products.extend((x.dtype, x.shape) for x in args if not isinstance(x, Factor))
+                out = func(*(np.asarray(x) for x in args), **kwargs)
                 return out.view(Factor) if out.ndim == 2 else out
 
         def spied_fold(sets, n):
