@@ -151,7 +151,8 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,
 
     Each start is an independent Ginibre density matrix, drawn in order
     from one generator (``seeded_starts``), in the dtype of
-    ``phi.entries``.  For a real phi the set is closed under entrywise
+    ``phi.entries``; starts over the entry budget are refused before any
+    is drawn.  For a real phi the set is closed under entrywise
     conjugation, so it is the single point phi x phi exactly when its
     real symmetric part is, and the search runs in float64.  Each start is
     projected on its own (``project_to_two_copy_broadcast``).  A run that
@@ -160,10 +161,10 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,
     """
     if n_starts < 1:
         raise ValueError("start count must be >= 1")
+    check_entry_budget(phi.dim ** 2, "two-copy broadcast projection")
     shape = phi.shape.copies(2)
     points = []
-    for start in seeded_starts(phi.dim ** 2, n_starts, seed, "two-copy broadcast projection",
-                               phi.entries.dtype):
+    for start in seeded_starts(phi.dim ** 2, n_starts, seed, phi.entries.dtype):
         result = project_to_two_copy_broadcast(phi, start)
         if not result.converged:
             raise RuntimeError(f"projection start {len(points)} did not reach "

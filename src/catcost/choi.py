@@ -8,7 +8,9 @@ input and output factors alike.
 
 ``synthesize_ppt_dilution`` decides PPT dilution from m ebits with a
 target-sized search: D x D matrices for a dense target, and vectors of
-2^k twirl coefficients for an ``IsotropicCopies`` one.
+2^k twirl coefficients for an ``IsotropicCopies`` one.  Both start at the
+maximally mixed state I/D, the same state in either representation, so a
+solve draws no random number.
 """
 from __future__ import annotations
 
@@ -44,9 +46,8 @@ from .measures import (
     copy_ranks,
     log_negativity,
     partial_transpose_isometry,
-    random_twirled_states,
 )
-from .projections import Cone, seeded_starts, solve_feasibility
+from .projections import Cone, solve_feasibility
 from .states import max_entangled_matrix
 
 SYNTHESIS_TOL = 1e-6
@@ -255,7 +256,7 @@ def verify_ppt_operation(choi: ChoiOperator, tol: float = 1e-9) -> SolveReport:
                        _build_point=(lambda: choi) if ok else None)
 
 
-def _dense_dilution(m: int, target: DensityOperator, seed: int):
+def _dense_dilution(m: int, target: DensityOperator):
     """The D x D search: its sets, start, residuals and point.
 
     The sets, in order: at m = 0, b over the PSD cone, the partially
@@ -284,12 +285,13 @@ def _dense_dilution(m: int, target: DensityOperator, seed: int):
         return TwirledChoi(m, shape, x if m == 0 else rho, x)
 
     # real data: the feasible set is closed under complex conjugation, so its
-    # real part is feasible, and a real start keeps the search real symmetric
-    [start] = seeded_starts(dim, 1, seed, "synthesis start", rho.dtype)
+    # real part is feasible, and the real start I/D keeps the search real symmetric
+    check_entry_budget(dim, "synthesis start")
+    start = np.eye(dim, dtype=rho.dtype) / dim
     return sets, start, lambda x: point(x).residuals(rho), point
 
 
-def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
+def _twirled_dilution(m: int, target: IsotropicCopies):
     """``_dense_dilution`` in the twirl algebra of an ``IsotropicCopies`` target.
 
     A point is the ``float64`` vector y = sqrt(r) c of 2^k numbers, with c
@@ -307,11 +309,10 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
       s = Q sqrt(r) c_shift;
     - the target at m = 0: the fixed point sqrt(r) c_rho.
 
-    The start is the twirl of a seeded Ginibre state, drawn from its exact
-    law in 2^k Gamma variates (``random_twirled_states``), with no D x D
-    matrix built.  A target whose D x D blocks exceed the entry budget is
-    refused first, as the dense search refuses its start: a converged
-    point's ``TwirledChoi`` holds such blocks.  The residuals are those of
+    The start is the dense search's I/D, c = 1/N on every projector
+    (N = D = sum r), so y = sqrt(r) / N.  A target whose D x D blocks
+    exceed the entry budget is refused first, as the dense search refuses
+    its start: a converged point's ``TwirledChoi`` holds such blocks.  The residuals are those of
     ``TwirledChoi.residuals`` on the dense blocks, in closed form: cp and
     ppt the least coefficients of a, b and the two cone operators,
     tp = |r.c - 1|, and the correctness at m = 0 the largest entry of
@@ -327,12 +328,12 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
     ranks = copy_ranks(d, rho.ndim).ravel()
     root = np.sqrt(ranks)
     gamma = partial_transpose_isometry(d, rho.ndim)
-    y_rho = root * rho.ravel()
+    y_rho, n = root * rho.ravel(), ranks.sum()
     e = math.ldexp(1.0, -m)  # 1/K; at m = 0, a = b and both cones read sigma^Gamma >= 0
     if m == 0:
         sets = [Cone(), Cone(gamma), (np.zeros((len(root), len(root))), y_rho)]
     else:
-        s, n = gamma @ y_rho, ranks.sum()
+        s = gamma @ y_rho
         sets = [Cone(), (np.eye(len(root)) - root[:, None] * root / n, root / n),
                 Cone(gamma, -e / (1.0 - e) * s), Cone(gamma, e / (1.0 + e) * s)]
 
@@ -364,13 +365,12 @@ def _twirled_dilution(m: int, target: IsotropicCopies, seed: int):
         b = copies_matrix(d, (y / root).reshape(rho.shape))
         return TwirledChoi(m, target.shape, b if m == 0 else copies_matrix(d, rho), b)
 
-    start = root * random_twirled_states(d, rho.ndim, 1, seed)[0].ravel()
-    return sets, start, residuals, point
+    return sets, root / n, residuals, point
 
 
 def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
-                            max_iter: int = SYNTHESIS_MAX_CYCLES, tol: float = SYNTHESIS_TOL,
-                            seed: int = 0) -> SolveReport:
+                            max_iter: int = SYNTHESIS_MAX_CYCLES,
+                            tol: float = SYNTHESIS_TOL) -> SolveReport:
     """Search for a PPT operation taking m maximally entangled pairs to the target.
 
     Alternating reflections over one target-sized block of a ``TwirledChoi``
@@ -383,15 +383,15 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
     ebits) above m + ``tol`` at m >= 1.  A ``DensityOperator`` target is
     searched as a D x D matrix (``_dense_dilution``), an ``IsotropicCopies``
     one as a vector of its 2^k twirl coefficients (``_twirled_dilution``),
-    with no eigendecomposition.  Each search runs from one seeded start: a
-    dense Ginibre state (``seeded_starts``), or the twirl of one, drawn from
-    its exact law with no dense matrix built (``random_twirled_states``).
+    with no eigendecomposition.  Each search starts at the maximally mixed
+    state I/D, twirl-invariant and real, and draws nothing: the problem is
+    convex, so a start moves only cycle counts and where a stall lands.
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")
     twirled = isinstance(target, IsotropicCopies)
     sets, start, residuals, point = (
-        _twirled_dilution if twirled else _dense_dilution)(m, target, seed)
+        _twirled_dilution if twirled else _dense_dilution)(m, target)
     result = solve_feasibility(sets, start, residuals, tol=tol, max_iter=max_iter)
 
     npt_witness = ln = None

@@ -165,13 +165,15 @@ def _named_target(name: str):
 
 def scenario_synthesize(m: int, target_name: str, tol: float, max_iter: int,
                         seed: int) -> ScenarioReport:
+    # every search starts at I/D, so seed acts on nothing; it is accepted
+    # and echoed because callers pass it
     target = _named_target(target_name)
     if target is None:
         target = load_density(target_name)
     report = ScenarioReport("synthesize", __version__,
                             parameters={"m": m, "target": target_name,
                                         "tol": tol, "max_iter": max_iter, "seed": seed})
-    solve = synthesize_ppt_dilution(m, target, max_iter=max_iter, tol=tol, seed=seed)
+    solve = synthesize_ppt_dilution(m, target, max_iter=max_iter, tol=tol)
     for name, value in solve.residuals.items():
         report.add_result(f"residual_{name}", value, tol)
     report.parameters["iterations"] = solve.iterations

@@ -8,9 +8,7 @@ The algebra's maps are also module functions on raw coefficient arrays
 (``copy_ranks``, ``partial_transpose_spectrum``, ``partial_transpose_isometry``,
 ``copies_matrix``): the twirled search's iterates have any sign and trace,
 and ``IsotropicCopies`` validates a state.  ``twirl_coefficients`` maps one
-dense matrix into the algebra, and ``random_twirled_states`` draws the
-named synthesis search's seeded start from its exact law, with no dense
-matrix.
+dense matrix into the algebra.
 """
 from __future__ import annotations
 
@@ -246,28 +244,6 @@ def twirl_coefficients(d: int, x: np.ndarray) -> np.ndarray:
     return _per_copy(((1.0, 0.0), (-1.0 / (n - 1), 1.0 / (n - 1))), traces)
 
 
-def random_twirled_states(d: int, k: int, count: int, seed: int) -> np.ndarray:
-    """``count`` seeded Ginibre states, twirled on every copy, from their exact law.
-
-    A start is rho = g g^H / Tr(g g^H), g a complex Ginibre matrix of size
-    N = d^(2k); its U x conj(U) twirl on every copy has coefficient
-    m_j / (r_j sum m) on the projector P_j of rank r_j (``copy_ranks``),
-    m_j = Tr(P_j g g^H).  In a basis of each range, P_j g holds r_j N
-    independent complex normal entries, and the P_j are orthogonal, so the
-    masses m_j are independent Gamma(r_j N) variates (up to a common
-    scale, which the normalisation removes).  The P_j are real, so the
-    twirl of Re rho has the same law.  One ``standard_gamma`` call on a
-    (count, 2^k) array draws every start, and no matrix is built.
-    Returns the (count,) + (2,) * k coefficient stack.
-    """
-    if d < 2:
-        raise ValueError("local dimension must be >= 2")
-    ranks = copy_ranks(d, k).ravel()
-    masses = np.random.default_rng(seed).standard_gamma(ranks * float(d) ** (2 * k),
-                                                        (count, ranks.size))
-    return (masses / (ranks * masses.sum(axis=1, keepdims=True))).reshape((count,) + (2,) * k)
-
-
 # eq=False: a field-wise == would compare the coefficient arrays and raise
 @dataclass(frozen=True, eq=False)
 class IsotropicCopies:
@@ -334,9 +310,9 @@ class IsotropicCopies:
         """
         return cls(d, twirl_coefficients(d, x))
 
-    @property
+    @cached_property
     def shape(self) -> FactorShape:
-        """One (d, d) factor per copy, as the dense state has."""
+        """One (d, d) factor per copy, as the dense state has; built on first read."""
         return bipartite_shape(self.d, self.d).copies(self.coeffs.ndim)
 
     @cached_property

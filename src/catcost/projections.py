@@ -19,9 +19,9 @@ T costs an ``eigh``, and a fused vector cycle a tenth of a step.  The Anderson
 depth and the stall rule are module constants; the per-call options are
 declared on ``solve_feasibility``.
 
-A dense search's seeded starts are Ginibre density matrices drawn here
-(``seeded_starts``); the twirl-algebra synthesis search draws the twirl
-of such a start from its exact law (``measures.random_twirled_states``).
+A search passes its start.  The broadcast sampler's random starts are
+Ginibre density matrices drawn here (``seeded_starts``); the synthesis
+search starts at I/D and draws nothing.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _gesv  # LAPACK gesv, without np.linalg's wrapper
 
-from .operators import check_entry_budget, hermitian_part
+from .operators import hermitian_part
 
 Projection = Callable[[np.ndarray], np.ndarray]
 ResidualFn = Callable[[np.ndarray], dict[str, float]]
@@ -65,13 +65,8 @@ def random_density_matrix(dim: int, rng: np.random.Generator,
     return m if np.issubdtype(dtype, np.complexfloating) else m.real.copy()
 
 
-def seeded_starts(dim: int, n_starts: int, seed: int, what: str,
-                  dtype: np.dtype = np.float64):
-    """The seeded dim x dim ``random_density_matrix`` starts, drawn in order from one generator.
-
-    A start over the entry budget is refused as ``what`` before any is drawn.
-    """
-    check_entry_budget(dim, what)
+def seeded_starts(dim: int, n_starts: int, seed: int, dtype: np.dtype = np.float64):
+    """The seeded dim x dim ``random_density_matrix`` starts, drawn in order from one generator."""
     rng = np.random.default_rng(seed)
     for _ in range(n_starts):
         yield random_density_matrix(dim, rng, dtype)

@@ -256,7 +256,6 @@ class TestTwirledRigidity:
         def refuse(*args, **kwargs):
             raise AssertionError("a random number was drawn")
 
-        monkeypatch.setattr("catcost.measures.random_twirled_states", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         reports = []
         for starts, seed in [("8192", "42"), ("1", "0"), ("50", "1")]:
@@ -325,3 +324,11 @@ class TestTwirledRigidity:
     def test_no_start_is_refused(self, n):
         with pytest.raises(ValueError, match="start count must be >= 1"):
             sample_two_copy_broadcasts(max_entangled(2), n)
+
+    def test_sampler_over_the_budget_is_refused_before_a_draw(self, monkeypatch):
+        # Phi_5's two copies are 625 x 625 starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random number generator was made")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(ResourceLimitError, match="two-copy broadcast projection needs"):
+            sample_two_copy_broadcasts(max_entangled(5), 1)

@@ -31,7 +31,6 @@ from catcost.measures import (
     copy_ranks,
     log_negativity,
     partial_transpose_spectrum,
-    random_twirled_states,
 )
 from catcost.operators import (
     FactorShape,
@@ -197,9 +196,9 @@ class TestSynthesis:
         with pytest.raises(ResourceLimitError, match="budget"):
             report.feasible_point.to_choi()
 
-    def test_seeded_runs_are_deterministic(self):
-        a = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6, seed=5)
-        b = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6, seed=5)
+    def test_runs_are_deterministic(self):
+        a = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6)
+        b = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6)
         assert a.iterations == b.iterations
         assert np.array_equal(a.feasible_point.to_choi().op.entries,
                               b.feasible_point.to_choi().op.entries)
@@ -229,7 +228,7 @@ class TestSynthesis:
         if real:
             target = density_from_matrix(target.entries.real.copy(), target.shape)
         rho = target.entries
-        sets, *_ = _dense_dilution(m, target, 0)
+        sets, *_ = _dense_dilution(m, target)
         n_sets, project = len(sets), product_projection(sets, 6)
 
         def pt(x):
@@ -322,9 +321,9 @@ class TestTwirledSynthesis:
     def test_closed_form_residuals_match_the_dense_blocks(self, name, m, rng):
         target = _named_target(name)
         rho = target.to_density().entries
-        _, start, residuals, point = _twirled_dilution(m, target, 0)
+        _, start, residuals, point = _twirled_dilution(m, target)
         root = np.sqrt(copy_ranks(target.d, target.coeffs.ndim).ravel())
-        # the twirled seeded start, and coefficients of either sign, which
+        # the start I/D, and coefficients of either sign, which
         # leave cp, ppt and tp (and at m = 0 the correctness) nonzero
         largest = dict.fromkeys(["cp", "ppt", "tp", "correctness"], 0.0)
         for y in [start] + [root * rng.standard_normal(len(root)) for _ in range(6)]:
@@ -338,7 +337,7 @@ class TestTwirledSynthesis:
     @pytest.mark.parametrize("name, m", ALL_NAMED)
     def test_affine_residuals_are_the_per_copy_forms(self, name, m, rng):
         target = _named_target(name)
-        _, start, residuals, point = _twirled_dilution(m, target, 0)
+        _, start, residuals, point = _twirled_dilution(m, target)
         ranks = copy_ranks(target.d, target.coeffs.ndim).ravel()
         candidates = [start] + [scale * np.sqrt(ranks) * rng.standard_normal(len(ranks))
                                 for scale in (1e-3, 1.0, 1e3) for _ in range(3)]
@@ -360,7 +359,7 @@ class TestTwirledSynthesis:
         # is part of the Choi operator, and its least coefficient part of cp
         target = IsotropicCopies(2, np.array([1.0 + 1.5e-10, -5e-11]))
         for m in range(3):
-            _, start, residuals, _ = _twirled_dilution(m, target, 0)
+            _, start, residuals, _ = _twirled_dilution(m, target)
             assert start.min() > 0
             assert residuals(start)["cp"] == (0.0 if m == 0 else 5e-11)
 
@@ -371,7 +370,7 @@ class TestTwirledSynthesis:
         # of the dense operator with coefficients c, of either sign
         weights = rng.random((2,) * k)
         target = IsotropicCopies(d, weights / (weights * copy_ranks(d, k)).sum())
-        _, _, residuals, _ = _twirled_dilution(0, target, 0)
+        _, _, residuals, _ = _twirled_dilution(0, target)
         root = np.sqrt(copy_ranks(d, k).ravel())
         for _ in range(5):
             c = rng.standard_normal((2,) * k)
@@ -383,7 +382,7 @@ class TestTwirledSynthesis:
         (IsotropicCopies.isotropic(2, 0.25), 0), (IsotropicCopies.isotropic(3, 0.2), 0)],
         ids=[f"{name}-{m}" for name, m in NAMED if m] + ["ppt-isotropic-2-0", "ppt-isotropic-3-0"])
     def test_converged_point_is_a_ppt_dilution(self, target, m):
-        report = synthesize_ppt_dilution(m, target, seed=0)
+        report = synthesize_ppt_dilution(m, target)
         assert report.converged and max(report.residuals.values()) <= 1e-6
         choi_op = report.feasible_point.to_choi()
         assert verify_ppt_operation(choi_op, tol=1e-6).converged
@@ -393,8 +392,8 @@ class TestTwirledSynthesis:
     @pytest.mark.parametrize("name, m", NAMED)
     def test_algebra_and_dense_searches_agree(self, name, m):
         target = _named_target(name)
-        twirled = synthesize_ppt_dilution(m, target, seed=0)
-        dense = synthesize_ppt_dilution(m, target.to_density(), seed=0)
+        twirled = synthesize_ppt_dilution(m, target)
+        dense = synthesize_ppt_dilution(m, target.to_density())
         assert (twirled.converged, twirled.stalled) == (dense.converged, dense.stalled)
         assert (twirled.npt_witness is None) == (dense.npt_witness is None) == (m > 0)
         if m == 0:
@@ -403,61 +402,73 @@ class TestTwirledSynthesis:
     def test_boundary_instance_converges(self):
         # on the feasibility boundary: its one-shot exact PPT cost W is 2, so
         # one ebit is just enough, and plain Douglas-Rachford takes 110 cycles
-        report = synthesize_ppt_dilution(1, _named_target("broadcast-phi-3"), seed=0)
+        report = synthesize_ppt_dilution(1, _named_target("broadcast-phi-3"))
         assert report.converged and not report.stalled
         assert report.iterations == 110
         assert max(report.residuals.values()) <= 1e-6
 
-    # each seed's stalled (ppt, correctness): the stalled point on that face
-    # is not unique, so each seed pins its own
-    STALLED = [(0.0624936, 0.0323895), (0.0624942, 0.0322900), (0.0624947, 0.0322128),
-               (0.0624972, 0.0318534), (0.0624922, 0.0326590), (0.0624930, 0.0325051)]
-
     def test_infeasible_solve_stalls(self):
-        target = _named_target("noisy-phi-2")
-        for seed, (ppt, correctness) in enumerate(self.STALLED):
-            report = synthesize_ppt_dilution(0, target, seed=seed)
-            assert report.stalled and not report.converged and report.iterations == 520
-            # partial_transpose_coeffs.min(), exactly
-            assert report.npt_witness == -0.125
-            res = report.residuals
-            assert res["ppt"] == pytest.approx(ppt, abs=1e-6)
-            assert res["correctness"] == pytest.approx(correctness, abs=1e-6)
-            # the floor the witness certifies: ppt + sqrt(dim) * correctness
-            assert res["ppt"] + 2.0 * res["correctness"] >= 1 / 8 - 1e-9
+        report = synthesize_ppt_dilution(0, _named_target("noisy-phi-2"))
+        assert report.stalled and not report.converged and report.iterations == 520
+        # partial_transpose_coeffs.min(), exactly
+        assert report.npt_witness == -0.125
+        # the stalled (ppt, correctness) from I/D: the stalled point on that
+        # face is not unique, and the start picks it
+        res = report.residuals
+        assert res["ppt"] == pytest.approx(0.0624941, abs=1e-6)
+        assert res["correctness"] == pytest.approx(0.0323012, abs=1e-6)
+        # the floor the witness certifies: ppt + sqrt(dim) * correctness
+        assert res["ppt"] + 2.0 * res["correctness"] >= 1 / 8 - 1e-9
 
     @pytest.mark.parametrize("name", ["noisy-phi-2", "noisy-phi-3", "noisy-phi-4", "noisy-phi-5",
                                       "noisy-phi-9", "broadcast-phi-2", "broadcast-phi-3",
                                       "broadcast-phi-4"])
     def test_named_table_converges_or_stalls_certified(self, name):
-        # at m = 0..3 and seeds 0-3: a solve converges unstalled within the
-        # tolerance, or stalls with its certificate, and it converges
-        # exactly when it has none
+        # at m = 0..3: a solve converges unstalled within the tolerance, or
+        # stalls with its certificate, and it converges exactly when it has none
         target = _named_target(name)
         for m in range(4):
-            for seed in range(4):
-                report = synthesize_ppt_dilution(m, target, seed=seed)
-                certificate, other = ((report.npt_witness, report.log_negativity) if m == 0
-                                      else (report.log_negativity, report.npt_witness))
-                assert other is None
-                assert report.converged == (certificate is None), (m, seed)
-                if report.converged:
-                    assert not report.stalled
-                    assert max(report.residuals.values()) <= SYNTHESIS_TOL
-                else:
-                    assert report.stalled
-                    assert certificate < 0 if m == 0 else certificate > m
+            report = synthesize_ppt_dilution(m, target)
+            certificate, other = ((report.npt_witness, report.log_negativity) if m == 0
+                                  else (report.log_negativity, report.npt_witness))
+            assert other is None
+            assert report.converged == (certificate is None), m
+            if report.converged:
+                assert not report.stalled
+                assert max(report.residuals.values()) <= SYNTHESIS_TOL
+            else:
+                assert report.stalled
+                assert certificate < 0 if m == 0 else certificate > m
 
-    def test_start_is_the_law_draw_at_its_seed(self):
+    @pytest.mark.parametrize("name", ["noisy-phi-2", "noisy-phi-3", "broadcast-phi-2",
+                                      "broadcast-phi-3"])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_start_is_the_dense_start(self, name, m):
+        # y = sqrt(r) / N is I/D, the start of the dense search of the same target
+        target = _named_target(name)
+        _, start, _, point = _twirled_dilution(m, target)
+        _, dense_start, _, _ = _dense_dilution(m, target.to_density())
+        assert start.shape == (target.coeffs.size,) and start.dtype == np.float64
+        assert dense_start.dtype == np.float64
+        assert np.abs(point(start).b - dense_start).max() <= 1e-15
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["named", "matrix"])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_solve_draws_no_random_number(self, dense, m, monkeypatch):
         target = _named_target("broadcast-phi-2")
-        _, start, _, _ = _twirled_dilution(1, target, 3)
-        root = np.sqrt(copy_ranks(2, 2).ravel())
-        assert start.shape == (4,) and start.dtype == np.float64
-        assert np.array_equal(start, root * random_twirled_states(2, 2, 1, 3)[0].ravel())
+        target = target.to_density() if dense else target
+
+        class NoRandom:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.random.{name} was called")
+
+        monkeypatch.setattr(np, "random", NoRandom())
+        report = synthesize_ppt_dilution(m, target)
+        assert report.converged == (m == 1)
 
     def test_named_solve_builds_nothing_dense(self, forbid_dense_operators, monkeypatch):
-        # a 256 x 256 target, stalled at m = 0 from a start drawn from its
-        # law: no dense start drawn or twirled, and no linear algebra
+        # a 256 x 256 target, stalled at m = 0 from I/D: no dense start
+        # drawn or twirled, and no linear algebra
         target = _named_target("broadcast-phi-4")
 
         def refuse(*args, **kwargs):
@@ -470,32 +481,32 @@ class TestTwirledSynthesis:
         monkeypatch.setattr("catcost.projections.random_density_matrix", refuse)
         monkeypatch.setattr("catcost.measures.twirl_coefficients", refuse)
         monkeypatch.setattr(np, "linalg", NoLinalg())
-        synthesize_ppt_dilution(0, target, seed=1)  # first-use allocations outside the run
+        synthesize_ppt_dilution(0, target)  # first-use allocations outside the run
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            report = synthesize_ppt_dilution(0, target, seed=0)
+            report = synthesize_ppt_dilution(0, target)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
         assert report.stalled and not report.converged
         assert report.npt_witness == target.partial_transpose_coeffs.min() < 0
-        # a quarter of one 256 x 256 float64 matrix: a dense start's draw
-        # alone takes several times that
+        # a quarter of one 256 x 256 float64 matrix: a dense start I/D alone
+        # takes four times that
         assert peak <= 256 * 256 * 8 // 4
 
     def test_start_refused_over_the_entry_budget(self, request, monkeypatch):
-        # refused on the dense blocks of a point, before the start is drawn
+        # refused on the dense blocks of a point, before any start is built
         request.getfixturevalue("forbid_dense_operators")
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a start was drawn")
+            raise AssertionError("a random number generator was made")
 
-        monkeypatch.setattr(choi, "random_twirled_states", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         with pytest.raises(ResourceLimitError, match="synthesis start"):
             synthesize_ppt_dilution(1, IsotropicCopies.isotropic(17, 0.5))
 
@@ -515,12 +526,12 @@ def eigh_dtypes(monkeypatch):
 
 class TestRealSubspace:
     @pytest.mark.parametrize("name, m, cycles", [
-        ("noisy-phi-2", 1, 20), ("broadcast-phi-2", 1, 20), ("noisy-phi-3", 2, 20)],
+        ("noisy-phi-2", 1, 10), ("broadcast-phi-2", 1, 20), ("noisy-phi-3", 2, 10)],
         ids=["noisy-phi-2-1", "broadcast-phi-2-1", "noisy-phi-3-2"])
     def test_named_targets_solve_in_float64(self, name, m, cycles, monkeypatch):
         target = _named_target(name).to_density()
         seen = eigh_dtypes(monkeypatch)
-        report = synthesize_ppt_dilution(m, target, seed=0)
+        report = synthesize_ppt_dilution(m, target)
         monkeypatch.undo()
         assert seen and set(seen) == {np.dtype(np.float64)}
         assert report.converged and report.iterations == cycles
@@ -574,12 +585,12 @@ class TestFeasiblePointOnRead:
             *dense, name = target.split()
             target = _named_target(name).to_density() if dense else _named_target(name)
         search = _twirled_dilution if isinstance(target, IsotropicCopies) else _dense_dilution
-        sets, start, residuals, point = search(m, target, 0)
+        sets, start, residuals, point = search(m, target)
         result = solve_feasibility(sets, start, residuals, tol=SYNTHESIS_TOL,
                                    max_iter=SYNTHESIS_MAX_CYCLES)
         eager = point(result.point)
         del built[:]
-        report = synthesize_ppt_dilution(m, target, seed=0)
+        report = synthesize_ppt_dilution(m, target)
         assert report.converged and built == []
         lazy = report.feasible_point
         # the named search's dense blocks: b, and a = rho at m >= 1
@@ -593,7 +604,7 @@ class TestFeasiblePointOnRead:
         assert report.feasible_point is lazy and len(built) == dense_blocks
 
     def test_unconverged_and_verified_points(self, built):
-        report = synthesize_ppt_dilution(0, _named_target("noisy-phi-2"), seed=0)
+        report = synthesize_ppt_dilution(0, _named_target("noisy-phi-2"))
         assert report.stalled and report.feasible_point is None
         mixer = analytic_mixer_choi(2)
         assert verify_ppt_operation(mixer).feasible_point is mixer

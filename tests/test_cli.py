@@ -289,12 +289,11 @@ class TestCliScenarios:
     ])
     def test_oversized_requests_are_usage_errors(self, argv, capsys, forbid_dense_operators,
                                                  monkeypatch):
-        # refused on the arguments alone, before any state is built or start
-        # drawn: dense starts, and the synthesis start drawn from its law
+        # refused on the arguments alone, before any state is built or
+        # random number generator made
         def refuse(*args, **kwargs):
-            raise AssertionError("a start was drawn")
-        monkeypatch.setattr("catcost.projections.random_density_matrix", refuse)
-        monkeypatch.setattr("catcost.choi.random_twirled_states", refuse)
+            raise AssertionError("a random number generator was made")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -402,8 +401,8 @@ class TestCliScenarios:
                                        "--tol", "1e-300"]])
     def test_no_certificate_when_log_negativity_allows_the_ebits(self, argv, capsys):
         # feasible, converged or cut off before convergence: E_N <= m either
-        # way, also for an m that no float holds (its seeded start at seed 0
-        # is already feasible, and converges on the one cycle it may run)
+        # way, also for an m that no float holds (from I/D, its one cycle
+        # lands a rounding of the trace short of tol=1e-300)
         code = main(["--format", "json-like-keyvalue", "synthesize", *argv])
         doc = json.loads(capsys.readouterr().out)
         assert code == (0 if doc["checks"]["converged"] else 4)
@@ -579,9 +578,8 @@ class TestCliScenarios:
         assert runs[0] == runs[1]
 
     def test_named_synthesis_is_byte_identical_across_blas_threads(self):
-        # the named target is searched in its 4 twirl coefficients: the
-        # BLAS calls left act on 16 x 16 or smaller matrices, and the dense
-        # start is drawn at 16 x 16
+        # the named target is searched in its 4 twirl coefficients from
+        # I/D: the BLAS calls left act on 16 x 16 or smaller matrices
         runs = self.reports_at_one_and_two_blas_threads(
             "synthesize", "broadcast-phi-2", "--m", "1", "--seed", "0")
         assert b"overall: PASS" in runs[0]
@@ -608,6 +606,23 @@ class TestCliScenarios:
             return [line for line in lines if line not in echo]
 
         assert report("1", "0") == report("8192", "42")
+
+    @pytest.mark.parametrize("target, m, code", [("noisy-phi-2", "0", 4), ("noisy-phi-3", "1", 0),
+                                                 ("dense", "1", 0)])
+    def test_synthesize_echoes_seed_and_nothing_else(self, target, m, code, tmp_path, capsys):
+        # every search starts at I/D: the reports at two seeds differ only
+        # in the echoed --seed
+        if target == "dense":
+            target = str(tmp_path / "noisy-phi-2.json")
+            save_operator(_named_target("noisy-phi-2").to_density().op, target)
+        reports = []
+        for seed in ("0", "7"):
+            assert main(["synthesize", target, "--m", m, "--seed", seed]) == code
+            out = capsys.readouterr().out
+            echo = f"param seed = {seed}\n"
+            assert out.count(echo) == 1
+            reports.append(out.replace(echo, ""))
+        assert reports[0] == reports[1]
 
     def test_rigidity_scenario(self, capsys):
         assert main(["rigidity", "--d", "2", "--starts", "3", "--seed", "2"]) == 0

@@ -25,7 +25,6 @@ from catcost.measures import (
     log_negativity,
     partial_transpose_isometry,
     partial_transpose_spectrum,
-    random_twirled_states,
     schmidt_rank,
     twirl_coefficients,
     work_cost_semiclassical,
@@ -48,7 +47,6 @@ from catcost.operators import (
     trace_distance,
     trace_norm,
 )
-from catcost.projections import random_density_matrix
 from catcost.states import (
     IsotropicParams,
     classical_mix,
@@ -584,59 +582,3 @@ class TestIsotropicCopies:
         weighted = gamma @ (np.sqrt(copy_ranks(d, k)) * c).ravel()
         expected = (np.sqrt(q) * partial_transpose_spectrum(d, c)).ravel()
         assert np.abs(weighted - expected).max() <= 1e-14 * np.abs(expected).max()
-
-
-def moments(samples):
-    """Per-coefficient mean and variance of an (s, ...) stack, with their standard errors."""
-    s = len(samples)
-    mean = samples.mean(axis=0)
-    centred = samples - mean
-    var = (centred ** 2).sum(axis=0) / (s - 1)
-    fourth = (centred ** 4).mean(axis=0)
-    return mean, var, np.sqrt(var / s), np.sqrt(np.maximum(fourth - var ** 2, 0.0) / s)
-
-
-class TestRandomTwirledStates:
-    """The law of the twirled Ginibre starts, against its closed form and the dense draw."""
-
-    SIGMAS = 5  # every moment within 5 standard errors
-
-    @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 1), (3, 2)])
-    def test_moments_are_the_scaled_dirichlet_ones(self, d, k):
-        # the masses are Dirichlet(r N) over the projectors, N = d^(2k) and
-        # sum r = N, so coefficient j = mass / r_j has mean 1/N and variance
-        # (N - r_j) / (r_j N^2 (N^2 + 1))
-        n = d ** (2 * k)
-        ranks = copy_ranks(d, k)
-        mean, var, mean_err, var_err = moments(random_twirled_states(d, k, 20000, 11))
-        assert (np.abs(mean - 1.0 / n) <= self.SIGMAS * mean_err).all()
-        exact = (n - ranks) / (ranks * n ** 2 * (n ** 2 + 1.0))
-        assert (np.abs(var - exact) <= self.SIGMAS * var_err).all()
-
-    @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 1), (3, 2)])
-    def test_moments_are_the_dense_twirls_ones(self, d, k):
-        # the twirls of the dense Ginibre starts, real as a real search draws
-        # them, one start at a time
-        n = d ** (2 * k)
-        rng = np.random.default_rng(12)
-        dense = np.stack([twirl_coefficients(d, random_density_matrix(n, rng, np.float64))
-                          for _ in range(2000 if n < 81 else 500)])
-        law = moments(random_twirled_states(d, k, 20000, 13))
-        drawn = moments(dense)
-        for i in (0, 1):
-            err = np.hypot(law[2 + i], drawn[2 + i])
-            assert (np.abs(law[i] - drawn[i]) <= self.SIGMAS * err).all()
-
-    @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 2), (4, 2)])
-    def test_every_row_is_a_state_and_a_seed_fixes_the_bits(self, d, k):
-        c = random_twirled_states(d, k, 500, 7)
-        assert c.shape == (500,) + (2,) * k
-        assert c.min() > 0.0
-        traces = (c * copy_ranks(d, k)).reshape(500, -1).sum(axis=1)
-        assert np.abs(traces - 1.0).max() <= 1e-14
-        assert np.array_equal(random_twirled_states(d, k, 500, 7), c)
-        assert not np.array_equal(random_twirled_states(d, k, 500, 8), c)
-
-    def test_a_dimension_below_two_is_refused(self):
-        with pytest.raises(ValueError, match="local dimension"):
-            random_twirled_states(1, 2, 3, 0)

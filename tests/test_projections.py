@@ -15,7 +15,7 @@ from catcost import broadcast, choi, projections
 from catcost.broadcast import _marginal_projections, sample_two_copy_broadcasts
 from catcost.choi import _dense_dilution, _twirled_dilution, synthesize_ppt_dilution
 from catcost.cli import _named_target, scenario_rigidity
-from catcost.measures import IsotropicCopies, copy_ranks, random_twirled_states
+from catcost.measures import IsotropicCopies, copy_ranks
 from catcost.operators import (
     bipartite_shape,
     density_from_matrix,
@@ -115,13 +115,18 @@ TWIRLED_SEARCHES = [f"{name} --m {m}" for name in ("noisy-phi-2", "broadcast-phi
 
 
 def twirled_search(case, n_starts):
-    """A twirled search's sets, seeded vector starts and residuals."""
+    """A twirled search's sets, random vector starts and residuals.
+
+    A start is sqrt(r) c, c the coefficients of a twirled Ginibre state of
+    size N = sum r: independent Gamma(r_j N) masses over the projectors,
+    normalised, drawn at seed 0.
+    """
     name, _, m = case.split()
     target = _named_target(name)
-    sets, _, residual, _ = _twirled_dilution(int(m), target, 0)
-    k = target.coeffs.ndim
-    root = np.sqrt(copy_ranks(target.d, k).ravel())
-    starts = root * random_twirled_states(target.d, k, n_starts, 0).reshape(n_starts, -1)
+    sets, _, residual, _ = _twirled_dilution(int(m), target)
+    ranks = copy_ranks(target.d, target.coeffs.ndim).ravel()
+    masses = np.random.default_rng(0).standard_gamma(ranks * ranks.sum(), (n_starts, ranks.size))
+    starts = np.sqrt(ranks) * (masses / (ranks * masses.sum(axis=1, keepdims=True)))
     return sets, starts, residual
 
 
@@ -223,8 +228,8 @@ class TestStarts:
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     @pytest.mark.parametrize("dim, n_starts", [(4, 3), (16, 7), (16, 20), (16, 300), (256, 2)])
     def test_seeded_starts_are_the_per_start_formula_in_order(self, dtype, dim, n_starts):
-        # every seeded dense search start, every pinned cycle count, rests on these bits
-        drawn = list(seeded_starts(dim, n_starts, 5, "start", dtype))
+        # every sampler start, and the sampler's pinned cycle count, rests on these bits
+        drawn = list(seeded_starts(dim, n_starts, 5, dtype))
         assert len(drawn) == n_starts
         one_by_one = np.random.default_rng(5)
         assert all(np.array_equal(start, random_density_matrix(dim, one_by_one, dtype))
@@ -601,9 +606,9 @@ def reference_case(case):
     kind, name, m = case.split()
     target = _named_target(name)
     if kind == "dense":
-        sets, start, residual, _ = _dense_dilution(int(m), target.to_density(), 0)
+        sets, start, residual, _ = _dense_dilution(int(m), target.to_density())
     else:
-        sets, start, residual, _ = _twirled_dilution(int(m), target, 0)
+        sets, start, residual, _ = _twirled_dilution(int(m), target)
     return sets, start, residual
 
 
@@ -653,7 +658,7 @@ class TestAcceleratedSolves:
 
         monkeypatch.setattr(projections, "_AndersonHistory", History)
         seen = spy_on_engine_inputs(monkeypatch, choi)
-        report = synthesize_ppt_dilution(2, _named_target("noisy-phi-3").to_density(), seed=0)
+        report = synthesize_ppt_dilution(2, _named_target("noisy-phi-3").to_density())
         assert report.converged
         assert seen == {(np.dtype(np.float64), True)}
         assert history == {np.dtype(np.float64)}
@@ -694,7 +699,7 @@ class TestAcceleratedSolves:
         symmetrized = []
         monkeypatch.setattr(projections, "hermitian_part", symmetrized.append)
         target = _named_target(name)
-        report = synthesize_ppt_dilution(m, target, seed=0)
+        report = synthesize_ppt_dilution(m, target)
         assert report.iterations > 1
         # plain DR, one product a cycle and one a check, each of the
         # (2 sets * 2^k + 1,) point w, by B F in a cycle and by B A at a check;
@@ -711,20 +716,18 @@ class TestAcceleratedSolves:
         u = np.kron(np.eye(2), np.diag([1.0, 1j]))
         rho = _named_target("noisy-phi-2").to_density().entries
         target = density_from_matrix(u @ rho @ u.conj().T, bipartite_shape(2, 2))
-        assert synthesize_ppt_dilution(1, target, seed=0).converged
+        assert synthesize_ppt_dilution(1, target).converged
         assert seen == {(np.dtype(np.complex128), True)}
 
     def test_infeasible_solve_still_stalls(self):
-        target = _named_target("noisy-phi-2").to_density()
-        for seed, cycles in enumerate([510, 510, 510, 590, 510]):
-            report = synthesize_ppt_dilution(0, target, seed=seed)
-            assert report.stalled and not report.converged
-            assert report.npt_witness == pytest.approx(-0.125, abs=1e-12)
-            hist = report.best_history
-            assert all(b <= a for a, b in zip(hist, hist[1:]))
-            # the stall rule is unchanged: 500 cycles after the last improvement
-            last = max(i for i in range(1, len(hist)) if hist[i] < hist[i - 1] * (1 - 1e-9))
-            assert report.iterations == 10 * last + 500 == cycles
+        report = synthesize_ppt_dilution(0, _named_target("noisy-phi-2").to_density())
+        assert report.stalled and not report.converged
+        assert report.npt_witness == pytest.approx(-0.125, abs=1e-12)
+        hist = report.best_history
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+        # the stall rule is unchanged: 500 cycles after the last improvement
+        last = max(i for i in range(1, len(hist)) if hist[i] < hist[i - 1] * (1 - 1e-9))
+        assert report.iterations == 10 * last + 500 == 510
 
     def test_sample_two_copy_broadcasts_work_counts(self, monkeypatch):
         solves, calls = [], []
@@ -781,7 +784,7 @@ class TestAcceleratedSolves:
         target.partial_transpose_eigh  # the m = 0 witness, decomposed before the count
         n = target.dim
         seen = spectral_calls(monkeypatch)
-        report = synthesize_ppt_dilution(m, target, seed=0)
+        report = synthesize_ppt_dilution(m, target)
         checks = len(report.best_history)  # the start's readout, then one per check
         eigh = [shape for kind, shape, _ in seen if kind == "eigh"]
         # every cone block of a cycle in one stacked eigh: the PSD and the
