@@ -15,7 +15,7 @@ read that segment's distance to phi x phi, with no draw and no matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ BROADCAST_TOL = 1e-9
 RIGIDITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class BroadcastReport:
+class BroadcastReport(NamedTuple):
     """Per-copy marginal trace distances of a candidate n-copy broadcast."""
 
     n: int

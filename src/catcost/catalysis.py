@@ -8,7 +8,7 @@ the map-synthesis module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .broadcast import RIGIDITY_TOL, max_twirled_distance_to_product, verify_broadcast
 from .measures import (
@@ -23,6 +23,7 @@ from .measures import (
 )
 from .operators import (
     DensityOperator,
+    _Frozen,
     check_power_budget,
     density_from_matrix,
     merge_factors,
@@ -41,16 +42,14 @@ from .states import (
 PROTOCOL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RateRecord:
+class RateRecord(_Frozen):
     """Ebit count m against target copy count n."""
 
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 1:
+    def __init__(self, m: int, n: int) -> None:
+        if m < 0 or n < 1:
             raise ValueError("need m >= 0 and n >= 1")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def rate(self) -> float:
@@ -62,8 +61,7 @@ class RateRecord:
         return self.rate / 2.0
 
 
-@dataclass(frozen=True)
-class ProtocolTrace:
+class ProtocolTrace(NamedTuple):
     """Density-operator stages of the catalytic dilution protocol."""
 
     stages: tuple[tuple[str, DensityOperator], ...]
@@ -77,8 +75,7 @@ class ProtocolTrace:
         return max(self.residuals.values()) <= self.tol
 
 
-@dataclass(frozen=True)
-class AdvantageCertificate:
+class AdvantageCertificate(NamedTuple):
     """Verified gap between standard cost and the catalytic upper bound."""
 
     cost_standard: CostValue
@@ -104,8 +101,7 @@ class AdvantageCertificate:
         return 2.0 * self.cost_standard.bits - 2.0 * self.cost_upper_catalytic
 
 
-@dataclass(frozen=True)
-class NonconvexityWitness:
+class NonconvexityWitness(NamedTuple):
     """Midpoint-convexity violation record for a pair of states."""
 
     sigma0: DensityOperator

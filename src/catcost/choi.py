@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,6 +27,7 @@ from .operators import (
     DensityOperator,
     FactorShape,
     LabeledOperator,
+    _Frozen,
     bipartite_shape,
     check_entry_budget,
     check_power_budget,
@@ -54,22 +54,19 @@ SYNTHESIS_TOL = 1e-6
 SYNTHESIS_MAX_CYCLES = 20000
 
 
-@dataclass(frozen=True)
-class ChoiOperator:
+class ChoiOperator(_Frozen):
     """Choi representation of a channel, inputs before outputs."""
 
-    op: LabeledOperator
-    input_factors: tuple[int, ...]
-    output_factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ins = tuple(int(i) for i in self.input_factors)
-        outs = tuple(int(i) for i in self.output_factors)
-        k = self.op.shape.n_factors
+    def __init__(self, op: LabeledOperator, input_factors: tuple[int, ...],
+                 output_factors: tuple[int, ...]) -> None:
+        ins = tuple(int(i) for i in input_factors)
+        outs = tuple(int(i) for i in output_factors)
+        k = op.shape.n_factors
         if sorted(ins + outs) != list(range(k)):
             raise ValueError("input and output factors must partition the factor list")
         if ins != tuple(range(len(ins))):
             raise ValueError("input factors must come first")
+        object.__setattr__(self, "op", op)
         object.__setattr__(self, "input_factors", ins)
         object.__setattr__(self, "output_factors", outs)
 
@@ -90,21 +87,22 @@ class ChoiOperator:
         return self.output_shape.total_dim
 
 
-@dataclass(frozen=True, eq=False)
-class TwirledChoi:
+class TwirledChoi(_Frozen):
     """Choi operator Phi_K (x) a + (1 - Phi_K) (x) b, the input Phi_K = Phi_2^(x m).
 
     The U (x) conj(U) twirl of a channel's input fixes Phi_K and leaves
     this form, so it decides PPT dilution from m ebits with output-sized
     blocks (Audenaert-Plenio-Eisert, PRL 90, 027901 (2003)).  At m = 0
     the Choi operator is a, and b = a keeps every formula.  ``to_choi``
-    builds the dense operator, for checks against the dense path.
+    builds the dense operator, for checks against the dense path.  == and
+    hash are by identity.
     """
 
-    m: int
-    output_shape: FactorShape
-    a: np.ndarray
-    b: np.ndarray
+    def __init__(self, m: int, output_shape: FactorShape, a: np.ndarray, b: np.ndarray) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "output_shape", output_shape)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def residuals(self, target: np.ndarray) -> dict[str, float]:
         """Dense cp/ppt/tp and correctness on Phi_K; Phi_K^Gamma = (P_sym - P_anti)/K."""
@@ -134,8 +132,7 @@ class TwirledChoi:
                             tuple(range(k_in, shape.n_factors)))
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_Frozen):
     """Residuals and outcome of a feasibility solve or verification.
 
     cp and ppt residuals are negative-eigenvalue magnitudes; tp and
@@ -147,15 +144,19 @@ class SolveReport:
     caller reading the verdict alone never pays for.
     """
 
-    converged: bool
-    iterations: int
-    residuals: dict[str, float]
-    _build_point: Callable[[], ChoiOperator | TwirledChoi] | None = field(
-        default=None, repr=False, compare=False)
-    stalled: bool = False
-    npt_witness: float | None = None
-    log_negativity: float | None = None
-    best_history: tuple[float, ...] = field(default_factory=tuple)
+    def __init__(self, converged: bool, iterations: int, residuals: dict[str, float],
+                 _build_point: Callable[[], ChoiOperator | TwirledChoi] | None = None,
+                 stalled: bool = False, npt_witness: float | None = None,
+                 log_negativity: float | None = None,
+                 best_history: tuple[float, ...] = ()) -> None:
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "_build_point", _build_point)
+        object.__setattr__(self, "stalled", stalled)
+        object.__setattr__(self, "npt_witness", npt_witness)
+        object.__setattr__(self, "log_negativity", log_negativity)
+        object.__setattr__(self, "best_history", best_history)
 
     @functools.cached_property
     def feasible_point(self) -> ChoiOperator | TwirledChoi | None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .operators import (
     DEFAULT_TRACE_TOL,
     DensityOperator,
     FactorShape,
+    _Frozen,
     bipartite_shape,
     density_from_matrix,
     hermitian_spectrum,
@@ -49,20 +50,31 @@ class Applicability(enum.Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class CostValue:
-    """A cost in bits together with the scope of the formula that produced it."""
+class CostValue(_Frozen):
+    """A cost in bits together with the scope of the formula that produced it.
 
-    bits: float
-    applicability: Applicability
+    == and hash compare (bits, applicability).
+    """
 
-    def __post_init__(self) -> None:
-        if math.isfinite(self.bits) and self.applicability is Applicability.UNDEFINED:
+    def __init__(self, bits: float, applicability: Applicability) -> None:
+        if math.isfinite(bits) and applicability is Applicability.UNDEFINED:
             raise ValueError("a finite cost cannot have undefined applicability")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "applicability", applicability)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CostValue:
+            return NotImplemented
+        return (self.bits, self.applicability) == (other.bits, other.applicability)
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.applicability))
+
+    def __repr__(self) -> str:
+        return f"CostValue(bits={self.bits!r}, applicability={self.applicability!r})"
 
 
-@dataclass(frozen=True)
-class BinegativityReport:
+class BinegativityReport(NamedTuple):
     min_eigenvalue: float
     positive: bool
     tol: float
@@ -244,9 +256,9 @@ def twirl_coefficients(d: int, x: np.ndarray) -> np.ndarray:
     return _per_copy(((1.0, 0.0), (-1.0 / (n - 1), 1.0 / (n - 1))), traces)
 
 
-# eq=False: a field-wise == would compare the coefficient arrays and raise
-@dataclass(frozen=True, eq=False)
-class IsotropicCopies:
+# == and hash are by identity: a field-wise == would compare the
+# coefficient arrays and raise
+class IsotropicCopies(_Frozen):
     """A state of k copies of a (d, d) system in span{Phi, 1 - Phi}^(x k).
 
     ``coeffs`` has shape (2,) * k; entry (i_1, ..., i_k) weighs the tensor
@@ -269,22 +281,20 @@ class IsotropicCopies:
     of one and least coefficient >= -``DEFAULT_PSD_TOL``.
     """
 
-    d: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
+    def __init__(self, d: int, coeffs: np.ndarray) -> None:
+        if d < 2:
             raise ValueError("local dimension must be >= 2")
-        c = np.array(self.coeffs, dtype=np.float64)
+        c = np.array(coeffs, dtype=np.float64)
         if c.ndim < 1 or c.shape != (2,) * c.ndim:
             raise ValueError(f"coefficients have shape {c.shape}, expected (2,) * k")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        tr = float((c * copy_ranks(self.d, c.ndim)).sum())
+        tr = float((c * copy_ranks(d, c.ndim)).sum())
         if not abs(tr - 1.0) <= DEFAULT_TRACE_TOL:
             raise ValueError(f"trace {tr} is not 1 within {DEFAULT_TRACE_TOL:.1e}")
         if c.min() < -DEFAULT_PSD_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {c.min():.3e}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def isotropic(cls, d: int, lam: float) -> IsotropicCopies:

@@ -19,8 +19,8 @@ entries, so a concurrent first use at worst computes them twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,19 +106,41 @@ def hermitian_spectrum(m: np.ndarray,
     return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
 
 
-@dataclass(frozen=True)
-class FactorShape:
-    """Ordered list of (dimA, dimB) local dimension pairs."""
+class _Frozen:
+    """Base of the immutable classes: assigning or deleting an attribute raises.
 
-    factors: tuple[tuple[int, int], ...]
+    ``__init__`` writes each field with ``object.__setattr__``.  Instances
+    keep a ``__dict__``, where ``functools.cached_property`` stores what it
+    computes.  The classes are written out in full, since methods that a
+    decorator generates are compiled from source at every import.
+    """
 
-    def __post_init__(self) -> None:
-        factors = tuple((int(a), int(b)) for a, b in self.factors)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FactorShape(_Frozen):
+    """Ordered list of (dimA, dimB) local dimension pairs; == and hash compare the list."""
+
+    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
+        factors = tuple((int(a), int(b)) for a, b in factors)
         if not factors:
             raise ValueError("shape needs at least one factor")
         if any(a < 1 or b < 1 for a, b in factors):
             raise ValueError(f"factor dimensions must be >= 1, got {factors}")
         object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other) -> bool:
+        return self.factors == other.factors if type(other) is FactorShape else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"FactorShape(factors={self.factors!r})"
 
     @property
     def n_factors(self) -> int:
@@ -154,10 +176,9 @@ def bipartite_shape(d_a: int, d_b: int) -> FactorShape:
     return FactorShape(((d_a, d_b),))
 
 
-# eq=False on the two operator types: a field-wise == would compare the
-# entry arrays and raise, so == and hash are by identity
-@dataclass(frozen=True, eq=False)
-class LabeledOperator:
+# == and hash of the two operator types are by identity: a field-wise ==
+# would compare the entry arrays and raise
+class LabeledOperator(_Frozen):
     """Square matrix together with its factor structure.
 
     Stores a read-only C-contiguous copy of ``entries``: float64 when they
@@ -165,19 +186,17 @@ class LabeledOperator:
     tolerance), complex128 otherwise.
     """
 
-    shape: FactorShape
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries)
+    def __init__(self, shape: FactorShape, entries: np.ndarray) -> None:
+        m = np.asarray(entries)
         if np.iscomplexobj(m) and m.imag.any():
             m = np.array(m, dtype=np.complex128, order="C")
         else:
             m = np.array(m.real, dtype=np.float64, order="C")
-        n = self.shape.total_dim
+        n = shape.total_dim
         if m.shape != (n, n):
             raise ValueError(f"entries have shape {m.shape}, expected ({n}, {n})")
         m.setflags(write=False)
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -222,8 +241,7 @@ def _require_hermitian(x: LabeledOperator) -> None:
         raise ValueError(f"operator is not Hermitian (defect {defect:.3e} > {tol:.1e})")
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(_Frozen):
     """Unit-trace positive-semidefinite LabeledOperator.
 
     Validation: finite entries, trace within ``trace_tol`` of one,
@@ -243,11 +261,16 @@ class DensityOperator:
     factorisation no longer proves the -eps bound.
     """
 
-    op: LabeledOperator
-    trace_tol: float = DEFAULT_TRACE_TOL
-    psd_tol: float = DEFAULT_PSD_TOL
+    def __init__(self, op: LabeledOperator, trace_tol: float = DEFAULT_TRACE_TOL,
+                 psd_tol: float = DEFAULT_PSD_TOL) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "trace_tol", trace_tol)
+        object.__setattr__(self, "psd_tol", psd_tol)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """The validation above, run by ``__init__``: a method of its own, which
+        ``benchmark/tracer.py`` times as ``operators.density_check``."""
         # every comparison below is False for NaN, so none of them would fail
         if not np.isfinite(self.op.entries).all():
             raise ValueError("entries must be finite")
@@ -329,8 +352,7 @@ def require_pure(rho: DensityOperator, what: str = "state") -> None:
         raise ValueError(f"{what} is not pure: largest eigenvalue {top}")
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Real eigenvalues sorted in descending order."""
 
     eigenvalues: tuple[float, ...]
@@ -344,8 +366,7 @@ class Spectrum:
         return self.eigenvalues[-1]
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     """Outcome of a positive-semidefiniteness test with its witness."""
 
     ok: bool

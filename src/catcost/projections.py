@@ -26,7 +26,6 @@ search starts at I/D and draws nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -150,8 +149,7 @@ def _folded_dr_map(sets, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fold, floor, back
 
 
-@dataclass
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """Outcome of a feasibility solve.
 
     ``best_history`` records the best-so-far maximum residual at every
@@ -163,7 +161,7 @@ class FeasibilityResult:
     stalled: bool
     iterations: int
     residuals: dict[str, float]
-    best_history: list[float] = field(default_factory=list)
+    best_history: list[float]
 
 
 # Anderson acceleration: differences kept, and the ridge weight of its

@@ -1,12 +1,11 @@
 """Machine-readable scenario reports with text, CSV, and key-value rendering."""
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 
 def _encoded(value) -> str:
@@ -45,21 +44,23 @@ def _indented_json(value, indent: str = "") -> str:
     return "{\n" + ",\n".join(items) + "\n" + indent + "}"
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     """A numeric result together with the tolerance its check used."""
 
     value: float
     tol: float | None = None
 
 
-@dataclass
 class ScenarioReport:
-    scenario: str
-    version: str
-    parameters: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
+    """A scenario's parameters, results and checks; each dict not passed is a new empty one."""
+
+    def __init__(self, scenario: str, version: str, parameters: dict | None = None,
+                 results: dict | None = None, checks: dict | None = None) -> None:
+        self.scenario = scenario
+        self.version = version
+        self.parameters = {} if parameters is None else parameters
+        self.results = {} if results is None else results
+        self.checks = {} if checks is None else checks
 
     def add_result(self, name: str, value: float, tol: float | None = None) -> None:
         self.results[name] = ResultRow(float(value), tol)
@@ -91,6 +92,8 @@ class ScenarioReport:
                  for name, row in self.results.items()]
         rows += [("check", name, "PASS" if ok else "FAIL", "") for name, ok in self.checks.items()]
         rows.append(("overall", "", "PASS" if self.passed else "FAIL", ""))
+        import csv  # only this format uses it
+
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(rows)  # quotes a field where it must
         return out.getvalue()

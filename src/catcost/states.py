@@ -1,12 +1,11 @@
 """Constructors for the named states used throughout the toolkit."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import (
     DensityOperator,
+    _Frozen,
     bipartite_shape,
     density_from_matrix,
     plain_shape,
@@ -14,29 +13,25 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
-class IsotropicParams:
+class IsotropicParams(_Frozen):
     """Mixing weight lam of the maximally entangled state with white noise."""
 
-    d: int
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
+    def __init__(self, d: int, lam: float) -> None:
+        if d < 2:
             raise ValueError("local dimension must be >= 2")
-        if not 0.0 <= self.lam <= 1.0:
+        if not 0.0 <= lam <= 1.0:
             raise ValueError("mixing weight must lie in [0, 1]")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class GibbsQubit:
+class GibbsQubit(_Frozen):
     """Two-level thermal state with excited-state population p in (0, 1/2)."""
 
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p < 0.5:
+    def __init__(self, p: float) -> None:
+        if not 0.0 < p < 0.5:
             raise ValueError("excited population must lie in (0, 1/2)")
+        object.__setattr__(self, "p", p)
 
 
 def max_entangled_matrix(d: int) -> np.ndarray:

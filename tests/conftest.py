@@ -18,9 +18,9 @@ def rng():
 @pytest.fixture
 def forbid_dense_operators(monkeypatch):
     """Fail at the first dense operator built: every dense state goes through LabeledOperator."""
-    def refuse(self):
-        raise AssertionError(f"a {self.shape.total_dim}-dimensional operator was built")
-    monkeypatch.setattr(LabeledOperator, "__post_init__", refuse)
+    def refuse(self, shape, entries):
+        raise AssertionError(f"a {shape.total_dim}-dimensional operator was built")
+    monkeypatch.setattr(LabeledOperator, "__init__", refuse)
 
 
 def random_hermitian(rng, dim):

@@ -1,5 +1,4 @@
 """Protocol execution and every advantage/witness certificate."""
-import dataclasses
 import math
 
 import numpy as np
@@ -190,7 +189,7 @@ class TestSuperadditivity:
 
     def test_certificate_reading_needs_positive_gates(self):
         cert = catalytic_cost_upper_bound(half_mixed(2), correlated_broadcast(2))
-        failed = dataclasses.replace(cert, gate_broadcast=BinegativityReport(-0.1, False, 1e-10))
+        failed = cert._replace(gate_broadcast=BinegativityReport(-0.1, False, 1e-10))
         with pytest.raises(ValueError, match="binegativity"):
             failed.superadditivity_violation()
 
