@@ -34,7 +34,6 @@ from .projections import Cone, FeasibilityResult, seeded_starts, solve_feasibili
 # the settings of the dense search, verify_broadcast's default and the rigidity bound
 FEASIBILITY_TOL = 1e-9
 MAX_CYCLES = 5000
-CHECK_EVERY = 5
 BROADCAST_TOL = 1e-9
 RIGIDITY_TOL = 1e-6
 
@@ -104,7 +103,8 @@ def _marginal_projections(phi: np.ndarray):
     """Joint orthogonal projection onto {Tr_2 X = phi, Tr_1 X = phi}.
 
     Both functions act on a matrix or on each matrix of a stack; the
-    residuals come back with the stack's leading shape.
+    residuals, of the marginal equations alone (a candidate is the engine's
+    PSD readout), come back with the stack's leading shape.
     """
     dc = phi.shape[0]
     eye = np.eye(dc)
@@ -127,11 +127,9 @@ def _marginal_projections(phi: np.ndarray):
 
     def residual(x: np.ndarray) -> dict[str, np.ndarray]:
         t = x.reshape(*x.shape[:-2], dc, dc, dc, dc)
-        lo = np.linalg.eigvalsh(x).min(axis=-1)
         return {
             "marginal_1": np.abs(np.einsum("...aibi->...ab", t) - phi).max(axis=(-2, -1)),
             "marginal_2": np.abs(np.einsum("...iaib->...ab", t) - phi).max(axis=(-2, -1)),
-            "psd": np.maximum(0.0, -lo),
         }
 
     return proj, residual
@@ -141,7 +139,7 @@ def project_to_two_copy_broadcast(phi: DensityOperator, start: np.ndarray) -> Fe
     """Project a Hermitian start matrix onto the two-copy broadcast set of phi."""
     marginals, residual = _marginal_projections(phi.entries)
     return solve_feasibility([marginals, Cone()], start, residual, tol=FEASIBILITY_TOL,
-                             max_iter=MAX_CYCLES, check_every=CHECK_EVERY)
+                             max_iter=MAX_CYCLES)
 
 
 def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,

@@ -115,6 +115,13 @@ class NonconvexityWitness(NamedTuple):
     chain_ok: bool | None
 
 
+def _require_two_copy_broadcast(mu, rho) -> None:
+    """Refuse a mu that is not a 2-copy broadcast of rho at the default tolerance."""
+    report = verify_broadcast(mu, rho, 2)
+    if not report.is_broadcast:
+        raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
+
+
 def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1) -> ProtocolTrace:
     """Execute the two-stage catalytic dilution protocol at the state level.
 
@@ -125,9 +132,7 @@ def run_prop1_protocol(mu: DensityOperator, rho: DensityOperator, n: int = 1) ->
     system marginal against rho^n x rho^n.
     """
     check_power_budget(mu.dim * rho.dim, n, "protocol instance")
-    report = verify_broadcast(mu, rho, 2)
-    if not report.is_broadcast:
-        raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
+    _require_two_copy_broadcast(mu, rho)
 
     k = rho.shape.n_factors
     system = tensor_power(mu.op, n)
@@ -165,9 +170,7 @@ def catalytic_cost_upper_bound(rho: DensityOperator | IsotropicCopies,
 
     rho and mu are both dense or both ``IsotropicCopies``.
     """
-    report = verify_broadcast(mu, rho, 2)
-    if not report.is_broadcast:
-        raise ValueError(f"not a 2-copy broadcast: residuals {report.residuals}")
+    _require_two_copy_broadcast(mu, rho)
     gate_rho, cost_rho = gated_ppt_cost(rho)
     gate_mu, cost_mu = gated_ppt_cost(mu)
     upper = cost_mu.bits / 2.0

@@ -287,7 +287,6 @@ def _dense_dilution(m: int, target: DensityOperator):
 
     # real data: the feasible set is closed under complex conjugation, so its
     # real part is feasible, and the real start I/D keeps the search real symmetric
-    check_entry_budget(dim, "synthesis start")
     start = np.eye(dim, dtype=rho.dtype) / dim
     return sets, start, lambda x: point(x).residuals(rho), point
 
@@ -311,9 +310,7 @@ def _twirled_dilution(m: int, target: IsotropicCopies):
     - the target at m = 0: the fixed point sqrt(r) c_rho.
 
     The start is the dense search's I/D, c = 1/N on every projector
-    (N = D = sum r), so y = sqrt(r) / N.  A target whose D x D blocks
-    exceed the entry budget is refused first, as the dense search refuses
-    its start: a converged point's ``TwirledChoi`` holds such blocks.  The residuals are those of
+    (N = D = sum r), so y = sqrt(r) / N.  The residuals are those of
     ``TwirledChoi.residuals`` on the dense blocks, in closed form: cp and
     ppt the least coefficients of a, b and the two cone operators,
     tp = |r.c - 1|, and the correctness at m = 0 the largest entry of
@@ -324,7 +321,6 @@ def _twirled_dilution(m: int, target: IsotropicCopies):
     |ij><ij| (i != j) and 0 elsewhere, and an entry of k copies is a
     product of one class a copy.  ``point`` builds the dense blocks.
     """
-    check_entry_budget(target.shape.total_dim, "synthesis start")
     d, rho = target.d, target.coeffs
     ranks = copy_ranks(d, rho.ndim).ravel()
     root = np.sqrt(ranks)
@@ -387,9 +383,12 @@ def synthesize_ppt_dilution(m: int, target: DensityOperator | IsotropicCopies,
     with no eigendecomposition.  Each search starts at the maximally mixed
     state I/D, twirl-invariant and real, and draws nothing: the problem is
     convex, so a start moves only cycle counts and where a stall lands.
+    A target over the entry budget is refused before either search starts:
+    a converged point's ``TwirledChoi`` holds D x D blocks.
     """
     if m < 0:
         raise ValueError("ebit count must be >= 0")
+    check_entry_budget(target.shape.total_dim, "synthesis start")
     twirled = isinstance(target, IsotropicCopies)
     sets, start, residuals, point = (
         _twirled_dilution if twirled else _dense_dilution)(m, target)

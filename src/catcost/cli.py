@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import __version__
 from .broadcast import (BROADCAST_TOL, RIGIDITY_TOL, max_twirled_distance_to_product,
                         verify_broadcast)
 from .catalysis import (
@@ -63,7 +62,7 @@ def _broadcast_of_half_mixed(d: int) -> IsotropicCopies:
 
 def scenario_werner(d: int) -> ScenarioReport:
     # every value below is a closed form in the coefficients of rho and mu
-    report = ScenarioReport("werner-example", __version__, parameters={"d": d})
+    report = ScenarioReport("werner-example", parameters={"d": d})
     rho = _half_mixed(d)
     ln_rho = log_negativity(rho)
     closed_form = math.log2((d * d + 1) / d) - 1.0
@@ -91,8 +90,7 @@ def scenario_werner(d: int) -> ScenarioReport:
 
 
 def scenario_thermo(p: float, q_grid: int = 5) -> ScenarioReport:
-    report = ScenarioReport("thermo-example", __version__,
-                            parameters={"p": p, "q_grid": q_grid})
+    report = ScenarioReport("thermo-example", parameters={"p": p, "q_grid": q_grid})
     gamma = gibbs_qubit(p)
     for q in np.linspace(0.0, 1.0, q_grid):
         w = work_cost_semiclassical(classical_mix(float(q), p), gamma)
@@ -121,7 +119,7 @@ def scenario_thermo(p: float, q_grid: int = 5) -> ScenarioReport:
 
 def scenario_dmax_ppt(d: int, lam: float) -> ScenarioReport:
     check_entry_budget(d * d, "dmax-ppt state")
-    report = ScenarioReport("dmax-ppt", __version__, parameters={"d": d, "lam": lam})
+    report = ScenarioReport("dmax-ppt", parameters={"d": d, "lam": lam})
     rho = isotropic(IsotropicParams(d, lam))
     ln = log_negativity(rho)
     dm = d_max_to_ppt_isotropic(rho)
@@ -170,9 +168,8 @@ def scenario_synthesize(m: int, target_name: str, tol: float, max_iter: int,
     target = _named_target(target_name)
     if target is None:
         target = load_density(target_name)
-    report = ScenarioReport("synthesize", __version__,
-                            parameters={"m": m, "target": target_name,
-                                        "tol": tol, "max_iter": max_iter, "seed": seed})
+    report = ScenarioReport("synthesize", parameters={"m": m, "target": target_name, "tol": tol,
+                                                      "max_iter": max_iter, "seed": seed})
     solve = synthesize_ppt_dilution(m, target, max_iter=max_iter, tol=tol)
     for name, value in solve.residuals.items():
         report.add_result(f"residual_{name}", value, tol)
@@ -189,8 +186,7 @@ def scenario_synthesize(m: int, target_name: str, tol: float, max_iter: int,
 def scenario_verify_broadcast(mu_path: str, rho_path: str, n: int, tol: float) -> ScenarioReport:
     mu = load_density(mu_path)
     rho = load_density(rho_path)
-    report = ScenarioReport("verify-broadcast", __version__,
-                            parameters={"mu": mu_path, "rho": rho_path, "n": n})
+    report = ScenarioReport("verify-broadcast", parameters={"mu": mu_path, "rho": rho_path, "n": n})
     result = verify_broadcast(mu, rho, n, tol=tol)
     for i, r in enumerate(result.residuals):
         report.add_result(f"marginal_residual_{i}", r, tol)
@@ -202,7 +198,7 @@ def scenario_protocol(d: int, n: int) -> ScenarioReport:
     # rho is d^2- and its broadcast d^4-dimensional: the instance is refused
     # on d^(6n) before either is built
     check_power_budget(d ** 6, n, "protocol instance")
-    report = ScenarioReport("protocol", __version__, parameters={"d": d, "n": n})
+    report = ScenarioReport("protocol", parameters={"d": d, "n": n})
     rho = isotropic(IsotropicParams(d, 0.5))
     mu = symmetric_two_broadcast(max_entangled(d), isotropic(IsotropicParams(d, 0.0)))
     trace = run_prop1_protocol(mu, rho, n=n)
@@ -216,8 +212,7 @@ def scenario_protocol(d: int, n: int) -> ScenarioReport:
 def scenario_rigidity(d: int, starts: int, seed: int, tol: float = RIGIDITY_TOL) -> ScenarioReport:
     # Phi_d's broadcast set is computed, not sampled, so starts and seed act
     # on nothing; they are accepted and echoed because callers pass them
-    report = ScenarioReport("rigidity", __version__,
-                            parameters={"d": d, "starts": starts, "seed": seed})
+    report = ScenarioReport("rigidity", parameters={"d": d, "starts": starts, "seed": seed})
     worst = max_twirled_distance_to_product(d)
     report.add_result("max_distance_to_product", worst, tol)
     report.add_check("broadcast_set_is_singleton", worst <= tol)

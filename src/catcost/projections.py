@@ -16,8 +16,8 @@ Safeguarded type-II Anderson mixing (Fu-Zhang-Boyd, arXiv:1908.11482;
 Zhang-O'Donoghue-Boyd, arXiv:1808.03971) accelerates T on matrices alone, on
 the point's float64 entries as one vector (a Frobenius inner product): there
 T costs an ``eigh``, and a fused vector cycle a tenth of a step.  The Anderson
-depth and the stall rule are module constants; the per-call options are
-declared on ``solve_feasibility``.
+depth, the check interval and the stall rule are module constants; the
+per-call options are declared on ``solve_feasibility``.
 
 A search passes its start.  The broadcast sampler's random starts are
 Ginibre density matrices drawn here (``seeded_starts``); the synthesis
@@ -166,10 +166,12 @@ class FeasibilityResult(NamedTuple):
 
 # Anderson acceleration: differences kept, and the ridge weight of its
 # least-squares problem relative to the squared sizes of those
-# differences.  The stall rule: a solve stops after STALL_WINDOW cycles in
-# which its best maximum residual did not fall by a relative _STALL_RTOL.
+# differences.  A check reads the residuals every CHECK_EVERY cycles.  The
+# stall rule: a solve stops after STALL_WINDOW cycles in which its best
+# maximum residual did not fall by a relative _STALL_RTOL.
 ANDERSON_DEPTH = 3
 _ANDERSON_REG = 1e-10
+CHECK_EVERY = 10
 STALL_WINDOW = 500
 _STALL_RTOL = 1e-9
 _TINY = np.finfo(float).tiny
@@ -242,7 +244,7 @@ def _largest(res: dict[str, float]) -> float:
 
 
 def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: float,
-                      max_iter: int, check_every: int = 10) -> FeasibilityResult:
+                      max_iter: int) -> FeasibilityResult:
     """Run product-space Douglas-Rachford from one start.
 
     y holds one point a set of ``sets``: a ``(k, n, n)`` array of Hermitian
@@ -251,18 +253,16 @@ def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: flo
     once: on matrices, where T costs an ``eigh``, at the point
     ``_AndersonHistory`` chose from y's float64 view; on vectors, where T
     costs a fraction of an Anderson step, at the last T (plain DR).  A
-    check, every ``check_every`` cycles and at ``max_iter``, reads out the
+    check, every ``CHECK_EVERY`` cycles and at ``max_iter``, reads out the
     PSD projection of the average of T over the sets, an ``(n, n)`` or
     ``(n,)`` candidate, and ``residual_fn`` maps it to one float per
     residual name.  The solve stops when its best maximum residual reaches
     ``tol``, on a stall (no relative improvement by ``_STALL_RTOL`` over
     ``STALL_WINDOW`` cycles: infeasible problems end here), or at
-    ``max_iter``.  ``max_iter`` and ``check_every`` must be at least 1.
+    ``max_iter``, which must be at least 1.
     """
     if max_iter < 1:
         raise ValueError("cycle cap must be >= 1")
-    if check_every < 1:
-        raise ValueError("check interval must be >= 1")
     start = np.asarray(start)
     n_sets, n = len(sets), start.shape[-1]
     if start.ndim == 2:
@@ -312,7 +312,7 @@ def solve_feasibility(sets, start: np.ndarray, residual_fn: ResidualFn, tol: flo
     last_improvement = it = 0
     while True:
         # the cycles up to the next check; y then holds T at the current point
-        stop = min(it + check_every, max_iter)
+        stop = min(it + CHECK_EVERY, max_iter)
         y, it = run(y, it, stop), stop
         candidate = readout(y)
         res = residual_fn(candidate)

@@ -7,6 +7,8 @@ import math
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
+from . import __version__
+
 
 def _encoded(value) -> str:
     """``json.dumps(value)`` for a key or scalar, with no encoder call for a plain one.
@@ -52,15 +54,14 @@ class ResultRow(NamedTuple):
 
 
 class ScenarioReport:
-    """A scenario's parameters, results and checks; each dict not passed is a new empty one."""
+    """A scenario's parameters (the dict passed, or a new one), results and checks."""
 
-    def __init__(self, scenario: str, version: str, parameters: dict | None = None,
-                 results: dict | None = None, checks: dict | None = None) -> None:
+    def __init__(self, scenario: str, parameters: dict | None = None) -> None:
         self.scenario = scenario
-        self.version = version
+        self.version = __version__
         self.parameters = {} if parameters is None else parameters
-        self.results = {} if results is None else results
-        self.checks = {} if checks is None else checks
+        self.results = {}
+        self.checks = {}
 
     def add_result(self, name: str, value: float, tol: float | None = None) -> None:
         self.results[name] = ResultRow(float(value), tol)

@@ -196,6 +196,18 @@ class TestSynthesis:
         with pytest.raises(ResourceLimitError, match="budget"):
             report.feasible_point.to_choi()
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_dense_target_refused_over_the_entry_budget_before_any_build(self, monkeypatch, m):
+        # 289 x 289 entries, over the 2^16 budget, stored dense
+        target = density_from_matrix(np.eye(289) / 289, bipartite_shape(17, 17))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a partial transpose was built")
+
+        monkeypatch.setattr(choi, "partial_transpose_entries", refuse)
+        with pytest.raises(ResourceLimitError, match="^synthesis start needs 289\\^2 entries"):
+            synthesize_ppt_dilution(m, target)
+
     def test_runs_are_deterministic(self):
         a = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6)
         b = synthesize_ppt_dilution(1, half_mixed(2), tol=1e-6)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcost import serialize
+from catcost import __version__, serialize
 from catcost.cli import _named_target, _parser, main
 from catcost.choi import analytic_mixer_choi
 from catcost.operators import LabeledOperator, bipartite_shape, density_from_matrix
@@ -702,7 +702,7 @@ def test_drawn_argv_exits_with_a_documented_code(tmp_path_factory):
 
 def _keyvalue_reference(report):
     """``to_keyvalue`` through ``json.dumps`` of the whole document: the render's reference."""
-    doc = {"scenario": report.scenario, "version": report.version,
+    doc = {"scenario": report.scenario, "version": __version__,
            "parameters": dict(report.parameters),
            "results": {name: {"value": row.value, "tol": row.tol}
                        for name, row in report.results.items()},
@@ -728,7 +728,7 @@ class TestKeyValueRender:
         {"ключ\n\"": "é", "nested": {"b": 1.5, "a": {}, "c": {"x": None}}},
     ], ids=["empty", "floats", "literals-ints", "numpy", "strings", "keys-nested"])
     def test_render_is_the_indented_dump(self, parameters):
-        report = ScenarioReport("render", "1.0", parameters=parameters)
+        report = ScenarioReport("render", parameters=parameters)
         report.add_result("nan", math.nan, None)
         report.add_result("-inf", -math.inf, 1e-9)
         report.add_result("-0", -0.0, 0.0)
@@ -737,7 +737,7 @@ class TestKeyValueRender:
         assert report.to_keyvalue() == _keyvalue_reference(report)
 
     def test_empty_report(self):
-        report = ScenarioReport("", "")
+        report = ScenarioReport("")
         assert report.to_keyvalue() == _keyvalue_reference(report)
 
     @settings(max_examples=300, deadline=None)
@@ -746,7 +746,7 @@ class TestKeyValueRender:
         max_size=6),
         st.dictionaries(st.text(), st.floats(allow_nan=True, allow_infinity=True), max_size=4))
     def test_drawn_reports_render_as_the_dump(self, parameters, results):
-        report = ScenarioReport("drawn", "0", parameters=parameters)
+        report = ScenarioReport("drawn", parameters=parameters)
         for name, value in results.items():
             report.add_result(name, value, None if value != value else abs(value))
         assert report.to_keyvalue() == _keyvalue_reference(report)

@@ -140,7 +140,9 @@ def assert_same_outcome(first, second):
 
 class TestOneStartSolves:
     @pytest.mark.parametrize("points", ["matrices"] + TWIRLED_SEARCHES)
-    def test_each_start_reaches_its_verdict_whatever_ran_before(self, rng, points):
+    def test_each_start_reaches_its_verdict_whatever_ran_before(self, rng, points,
+                                                                 monkeypatch):
+        monkeypatch.setattr(projections, "CHECK_EVERY", 5)
         if points == "matrices":
             proj, residual = _marginal_projections(max_entangled(2).entries)
             starts = [random_density_matrix(16, rng) for _ in range(5)]
@@ -151,7 +153,7 @@ class TestOneStartSolves:
             starts = list(stack)
         # the twirled synthesis at m = 0 searches an NPT target, and stalls
         feasible = not points.endswith("--m 0")
-        kwargs = dict(tol=1e-9, max_iter=5000, check_every=5)
+        kwargs = dict(tol=1e-9, max_iter=5000)
         forward = [solve_feasibility(sets, start, residual, **kwargs) for start in starts]
         backward = [solve_feasibility(sets, start, residual, **kwargs)
                     for start in reversed(starts)][::-1]
@@ -271,7 +273,7 @@ class TestStops:
         sets, residual, starts = problem
         result = solve_feasibility(sets, starts[0], residual, tol=1e-6, max_iter=15)
         assert (result.converged, result.stalled, result.iterations) == (False, False, 15)
-        # the cap forces a final check off the check_every grid
+        # the cap forces a final check off the CHECK_EVERY grid
         assert len(result.best_history) == 3
 
     @pytest.mark.parametrize("max_iter", [0, -3])
@@ -283,10 +285,6 @@ class TestStops:
         # with a best residual of 0.0
         with pytest.raises(ValueError, match="cycle cap"):
             synthesize_ppt_dilution(1, IsotropicCopies.isotropic(2, 0.5), max_iter=max_iter)
-        # and so is a check interval below 1
-        with pytest.raises(ValueError, match="check interval"):
-            solve_feasibility(sets, starts[0], residual, tol=1e-6, max_iter=10,
-                              check_every=max_iter)
 
 
 def hermitian_formula(m):
@@ -522,7 +520,8 @@ class TestCheckTies:
          {"r": 0.5, "q": 0.1}, [1.0, 0.5, 0.5, 0.5]),
     ])
     def test_a_tie_keeps_the_first_check_that_reached_the_best(self, start, script, kept,
-                                                               residuals, history):
+                                                               residuals, history, monkeypatch):
+        monkeypatch.setattr(projections, "CHECK_EVERY", 1)
         candidates = []
 
         def residual_fn(x):
@@ -531,8 +530,7 @@ class TestCheckTies:
             return {"r": r, "q": q}
 
         sets = [Cone(), (np.zeros((2, 2)), np.array([1.0, -1.0]))]  # they do not meet
-        result = solve_feasibility(sets, np.array(start), residual_fn, tol=1e-9, max_iter=3,
-                                   check_every=1)
+        result = solve_feasibility(sets, np.array(start), residual_fn, tol=1e-9, max_iter=3)
         # the candidates move from check to check, so a kept point is told apart
         assert not np.array_equal(candidates[1], candidates[2])
         assert not np.array_equal(candidates[2], candidates[3])
@@ -620,15 +618,15 @@ class TestBlockedCycles:
                                       "dense noisy-phi-2 1"])
     @pytest.mark.parametrize("max_iter", [1, 7, 25, 20000])
     @pytest.mark.parametrize("check_every", [1, 3, 10])
-    def test_outcome_is_the_per_cycle_loops(self, case, max_iter, check_every):
+    def test_outcome_is_the_per_cycle_loops(self, case, max_iter, check_every, monkeypatch):
+        monkeypatch.setattr(projections, "CHECK_EVERY", check_every)
         sets, start, residual = reference_case(case)
-        kwargs = dict(tol=1e-6, max_iter=max_iter, check_every=check_every)
-        result = solve_feasibility(sets, start, residual, **kwargs)
-        expected = per_cycle_solve(sets, start, residual, **kwargs)
+        result = solve_feasibility(sets, start, residual, tol=1e-6, max_iter=max_iter)
+        expected = per_cycle_solve(sets, start, residual, 1e-6, max_iter, check_every)
         assert_same_outcome(result, expected)
         assert result.point.tobytes() == expected.point.tobytes()
         assert [x.hex() for x in result.best_history] == [x.hex() for x in expected.best_history]
-        # a check at each multiple of check_every up to the stop, and one at the stop
+        # a check at each multiple of CHECK_EVERY up to the stop, and one at the stop
         assert len(result.best_history) == 1 + -(-result.iterations // check_every)
 
     @pytest.mark.parametrize("res", [
@@ -745,9 +743,8 @@ class TestAcceleratedSolves:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(broadcast, "solve_feasibility", counting_solve)
         assert len(sample_two_copy_broadcasts(max_entangled(2), n_starts=50, seed=42)) == 50
-        # the plain engine took 14 160 cycles, the accelerated one 8 280 in
-        # complex128 and 8 785 in float64 (the README's count)
-        assert len(solves) == 50 and sum(r.iterations for r in solves) == 8785
+        # checked every CHECK_EVERY = 10 cycles in float64 (the README's count)
+        assert len(solves) == 50 and sum(r.iterations for r in solves) == 9030
         # a start's one PSD block a cycle, a (1, 16, 16) eigh, and its
         # readout at the start and at each check, a (16, 16) one
         block, readout = ((1, 16, 16), np.dtype(np.float64)), ((16, 16), np.dtype(np.float64))
@@ -759,9 +756,26 @@ class TestAcceleratedSolves:
         seen = spectral_calls(monkeypatch)
         assert len(sample_two_copy_broadcasts(max_entangled(2), n_starts=5, seed=0)) == 5
         # the Cholesky factorisation accepts the states the search builds
+        # the residuals make no spectrum: a candidate is the PSD readout
         assert {(name, dtype) for name, _, dtype in seen} == {
-            ("eigh", np.dtype(np.float64)), ("eigvalsh", np.dtype(np.float64)),
-            ("cholesky", np.dtype(np.float64))}
+            ("eigh", np.dtype(np.float64)), ("cholesky", np.dtype(np.float64))}
+
+    def test_sample_two_copy_broadcasts_checks_the_marginals_and_validates_each_point(
+            self, monkeypatch):
+        solves, solve = [], broadcast.solve_feasibility
+
+        def recording_solve(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(broadcast, "solve_feasibility", recording_solve)
+        phi = max_entangled(2)
+        seen = spectral_calls(monkeypatch)
+        assert len(sample_two_copy_broadcasts(phi, n_starts=4, seed=3)) == 4
+        assert [list(r.residuals) for r in solves] == [["marginal_1", "marginal_2"]] * 4
+        # each returned point passed DensityOperator's Cholesky test
+        cholesky = ("cholesky", (16, 16), np.dtype(np.float64))
+        assert [call for call in seen if call[0] == "cholesky"] == [cholesky] * 4
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rigidity_scenario_makes_no_solve_and_no_eigendecomposition(self, monkeypatch, d):

@@ -220,7 +220,8 @@ def test_validation_messages(build, message):
 
 
 def test_scenario_reports_share_no_dict():
-    a, b = ScenarioReport("a", "1"), ScenarioReport("b", "1")
+    a, b = ScenarioReport("a"), ScenarioReport("b")
+    assert a.version == b.version == catcost.__version__
     for name in ("parameters", "results", "checks"):
         assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
     a.add_result("x", 1.0)
@@ -233,7 +234,7 @@ def test_scenario_reports_share_no_dict():
 
 def test_scenario_report_keeps_the_dict_it_is_given():
     parameters = {"d": 2}
-    report = ScenarioReport("a", "1", parameters=parameters)
+    report = ScenarioReport("a", parameters=parameters)
     assert report.parameters is parameters
 
 
