@@ -10,8 +10,8 @@ coefficients on span{Phi, 1 - Phi}^(x 2) (``IsotropicCopies``, k = 2).
 There the marginal equations are a line and positivity cuts it to a
 segment, computed in closed form, which is the single point phi x phi;
 since phi x phi is pure, a twirl average equal to it forces every point
-of S to equal it.  The ``rigidity`` scenario and the distillation check
-read that segment's distance to phi x phi, with no draw and no matrix.
+of S to equal it.  The ``rigidity`` scenario reads that segment's
+distance to phi x phi, with no draw and no matrix.
 """
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ from .operators import (
     check_entry_budget,
     density_from_matrix,
     partial_trace,
-    require_pure,
-    tensor,
     trace_distance,
 )
 from .projections import Cone, FeasibilityResult, seeded_starts, solve_feasibility
@@ -79,20 +77,6 @@ def verify_broadcast(mu: DensityOperator | IsotropicCopies,
             residuals.append(trace_distance(partial_trace(mu.op, keep), rho.op))
     return BroadcastReport(n=n, residuals=tuple(residuals),
                            is_broadcast=max(residuals) <= tol, tol=tol)
-
-
-def pure_broadcast_uniqueness(mu: DensityOperator, phi: DensityOperator,
-                              tol: float = BROADCAST_TOL) -> bool:
-    """For pure phi the two-copy broadcast set is the single point phi x phi.
-
-    Returns whether a verified broadcast mu coincides with it; a False
-    return flags a numerical violation of the purity argument.
-    """
-    require_pure(phi, "reference state")
-    report = verify_broadcast(mu, phi, 2, tol=max(tol, BROADCAST_TOL))
-    if not report.is_broadcast:
-        raise ValueError(f"candidate is not a 2-copy broadcast: residuals {report.residuals}")
-    return trace_distance(mu.op, tensor(phi.op, phi.op)) <= tol
 
 
 # ---------------------------------------------------------------------------

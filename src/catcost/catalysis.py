@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .broadcast import RIGIDITY_TOL, max_twirled_distance_to_product, verify_broadcast
+from .broadcast import verify_broadcast
 from .measures import (
     Applicability,
     BinegativityReport,
@@ -40,6 +40,8 @@ from .states import (
 )
 
 PROTOCOL_TOL = 1e-10
+# slack of each inequality of nonconvexity_witness's chain
+CHAIN_TOL = 1e-10
 
 
 class RateRecord(_Frozen):
@@ -218,8 +220,8 @@ def nonconvexity_witness(s0: DensityOperator, s1: DensityOperator,
     if violation > 0:
         mu = symmetric_two_broadcast(s0, s1)
         broadcast_cost = cost_of(mu, reference2)
-        chain_ok = (broadcast_cost.bits <= cost0.bits + cost1.bits + 1e-10
-                    and cost0.bits + cost1.bits < 2.0 * cost_mid.bits + 1e-10)
+        chain_ok = (broadcast_cost.bits <= cost0.bits + cost1.bits + CHAIN_TOL
+                    and cost0.bits + cost1.bits < 2.0 * cost_mid.bits + CHAIN_TOL)
     return NonconvexityWitness(
         sigma0=s0, sigma1=s1, midpoint=midpoint,
         cost0=cost0, cost1=cost1, cost_midpoint=cost_mid,
@@ -269,14 +271,3 @@ def pure_additivity_check(psi: DensityOperator, phi: DensityOperator) -> float:
     joint = merge_factors(tensor(psi.op, phi.op))
     total = exact_locc_cost_pure(DensityOperator(joint))
     return abs(total - exact_locc_cost_pure(psi) - exact_locc_cost_pure(phi))
-
-
-def distillation_no_advantage_check(d: int) -> bool:
-    """Confirm the broadcast set of the maximally entangled state is a single point.
-
-    The two-copy broadcast set of the rank-one target, computed exactly in
-    the per-copy twirl algebra (the path of the ``rigidity`` scenario),
-    must lie within RIGIDITY_TOL of its double tensor power, which
-    collapses the distillation bound to the trivial one.
-    """
-    return max_twirled_distance_to_product(d) <= RIGIDITY_TOL

@@ -35,14 +35,7 @@ from .operators import (
 )
 from .reports import ScenarioReport
 from .serialize import load_density
-from .states import (
-    IsotropicParams,
-    classical_mix,
-    gibbs_qubit,
-    isotropic,
-    max_entangled,
-    symmetric_two_broadcast,
-)
+from .states import classical_mix, gibbs_qubit
 
 # thermo-example makes one work-cost evaluation and one report line per
 # grid point; a larger grid is refused before np.linspace allocates it.
@@ -50,7 +43,8 @@ MAX_Q_GRID = 10_000
 
 
 # The half-mixed state and its broadcast with white noise lie in the
-# isotropic-copies algebra: 2 and 4 coefficients, no dense state.
+# isotropic-copies algebra: 2 and 4 coefficients.  Each scenario that
+# names them builds them here; protocol runs on their to_density().
 def _half_mixed(d: int) -> IsotropicCopies:
     return IsotropicCopies.isotropic(d, 0.5)
 
@@ -118,9 +112,12 @@ def scenario_thermo(p: float, q_grid: int = 5) -> ScenarioReport:
 
 
 def scenario_dmax_ppt(d: int, lam: float) -> ScenarioReport:
+    # rho is two coefficients, so the budget guards no allocation: it is
+    # the CLI's size cap, and it runs first, before (1 - lam) / d^2 can
+    # overflow a float on a d of thousands of digits
     check_entry_budget(d * d, "dmax-ppt state")
     report = ScenarioReport("dmax-ppt", parameters={"d": d, "lam": lam})
-    rho = isotropic(IsotropicParams(d, lam))
+    rho = IsotropicCopies.isotropic(d, lam)
     ln = log_negativity(rho)
     dm = d_max_to_ppt_isotropic(rho)
     report.add_result("ln", ln, 1e-6)
@@ -199,8 +196,8 @@ def scenario_protocol(d: int, n: int) -> ScenarioReport:
     # on d^(6n) before either is built
     check_power_budget(d ** 6, n, "protocol instance")
     report = ScenarioReport("protocol", parameters={"d": d, "n": n})
-    rho = isotropic(IsotropicParams(d, 0.5))
-    mu = symmetric_two_broadcast(max_entangled(d), isotropic(IsotropicParams(d, 0.0)))
+    rho = _half_mixed(d).to_density()
+    mu = _broadcast_of_half_mixed(d).to_density()
     trace = run_prop1_protocol(mu, rho, n=n)
     report.add_result("catalyst_residual", trace.residuals["catalyst"], trace.tol)
     report.add_result("system_residual", trace.residuals["system"], trace.tol)

@@ -37,9 +37,11 @@ from .operators import (
 from .states import IsotropicParams, isotropic_twirl, max_entangled_fraction, max_entangled_matrix
 
 # the bounds of d_max's support test (which makes infinite divergences
-# decidable), the isotropic symmetry test, the Schmidt rank and diagonality
+# decidable), the isotropic symmetry test, the PPT boundary f <= 1/d of
+# d_max_to_ppt_isotropic, the Schmidt rank and diagonality
 SUPPORT_TOL = 1e-11
 SYMMETRY_TOL = 1e-10
+PPT_BOUNDARY_TOL = 1e-12
 SCHMIDT_TOL = 1e-9
 DIAGONAL_TOL = 1e-10
 
@@ -104,11 +106,6 @@ def gated_ppt_cost(rho: DensityOperator | IsotropicCopies) -> tuple[Binegativity
     return gate, CostValue(math.nan, Applicability.UNDEFINED)
 
 
-def exact_ppt_cost(rho: DensityOperator | IsotropicCopies) -> CostValue:
-    """Exact preparation cost under PPT operations; see ``gated_ppt_cost``."""
-    return gated_ppt_cost(rho)[1]
-
-
 def d_max(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Max-relative entropy log2 inf{s : rho <= s * sigma}.
 
@@ -130,19 +127,28 @@ def d_max(rho: DensityOperator, sigma: DensityOperator) -> float:
     return math.log2(max(top, 1e-300))
 
 
-def d_max_to_ppt_isotropic(rho: DensityOperator) -> float:
+def d_max_to_ppt_isotropic(rho: DensityOperator | IsotropicCopies) -> float:
     """Max-relative entropy to the PPT set for isotropic-symmetric states.
 
     Twirling reduces the feasible set to the isotropic PPT segment with
     entangled fraction g in (0, 1/d] (Vollbrecht-Werner).  An isotropic
     rho_f commutes with every sigma_g, so D_max = log2 max(f/g, (1-f)/(1-g)),
     whose minimum over the segment is max(0, log2(d f)).
+
+    One copy of ``IsotropicCopies`` is isotropic by construction, and f is
+    its Phi coefficient c0, since Phi has rank 1; more copies are refused.
+    A dense rho must lie within SYMMETRY_TOL of its isotropic twirl.
     """
-    if trace_distance(rho.op, isotropic_twirl(rho).op) > SYMMETRY_TOL:
-        raise ValueError("state is not isotropic-symmetric within tolerance")
-    (d, _), = rho.shape.factors
-    f = max_entangled_fraction(rho)
-    if f <= 1.0 / d + 1e-12:
+    if isinstance(rho, IsotropicCopies):
+        if rho.coeffs.ndim != 1:
+            raise ValueError(f"expected one isotropic copy, got {rho.coeffs.ndim}")
+        d, f = rho.d, float(rho.coeffs[0])
+    else:
+        if trace_distance(rho.op, isotropic_twirl(rho).op) > SYMMETRY_TOL:
+            raise ValueError("state is not isotropic-symmetric within tolerance")
+        (d, _), = rho.shape.factors
+        f = max_entangled_fraction(rho)
+    if f <= 1.0 / d + PPT_BOUNDARY_TOL:
         return 0.0
     return math.log2(d * f)
 

@@ -11,11 +11,9 @@ from catcost.broadcast import (
     _twirled_broadcast_segment,
     max_twirled_distance_to_product,
     project_to_two_copy_broadcast,
-    pure_broadcast_uniqueness,
     sample_two_copy_broadcasts,
     verify_broadcast,
 )
-from catcost.catalysis import distillation_no_advantage_check
 from catcost.cli import main, scenario_rigidity
 from catcost.measures import IsotropicCopies
 from catcost.operators import (
@@ -87,25 +85,6 @@ class TestVerifyBroadcast:
         assert verify_broadcast(permuted, half_mixed(2), 2).is_broadcast
 
 
-class TestPureBroadcastUniqueness:
-    def test_product_double_passes(self):
-        phi = max_entangled(2)
-        mu = density_from_matrix(tensor(phi.op, phi.op).entries, phi.shape.copies(2))
-        assert pure_broadcast_uniqueness(mu, phi)
-
-    def test_mixed_reference_rejected(self):
-        rho = half_mixed(2)
-        mu = density_from_matrix(tensor(rho.op, rho.op).entries, rho.shape.copies(2))
-        with pytest.raises(ValueError):
-            pure_broadcast_uniqueness(mu, rho)
-
-    def test_non_broadcast_candidate_rejected(self):
-        phi = max_entangled(2)
-        white = density_from_matrix(np.eye(16) / 16, phi.shape.copies(2))
-        with pytest.raises(ValueError):
-            pure_broadcast_uniqueness(white, phi)
-
-
 class TestProjectionRigidity:
     def test_projection_lands_on_product(self, rng):
         phi = max_entangled(2)
@@ -122,7 +101,6 @@ class TestProjectionRigidity:
         for point in points:
             assert verify_broadcast(point, phi, 2, tol=1e-6).is_broadcast
             assert trace_distance(point.op, product) <= 1e-6
-            assert pure_broadcast_uniqueness(point, phi, tol=1e-6)
 
     def test_best_history_non_increasing(self, rng):
         phi = max_entangled(2)
@@ -295,30 +273,25 @@ class TestTwirledRigidity:
         root, unit, _, _ = _twirled_broadcast_segment(2)
         monkeypatch.setattr(catcost.broadcast, "_twirled_broadcast_segment",
                             lambda d: (root, unit, *ends))
-        for check in (max_twirled_distance_to_product, distillation_no_advantage_check):
-            with pytest.raises(ValueError, match="trace nan|positive semidefinite"):
-                check(2)
+        with pytest.raises(ValueError, match="trace nan|positive semidefinite"):
+            max_twirled_distance_to_product(2)
 
     # refused before Phi_d's segment is computed, where d = 1 divides by zero
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("sample", [max_twirled_distance_to_product,
-                                        distillation_no_advantage_check])
     @pytest.mark.parametrize("d", [1, 0, -2])
-    def test_local_dimension_below_two_is_refused(self, sample, d):
+    def test_local_dimension_below_two_is_refused(self, d):
         with pytest.raises(ValueError, match="local dimension must be >= 2"):
-            sample(d)
+            max_twirled_distance_to_product(d)
 
     # refused on the integer d, before Phi_d's segment or the product state
     # takes a float of it, which overflows at d = 10^200
-    @pytest.mark.parametrize("sample", [max_twirled_distance_to_product,
-                                        distillation_no_advantage_check])
     @pytest.mark.parametrize("d", [5, 10 ** 200], ids=["5", "10^200"])
-    def test_local_dimension_over_the_budget_is_refused(self, sample, d, monkeypatch):
+    def test_local_dimension_over_the_budget_is_refused(self, d, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the segment was computed")
         monkeypatch.setattr(catcost.broadcast, "_twirled_broadcast_segment", refuse)
         with pytest.raises(ResourceLimitError, match="budget"):
-            sample(d)
+            max_twirled_distance_to_product(d)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_start_is_refused(self, n):

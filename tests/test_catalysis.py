@@ -7,14 +7,13 @@ import pytest
 from catcost.catalysis import (
     RateRecord,
     catalytic_cost_upper_bound,
-    distillation_no_advantage_check,
     nonconvexity_witness,
     pure_additivity_check,
     run_prop1_protocol,
     superadditivity_violation,
     thermo_advantage,
 )
-from catcost.measures import BinegativityReport, exact_ppt_cost, log_negativity
+from catcost.measures import BinegativityReport, gated_ppt_cost, log_negativity
 from catcost.operators import (
     FactorShape,
     ResourceLimitError,
@@ -184,7 +183,7 @@ class TestSuperadditivity:
     def test_certificate_reading_is_exact(self, d):
         rho, mu = half_mixed(d), correlated_broadcast(d)
         violation = catalytic_cost_upper_bound(rho, mu).superadditivity_violation()
-        assert violation == 2.0 * exact_ppt_cost(rho).bits - exact_ppt_cost(mu).bits
+        assert violation == 2.0 * gated_ppt_cost(rho)[1].bits - gated_ppt_cost(mu)[1].bits
         assert violation == superadditivity_violation(rho, mu)
 
     def test_certificate_reading_needs_positive_gates(self):
@@ -238,13 +237,3 @@ class TestPureAdditivity:
     def test_mixed_inputs_rejected(self):
         with pytest.raises(ValueError):
             pure_additivity_check(half_mixed(2), max_entangled(2))
-
-
-class TestDistillationNoAdvantage:
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_broadcast_set_collapses(self, d):
-        assert distillation_no_advantage_check(d)
-
-    def test_dimension_validated(self):
-        with pytest.raises(ValueError):
-            distillation_no_advantage_check(1)

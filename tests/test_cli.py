@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catcost import __version__, serialize
-from catcost.cli import _named_target, _parser, main
+from catcost.cli import _broadcast_of_half_mixed, _half_mixed, _named_target, _parser, main
 from catcost.choi import analytic_mixer_choi
 from catcost.operators import LabeledOperator, bipartite_shape, density_from_matrix
 from catcost.reports import ScenarioReport
@@ -366,6 +366,20 @@ class TestCliScenarios:
 
     def test_dmax_ppt_passes(self, capsys):
         assert main(["dmax-ppt", "--d", "2", "--lam", "0.75"]) == 0
+
+    def test_dmax_ppt_builds_no_dense_state(self, capsys, forbid_dense_operators):
+        assert main(["dmax-ppt", "--d", "16", "--lam", "0.9"]) == 0
+
+    def test_protocol_states_are_the_dense_constructions(self):
+        # the subject of acceptance criterion 05: at d = 2 the algebra
+        # builders' dense states are the states module's, bit for bit
+        pairs = [(_half_mixed(2), isotropic(IsotropicParams(2, 0.5))),
+                 (_broadcast_of_half_mixed(2),
+                  symmetric_two_broadcast(max_entangled(2), isotropic(IsotropicParams(2, 0.0))))]
+        for algebra, dense in pairs:
+            built = algebra.to_density()
+            assert built.shape == dense.shape and built.entries.dtype == dense.entries.dtype
+            assert built.entries.tobytes() == dense.entries.tobytes()
 
     def test_protocol_passes(self, capsys):
         assert main(["protocol", "--d", "2", "--n", "1"]) == 0

@@ -20,7 +20,6 @@ from catcost.measures import (
     d_max,
     d_max_to_ppt_isotropic,
     exact_locc_cost_pure,
-    exact_ppt_cost,
     gated_ppt_cost,
     log_negativity,
     partial_transpose_isometry,
@@ -166,7 +165,7 @@ class TestBinegativity:
 
 class TestExactPptCost:
     def test_half_mixed_value(self):
-        cost = exact_ppt_cost(half_mixed(2))
+        cost = gated_ppt_cost(half_mixed(2))[1]
         assert cost.applicability is Applicability.EXACT_FORMULA
         assert abs(cost.bits - 0.3219281) <= 1e-7
 
@@ -174,18 +173,18 @@ class TestExactPptCost:
         a = random_state_matrix(rng, 2)
         b = random_state_matrix(rng, 2)
         rho = density_from_matrix(np.kron(a, b), bipartite_shape(2, 2))
-        cost = exact_ppt_cost(rho)
+        cost = gated_ppt_cost(rho)[1]
         assert cost.applicability is Applicability.EXACT_FORMULA
         assert cost.bits <= 1e-12
 
     def test_gate_failure_flags_undefined(self):
-        cost = exact_ppt_cost(sample_negative_binegativity_state())
+        cost = gated_ppt_cost(sample_negative_binegativity_state())[1]
         assert cost.applicability is Applicability.UNDEFINED
         assert math.isnan(cost.bits)
 
     def test_exact_on_family_up_to_d5(self):
         for d in range(2, 6):
-            assert exact_ppt_cost(half_mixed(d)).applicability is Applicability.EXACT_FORMULA
+            assert gated_ppt_cost(half_mixed(d))[1].applicability is Applicability.EXACT_FORMULA
 
     def test_cost_value_invariant(self):
         with pytest.raises(ValueError):
@@ -237,23 +236,36 @@ class TestDmax:
             assert d_max(mid, sigma) <= max(d_max(r0, sigma), d_max(r1, sigma)) + 1e-9
 
 
+def dense_isotropic(d, lam):
+    return isotropic(IsotropicParams(d, lam))
+
+
 class TestDmaxToPpt:
+    @pytest.mark.parametrize("build", [dense_isotropic, IsotropicCopies.isotropic],
+                             ids=["dense", "algebra"])
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("lam", [0.5, 0.75, 1.0])
-    def test_matches_log_negativity(self, d, lam):
-        rho = isotropic(IsotropicParams(d, lam))
+    def test_matches_log_negativity(self, build, d, lam):
+        rho = build(d, lam)
         assert abs(d_max_to_ppt_isotropic(rho) - log_negativity(rho)) <= 1e-6
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("lam", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("lam", [0.0, 0.1, "boundary", 0.25, 0.5, 0.75, 0.9, 1.0])
     def test_closed_form_matches_dense_oracle(self, d, lam):
-        # the closed form is the dense d_max at the segment end g = 1/d,
-        # and no PPT isotropic sigma_g on the segment does better
-        rho = isotropic(IsotropicParams(d, lam))
+        # the closed form is the dense d_max at the best g of the PPT
+        # segment: 1/d above the boundary lam = 1/(d+1), and f (sigma_g =
+        # rho, so 0) at or below it; no sigma_g on the segment does better,
+        # and one IsotropicCopies copy, read at f = c0, gives the same value
+        lam = 1.0 / (d + 1) if lam == "boundary" else lam
+        rho = dense_isotropic(d, lam)
         closed = d_max_to_ppt_isotropic(rho)
-        assert abs(closed - d_max(rho, isotropic_from_fidelity(d, 1.0 / d))) <= 1e-9
+        f = lam + (1.0 - lam) / (d * d)
+        assert abs(closed - d_max(rho, isotropic_from_fidelity(d, min(f, 1.0 / d)))) <= 1e-12
         for g in np.linspace(0.05, 1.0 / d, 8):
             assert d_max(rho, isotropic_from_fidelity(d, g)) >= closed - 1e-9
+        assert abs(d_max_to_ppt_isotropic(IsotropicCopies.isotropic(d, lam)) - closed) <= 1e-12
+        if lam <= 1.0 / (d + 1):
+            assert closed == 0.0
 
     def test_d3_closed_form(self):
         rho = half_mixed(3)
@@ -267,6 +279,11 @@ class TestDmaxToPpt:
         rho = random_density(rng, 2, 2)
         with pytest.raises(ValueError):
             d_max_to_ppt_isotropic(rho)
+
+    def test_rejects_more_than_one_algebra_copy(self):
+        rho = IsotropicCopies.isotropic(2, 0.5)
+        with pytest.raises(ValueError, match="expected one isotropic copy, got 2"):
+            d_max_to_ppt_isotropic(IsotropicCopies.symmetric_two_broadcast(rho, rho))
 
 
 class TestSchmidtRank:
@@ -365,7 +382,7 @@ class TestPartialTransposeSpectrum:
         rho = half_mixed(3)
         gate, cost = gated_ppt_cost(rho)
         assert gate == binegativity(rho) and gate.tol == DEFAULT_PSD_TOL
-        assert cost == exact_ppt_cost(rho)
+        assert cost == gated_ppt_cost(rho)[1]
         assert cost.bits == log_negativity(rho)
         gate, cost = gated_ppt_cost(sample_negative_binegativity_state())
         assert not gate.positive and cost.applicability is Applicability.UNDEFINED

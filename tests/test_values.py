@@ -2,7 +2,8 @@
 
 catcost declares them as ``typing.NamedTuple`` records or as plain classes
 with an explicit ``__init__``, so that importing it compiles no generated
-methods; the last tests guard that.
+methods; the last tests guard that, and that no module imports a name it
+never uses.
 """
 import ast
 import importlib
@@ -40,7 +41,7 @@ from catcost.measures import (
     CostValue,
     IsotropicCopies,
     binegativity,
-    exact_ppt_cost,
+    gated_ppt_cost,
 )
 from catcost.operators import (
     DensityOperator,
@@ -91,7 +92,7 @@ PLAIN = {
     SolveReport: (lambda: verify_ppt_operation(identity_choi(plain_shape(2))),
                   ("converged", "iterations", "residuals", "_build_point", "stalled",
                    "npt_witness", "log_negativity", "best_history")),
-    CostValue: (lambda: exact_ppt_cost(half_mixed()), ("bits", "applicability")),
+    CostValue: (lambda: gated_ppt_cost(half_mixed())[1], ("bits", "applicability")),
     RateRecord: (lambda: RateRecord(3, 2), ("m", "n")),
     IsotropicParams: (lambda: IsotropicParams(2, 0.5), ("d", "lam")),
     GibbsQubit: (lambda: GibbsQubit(0.25), ("p",)),
@@ -163,7 +164,7 @@ def test_shapes_compare_by_value():
 
 def test_costs_compare_by_value():
     rho = half_mixed(3)
-    a, b = exact_ppt_cost(rho), exact_ppt_cost(rho)
+    a, b = gated_ppt_cost(rho)[1], gated_ppt_cost(rho)[1]
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != CostValue(a.bits, Applicability.UPPER_BOUND_ONLY)
     assert repr(a) == f"CostValue(bits={a.bits!r}, applicability={Applicability.EXACT_FORMULA!r})"
@@ -295,6 +296,20 @@ def test_no_source_imports_dataclasses():
             else:
                 continue
             assert "dataclasses" not in [n.split(".")[0] for n in names], path.name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # module-level imports against every ast.Name read; __init__.py imports
+    # to re-export, and annotations names a compiler directive
+    sources = [p for p in sorted(Path(catcost.__file__).parent.glob("*.py"))
+               if p.name != "__init__.py"]
+    assert len(sources) > 1
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0] for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used - {"annotations"} == set(), path.name
 
 
 def test_import_loads_no_dataclasses_module():
