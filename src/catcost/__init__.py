@@ -15,7 +15,6 @@ from .operators import (
     density_from_matrix,
     density_from_vector,
     eig_hermitian,
-    identity_operator,
     is_psd,
     merge_factors,
     partial_trace,
@@ -29,15 +28,11 @@ from .operators import (
     trace_norm,
 )
 from .states import (
-    GibbsQubit,
     IsotropicParams,
     classical_mix,
     gibbs_qubit,
     isotropic,
-    isotropic_from_fidelity,
-    isotropic_twirl,
     max_entangled,
-    max_entangled_fraction,
     symmetric_two_broadcast,
 )
 from .measures import (
@@ -65,7 +60,6 @@ from .catalysis import (
     AdvantageCertificate,
     NonconvexityWitness,
     ProtocolTrace,
-    RateRecord,
     catalytic_cost_upper_bound,
     nonconvexity_witness,
     pure_additivity_check,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import IsotropicCopies, copy_ranks
+from .measures import IsotropicCopies
 from .operators import (
     DensityOperator,
     check_entry_budget,
@@ -27,7 +27,7 @@ from .operators import (
     partial_trace,
     trace_distance,
 )
-from .projections import Cone, FeasibilityResult, seeded_starts, solve_feasibility
+from .projections import Cone, FeasibilityResult, random_density_matrix, solve_feasibility
 
 # the settings of the dense search, verify_broadcast's default and the rigidity bound
 FEASIBILITY_TOL = 1e-9
@@ -130,22 +130,24 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,
                                seed: int = 0) -> list[DensityOperator]:
     """Random-start projections onto the broadcast set of phi.
 
-    Each start is an independent Ginibre density matrix, drawn in order
-    from one generator (``seeded_starts``), in the dtype of
-    ``phi.entries``; starts over the entry budget are refused before any
-    is drawn.  For a real phi the set is closed under entrywise
-    conjugation, so it is the single point phi x phi exactly when its
-    real symmetric part is, and the search runs in float64.  Each start is
-    projected on its own (``project_to_two_copy_broadcast``).  A run that
-    fails to reach the feasibility tolerance raises, since the set is
-    nonempty.
+    Each start is an independent Ginibre density matrix
+    (``random_density_matrix``), drawn in order from one generator seeded
+    with ``seed``, in the dtype of ``phi.entries``; starts over the entry
+    budget are refused before any is drawn.  For a real phi the set is
+    closed under entrywise conjugation, so it is the single point phi x phi
+    exactly when its real symmetric part is, and the search runs in
+    float64.  Each start is projected on its own
+    (``project_to_two_copy_broadcast``).  A run that fails to reach the
+    feasibility tolerance raises, since the set is nonempty.
     """
     if n_starts < 1:
         raise ValueError("start count must be >= 1")
     check_entry_budget(phi.dim ** 2, "two-copy broadcast projection")
     shape = phi.shape.copies(2)
+    rng = np.random.default_rng(seed)
     points = []
-    for start in seeded_starts(phi.dim ** 2, n_starts, seed, phi.entries.dtype):
+    for _ in range(n_starts):
+        start = random_density_matrix(phi.dim ** 2, rng, phi.entries.dtype)
         result = project_to_two_copy_broadcast(phi, start)
         if not result.converged:
             raise RuntimeError(f"projection start {len(points)} did not reach "
@@ -162,22 +164,19 @@ def sample_two_copy_broadcasts(phi: DensityOperator, n_starts: int = 50,
 def _twirled_broadcast_segment(d: int):
     """Phi_d's broadcast set in twirl coefficients: the segment e00 + [lo, hi] u.
 
-    A point is the vector y = sqrt(r) c, with c the coefficients
-    (c00, c01, c10, c11) of ``IsotropicCopies`` and r = (1, D) x (1, D)
-    their ranks, D = d^2 - 1: in these coordinates the Euclidean norm is
-    the Hilbert-Schmidt norm of the state, and the PSD cone is y >= 0.
-    Tr_2 X = Phi and Tr_1 X = Phi read c00 + D c01 = 1, c10 + D c11 = 0,
-    c00 + D c10 = 1 (the fourth row follows), which in y is the line
-    e00 + t u, u = (D, -sqrt D, -sqrt D, 1) / (D + 1) a unit vector.
-    Coordinate i of y >= 0 bounds t by -e00_i / u_i, from below where
-    u_i > 0 and from above where u_i < 0.  Returns sqrt(r), u, lo and hi;
-    lo = hi = 0 at every d, so the set is the single point e00.
+    A point is c = (c00, c01, c10, c11), the coefficients of
+    ``IsotropicCopies`` (k = 2), and the PSD cone is c >= 0.  With
+    D = d^2 - 1, the rank of 1 - Phi, Tr_2 X = Phi and Tr_1 X = Phi read
+    c00 + D c01 = 1, c10 + D c11 = 0, c00 + D c10 = 1 (the fourth row
+    follows): the line e00 + t u, u = (D^2, -D, -D, 1).  Coordinate i of
+    c >= 0 bounds t by -e00_i / u_i, from below where u_i > 0 and from
+    above where u_i < 0.  Returns u, lo and hi; lo = hi = 0 at every d,
+    so the set is the single point e00.
     """
     rank = d * d - 1.0  # D, the rank of 1 - Phi
-    root = np.sqrt(copy_ranks(d, 2).ravel())
-    unit = np.array([rank, -root[1], -root[1], 1.0]) / (rank + 1.0)
-    bounds = -np.eye(4)[0] / unit  # u has no zero coordinate
-    return root, unit, float(bounds[unit > 0].max()), float(bounds[unit < 0].min())
+    direction = np.array([rank * rank, -rank, -rank, 1.0])
+    bounds = -np.eye(4)[0] / direction  # u has no zero coordinate
+    return direction, float(bounds[direction > 0].max()), float(bounds[direction < 0].min())
 
 
 def max_twirled_distance_to_product(d: int) -> float:
@@ -195,8 +194,8 @@ def max_twirled_distance_to_product(d: int) -> float:
     if d < 2:
         raise ValueError("local dimension must be >= 2")
     check_entry_budget(d ** 4, "two-copy broadcast start")
-    root, unit, lo, hi = _twirled_broadcast_segment(d)
+    direction, lo, hi = _twirled_broadcast_segment(d)
     phi = IsotropicCopies.isotropic(d, 1.0)
     product = IsotropicCopies.symmetric_two_broadcast(phi, phi)
-    ends = (IsotropicCopies(d, ((np.eye(4)[0] + t * unit) / root).reshape(2, 2)) for t in (lo, hi))
+    ends = (IsotropicCopies(d, (np.eye(4)[0] + t * direction).reshape(2, 2)) for t in (lo, hi))
     return max(end.trace_distance(product) for end in ends)

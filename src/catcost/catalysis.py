@@ -23,7 +23,6 @@ from .measures import (
 )
 from .operators import (
     DensityOperator,
-    _Frozen,
     check_power_budget,
     density_from_matrix,
     merge_factors,
@@ -42,25 +41,6 @@ from .states import (
 PROTOCOL_TOL = 1e-10
 # slack of each inequality of nonconvexity_witness's chain
 CHAIN_TOL = 1e-10
-
-
-class RateRecord(_Frozen):
-    """Ebit count m against target copy count n."""
-
-    def __init__(self, m: int, n: int) -> None:
-        if m < 0 or n < 1:
-            raise ValueError("need m >= 0 and n >= 1")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def rate(self) -> float:
-        return self.m / self.n
-
-    @property
-    def catalytic_rate(self) -> float:
-        """Rate per prepared copy when the broadcast covers two copies."""
-        return self.rate / 2.0
 
 
 class ProtocolTrace(NamedTuple):

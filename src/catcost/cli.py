@@ -86,12 +86,14 @@ def scenario_werner(d: int) -> ScenarioReport:
 def scenario_thermo(p: float, q_grid: int = 5) -> ScenarioReport:
     report = ScenarioReport("thermo-example", parameters={"p": p, "q_grid": q_grid})
     gamma = gibbs_qubit(p)
+    # the grid ends at exactly 0.0 and 1.0, where classical_mix(1.0, p) is
+    # gamma bit for bit: its first and last costs are the closed-form checks
+    costs = []
     for q in np.linspace(0.0, 1.0, q_grid):
-        w = work_cost_semiclassical(classical_mix(float(q), p), gamma)
-        report.add_result(f"w(q={q:.6f})", w, 1e-12)
-    report.add_check("w_at_q0", abs(work_cost_semiclassical(classical_mix(0.0, p), gamma)
-                                    - math.log2(1.0 / (1.0 - p))) <= 1e-12)
-    report.add_check("w_at_q1", abs(work_cost_semiclassical(gamma, gamma)) <= 1e-12)
+        costs.append(work_cost_semiclassical(classical_mix(float(q), p), gamma))
+        report.add_result(f"w(q={q:.6f})", costs[-1], 1e-12)
+    report.add_check("w_at_q0", abs(costs[0] - math.log2(1.0 / (1.0 - p))) <= 1e-12)
+    report.add_check("w_at_q1", abs(costs[-1]) <= 1e-12)
 
     ground = classical_mix(0.0, p)
     witness = nonconvexity_witness(ground, gamma, gamma=gamma)
@@ -113,8 +115,9 @@ def scenario_thermo(p: float, q_grid: int = 5) -> ScenarioReport:
 
 def scenario_dmax_ppt(d: int, lam: float) -> ScenarioReport:
     # rho is two coefficients, so the budget guards no allocation: it is
-    # the CLI's size cap, and it runs first, before (1 - lam) / d^2 can
-    # overflow a float on a d of thousands of digits
+    # the CLI's size cap, and it runs first, before IsotropicCopies refuses
+    # a d of ranks past the float range with a ValueError that main does
+    # not catch
     check_entry_budget(d * d, "dmax-ppt state")
     report = ScenarioReport("dmax-ppt", parameters={"d": d, "lam": lam})
     rho = IsotropicCopies.isotropic(d, lam)

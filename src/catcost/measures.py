@@ -25,7 +25,9 @@ from .operators import (
     DEFAULT_TRACE_TOL,
     DensityOperator,
     FactorShape,
+    LabeledOperator,
     _Frozen,
+    _int_text,
     bipartite_shape,
     density_from_matrix,
     hermitian_spectrum,
@@ -34,7 +36,7 @@ from .operators import (
     require_pure,
     trace_distance,
 )
-from .states import IsotropicParams, isotropic_twirl, max_entangled_fraction, max_entangled_matrix
+from .states import IsotropicParams, max_entangled_matrix
 
 # the bounds of d_max's support test (which makes infinite divergences
 # decidable), the isotropic symmetry test, the PPT boundary f <= 1/d of
@@ -135,19 +137,22 @@ def d_max_to_ppt_isotropic(rho: DensityOperator | IsotropicCopies) -> float:
     rho_f commutes with every sigma_g, so D_max = log2 max(f/g, (1-f)/(1-g)),
     whose minimum over the segment is max(0, log2(d f)).
 
-    One copy of ``IsotropicCopies`` is isotropic by construction, and f is
-    its Phi coefficient c0, since Phi has rank 1; more copies are refused.
-    A dense rho must lie within SYMMETRY_TOL of its isotropic twirl.
+    f is the Phi coefficient c0 of one isotropic copy, since Phi has rank
+    1; more copies are refused.  One copy of ``IsotropicCopies`` is
+    isotropic by construction.  A dense rho is read through its twirl
+    coefficients (``twirl_coefficients``), and must lie within
+    SYMMETRY_TOL of the state they weigh.
     """
     if isinstance(rho, IsotropicCopies):
-        if rho.coeffs.ndim != 1:
-            raise ValueError(f"expected one isotropic copy, got {rho.coeffs.ndim}")
-        d, f = rho.d, float(rho.coeffs[0])
+        d, c = rho.d, rho.coeffs
     else:
-        if trace_distance(rho.op, isotropic_twirl(rho).op) > SYMMETRY_TOL:
+        d = rho.shape.factors[0][0]
+        c = twirl_coefficients(d, rho.entries)
+        if trace_distance(rho.op, LabeledOperator(rho.shape, copies_matrix(d, c))) > SYMMETRY_TOL:
             raise ValueError("state is not isotropic-symmetric within tolerance")
-        (d, _), = rho.shape.factors
-        f = max_entangled_fraction(rho)
+    if c.ndim != 1:
+        raise ValueError(f"expected one isotropic copy, got {c.ndim}")
+    f = float(c[0])
     if f <= 1.0 / d + PPT_BOUNDARY_TOL:
         return 0.0
     return math.log2(d * f)
@@ -197,13 +202,28 @@ def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _require_float_ranks(d: int, k: int) -> None:
+    """Refuse a (d, k) whose largest rank (d^2 - 1)^k is no finite float.
+
+    Read before any other float arithmetic on d, and formed as
+    ``copy_ranks`` forms it, one factor at a time.
+    """
+    try:
+        rank = _ranks(d)[1]
+    except OverflowError:  # d * d has no float
+        rank = math.inf
+    if not math.isfinite(math.prod([rank] * k)):
+        raise ValueError(f"largest rank (d^2 - 1)^{k} at d = {_int_text(d)} is no finite float")
+
+
 @functools.lru_cache(maxsize=128)
 def copy_ranks(d: int, k: int) -> np.ndarray:
     """The (2,) * k ranks of the projectors that ``IsotropicCopies`` coefficients weigh.
 
     Read-only and built once per (d, k): every state check and trace
-    distance reads them.
+    distance reads them.  A (d, k) whose ranks overflow a float is refused.
     """
+    _require_float_ranks(d, k)
     ranks = _outer_power(_ranks(d), k)
     ranks.setflags(write=False)
     return ranks
@@ -306,6 +326,7 @@ class IsotropicCopies(_Frozen):
     def isotropic(cls, d: int, lam: float) -> IsotropicCopies:
         """One copy of lam * Phi_d + (1 - lam) * identity / d^2 (``states.isotropic``)."""
         IsotropicParams(d, lam)  # validates d and lam
+        _require_float_ranks(d, 1)
         white = (1.0 - lam) / (d * d)
         return cls(d, np.array([lam + white, white]))
 
@@ -317,14 +338,6 @@ class IsotropicCopies(_Frozen):
             raise ValueError("broadcast halves must share a shape")
         outer = np.multiply.outer
         return cls(s0.d, (outer(s0.coeffs, s1.coeffs) + outer(s1.coeffs, s0.coeffs)) / 2)
-
-    @classmethod
-    def from_twirl(cls, d: int, x: np.ndarray) -> IsotropicCopies:
-        """The U x conj(U) twirl, on every copy, of one dense k-copy state x.
-
-        ``twirl_coefficients`` computes it, and refuses a stack of states.
-        """
-        return cls(d, twirl_coefficients(d, x))
 
     @cached_property
     def shape(self) -> FactorShape:

@@ -226,10 +226,6 @@ class LabeledOperator(_Frozen):
         return LabeledOperator(self.shape, -self.entries)
 
 
-def identity_operator(shape: FactorShape) -> LabeledOperator:
-    return LabeledOperator(shape, np.eye(shape.total_dim))
-
-
 def _require_same_shape(a: LabeledOperator, b: LabeledOperator) -> None:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape.factors} vs {b.shape.factors}")
@@ -345,11 +341,11 @@ def density_from_vector(psi: np.ndarray, shape: FactorShape) -> DensityOperator:
     return density_from_matrix(np.outer(v, v.conj()) / norm2, shape)
 
 
-def require_pure(rho: DensityOperator, what: str = "state") -> None:
+def require_pure(rho: DensityOperator) -> None:
     """Refuse ``rho`` unless its largest eigenvalue is >= 1 - PURITY_TOL."""
     top = float(hermitian_spectrum(rho.entries).max())
     if top < 1.0 - PURITY_TOL:
-        raise ValueError(f"{what} is not pure: largest eigenvalue {top}")
+        raise ValueError(f"state is not pure: largest eigenvalue {top}")
 
 
 class Spectrum(NamedTuple):

@@ -19,9 +19,10 @@ T costs an ``eigh``, and a fused vector cycle a tenth of a step.  The Anderson
 depth, the check interval and the stall rule are module constants; the
 per-call options are declared on ``solve_feasibility``.
 
-A search passes its start.  The broadcast sampler's random starts are
-Ginibre density matrices drawn here (``seeded_starts``); the synthesis
-search starts at I/D and draws nothing.
+A search passes its start.  The broadcast sampler draws its random starts
+in order from one seeded generator, as Ginibre density matrices
+(``random_density_matrix``); the synthesis search starts at I/D and draws
+nothing.
 """
 from __future__ import annotations
 
@@ -62,13 +63,6 @@ def random_density_matrix(dim: int, rng: np.random.Generator,
     m = g @ g.conj().T
     m /= np.trace(m).real
     return m if np.issubdtype(dtype, np.complexfloating) else m.real.copy()
-
-
-def seeded_starts(dim: int, n_starts: int, seed: int, dtype: np.dtype = np.float64):
-    """The seeded dim x dim ``random_density_matrix`` starts, drawn in order from one generator."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_starts):
-        yield random_density_matrix(dim, rng, dtype)
 
 
 class Cone(NamedTuple):

@@ -25,15 +25,6 @@ class IsotropicParams(_Frozen):
         object.__setattr__(self, "lam", lam)
 
 
-class GibbsQubit(_Frozen):
-    """Two-level thermal state with excited-state population p in (0, 1/2)."""
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 0.5:
-            raise ValueError("excited population must lie in (0, 1/2)")
-        object.__setattr__(self, "p", p)
-
-
 def max_entangled_matrix(d: int) -> np.ndarray:
     """The entries of ``max_entangled(d)``, built as ``density_from_vector`` does, unvalidated."""
     if d < 2:
@@ -48,28 +39,11 @@ def max_entangled(d: int) -> DensityOperator:
     return density_from_matrix(max_entangled_matrix(d), bipartite_shape(d, d))
 
 
-def max_entangled_fraction(x: DensityOperator) -> float:
-    """Overlap of a single-(d,d)-factor state with the maximally entangled state."""
-    (da, db), = x.shape.factors
-    if da != db:
-        raise ValueError("state does not live on a square (d, d) factor")
-    return float(np.trace(max_entangled_matrix(da) @ x.entries).real)
-
-
 def isotropic(params: IsotropicParams) -> DensityOperator:
     """lam * Phi_d + (1 - lam) * identity / d^2."""
     d = params.d
     m = params.lam * max_entangled_matrix(d) + (1.0 - params.lam) * np.eye(d * d) / (d * d)
     return density_from_matrix(m, bipartite_shape(d, d))
-
-
-def isotropic_from_fidelity(d: int, f: float) -> DensityOperator:
-    """Isotropic state with maximally entangled fraction f in [0, 1]."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError("fidelity must lie in [0, 1]")
-    phi = max_entangled_matrix(d)
-    rest = (np.eye(d * d) - phi) / (d * d - 1)
-    return density_from_matrix(f * phi + (1.0 - f) * rest, bipartite_shape(d, d))
 
 
 def symmetric_two_broadcast(s0: DensityOperator, s1: DensityOperator) -> DensityOperator:
@@ -83,9 +57,10 @@ def symmetric_two_broadcast(s0: DensityOperator, s1: DensityOperator) -> Density
 
 
 def gibbs_qubit(p: float) -> DensityOperator:
-    """Diagonal thermal qubit (1-p)|0><0| + p|1><1| on a plain factor."""
-    params = GibbsQubit(p)
-    return density_from_matrix(np.diag([1.0 - params.p, params.p]), plain_shape(2))
+    """Diagonal thermal qubit (1-p)|0><0| + p|1><1| on a plain factor, p in (0, 1/2)."""
+    if not 0.0 < p < 0.5:
+        raise ValueError("excited population must lie in (0, 1/2)")
+    return density_from_matrix(np.diag([1.0 - p, p]), plain_shape(2))
 
 
 def classical_mix(q: float, p: float) -> DensityOperator:
@@ -95,15 +70,3 @@ def classical_mix(q: float, p: float) -> DensityOperator:
     gamma = gibbs_qubit(p)
     m = (1.0 - q) * np.diag([1.0, 0.0]) + q * gamma.entries
     return density_from_matrix(m, plain_shape(2))
-
-
-def isotropic_twirl(x: DensityOperator) -> DensityOperator:
-    """Project onto the isotropic family, preserving the entangled fraction.
-
-    Analytic two-parameter projection; idempotent and the identity on
-    isotropic inputs.
-    """
-    f = max_entangled_fraction(x)
-    (d, _), = x.shape.factors
-    return isotropic_from_fidelity(d, min(max(f, 0.0), 1.0))
-

@@ -15,7 +15,7 @@ from catcost.broadcast import (
     verify_broadcast,
 )
 from catcost.cli import main, scenario_rigidity
-from catcost.measures import IsotropicCopies
+from catcost.measures import IsotropicCopies, twirl_coefficients
 from catcost.operators import (
     FactorShape,
     ResourceLimitError,
@@ -149,7 +149,7 @@ class TestTwirledRigidity:
         # a seeded dense start, and P_i x P_j / rank as the dense state of
         # the coefficient tensor with one entry 1 / rank
         x = random_density_matrix(d ** 4, np.random.default_rng(0), np.float64)
-        coeffs = IsotropicCopies.from_twirl(d, x).coeffs
+        coeffs = twirl_coefficients(d, x)
         ranks = np.multiply.outer([1.0, d * d - 1.0], [1.0, d * d - 1.0])
         for i, j in np.ndindex(2, 2):
             unit = np.zeros((2, 2))
@@ -162,9 +162,9 @@ class TestTwirledRigidity:
         phi = max_entangled(d)
         product = tensor(phi.op, phi.op)
         one = IsotropicCopies.isotropic(d, 1.0)
-        root, unit, lo, hi = _twirled_broadcast_segment(d)
+        direction, lo, hi = _twirled_broadcast_segment(d)
         for t in (lo, hi):
-            point = IsotropicCopies(d, ((np.eye(4)[0] + t * unit) / root).reshape(2, 2))
+            point = IsotropicCopies(d, (np.eye(4)[0] + t * direction).reshape(2, 2))
             assert trace_distance(point.to_density().op, product) <= 1e-6
             assert verify_broadcast(point, one, 2, tol=1e-9).is_broadcast
 
@@ -180,20 +180,19 @@ class TestTwirledRigidity:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_segment_is_the_product_point(self, d):
-        root, unit, lo, hi = _twirled_broadcast_segment(d)
+        direction, lo, hi = _twirled_broadcast_segment(d)
         assert lo == hi == 0
-        assert abs(unit @ unit - 1.0) <= 1e-15
         # the whole line meets both marginal equations: each marginal's
         # coefficients are Phi's (1, 0)
         rank = d * d - 1.0
         e00 = np.eye(4)[0]
         for t in (-1.0, -1e-3, 0.0, 0.5):
-            c = ((e00 + t * unit) / root).reshape(2, 2)
+            c = (e00 + t * direction).reshape(2, 2)
             assert np.abs(c[:, 0] + rank * c[:, 1] - [1.0, 0.0]).max() <= 1e-12
             assert np.abs(c[0, :] + rank * c[1, :] - [1.0, 0.0]).max() <= 1e-12
         # and any step off the point along it leaves the PSD cone
         for t in (-1e-9, 1e-9):
-            assert (e00 + t * unit).min() < 0.0
+            assert (e00 + t * direction).min() < 0.0
 
     def test_largest_request_builds_no_matrix(self, forbid_dense_operators, monkeypatch):
         # the largest request, 8 192 starts at d = 4: no dense start, no
@@ -205,7 +204,7 @@ class TestTwirledRigidity:
             def __getattr__(self, name):
                 raise AssertionError(f"np.linalg.{name} was called")
 
-        monkeypatch.setattr("catcost.projections.random_density_matrix", refuse)
+        monkeypatch.setattr("catcost.broadcast.random_density_matrix", refuse)
         monkeypatch.setattr("catcost.measures.twirl_coefficients", refuse)
         monkeypatch.setattr(np, "linalg", NoLinalg())
         scenario_rigidity(4, 1, 0)  # first-use allocations outside the run
@@ -250,14 +249,14 @@ class TestTwirledRigidity:
         # a segment patched onto a trace-preserving line of states, so that
         # its ends lie at different distances: the larger dense distance is
         # returned, at whichever end it lies
-        root = _twirled_broadcast_segment(d)[0]
-        line = np.array([-root[1], root[0], 0.0, 0.0]) / np.hypot(root[0], root[1])
+        rank = d * d - 1.0
+        line = np.array([-rank, 1.0, 0.0, 0.0]) / (rank + 1.0)  # Phi x Phi to Phi x (1 - Phi)
         phi = max_entangled(d)
         product = tensor(phi.op, phi.op)
-        for unit, lo, hi in [(line, 0.0, 0.5), (-line, -0.5, 0.0), (line, 0.25, 0.5)]:
+        for direction, lo, hi in [(line, 0.0, 0.5), (-line, -0.5, 0.0), (line, 0.25, 0.5)]:
             monkeypatch.setattr(catcost.broadcast, "_twirled_broadcast_segment",
-                                lambda d, segment=(root, unit, lo, hi): segment)
-            ends = [IsotropicCopies(d, ((np.eye(4)[0] + t * unit) / root).reshape(2, 2))
+                                lambda d, segment=(direction, lo, hi): segment)
+            ends = [IsotropicCopies(d, (np.eye(4)[0] + t * direction).reshape(2, 2))
                     for t in (lo, hi)]
             dense = max(trace_distance(end.to_density().op, product) for end in ends)
             worst = max_twirled_distance_to_product(d)
@@ -270,9 +269,9 @@ class TestTwirledRigidity:
     @pytest.mark.parametrize("ends", [(-0.1, 0.0), (0.0, 0.1), (float("nan"), 0.0)],
                              ids=["below", "above", "nan"])
     def test_an_end_point_that_is_no_state_is_refused(self, ends, monkeypatch):
-        root, unit, _, _ = _twirled_broadcast_segment(2)
+        direction, _, _ = _twirled_broadcast_segment(2)
         monkeypatch.setattr(catcost.broadcast, "_twirled_broadcast_segment",
-                            lambda d: (root, unit, *ends))
+                            lambda d: (direction, *ends))
         with pytest.raises(ValueError, match="trace nan|positive semidefinite"):
             max_twirled_distance_to_product(2)
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from catcost.catalysis import (
-    RateRecord,
     catalytic_cost_upper_bound,
     nonconvexity_witness,
     pure_additivity_check,
@@ -44,25 +43,6 @@ def correlated_broadcast(d=2):
 
 def product_broadcast(rho):
     return density_from_matrix(tensor_power(rho.op, 2).entries, rho.shape.copies(2))
-
-
-class TestRateRecord:
-    def test_rates(self):
-        record = RateRecord(m=3, n=2)
-        assert record.rate == 1.5
-        assert record.catalytic_rate == 0.75
-
-    def test_catalytic_rate_is_half(self):
-        for m in range(5):
-            for n in range(1, 5):
-                record = RateRecord(m, n)
-                assert record.catalytic_rate == record.rate / 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RateRecord(-1, 1)
-        with pytest.raises(ValueError):
-            RateRecord(1, 0)
 
 
 class TestProtocol:

@@ -359,6 +359,25 @@ class TestCliScenarios:
     def test_thermo_passes(self, capsys):
         assert main(["thermo-example", "--p", "0.25", "--q-grid", "3"]) == 0
 
+    @pytest.mark.parametrize("q_grid", [2, 5, 11])
+    def test_thermo_checks_read_the_grid_ends(self, q_grid, capsys, monkeypatch):
+        # the grid's q_grid costs, four of the nonconvexity witness (its
+        # three states and their broadcast) and two of the advantage
+        # certificate: the q = 0 and q = 1 checks compute no cost of their own
+        import catcost.catalysis
+        import catcost.cli
+        calls = []
+
+        def counted(rho, gamma, cost=catcost.cli.work_cost_semiclassical):
+            calls.append(1)
+            return cost(rho, gamma)
+
+        for module in (catcost.cli, catcost.catalysis):
+            monkeypatch.setattr(module, "work_cost_semiclassical", counted)
+        assert main(["thermo-example", "--p", "0.25", "--q-grid", str(q_grid)]) == 0
+        assert "check w_at_q0: PASS\ncheck w_at_q1: PASS\n" in capsys.readouterr().out
+        assert len(calls) == q_grid + 6
+
     def test_thermo_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["thermo-example", "--p", "0.7"])

@@ -1,6 +1,8 @@
 """Resource measures against closed forms and independent eigenvalue oracles."""
 import functools
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +32,9 @@ from catcost.measures import (
 )
 from catcost.operators import (
     DEFAULT_PSD_TOL,
+    DensityOperator,
     FactorShape,
+    LabeledOperator,
     abs_operator,
     bipartite_shape,
     density_from_matrix,
@@ -51,8 +55,6 @@ from catcost.states import (
     classical_mix,
     gibbs_qubit,
     isotropic,
-    isotropic_from_fidelity,
-    isotropic_twirl,
     max_entangled,
     symmetric_two_broadcast,
 )
@@ -240,6 +242,11 @@ def dense_isotropic(d, lam):
     return isotropic(IsotropicParams(d, lam))
 
 
+def isotropic_at_fraction(d, f):
+    """The dense isotropic state of maximally entangled fraction f."""
+    return IsotropicCopies(d, [f, (1.0 - f) / (d * d - 1)]).to_density()
+
+
 class TestDmaxToPpt:
     @pytest.mark.parametrize("build", [dense_isotropic, IsotropicCopies.isotropic],
                              ids=["dense", "algebra"])
@@ -260,9 +267,9 @@ class TestDmaxToPpt:
         rho = dense_isotropic(d, lam)
         closed = d_max_to_ppt_isotropic(rho)
         f = lam + (1.0 - lam) / (d * d)
-        assert abs(closed - d_max(rho, isotropic_from_fidelity(d, min(f, 1.0 / d)))) <= 1e-12
+        assert abs(closed - d_max(rho, isotropic_at_fraction(d, min(f, 1.0 / d)))) <= 1e-12
         for g in np.linspace(0.05, 1.0 / d, 8):
-            assert d_max(rho, isotropic_from_fidelity(d, g)) >= closed - 1e-9
+            assert d_max(rho, isotropic_at_fraction(d, g)) >= closed - 1e-9
         assert abs(d_max_to_ppt_isotropic(IsotropicCopies.isotropic(d, lam)) - closed) <= 1e-12
         if lam <= 1.0 / (d + 1):
             assert closed == 0.0
@@ -272,13 +279,25 @@ class TestDmaxToPpt:
         assert abs(d_max_to_ppt_isotropic(rho) - (math.log2(10 / 3) - 1)) <= 1e-6
 
     def test_ppt_boundary_gives_zero(self):
-        rho = isotropic_from_fidelity(2, 0.5)  # f = 1/d
+        rho = isotropic_at_fraction(2, 0.5)  # f = 1/d
         assert d_max_to_ppt_isotropic(rho) == 0.0
 
-    def test_rejects_non_symmetric_states(self, rng):
-        rho = random_density(rng, 2, 2)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejects_non_symmetric_states(self, d, rng):
+        rho = random_density(rng, d, d)
+        with pytest.raises(ValueError, match="not isotropic-symmetric"):
             d_max_to_ppt_isotropic(rho)
+
+    def test_rejects_a_non_square_factor(self, rng):
+        with pytest.raises(ValueError):
+            d_max_to_ppt_isotropic(random_density(rng, 2, 3))
+
+    def test_accepts_a_state_validated_at_a_looser_trace_tolerance(self):
+        # the coefficients are read as they are, not revalidated as a state
+        entries = dense_isotropic(2, 0.75).entries * (1.0 + 1e-11)
+        rho = DensityOperator(LabeledOperator(bipartite_shape(2, 2), entries), trace_tol=1e-6)
+        assert abs(d_max_to_ppt_isotropic(rho) - d_max_to_ppt_isotropic(
+            IsotropicCopies.isotropic(2, 0.75))) <= 1e-10
 
     def test_rejects_more_than_one_algebra_copy(self):
         rho = IsotropicCopies.isotropic(2, 0.5)
@@ -555,20 +574,13 @@ class TestIsotropicCopies:
         c = rng.random((2,) * k)
         ranks = functools.reduce(np.multiply.outer, [np.array([1.0, d * d - 1.0])] * k)
         state = IsotropicCopies(d, c / (c * ranks).sum())
-        twirled = IsotropicCopies.from_twirl(d, state.to_density().entries)
-        assert np.abs(twirled.coeffs - state.coeffs).max() <= 1e-12
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_one_copy_twirl_is_isotropic_twirl(self, d, rng):
-        rho = random_density(rng, d, d)
-        twirled = IsotropicCopies.from_twirl(d, rho.entries)
-        assert np.abs(twirled.to_density().entries
-                      - isotropic_twirl(rho).entries).max() <= 1e-12
+        twirled = twirl_coefficients(d, state.to_density().entries)
+        assert np.abs(twirled - state.coeffs).max() <= 1e-12
 
     @pytest.mark.parametrize("d, dim", [(1, 1), (2, 8), (2, 32), (3, 16)])
     def test_twirl_refuses_a_matrix_of_no_copy_count(self, d, dim):
         with pytest.raises(ValueError):
-            IsotropicCopies.from_twirl(d, np.eye(dim) / dim)
+            twirl_coefficients(d, np.eye(dim) / dim)
 
     @pytest.mark.parametrize("shape", [(), (16,), (3, 16, 16), (1, 16, 16)])
     def test_twirl_refuses_anything_but_one_matrix(self, shape):
@@ -599,3 +611,99 @@ class TestIsotropicCopies:
         weighted = gamma @ (np.sqrt(copy_ranks(d, k)) * c).ravel()
         expected = (np.sqrt(q) * partial_transpose_spectrum(d, c)).ravel()
         assert np.abs(weighted - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def haar_unitary(rng, n):
+    """A Haar-random n x n unitary: the Q of a complex Ginibre matrix, R's phases divided out."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestTwirlCoefficients:
+    """The U x conj(U) twirl of ``twirl_coefficients`` against a dense oracle."""
+
+    @staticmethod
+    def projectors(d):
+        # Phi = |v><v|, v = sum_i |ii> / sqrt(d), and 1 - Phi, written out
+        v = np.zeros(d * d)
+        v[:: d + 1] = 1.0 / math.sqrt(d)
+        phi = np.outer(v, v)
+        return phi, np.eye(d * d) - phi
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_closed_form(self, d, k, rng):
+        # one copy: f Phi + (1 - f)(1 - Phi)/(d^2 - 1), f = Tr(Phi x); on
+        # two, each product P x Q of Phi and 1 - Phi keeps its mass
+        # Tr((P x Q) x), spread evenly over its rank
+        x = random_state_matrix(rng, d ** (2 * k))
+        phi, rest = self.projectors(d)
+        if k == 1:
+            f = np.trace(phi @ x).real
+            expected = f * phi + (1.0 - f) * rest / (d * d - 1)
+        else:
+            products = [np.kron(p, q) for p, q in itertools.product((phi, rest), repeat=2)]
+            expected = sum(np.trace(pq @ x).real * pq / np.trace(pq) for pq in products)
+        c = twirl_coefficients(d, x)
+        assert c.shape == (2,) * k
+        assert np.abs(copies_matrix(d, c) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_invariant_under_haar_random_u_x_conj_u(self, d, k, rng):
+        x = random_state_matrix(rng, d ** (2 * k))
+        unitaries = [haar_unitary(rng, d) for _ in range(k)]
+        w = functools.reduce(np.kron, [np.kron(u, u.conj()) for u in unitaries])
+        rotated = w @ x @ w.conj().T
+        assert np.abs(rotated - x).max() > 1e-3
+        assert np.abs(twirl_coefficients(d, rotated) - twirl_coefficients(d, x)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_idempotent(self, d, k, rng):
+        c = twirl_coefficients(d, random_state_matrix(rng, d ** (2 * k)))
+        assert np.abs(twirl_coefficients(d, copies_matrix(d, c)) - c).max() <= 1e-12
+
+    def test_preserves_entangled_fraction(self, rng):
+        # a product rotation changes Phi_2; the twirl keeps whatever
+        # fraction the rotated state has
+        phi, _ = self.projectors(2)
+        u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+        rotated = u @ phi @ u.conj().T
+        twirled = copies_matrix(2, twirl_coefficients(2, rotated))
+        assert abs(np.trace(phi @ twirled) - np.trace(phi @ rotated)) <= 1e-12
+
+    def test_never_increases_dmax_to_isotropic_reference(self, rng):
+        # data-processing sanity on sampled states with isotropic references
+        ref = isotropic_at_fraction(2, 0.3)
+        for _ in range(5):
+            x = random_density(rng, 2, 2)
+            twirled = density_from_matrix(copies_matrix(2, twirl_coefficients(2, x.entries)),
+                                          x.shape)
+            assert d_max(twirled, ref) <= d_max(x, ref) + 1e-9
+
+
+class TestHugeDimensions:
+    """A (d, k) whose ranks (d^2 - 1)^k overflow a float is refused with ValueError."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: IsotropicCopies.isotropic(10 ** 160, 0.5),
+        lambda: IsotropicCopies(10 ** 160, [1.0, 0.0]),
+        lambda: IsotropicCopies(10 ** 80, [[1.0, 0.0], [0.0, 0.0]]),
+        lambda: copy_ranks(10 ** 80, 2),
+    ], ids=["isotropic", "one-copy", "two-copies", "copy-ranks"])
+    def test_refused_before_float_arithmetic_on_d(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="is no finite float"):
+                build()
+
+    def test_a_huge_d_is_named_by_its_digit_count(self):
+        with pytest.raises(ValueError, match="at d = <a 5001-digit integer> is no finite float"):
+            IsotropicCopies.isotropic(10 ** 5000, 0.5)
+
+    def test_largest_finite_ranks_are_accepted(self):
+        one = IsotropicCopies.isotropic(10 ** 80, 0.5)
+        assert one.coeffs[1] > 0.0 and abs(one.coeffs[0] - 0.5) <= 1e-15
+        # (d^2 - 1)^2 = 1e304 at d = 10^76 is still a float
+        assert np.isfinite(copy_ranks(10 ** 76, 2)).all()

@@ -2,25 +2,19 @@
 import numpy as np
 import pytest
 
-from catcost.measures import d_max
+from catcost.measures import IsotropicCopies, twirl_coefficients
 from catcost.operators import (
     FactorShape,
-    density_from_matrix,
     partial_trace,
     permute_factors,
     relabel,
-    trace_distance,
 )
 from catcost.states import (
-    GibbsQubit,
     IsotropicParams,
     classical_mix,
     gibbs_qubit,
     isotropic,
-    isotropic_from_fidelity,
-    isotropic_twirl,
     max_entangled,
-    max_entangled_fraction,
     max_entangled_matrix,
     symmetric_two_broadcast,
 )
@@ -70,7 +64,14 @@ class TestIsotropic:
 
     def test_fidelity_with_max_entangled(self):
         rho = isotropic(IsotropicParams(2, 0.5))
-        assert abs(max_entangled_fraction(rho) - 5 / 8) <= 1e-12
+        assert abs(twirl_coefficients(2, rho.entries)[0] - 5 / 8) <= 1e-12
+
+    def test_fidelity_coefficients_are_the_mixing_parametrization(self):
+        d, lam = 3, 0.6
+        f = lam + (1 - lam) / d ** 2
+        a = isotropic(IsotropicParams(d, lam))
+        b = IsotropicCopies(d, [f, (1 - f) / (d * d - 1)]).to_density()
+        assert np.abs(a.entries - b.entries).max() <= 1e-12
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -125,10 +126,8 @@ class TestClassicalStates:
 
     def test_gibbs_range(self):
         for bad in (0.0, 0.5, 0.7, -0.1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^excited population must lie in \(0, 1/2\)$"):
                 gibbs_qubit(bad)
-        with pytest.raises(ValueError):
-            GibbsQubit(0.5)
 
     def test_classical_mix_values(self):
         assert np.allclose(classical_mix(1.0, 0.25).entries,
@@ -142,55 +141,3 @@ class TestClassicalStates:
     def test_classical_mix_range(self):
         with pytest.raises(ValueError):
             classical_mix(1.5, 0.25)
-
-
-class TestTwirl:
-    def test_isotropic_fixed_point(self):
-        rho = isotropic(IsotropicParams(3, 0.4))
-        assert trace_distance(isotropic_twirl(rho).op, rho.op) <= 1e-12
-
-    def test_idempotent(self, rng):
-        x = random_density(rng, 3, 3)
-        once = isotropic_twirl(x)
-        twice = isotropic_twirl(once)
-        assert trace_distance(once.op, twice.op) <= 1e-12
-
-    def test_preserves_entangled_fraction(self, rng):
-        # product rotation changes the state; the twirl keeps whatever
-        # fraction the rotated state has
-        phi = max_entangled(2)
-        ua = np.linalg.qr(rng.standard_normal((2, 2))
-                          + 1j * rng.standard_normal((2, 2)))[0]
-        ub = np.linalg.qr(rng.standard_normal((2, 2))
-                          + 1j * rng.standard_normal((2, 2)))[0]
-        u = np.kron(ua, ub)
-        rotated = density_from_matrix(u @ phi.entries @ u.conj().T, phi.shape)
-        f_before = max_entangled_fraction(rotated)
-        twirled = isotropic_twirl(rotated)
-        assert abs(max_entangled_fraction(twirled) - f_before) <= 1e-12
-
-    def test_rejects_non_square_factor(self, rng):
-        with pytest.raises(ValueError):
-            isotropic_twirl(random_density(rng, 2, 3))
-
-    def test_never_increases_dmax_to_isotropic_reference(self, rng):
-        # data-processing sanity on sampled states with isotropic references
-        for _ in range(5):
-            x = random_density(rng, 2, 2)
-            ref = isotropic_from_fidelity(2, 0.3)
-            assert d_max(isotropic_twirl(x), ref) <= d_max(x, ref) + 1e-9
-
-
-class TestIsotropicFromFidelity:
-    def test_matches_mixing_parametrization(self):
-        d, lam = 3, 0.6
-        f = lam + (1 - lam) / d ** 2
-        a = isotropic(IsotropicParams(d, lam))
-        b = isotropic_from_fidelity(d, f)
-        assert np.abs(a.entries - b.entries).max() <= 1e-12
-
-    def test_extreme_fidelities_are_states(self):
-        isotropic_from_fidelity(2, 0.0)
-        isotropic_from_fidelity(2, 1.0)
-        with pytest.raises(ValueError):
-            isotropic_from_fidelity(2, 1.2)

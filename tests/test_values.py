@@ -23,7 +23,6 @@ from catcost.catalysis import (
     AdvantageCertificate,
     NonconvexityWitness,
     ProtocolTrace,
-    RateRecord,
     catalytic_cost_upper_bound,
     nonconvexity_witness,
     run_prop1_protocol,
@@ -51,14 +50,13 @@ from catcost.operators import (
     Spectrum,
     bipartite_shape,
     eig_hermitian,
-    identity_operator,
     is_psd,
     plain_shape,
 )
 from catcost.reports import ResultRow, ScenarioReport
 from catcost.states import (
-    GibbsQubit,
     IsotropicParams,
+    gibbs_qubit,
     isotropic,
     max_entangled,
     symmetric_two_broadcast,
@@ -83,7 +81,7 @@ def twirled_choi():
 # class -> (a builder of one instance, the fields of a plain class)
 PLAIN = {
     FactorShape: (lambda: bipartite_shape(2, 2), ("factors",)),
-    LabeledOperator: (lambda: identity_operator(plain_shape(2)), ("shape", "entries")),
+    LabeledOperator: (lambda: LabeledOperator(plain_shape(2), np.eye(2)), ("shape", "entries")),
     DensityOperator: (half_mixed, ("op", "trace_tol", "psd_tol")),
     IsotropicCopies: (lambda: IsotropicCopies.isotropic(2, 0.5), ("d", "coeffs")),
     ChoiOperator: (lambda: identity_choi(plain_shape(2)),
@@ -93,9 +91,7 @@ PLAIN = {
                   ("converged", "iterations", "residuals", "_build_point", "stalled",
                    "npt_witness", "log_negativity", "best_history")),
     CostValue: (lambda: gated_ppt_cost(half_mixed())[1], ("bits", "applicability")),
-    RateRecord: (lambda: RateRecord(3, 2), ("m", "n")),
     IsotropicParams: (lambda: IsotropicParams(2, 0.5), ("d", "lam")),
-    GibbsQubit: (lambda: GibbsQubit(0.25), ("p",)),
 }
 
 # NamedTuple class -> a builder of one instance
@@ -119,7 +115,7 @@ HASHABLE_RECORDS = (BroadcastReport, AdvantageCertificate, BinegativityReport, S
 
 
 def test_every_class_is_listed():
-    assert len(PLAIN) + len(RECORDS) == 19
+    assert len(PLAIN) + len(RECORDS) == 17
 
 
 @pytest.mark.parametrize("cls", list(PLAIN) + list(RECORDS), ids=lambda c: c.__name__)
@@ -208,11 +204,9 @@ def op2(m):
      "input factors must come first"),
     (lambda: CostValue(1.0, Applicability.UNDEFINED),
      "a finite cost cannot have undefined applicability"),
-    (lambda: RateRecord(-1, 1), "need m >= 0 and n >= 1"),
-    (lambda: RateRecord(1, 0), "need m >= 0 and n >= 1"),
     (lambda: IsotropicParams(1, 0.5), "local dimension must be >= 2"),
     (lambda: IsotropicParams(2, 1.5), "mixing weight must lie in [0, 1]"),
-    (lambda: GibbsQubit(0.5), "excited population must lie in (0, 1/2)"),
+    (lambda: gibbs_qubit(0.5), "excited population must lie in (0, 1/2)"),
 ])
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:
