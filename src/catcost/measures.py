@@ -159,19 +159,23 @@ def d_max_to_ppt_isotropic(rho: DensityOperator | IsotropicCopies) -> float:
 
 
 def _per_copy(m, c: np.ndarray) -> np.ndarray:
-    """Apply the matrix m, one (2,) row per output index, to every axis of c.
+    """Apply the matrix m, one (2,) row (u, v) per output index, to every axis of c.
 
-    Elementwise arithmetic, no BLAS call: the result does not depend on
-    the BLAS configuration.
+    Axis by axis from the first, each output row is u * c0 + v * c1 of
+    the axis's two slices.  A round reads the next axis, always the first,
+    as c's two halves, forms c0 * u and c1 * v for every row in one
+    broadcast product and adds them, which puts the new axis last: after
+    k rounds the axes are back in order.  These are the products and sums
+    of a slice-at-a-time loop, in the same order, in five numpy calls a
+    round.  Elementwise arithmetic, no BLAS call: the result does not
+    depend on the BLAS configuration.
     """
-    for axis in range(c.ndim):
-        head = (slice(None),) * axis
-        c0, c1 = c[head + (0,)], c[head + (1,)]
-        out = np.empty(c.shape[:axis] + (len(m),) + c.shape[axis + 1:])
-        for i, (u, v) in enumerate(m):
-            out[head + (i,)] = u * c0 + v * c1
-        c = out
-    return c
+    w = np.array(m, dtype=np.float64).T[:, None, :]  # (2, 1, rows): u and v
+    k = c.ndim
+    for _ in range(k):
+        p = c.reshape(2, -1, 1) * w
+        c = p[0] + p[1]
+    return c.reshape((len(m),) * k)
 
 
 # Per copy of a (d, d) system: the ranks of Phi and 1 - Phi, and the map
@@ -314,11 +318,12 @@ class IsotropicCopies(_Frozen):
         if c.ndim < 1 or c.shape != (2,) * c.ndim:
             raise ValueError(f"coefficients have shape {c.shape}, expected (2,) * k")
         c.setflags(write=False)
-        tr = float((c * copy_ranks(d, c.ndim)).sum())
+        tr = float(np.add.reduce(c * copy_ranks(d, c.ndim), axis=None))
         if not abs(tr - 1.0) <= DEFAULT_TRACE_TOL:
             raise ValueError(f"trace {tr} is not 1 within {DEFAULT_TRACE_TOL:.1e}")
-        if c.min() < -DEFAULT_PSD_TOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {c.min():.3e}")
+        least = np.minimum.reduce(c, axis=None)
+        if least < -DEFAULT_PSD_TOL:
+            raise ValueError(f"not positive semidefinite: min eigenvalue {least:.3e}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "coeffs", c)
 
@@ -328,7 +333,7 @@ class IsotropicCopies(_Frozen):
         IsotropicParams(d, lam)  # validates d and lam
         _require_float_ranks(d, 1)
         white = (1.0 - lam) / (d * d)
-        return cls(d, np.array([lam + white, white]))
+        return cls(d, [lam + white, white])
 
     @classmethod
     def symmetric_two_broadcast(cls, s0: IsotropicCopies,
@@ -336,8 +341,10 @@ class IsotropicCopies(_Frozen):
         """(s0 x s1 + s1 x s0) / 2 (``states.symmetric_two_broadcast``)."""
         if (s0.d, s0.coeffs.ndim) != (s1.d, s1.coeffs.ndim):  # (d, k) fixes the shape
             raise ValueError("broadcast halves must share a shape")
-        outer = np.multiply.outer
-        return cls(s0.d, (outer(s0.coeffs, s1.coeffs) + outer(s1.coeffs, s0.coeffs)) / 2)
+        # s1 x s0 is s0 x s1 with the two halves' axes swapped: the same products
+        k = s0.coeffs.ndim
+        p = np.multiply.outer(s0.coeffs, s1.coeffs)
+        return cls(s0.d, (p + p.transpose([*range(k, 2 * k), *range(k)])) / 2)
 
     @cached_property
     def shape(self) -> FactorShape:
@@ -355,14 +362,15 @@ class IsotropicCopies(_Frozen):
     def partial_transpose_trace_norm(self) -> float:
         """Trace norm of rho^Gamma: sum of |s| times the P_sym/P_anti ranks."""
         ranks = _outer_power(_partial_transpose_ranks(self.d), self.coeffs.ndim)
-        return float((np.abs(self.partial_transpose_coeffs) * ranks).sum())
+        return float(np.add.reduce(np.abs(self.partial_transpose_coeffs) * ranks, axis=None))
 
     @cached_property
     def binegativity_min_eigenvalue(self) -> float:
         """Least coefficient of |rho^Gamma|^Gamma, back on span{Phi, 1 - Phi}^(x k)."""
         d = self.d
         back = ((0.5 * (1.0 + d), 0.5 * (1.0 - d)), (0.5, 0.5))
-        return float(_per_copy(back, np.abs(self.partial_transpose_coeffs)).min())
+        return float(np.minimum.reduce(_per_copy(back, np.abs(self.partial_transpose_coeffs)),
+                                       axis=None))
 
     def marginal(self, keep) -> IsotropicCopies:
         """Trace out every copy not in ``keep``, as ``operators.partial_trace``.
@@ -377,8 +385,8 @@ class IsotropicCopies(_Frozen):
         c = self.coeffs
         for axis in reversed(range(k)):
             if axis not in keep:
-                c0, c1 = np.moveaxis(c, axis, 0)
-                c = c0 + (self.d ** 2 - 1) * c1
+                head = (slice(None),) * axis
+                c = c[head + (0,)] + (self.d ** 2 - 1) * c[head + (1,)]
         return IsotropicCopies(self.d, c)
 
     def trace_distance(self, other: IsotropicCopies) -> float:
@@ -388,7 +396,7 @@ class IsotropicCopies(_Frozen):
                 or (other.d, other.coeffs.ndim) != (self.d, self.coeffs.ndim)):
             raise ValueError("trace distance needs two IsotropicCopies of one shape")
         ranks = copy_ranks(self.d, self.coeffs.ndim)
-        return float(0.5 * (np.abs(self.coeffs - other.coeffs) * ranks).sum())
+        return 0.5 * float(np.add.reduce(np.abs(self.coeffs - other.coeffs) * ranks, axis=None))
 
     def to_density(self) -> DensityOperator:
         """The dense state, with d^(2k) x d^(2k) entries."""

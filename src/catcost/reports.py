@@ -38,12 +38,16 @@ def _indented_json(value, indent: str = "") -> str:
     closures leave a reference cycle per call; keys and leaves encoded
     one at a time (``_encoded``) leave none.
     """
-    if not isinstance(value, dict) or not value:
+    if not isinstance(value, dict):
         return _encoded(value)
     inner = indent + "  "
-    items = [f"{inner}{_encoded(key)}: {_indented_json(value[key], inner)}"
-             for key in sorted(value)]
-    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    return _block([f"{inner}{_encoded(key)}: {_indented_json(value[key], inner)}"
+                   for key in sorted(value)], indent)
+
+
+def _block(items: list[str], indent: str) -> str:
+    """An object of the indented dump, at ``indent``, from its rendered items."""
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
 
 
 class ResultRow(NamedTuple):
@@ -100,18 +104,25 @@ class ScenarioReport:
         return out.getvalue()
 
     def to_keyvalue(self) -> str:
-        doc = {
-            "scenario": self.scenario,
-            "version": self.version,
-            "parameters": dict(self.parameters),
-            "results": {
-                name: {"value": row.value, "tol": row.tol}
-                for name, row in self.results.items()
-            },
-            "checks": dict(self.checks),
-            "overall": self.passed,
-        }
-        return _indented_json(doc) + "\n"
+        """``json.dumps(doc, indent=2, sort_keys=True)`` of the report, written directly.
+
+        The document's keys are fixed and written in sorted order: checks,
+        overall, parameters, results (each a {tol, value} pair), scenario
+        and version.  Every name and scalar goes through ``_encoded`` and
+        the parameters through ``_indented_json``, so any value renders as
+        ``json.dumps`` renders it.
+        """
+        checks = [f"    {_encoded(name)}: {_encoded(self.checks[name])}"
+                  for name in sorted(self.checks)]
+        results = [f'    {_encoded(name)}: {{\n      "tol": {_encoded(row.tol)},\n'
+                   f'      "value": {_encoded(row.value)}\n    }}'
+                   for name, row in sorted(self.results.items())]
+        return (f'{{\n  "checks": {_block(checks, "  ")},\n'
+                f'  "overall": {_encoded(self.passed)},\n'
+                f'  "parameters": {_indented_json(self.parameters, "  ")},\n'
+                f'  "results": {_block(results, "  ")},\n'
+                f'  "scenario": {_encoded(self.scenario)},\n'
+                f'  "version": {_encoded(self.version)}\n}}\n')
 
     def render(self, fmt: str) -> str:
         if fmt == "text":

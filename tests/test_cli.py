@@ -785,10 +785,26 @@ class TestKeyValueRender:
         assert report.to_keyvalue() == _keyvalue_reference(report)
 
     @pytest.mark.parametrize("argv", [["werner-example"], ["rigidity"], ["dmax-ppt"],
+                                      ["dmax-ppt", "--d", "3", "--lam", "0.75"],
                                       ["protocol"], ["thermo-example"],
                                       ["synthesize", "noisy-phi-2", "--m", "0"],
-                                      ["synthesize", "noisy-phi-2", "--m", "1"]])
-    def test_scenario_output_is_the_dump_of_its_parse(self, argv, capsys):
+                                      ["synthesize", "noisy-phi-2", "--m", "1"],
+                                      ["synthesize", "broadcast-phi-2", "--m", "1"],
+                                      ["synthesize", "{target}", "--m", "1"],
+                                      ["verify-broadcast", "{mu}", "{rho}", "--n", "2"]])
+    def test_scenario_output_is_the_dump_of_its_parse(self, argv, capsys, tmp_path):
+        # dense files of noisy-phi-2 and its broadcast; the broadcast's path
+        # has a non-ASCII character and a quote, which the report escapes
+        files = {"target": tmp_path / "target.json", "rho": tmp_path / "rho.json",
+                 "mu": tmp_path / 'μ "broadcast".json'}
+        save_operator(_half_mixed(2).to_density().op, files["target"])
+        save_operator(_half_mixed(2).to_density().op, files["rho"])
+        save_operator(_broadcast_of_half_mixed(2).to_density().op, files["mu"])
+        argv = [arg.format_map({name: str(path) for name, path in files.items()})
+                for arg in argv]
         main(["--format", "json-like-keyvalue", *argv])
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        if argv[0] == "verify-broadcast":
+            assert json.loads(out)["parameters"]["mu"] == str(files["mu"])
+            assert '\\u03bc \\"broadcast\\".json' in out

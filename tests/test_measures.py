@@ -16,6 +16,7 @@ from catcost.measures import (
     Applicability,
     CostValue,
     IsotropicCopies,
+    _per_copy,
     binegativity,
     copies_matrix,
     copy_ranks,
@@ -456,6 +457,76 @@ class TestPartialTransposeSpectrum:
         for d in range(2, 9):
             assert scenario_werner(d).passed
             assert seen == [], d
+
+
+def nested_per_copy(m, c):
+    """m on every axis of c, one (2,) slice pair and one output row at a time."""
+    for axis in range(c.ndim):
+        head = (slice(None),) * axis
+        c0, c1 = c[head + (0,)], c[head + (1,)]
+        out = np.empty(c.shape[:axis] + (len(m),) + c.shape[axis + 1:])
+        for i, (u, v) in enumerate(m):
+            out[head + (i,)] = u * c0 + v * c1
+        c = out
+    return c
+
+
+# at d = 3: Gamma, its way back, the twirl's (Phi, 1) -> (Phi, 1 - Phi)
+# map, and the 3-row map of the entry classes of a copy
+PER_COPY_MAPS = {
+    "gamma": ((1.0 / 3, 1.0 - 1.0 / 3), (-1.0 / 3, 1.0 + 1.0 / 3)),
+    "back": ((0.5 * 4.0, 0.5 * -2.0), (0.5, 0.5)),
+    "twirl": ((1.0, 0.0), (-1.0 / 8, 1.0 / 8)),
+    "classes": ((1.0 / 3, 1.0 - 1.0 / 3), (1.0 / 3, -1.0 / 3), (0.0, 1.0)),
+}
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)])))
+
+
+class TestPerCopyKernel:
+    """``_per_copy`` against the nested per-axis formula, bit for bit."""
+
+    @staticmethod
+    def inputs(rng, k):
+        """Mixed signs over 40 decades, then -0.0 and subnormals in place, then all -0.0."""
+        shape = (2,) * k
+        drawn = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        special = drawn.copy()
+        flat = special.reshape(-1)
+        flat[0], flat[-1] = -0.0, 5e-324
+        if k > 1:
+            flat[1], flat[2] = -2.5e-310, 1e-308
+        return [drawn, special, np.full(shape, -0.0)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("name", PER_COPY_MAPS)
+    def test_every_bit_of_the_nested_formula(self, name, k, rng):
+        m = PER_COPY_MAPS[name]
+        for c in self.inputs(rng, k):
+            got, want = _per_copy(m, c), nested_per_copy(m, c)
+            assert got.shape == (len(m),) * k and got.dtype == np.float64
+            assert same_bits(got, want), (name, k)
+        assert np.signbit(got).any()  # the all -0.0 input gives signed zeros
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", PER_COPY_MAPS)
+    def test_nan_and_infinities_propagate_as_in_the_nested_formula(self, name, k, rng):
+        m = PER_COPY_MAPS[name]
+        for special in (math.nan, math.inf, -math.inf):
+            c = rng.standard_normal((2,) * k)
+            c.reshape(-1)[-1] = special
+            with np.errstate(invalid="ignore"):
+                got, want = _per_copy(m, c), nested_per_copy(m, c)
+            assert same_bits(got, want), (name, k, special)
+            assert not np.isfinite(got).all()
+
+    def test_a_strided_input_is_read_by_value(self, rng):
+        c = rng.standard_normal((2, 2, 2)).transpose(2, 0, 1)
+        m = PER_COPY_MAPS["classes"]
+        assert same_bits(_per_copy(m, c), nested_per_copy(m, c))
 
 
 def off_werner_copies(d):
